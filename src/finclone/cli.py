@@ -17,9 +17,7 @@ from .core import (
     CapExceeded,
     Carrier,
     DomainError,
-    OpFamily,
     Operation,
-    PairFamily,
     Relation,
     RelationPair,
     enc,
@@ -254,8 +252,6 @@ def build_parser() -> argparse.ArgumentParser:
     parser.add_argument("--k", type=int, default=None,
                         help="carrier size when no problem file is given")
     parser.add_argument("--json", action="store_true")
-    parser.add_argument("--symbol", default=None,
-                        help="iterative operator or superposition data")
     parser.add_argument("--spec", default=None,
                         help="superposition spec as JSON: "
                              '{"mu":..,"m":..,"beta":[..],"alphas":[[..],..]}')

@@ -10,7 +10,7 @@ inherits this encoding.
 from __future__ import annotations
 
 import itertools
-from dataclasses import dataclass, field
+from dataclasses import dataclass
 from typing import Iterable, Iterator, Sequence
 
 
@@ -197,6 +197,14 @@ def compose(f: Operation, gs: Sequence[Operation], target_arity: int | None = No
     return Operation(f.k, m, table)
 
 
+def bit_indices(mask: int) -> Iterator[int]:
+    """Positions of the set bits of a non-negative mask, ascending."""
+    while mask:
+        low = mask & -mask
+        yield low.bit_length() - 1
+        mask ^= low
+
+
 @dataclass(frozen=True, order=True)
 class Relation:
     """An m-ary relation, stored as a bit mask over the k^m encoded tuples."""
@@ -250,11 +258,7 @@ class Relation:
         return bool(self.mask >> index & 1)
 
     def indices(self) -> Iterator[int]:
-        m = self.mask
-        while m:
-            low = m & -m
-            yield low.bit_length() - 1
-            m ^= low
+        return bit_indices(self.mask)
 
     def tuples(self) -> Iterator[tuple[int, ...]]:
         carrier = self.carrier
@@ -328,7 +332,6 @@ def all_relations(carrier: Carrier, arity: int) -> Iterator[Relation]:
 def all_pairs(carrier: Carrier, arity: int) -> Iterator[RelationPair]:
     """All 3^(k^arity) relation pairs of the given arity, canonical order."""
     for rho in all_relations(carrier, arity):
-        sub = rho.mask
         # iterate submasks of rho.mask, ascending
         subs = []
         s = rho.mask

@@ -20,7 +20,6 @@ from .core import (
     DomainError,
     OpFamily,
     Operation,
-    Relation,
     check_cap,
     compose,
     is_projection,

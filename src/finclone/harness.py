@@ -22,7 +22,6 @@ from .core import (
     RelationPair,
     all_operations,
     all_pairs,
-    all_relations,
     compose,
     enc,
     identity_op,
@@ -41,12 +40,9 @@ from .preserve import (
     inv,
     invp,
     invp_upto,
-    loc_ops,
-    op_image_mask,
     pol,
     polp,
     polp_upto,
-    preserves,
     sloc_ops,
 )
 from .relpairs import (

@@ -1,9 +1,10 @@
-"""Preservation predicate, brute-force Galois maps between operations and
-relation pairs, their classical specialisations, and the operation-side
-interpolation closures.
+"""Preservation predicate, Galois maps between operations and relation pairs,
+their classical specialisations, and the operation-side interpolation
+closures.
 
-This module is the trusted oracle: everything is computed by definition-level
-enumeration, with complexity caps that refuse rather than truncate.
+Everything except `polp` is computed by definition-level enumeration, with
+complexity caps that refuse rather than truncate.  `polp` is a constraint
+search over table entries; `polp_enumerate` is its enumerating oracle.
 """
 
 from __future__ import annotations
@@ -15,7 +16,6 @@ from typing import Iterable
 
 from .core import (
     Carrier,
-    CapExceeded,
     DomainError,
     DEFAULT_CAP,
     OpFamily,
@@ -24,7 +24,7 @@ from .core import (
     Relation,
     RelationPair,
     all_operations,
-    all_pairs,
+    bit_indices,
     check_cap,
 )
 
@@ -56,9 +56,98 @@ def preserves(f: Operation, p: RelationPair) -> bool:
     return op_image_mask(f, p.rho) & ~p.rho_prime.mask == 0
 
 
+@lru_cache(maxsize=4096)
+def _scope_mask(rho: Relation, n: int) -> int:
+    """Bit mask of the scopes that n-column matrices over rho read.
+
+    Row i of a matrix is one index into an n-ary value table; the m-tuple of
+    those indices is the matrix's scope, encoded base k^n like a tuple.  With
+    n = 0 every row reads index 0, even when rho is empty.
+    """
+    carrier, tables = rho.carrier, Carrier(rho.k ** n)
+    members = [carrier.decode(i, rho.arity) for i in rho.indices()]
+    out = 0
+    for cols in itertools.product(members, repeat=n):
+        scope = [carrier.encode([col[row] for col in cols]) for row in range(rho.arity)]
+        out |= 1 << tables.encode(scope)
+    return out
+
+
 def polp(Q: Iterable[RelationPair], n: int, k: int, cap: int = DEFAULT_CAP) -> OpFamily:
+    """All n-ary operations preserving every pair in Q.
+
+    A constraint search over the k^n table entries: each scope read by a
+    matrix over some rho may only map to tuples in the tightest rho' for that
+    rho.  Entries are assigned depth-first in index order, values ascending,
+    and a scope is checked once its largest index is assigned.  The cap still
+    bounds the k^(k^n) tables; `polp_enumerate` is the oracle.
+    """
+    if n < 0:
+        raise DomainError("arity must be >= 0")
+    carrier = Carrier(k)
+    check_cap("polp table enumeration", k ** carrier.num_tuples(n), cap)
+    pairs = list(Q)
+    for p in pairs:
+        if p.k != k:
+            raise DomainError("carrier mismatch in pair family")
+    # group the constraints: for fixed rho only the tightest rho' matters
+    tightest: dict[Relation, int] = {}
+    for p in pairs:
+        prev = tightest.get(p.rho)
+        tightest[p.rho] = p.rho_prime.mask if prev is None else prev & p.rho_prime.mask
+    size = carrier.num_tuples(n)
+    tables = Carrier(size)
+    # banned[m][v]: the arity-m scopes whose image may not be the tuple v
+    banned: dict[int, list[int]] = {}
+    for rho, allowed in tightest.items():
+        images = carrier.num_tuples(rho.arity)
+        excluded = ((1 << images) - 1) & ~allowed
+        if not excluded:
+            continue
+        row = banned.setdefault(rho.arity, [0] * images)
+        scopes = _scope_mask(rho, n)
+        for v in bit_indices(excluded):
+            row[v] |= scopes
+    # checks[i]: (scope, allowed images) for each scope whose largest index is i
+    checks: list[list[tuple[tuple[int, ...], int]]] = [[] for _ in range(size)]
+    for m, row in banned.items():
+        any_banned = 0
+        for scopes in row:
+            any_banned |= scopes
+        for scope in bit_indices(any_banned):
+            ok = sum(1 << v for v, scopes in enumerate(row) if not scopes >> scope & 1)
+            idxs = tables.decode(scope, m)
+            if not idxs:
+                # an arity-0 scope reads no entry: it holds for all tables or none
+                if not ok & 1:
+                    return OpFamily()
+                continue
+            checks[max(idxs)].append((idxs, ok))
+    out: list[Operation] = []
+    table = [0] * size
+
+    def extend(i: int) -> None:
+        if i == size:
+            out.append(Operation(k, n, tuple(table)))
+            return
+        for x in range(k):
+            table[i] = x
+            for idxs, ok in checks[i]:
+                v = 0
+                for j in idxs:
+                    v = v * k + table[j]
+                if not ok >> v & 1:
+                    break
+            else:
+                extend(i + 1)
+
+    extend(0)
+    return OpFamily(out)
+
+
+def polp_enumerate(Q: Iterable[RelationPair], n: int, k: int, cap: int = DEFAULT_CAP) -> OpFamily:
     """All n-ary operations preserving every pair in Q, by enumerating all
-    k^(k^n) value tables."""
+    k^(k^n) value tables.  The reference oracle for `polp`."""
     if n < 0:
         raise DomainError("arity must be >= 0")
     carrier = Carrier(k)

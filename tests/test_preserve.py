@@ -1,4 +1,5 @@
 import itertools
+import random
 
 import pytest
 
@@ -19,8 +20,10 @@ from finclone.preserve import (
     invp,
     invp_upto,
     loc_ops,
+    op_image_mask,
     pol,
     polp,
+    polp_enumerate,
     polp_upto,
     preserves,
     sloc_ops,
@@ -119,6 +122,61 @@ class TestPolp:
     def test_cap_refusal(self):
         with pytest.raises(CapExceeded):
             polp([], 5, 2)
+
+
+def families_upto_two(pairs):
+    return [()] + [(p,) for p in pairs] + list(itertools.combinations(pairs, 2))
+
+
+def assert_search_matches_oracle(families, arities, k):
+    for Q in families:
+        for n in arities:
+            assert polp(Q, n, k) == polp_enumerate(Q, n, k), (Q, n)
+
+
+class TestPolpSearch:
+    """The constraint search against the table enumerator it replaced."""
+
+    def test_k2_low_arity_families(self):
+        low = [p for m in (0, 1) for p in all_pairs(C2, m)]
+        assert_search_matches_oracle(families_upto_two(low), (0, 1, 2), 2)
+
+    def test_k2_single_binary_pairs(self):
+        assert_search_matches_oracle([(p,) for p in all_pairs(C2, 2)], (0, 1, 2), 2)
+
+    def test_k2_sampled_ternary_pairs(self):
+        sample = random.Random(3).sample(list(all_pairs(C2, 3)), 40)
+        assert_search_matches_oracle([(p,) for p in sample], (0, 1, 2), 2)
+
+    @pytest.mark.parametrize("k", [0, 1])
+    def test_degenerate_carriers(self, k):
+        pairs = [p for m in (0, 1, 2) for p in all_pairs(Carrier(k), m)]
+        assert_search_matches_oracle(families_upto_two(pairs), (0, 1, 2), k)
+
+    def test_k3_low_arity_pairs(self):
+        pairs = [p for m in (0, 1) for p in all_pairs(Carrier(3), m)]
+        assert_search_matches_oracle([(p,) for p in pairs], (0, 1), 3)
+
+    def test_k3_seeded_binary_pairs(self):
+        # one enumeration of the 19,683 binary tables per relation costs
+        # seconds, so the second relation is checked jointly with the first:
+        # its op_image_mask entries are then only computed for survivors
+        rng = random.Random(7)
+        tuples = list(Carrier(3).tuples(2))
+        pairs = []
+        for _ in range(2):
+            rho = Relation.from_tuples(Carrier(3), 2, rng.sample(tuples, 4))
+            drop = rng.choice(list(rho.indices()))
+            pairs.append(RelationPair.of(rho, Relation(3, 2, rho.mask & ~(1 << drop))))
+        assert_search_matches_oracle([pairs[:1], pairs], (2,), 3)
+        joint, first = polp(pairs, 2, 3), polp(pairs[:1], 2, 3)
+        assert joint.issubset(first) and len(joint) < len(first)
+
+    def test_three_chain_order(self):
+        chain = Relation.from_tuples(Carrier(3), 2, [(a, b) for a in range(3) for b in range(a, 3)])
+        before = op_image_mask.cache_info().currsize
+        assert len(pol([chain], 2, 3)) == 175
+        assert op_image_mask.cache_info().currsize == before
 
 
 class TestInvp:

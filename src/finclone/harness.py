@@ -257,11 +257,12 @@ def check_pair_side_characterisation(Q: Iterable[RelationPair], s: int, m: int, 
         F_all = polp_upto(pairs, s, k, cap)
         lhs = invp(F_all, m, k, cap)
         # window variants checked purely on the brute-force side
-        f_0s = OpFamily(itertools.chain(polp(pairs, 0, k, cap), polp(pairs, s, k, cap)))
+        f_s = polp(pairs, s, k, cap)
+        f_0s = OpFamily(itertools.chain(polp(pairs, 0, k, cap), f_s))
         if invp(f_0s, m, k, cap) != lhs:
             return "fail", {"variant": "arities {0,s}"}, {}
         if any(p.rho.mask == 0 for p in pairs):
-            if invp(polp(pairs, s, k, cap), m, k, cap) != lhs:
+            if invp(f_s, m, k, cap) != lhs:
                 return "fail", {"variant": "single arity s with empty pair"}, {}
         gen = rpclone_generate_stable(pairs, m, k, cap)
         rhs = sloc_pairs(gen.pairs, s, m, k, cap)

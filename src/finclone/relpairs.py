@@ -184,112 +184,152 @@ class RpCloneResult:
     slice_changed_at_last_cap: bool
 
 
-def _closure_maps(c: int, k: int) -> dict[int, dict]:
-    """Precomputed index maps turning the unary elementary operations into
-    mask transforms, one table per arity up to the intermediate cap."""
+def _closure_maps(c: int, k: int) -> list[tuple[list, list]]:
+    """Precomputed bit maps turning the unary elementary operations into
+    transforms of packed pairs, one entry per arity m <= c: the adjacent
+    swaps, and the (target arity, map) list of the identifications, the
+    dropped coordinates and the appended fictitious coordinate.  A map sends
+    bit i of a packed pair rho | rho' << k^m to the mask of its image bits."""
     carrier = Carrier(k)
-    maps: dict[int, dict] = {}
+
+    def packed(m: int, m_out: int, image) -> list[int]:
+        img = [sum(1 << carrier.encode(u) for u in image(t))
+               for t in carrier.tuples(m)]
+        return img + [v << k ** m_out for v in img]
+
+    maps = []
     for m in range(c + 1):
-        tups = list(carrier.tuples(m))
-        entry: dict = {"swaps": [], "idents": [], "drops": [], "fict": None}
-        for i in range(m - 1):
-            entry["swaps"].append(
-                [carrier.encode(t[:i] + (t[i + 1], t[i]) + t[i + 2:]) for t in tups]
-            )
-        for i in range(m):
-            for j in range(i + 1, m):
-                merge = []
-                fresh = 0
-                for cpos in range(m):
-                    if cpos == j:
-                        merge.append(-1)
-                    else:
-                        merge.append(fresh)
-                        fresh += 1
-                merge[j] = merge[i]
-                entry["idents"].append(
-                    [carrier.encode(tuple(u[merge[cpos]] for cpos in range(m)))
-                     for u in carrier.tuples(m - 1)]
-                )
-        for d in range(m):
-            entry["drops"].append(
-                [carrier.encode(t[:d] + t[d + 1:]) for t in tups]
-            )
+        swaps = [packed(m, m, lambda t, i=i: (t[:i] + (t[i + 1], t[i]) + t[i + 2:],))
+                 for i in range(m - 1)]
+        moves = [(m - 1, packed(m, m - 1, lambda t, i=i, j=j:
+                                (t[:j] + t[j + 1:],) if t[i] == t[j] else ()))
+                 for i in range(m) for j in range(i + 1, m)]
+        moves += [(m - 1, packed(m, m - 1, lambda t, d=d: (t[:d] + t[d + 1:],)))
+                  for d in range(m)]
         if m < c:
-            entry["fict"] = [carrier.encode(u[:-1]) for u in carrier.tuples(m + 1)]
-        maps[m] = entry
+            moves.append((m + 1, packed(m, m + 1,
+                                        lambda t: (t + (a,) for a in range(k)))))
+        maps.append((swaps, moves))
     return maps
 
 
-def _via_dest(mask: int, dest: list[int]) -> int:
+def _apply(x: int, img: list[int]) -> int:
     out = 0
-    while mask:
-        low = mask & -mask
-        out |= 1 << dest[low.bit_length() - 1]
-        mask ^= low
-    return out
-
-
-def _via_src(mask: int, src_of: list[int]) -> int:
-    out = 0
-    for t_idx, s in enumerate(src_of):
-        if mask >> s & 1:
-            out |= 1 << t_idx
+    while x:
+        low = x & -x
+        out |= img[low.bit_length() - 1]
+        x ^= low
     return out
 
 
 def _rpclone_closure(
     seed: Iterable[RelationPair], c: int, k: int, cap: int, max_pairs: int
-) -> set[RelationPair]:
+) -> list[set[int]]:
+    """The closure at intermediate cap c, as one set of packed pairs
+    rho | rho' << k^m per arity m <= c.
+
+    Each round applies the unary transforms to the new pairs, then closes
+    under intersection using only orbit representatives: a pair whose packed
+    value is <= those of its adjacent-swap images, which the orbit minimum
+    always is.  This suffices because the adjacent swaps generate every
+    coordinate permutation pi and pi(a & b) = pi(a) & pi(b): for x = pi(r)
+    with r a representative, x & y = pi(r & pi^-1(y)) is reached through the
+    swaps.  Semi-naively, every new pair meets all representatives and every
+    new representative meets all current pairs of its arity.  Checked against
+    the definition-level closure in
+    tests/test_relpairs.py::TestClosureEngine."""
     check_cap("rpclone tuple space", k ** c, cap)
     maps = _closure_maps(c, k)
     carrier = Carrier(k)
-    # masks only inside the engine; objects are rebuilt once at the end
-    current: set[tuple[int, int, int]] = {
-        (p.arity, p.rho.mask, p.rho_prime.mask) for p in seed if p.arity <= c
-    }
+    current: list[set[int]] = [set() for _ in range(c + 1)]
+    for p in seed:
+        if p.arity <= c:
+            current[p.arity].add(p.rho.mask | p.rho_prime.mask << k ** p.arity)
     for m in range(c + 1):
         tups = list(carrier.tuples(m))
         full = (1 << len(tups)) - 1
-        current.add((m, full, full))
+        current[m].add(full | full << len(tups))
         for i in range(m):
             for j in range(i + 1, m):
-                diag = 0
-                for idx, t in enumerate(tups):
-                    if t[i] == t[j]:
-                        diag |= 1 << idx
-                current.add((m, diag, diag))
-    frontier = set(current)
-    while frontier:
-        new: set[tuple[int, int, int]] = set()
-        for m, rho, rho_p in frontier:
-            entry = maps[m]
-            for dest in entry["swaps"]:
-                new.add((m, _via_dest(rho, dest), _via_dest(rho_p, dest)))
-            for src_of in entry["idents"]:
-                new.add((m - 1, _via_src(rho, src_of), _via_src(rho_p, src_of)))
-            for dest in entry["drops"]:
-                new.add((m - 1, _via_dest(rho, dest), _via_dest(rho_p, dest)))
-            if entry["fict"] is not None:
-                new.add((m + 1, _via_src(rho, entry["fict"]),
-                         _via_src(rho_p, entry["fict"])))
-        # intersection closure on masks directly; agrees with the
-        # superposition-based intersect (tested both ways)
-        by_arity: dict[int, list[tuple[int, int]]] = {}
-        for m, rho, rho_p in current:
-            by_arity.setdefault(m, []).append((rho, rho_p))
-        for m, rho, rho_p in frontier:
-            for q_rho, q_rho_p in by_arity.get(m, ()):
-                new.add((m, rho & q_rho, rho_p & q_rho_p))
-        new -= current
-        current |= new
-        if len(current) > max_pairs:
-            check_cap("rpclone closure size", len(current), max_pairs)
+                diag = sum(1 << idx for idx, t in enumerate(tups) if t[i] == t[j])
+                current[m].add(diag | diag << len(tups))
+    reps: list[list[int]] = [[] for _ in range(c + 1)]
+    frontier = [set(s) for s in current]
+    while any(frontier):
+        new: list[set[int]] = [set() for _ in range(c + 1)]
+        for m, front in enumerate(frontier):
+            swaps, moves = maps[m]
+            nm, fresh = new[m], []
+            for x in front:
+                is_rep = True
+                for img in swaps:
+                    y = _apply(x, img)
+                    nm.add(y)
+                    if y < x:
+                        is_rep = False
+                if is_rep:
+                    fresh.append(x)
+                for target, img in moves:
+                    new[target].add(_apply(x, img))
+            reps[m] += fresh
+            for x in front:
+                nm.update(map(x.__and__, reps[m]))
+            for r in fresh:
+                nm.update(map(r.__and__, current[m]))
+        for m in range(c + 1):
+            new[m] -= current[m]
+            current[m] |= new[m]
+        size = sum(map(len, current))
+        if size > max_pairs:
+            check_cap("rpclone closure size", size, max_pairs)
         frontier = new
-    return {
-        RelationPair(k, m, Relation(k, m, rho), Relation(k, m, rho_p))
-        for m, rho, rho_p in current
-    }
+    return current
+
+
+def _rpclone_by_cap(
+    Q: Iterable[RelationPair],
+    target_cap: int,
+    first_cap: int,
+    last_cap: int,
+    stable_for: int,
+    k: int | None,
+    cap: int,
+    max_pairs: int,
+) -> RpCloneResult:
+    """Raise the intermediate cap from first_cap (at least target_cap) to
+    last_cap, restricting each closure to arity <= target_cap, and stop once
+    stable_for consecutive caps gave the same slice; only then does the
+    result record the slice as unchanged at the last cap."""
+    seed = list(Q)
+    if k is None:
+        if not seed:
+            raise DomainError("carrier size required when Q is empty")
+        k = seed[0].k
+    for p in seed:
+        if p.k != k:
+            raise DomainError("carrier mismatch in pair family")
+    if last_cap < target_cap:
+        raise DomainError("intermediate cap must be >= target cap")
+    first_cap = max(first_cap, target_cap)
+    if last_cap - first_cap < stable_for:
+        # every cap up to last_cap is built, so refuse an oversized tuple
+        # space before any closure runs
+        check_cap("rpclone tuple space", k ** last_cap, cap)
+
+    def result(packed_slice: list[set[int]], c: int, changed: bool) -> RpCloneResult:
+        pairs = PairFamily(
+            RelationPair(k, m, Relation(k, m, x & (1 << k ** m) - 1),
+                         Relation(k, m, x >> k ** m))
+            for m, packed in enumerate(packed_slice) for x in packed
+        )
+        return RpCloneResult(pairs, c, changed)
+
+    slices: list[list[set[int]]] = []
+    for c in range(first_cap, last_cap + 1):
+        slices.append(_rpclone_closure(seed, c, k, cap, max_pairs)[:target_cap + 1])
+        if len(slices) >= stable_for and all(s == slices[-1] for s in slices[-stable_for:]):
+            return result(slices[-1], c, False)
+    return result(slices[-1], last_cap, True)
 
 
 def rpclone_generate(
@@ -310,26 +350,8 @@ def rpclone_generate(
     by one more step would still change the restricted slice.  Empty pairs
     are never injected; they appear only when derivable from Q.
     """
-    seed = list(Q)
-    if k is None:
-        if not seed:
-            raise DomainError("carrier size required when Q is empty")
-        k = seed[0].k
-    for p in seed:
-        if p.k != k:
-            raise DomainError("carrier mismatch in pair family")
     c = intermediate_cap if intermediate_cap is not None else target_cap + 2
-    if c < target_cap:
-        raise DomainError("intermediate cap must be >= target cap")
-    closed = _rpclone_closure(seed, c, k, cap, max_pairs)
-    restricted = PairFamily(p for p in closed if p.arity <= target_cap)
-    if c > target_cap:
-        smaller = _rpclone_closure(seed, c - 1, k, cap, max_pairs)
-        smaller_restricted = PairFamily(p for p in smaller if p.arity <= target_cap)
-        changed = smaller_restricted != restricted
-    else:
-        changed = True
-    return RpCloneResult(restricted, c, changed)
+    return _rpclone_by_cap(Q, target_cap, c - 1, c, 2, k, cap, max_pairs)
 
 
 def rpclone_generate_stable(
@@ -343,22 +365,10 @@ def rpclone_generate_stable(
     """Raise the intermediate cap from the target arity until the restricted
     slice is unchanged for two consecutive increments; the earliest possible
     stop is the default cap target + 2."""
-    seed = list(Q)
-    if k is None:
-        if not seed:
-            raise DomainError("carrier size required when Q is empty")
-        k = seed[0].k
     if max_intermediate is None:
         max_intermediate = target_cap + 3
-    slices: list[PairFamily] = []
-    c = target_cap
-    while c <= max_intermediate:
-        closed = _rpclone_closure(seed, c, k, cap, max_pairs)
-        slices.append(PairFamily(p for p in closed if p.arity <= target_cap))
-        if len(slices) >= 3 and slices[-1] == slices[-2] == slices[-3]:
-            return RpCloneResult(slices[-1], c, False)
-        c += 1
-    return RpCloneResult(slices[-1], c - 1, True)
+    return _rpclone_by_cap(Q, target_cap, target_cap, max_intermediate, 3, k, cap,
+                           max_pairs)
 
 
 def sloc_pairs(

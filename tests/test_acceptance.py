@@ -197,7 +197,7 @@ class TestAcceptance:
                 incomplete.append((name, s, r.counterexample["missing"]))
         if incomplete:
             print(f"[acceptance] criterion 7: generation-incomplete cases: {incomplete}")
-        assert time.perf_counter() - t0 < 600
+        assert time.perf_counter() - t0 < 60
         _passline(7, f"pair-side characterisation, {len(families)} families")
 
     def test_criterion_08_directed_unions(self):

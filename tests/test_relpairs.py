@@ -13,6 +13,7 @@ from finclone.core import (
     all_pairs,
     enc,
 )
+from finclone import relpairs
 from finclone.preserve import invp, preserves
 from finclone.relpairs import (
     SuperpositionSpec,
@@ -26,6 +27,7 @@ from finclone.relpairs import (
     loc_pairs,
     permute,
     project_onto,
+    _rpclone_closure,
     rpclone_generate,
     rpclone_generate_stable,
     sloc_pairs,
@@ -272,6 +274,78 @@ class TestRpClone:
     def test_max_pairs_refusal(self):
         with pytest.raises(CapExceeded):
             rpclone_generate([LEQ_PAIR], 2, max_pairs=5)
+
+    def test_tuple_space_refused_before_any_closure(self, monkeypatch):
+        # cap c - 1 fits the tuple-space cap, cap c does not: the refusal
+        # must come before the cheaper closure at c - 1 is built
+        calls = []
+        monkeypatch.setattr(relpairs, "_rpclone_closure",
+                            lambda *a: calls.append(a))
+        for c in (3, 4, 5):
+            with pytest.raises(CapExceeded, match="rpclone tuple space"):
+                rpclone_generate([LEQ_PAIR], 2, intermediate_cap=c, cap=2 ** (c - 1))
+        assert calls == []
+
+
+def closure_by_definition(seed, c, k):
+    """The closure at intermediate cap c straight from its definition: apply
+    every permutation, identification, projection, fictitious extension and
+    intersection to every member, through the superposition operations,
+    until nothing new appears; packed per arity as the engine returns it."""
+    members = {p for p in seed if p.arity <= c}
+    members |= {full_pair(m, k) for m in range(c + 1)}
+    members |= {diagonal(m, i, j, k) for m in range(c + 1)
+                for i in range(m) for j in range(i + 1, m)}
+    frontier = set(members)
+    while frontier:
+        out = set()
+        for p in frontier:
+            m = p.arity
+            out.update(permute(p, pi) for pi in itertools.permutations(range(m)))
+            for t in range(1, m):
+                for merge in itertools.product(range(t), repeat=m):
+                    if len(set(merge)) == t:
+                        out.add(identify(p, merge, t))
+            for size in range(m):
+                out.update(project_onto(p, cs)
+                           for cs in itertools.combinations(range(m), size))
+            for extra in range(1, c - m + 1):
+                out.update(add_fictitious(p, pos)
+                           for pos in itertools.combinations(range(m + extra), extra))
+            out.update(intersect(p, q) for q in members if q.arity == m)
+        frontier = out - members
+        members |= frontier
+    packed = [set() for _ in range(c + 1)]
+    for p in members:
+        packed[p.arity].add(p.rho.mask | p.rho_prime.mask << k ** p.arity)
+    return packed
+
+
+class TestClosureEngine:
+    def test_matches_definition_small_families(self):
+        # every k=2 single pair of arity <= 2 at each cap from its arity to 3,
+        # except that arity 2 at cap 3 (81 families, about 14 s) is sampled:
+        # 24 of them, seed 5
+        arity2 = list(all_pairs(C2, 2))
+        cases = [([p], c) for a in (0, 1) for p in all_pairs(C2, a)
+                 for c in range(a, 4)]
+        cases += [([p], 2) for p in arity2]
+        cases += [([p], 3) for p in random.Random(5).sample(arity2, 24)]
+        for seed, c in cases:
+            assert _rpclone_closure(seed, c, 2, 2 ** 20, 200_000) == \
+                closure_by_definition(seed, c, 2), (seed, c)
+
+    def test_nand_to_neq_sizes(self):
+        nand = Relation.from_tuples(C2, 2, [(0, 0), (0, 1), (1, 0)])
+        neq = Relation.from_tuples(C2, 2, [(0, 1), (1, 0)])
+        got = _rpclone_closure([RelationPair.of(nand, neq)], 5, 2, 2 ** 20, 200_000)
+        assert tuple(map(len, got)) == (2, 3, 11, 64, 556, 6954)
+        assert sum(map(len, got)) == 7590
+
+    def test_leq_to_eq_size(self):
+        eq = Relation.from_tuples(C2, 2, [(0, 0), (1, 1)])
+        got = _rpclone_closure([RelationPair.of(LEQ, eq)], 5, 2, 2 ** 20, 200_000)
+        assert sum(map(len, got)) == 11041
 
 
 class TestSlocPairs:

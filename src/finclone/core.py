@@ -115,7 +115,13 @@ class Operation:
     def __call__(self, args: Sequence[int]) -> int:
         if len(args) != self.arity:
             raise DomainError(f"expected {self.arity} arguments, got {len(args)}")
-        return self.table[self.carrier.encode(args)]
+        k = self.k
+        idx = 0
+        for x in args:
+            if not 0 <= x < k:
+                raise DomainError(f"tuple entry {x} outside carrier of size {k}")
+            idx = idx * k + x
+        return self.table[idx]
 
     def at_index(self, index: int) -> int:
         return self.table[index]

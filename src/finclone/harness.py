@@ -155,14 +155,15 @@ def check_op_side_characterisation(F: Iterable[Operation], s: int, n: int, k: in
     params = {"k": k, "s": s, "n": n, "F": [_op_key(f) for f in ops]}
 
     def body():
-        lhs = polp(invp_upto(ops, s, k, cap), n, k, cap)
+        pairs = invp_upto(ops, s, k, cap)
+        lhs = polp(pairs, n, k, cap)
         rhs = sloc_ops(semiclone_nary_part(ops, n, k, cap), s, n, k, cap)
         if lhs != rhs:
             diff = set(lhs) ^ set(rhs)
             g = min(diff, key=Operation.sort_key)
             return "fail", {"op": _op_key(g), "in_lhs": g in lhs, "in_rhs": g in rhs}, {}
         if k > 0:
-            single = polp(invp(ops, s, k, cap), n, k, cap)
+            single = polp(pairs.part(s), n, k, cap)
             if single != rhs:
                 diff = set(single) ^ set(rhs)
                 g = min(diff, key=Operation.sort_key)

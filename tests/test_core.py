@@ -52,6 +52,25 @@ class TestEncoding:
         with pytest.raises(DomainError):
             Carrier(2).encode((0, 2))
 
+    def test_operation_call_reads_the_encoded_entry(self):
+        for k in range(1, 4):
+            c = Carrier(k)
+            for arity in range(4):
+                f = Operation(k, arity, tuple(i * 7 % k for i in range(k ** arity)))
+                for t in c.tuples(arity):
+                    assert f(t) == f.table[c.encode(t)]
+
+    def test_operation_call_errors_match_encode(self):
+        f = Operation(2, 2, (0, 0, 0, 1))
+        for bad in ((0, 2), (-1, 0), (3, 5)):
+            with pytest.raises(DomainError) as call:
+                f(bad)
+            with pytest.raises(DomainError) as enc:
+                Carrier(2).encode(bad)
+            assert str(call.value) == str(enc.value)
+        with pytest.raises(DomainError, match="expected 2 arguments, got 1"):
+            f((0,))
+
 
 class TestProjection:
     def test_identity(self):

@@ -1,13 +1,16 @@
 import itertools
+import random
 
 import pytest
 
 from finclone.core import (
+    CapExceeded,
     Carrier,
     DomainError,
     OpFamily,
     Operation,
     all_operations,
+    check_cap,
     compose,
     is_projection,
     projection,
@@ -156,6 +159,109 @@ class TestGammaFixpoint:
                             best_s = sub if best_s is None else best_s & sub
                 assert g.R == best_r
                 assert g.S == best_s
+
+
+def gamma_by_definition(F, ksize, B, k, cap=2 ** 20):
+    """The naive fixpoint: every round re-applies every generator to all
+    argument tuples over R, through `Operation.__call__`."""
+    ops = list(F)
+    for f in ops:
+        if f.k != k:
+            raise DomainError("carrier mismatch in operation family")
+    check_cap("gamma tuple space", k ** ksize, cap)
+    carrier = Carrier(k)
+    R = set()
+    for t in B:
+        t = tuple(t)
+        if len(t) != ksize:
+            raise DomainError(f"seed tuple {t} does not have length {ksize}")
+        for x in t:
+            if not 0 <= x < k:
+                raise DomainError(f"seed entry {x} outside carrier of size {k}")
+        R.add(t)
+    S = set()
+    steps = 0
+    while True:
+        current = sorted(R)
+        new_s = set()
+        for f in sorted(ops, key=Operation.sort_key):
+            for args in itertools.product(current, repeat=f.arity):
+                new_s.add(tuple(f(tuple(a[p] for a in args)) for p in range(ksize)))
+        S |= new_s
+        if new_s <= R:
+            return GammaResult(frozenset(R), frozenset(S), steps)
+        R |= new_s
+        steps += 1
+
+
+def _families(ops, size):
+    return itertools.chain.from_iterable(
+        itertools.combinations(ops, r) for r in range(size + 1))
+
+
+class TestSemiNaiveGamma:
+    """`gamma_fixpoint` against the naive loop `gamma_by_definition`:
+    identical R, S and steps."""
+
+    OPS_K2 = [f for n in (0, 1, 2) for f in all_operations(C2, n)]
+
+    def check(self, F, ksize, B, k):
+        assert gamma_fixpoint(F, ksize, B, k) == gamma_by_definition(F, ksize, B, k)
+
+    def test_k2_families_on_projection_seeds(self):
+        for n in (1, 2):
+            seed = [tuple(t[i] for t in C2.tuples(n)) for i in range(n)]
+            for F in _families(self.OPS_K2, 2):
+                self.check(F, 2 ** n, seed, 2)
+
+    def test_k2_every_seed_set_at_ksize_2(self):
+        space = list(C2.tuples(2))
+        for bits in range(16):
+            B = [space[i] for i in range(4) if bits >> i & 1]
+            for F in _families(self.OPS_K2, 2):
+                self.check(F, 2, B, 2)
+
+    def test_k0_and_k1(self):
+        for k in (0, 1):
+            carrier = Carrier(k)
+            ops = [f for n in (0, 1, 2, 3) for f in all_operations(carrier, n)]
+            for ksize in (0, 1, 2):
+                space = list(carrier.tuples(ksize))
+                for bits in range(1 << len(space)):
+                    B = [space[i] for i in range(len(space)) if bits >> i & 1]
+                    for F in _families(ops, 2):
+                        self.check(F, ksize, B, k)
+
+    def test_same_errors_in_the_same_order(self):
+        bad = [
+            ([Operation(3, 1, (0, 1, 2))], 2, [(0, 5)], 2, 2 ** 20),
+            ([AND], 2, [(0, 1, 1)], 2, 2 ** 20),
+            ([AND], 2, [(0, 2)], 2, 2 ** 20),
+            ([AND], 3, [(0, 1)], 2, 4),
+            ([], 2, [], -1, 2 ** 20),
+        ]
+        for F, ksize, B, k, cap in bad:
+            errors = []
+            for engine in (gamma_fixpoint, gamma_by_definition):
+                with pytest.raises((DomainError, CapExceeded)) as e:
+                    engine(F, ksize, B, k, cap)
+                errors.append((type(e.value), str(e.value)))
+            assert errors[0] == errors[1]
+
+    def test_k3_seeded_sample(self):
+        rng = random.Random(4)
+        C3 = Carrier(3)
+        space = list(C3.tuples(3))
+        for _ in range(40):
+            F = [Operation(3, n, tuple(rng.randrange(3) for _ in range(3 ** n)))
+                 for n in rng.sample(range(4), rng.randint(1, 2))]
+            B = rng.sample(space, rng.randint(0, 3))
+            self.check(F, 3, B, 3)
+        seed = [tuple(t[i] for t in C3.tuples(2)) for i in range(2)]
+        lattice = [Operation(3, 2, tuple(op(t) for t in C3.tuples(2))) for op in (min, max)]
+        for c in range(3):
+            for F in _families(lattice, 2):
+                self.check(list(F) + [Operation(3, 0, (c,))], 9, seed, 3)
 
 
 class TestGeneratedParts:

@@ -1,12 +1,17 @@
-"""Golden CLI outputs for the generation commands.
+"""Golden CLI outputs.
 
 Each case runs `finclone` on one of the problems below, once as text and once
 with `--json`, and compares stdout byte for byte with
-`tests/golden/<case>.txt` and `tests/golden/<case>.json`.  The files were
-recorded from the CLI before `gamma_fixpoint` became a semi-naive engine;
-a refactor of the generation layer must leave them unchanged.
+`tests/golden/<case>.txt` and `tests/golden/<case>.json`.  Check reports
+carry their run time, so `(N ms)` and `"runtime_ms": N` are normalised on
+both sides.  The files were recorded from the CLI before `gamma_fixpoint`
+became a semi-naive engine (the generation commands) and before the command
+and check tables replaced the CLI's if-chain (every other command); a
+refactor must leave them unchanged.  The error paths pin exit code and
+stderr.
 """
 
+import re
 from pathlib import Path
 
 import pytest
@@ -26,6 +31,13 @@ op or/2 = 0111
 op xor/2 = 0110
 op maj/3 = 00010111
 op one/0 = 1
+rel leq/2 = {00, 01, 11}
+rel eq/2 = {00, 11}
+rel any1/1 = {0, 1}
+rel top/1 = {1}
+pair leqp = (leq, leq)
+pair leqeq = (leq, eq)
+pair strict = (any1, top)
 """,
     "k3": """\
 domain 3
@@ -36,8 +48,21 @@ op min/2 = 000011012
 op max/2 = 012112222
 op maj/3 = 000010002010111112002112222
 op one/0 = 1
+rel leq/2 = {00, 01, 02, 11, 12, 22}
+rel eq/2 = {00, 11, 22}
+rel low/1 = {0, 1}
+rel zero/1 = {0}
+pair leqp = (leq, leq)
+pair leqeq = (leq, eq)
+pair lowzero = (low, zero)
 """,
 }
+
+SPEC = '{"mu":3,"m":2,"beta":[0,2],"alphas":[[0,1],[1,2]]}'
+
+CHECK_NAMES = ["galois", "op-side", "least-pair", "finite-collapse", "pair-side",
+               "semiclone-laws", "decide-proj", "semigroups", "directed-unions",
+               "classical", "all"]
 
 CASES = [
     ("gamma-k2-and", "k2", ["gamma", "--ops", "and", "--ksize", "2", "--seed-tuples", "01"]),
@@ -72,13 +97,95 @@ CASES = [
     ("decide-proj-k3-succ", "k3", ["decide-proj", "--ops", "succ"]),
     ("decide-proj-k3-c0-one", "k3", ["decide-proj", "--ops", "c0", "one"]),
     ("decide-proj-k3-maj", "k3", ["decide-proj", "--ops", "maj"]),
+    ("preserves-k2-and-leqp", "k2", ["preserves", "--ops", "and", "--pairs", "leqp"]),
+    ("preserves-k2-not-leqp", "k2", ["preserves", "--ops", "not", "--pairs", "leqp"]),
+    ("preserves-k3-min-leqp", "k3", ["preserves", "--ops", "min", "--pairs", "leqp"]),
+    ("preserves-k3-succ-leqeq", "k3", ["preserves", "--ops", "succ", "--pairs", "leqeq"]),
+    ("polp-k2-leqeq-2", "k2", ["polp", "--pairs", "leqeq", "--arity", "2"]),
+    ("polp-k2-strict-leqp-1", "k2", ["polp", "--pairs", "strict", "leqp", "--arity", "1"]),
+    ("polp-k3-lowzero-1", "k3", ["polp", "--pairs", "lowzero", "--arity", "1"]),
+    ("polp-k3-leqeq-2", "k3", ["polp", "--pairs", "leqeq", "--arity", "2"]),
+    ("pol-k2-leq-2", "k2", ["pol", "--rels", "leq", "--arity", "2"]),
+    ("pol-k3-low-1", "k3", ["pol", "--rels", "low", "--arity", "1"]),
+    ("invp-k2-not-2", "k2", ["invp", "--ops", "not", "--arity", "2"]),
+    ("invp-k3-succ-1", "k3", ["invp", "--ops", "succ", "--arity", "1"]),
+    ("invp-k3-min-1", "k3", ["invp", "--ops", "min", "--arity", "1"]),
+    ("inv-k2-and-2", "k2", ["inv", "--ops", "and", "--arity", "2"]),
+    ("inv-k3-min-1", "k3", ["inv", "--ops", "min", "--arity", "1"]),
+    ("gen-semigroup-k2-not-c0", "k2", ["gen-semigroup", "--ops", "not", "c0"]),
+    ("gen-semigroup-k3-succ-c0", "k3", ["gen-semigroup", "--ops", "succ", "c0"]),
+    ("sloc-k2-and-1-2", "k2", ["sloc", "--ops", "and", "--s", "1", "--arity", "2"]),
+    ("sloc-k3-succ-c0-2-1", "k3", ["sloc", "--ops", "succ", "c0", "--s", "2", "--arity", "1"]),
+    ("sloc-pairs-k2-strict-1-1", "k2", ["sloc-pairs", "--pairs", "strict", "--s", "1", "--arity", "1"]),
+    ("sloc-pairs-k3-lowzero-1-1", "k3",
+     ["sloc-pairs", "--pairs", "lowzero", "--s", "1", "--arity", "1"]),
+    ("enc-k2-strict-leqeq", "k2", ["enc", "--pairs", "strict", "leqeq"]),
+    ("enc-k3-lowzero", "k3", ["enc", "--pairs", "lowzero"]),
+    ("superpose-k2-leqp", "k2", ["superpose", "--pairs", "leqp", "leqp", "--spec", SPEC]),
+    ("superpose-k3-leqp-leqeq", "k3", ["superpose", "--pairs", "leqp", "leqeq", "--spec", SPEC]),
+    ("rpclone-k2-strict-1", "k2", ["rpclone", "--pairs", "strict", "--max-arity", "1"]),
+    ("rpclone-k2-leqeq-2", "k2", ["rpclone", "--pairs", "leqeq", "--max-arity", "2"]),
+    ("rpclone-k3-lowzero-1", "k3", ["rpclone", "--pairs", "lowzero", "--max-arity", "1"]),
+] + [(f"check-k2-{name}", None, ["check", name]) for name in CHECK_NAMES] + [
+    (f"check-k{k}-{name}", None, ["check", name, "--k", str(k)])
+    for k, name in [(0, "galois"), (1, "galois"), (1, "finite-collapse"), (1, "semigroups"),
+                    (3, "finite-collapse"), (3, "pair-side"), (3, "directed-unions")]
+]
+
+# (problem, argv, exit code, stderr); stdout is empty on each
+ERRORS = [
+    ("k2", ["polp", "--pairs", "leqp"], 3, "input error: line 0, column 0: --arity is required\n"),
+    ("k2", ["inv", "--ops", "and"], 3, "input error: line 0, column 0: --arity is required\n"),
+    ("k2", ["sloc", "--ops", "and", "--arity", "1"], 3,
+     "input error: line 0, column 0: --arity and --s are required\n"),
+    ("k2", ["sloc-pairs", "--pairs", "strict", "--s", "1"], 3,
+     "input error: line 0, column 0: --arity and --s are required\n"),
+    ("k2", ["gamma", "--ops", "and"], 3, "input error: line 0, column 0: --ksize is required\n"),
+    ("k2", ["superpose", "--pairs", "leqp"], 3,
+     "input error: line 0, column 0: --spec is required\n"),
+    ("k2", ["rpclone", "--pairs", "leqp"], 3,
+     "input error: line 0, column 0: --max-arity is required\n"),
+    ("k2", ["polp", "--pairs", "nosuch"], 3, "input error: line 0, column 0: --arity is required\n"),
+    (None, ["enc", "--pairs", "leqp"], 3,
+     "input error: line 0, column 0: a problem file is required (--problem)\n"),
+    ("k2", ["preserves", "--ops", "and", "not", "--pairs", "leqp"], 3,
+     "input error: line 0, column 0: preserves needs exactly one --ops name and one --pairs name\n"),
+    ("k2", ["invp", "--ops", "nosuch", "--arity", "1"], 3,
+     "input error: line 0, column 0: unknown op name 'nosuch'\n"),
+    ("k3", ["gen-clone", "--ops", "min", "nosuch", "--arity", "1"], 3,
+     "input error: line 0, column 0: unknown op name 'nosuch'\n"),
+    ("k2", ["superpose", "--pairs", "leqp", "--spec", "[]"], 3,
+     "input error: line 0, column 0: invalid superposition spec: "
+     "list indices must be integers or slices, not str\n"),
+    (None, ["check", "nope"], 3, "input error: line 0, column 0: unknown check 'nope'\n"),
+    (None, ["check"], 3, "input error: line 0, column 0: check requires a name or 'all'\n"),
+    (None, ["check", "all", "--k", "1"], 3, "input error: tuple entry 1 outside carrier of size 1\n"),
+    (None, ["check", "all", "--k", "-1"], 3, "input error: carrier size must be >= 0, got -1\n"),
+    (None, ["check", "pair-side", "--k", "0"], 3,
+     "input error: tuple entry 0 outside carrier of size 0\n"),
+    (None, ["check", "op-side", "--k", "0"], 3, "input error: carrier mismatch in operation family\n"),
+    (None, ["check", "least-pair", "--k", "-1"], 3,
+     "input error: carrier mismatch in operation family\n"),
+    (None, ["check", "classical", "--k", "3"], 3,
+     "input error: carrier mismatch in operation family\n"),
+    ("k2", ["polp", "--pairs", "leqp", "--arity", "5"], 2,
+     "refused: polp table enumeration: estimated cost 4294967296 exceeds cap 1048576\n"),
+    ("k3", ["invp", "--ops", "min", "--arity", "2", "--caps", "100"], 2,
+     "refused: invp pair enumeration: estimated cost 19683 exceeds cap 100\n"),
 ]
 
 
 def _argv(tmp_path, problem, command):
+    if problem is None:
+        return list(command)
     path = tmp_path / f"{problem}.txt"
     path.write_text(PROBLEMS[problem])
     return [command[0], "--problem", str(path)] + command[1:]
+
+
+def _normalise(text: str) -> str:
+    text = re.sub(r"\(\d+ ms\)", "(N ms)", text)
+    return re.sub(r'"runtime_ms": \d+', '"runtime_ms": N', text)
 
 
 @pytest.mark.parametrize("name,problem,command", CASES, ids=[c[0] for c in CASES])
@@ -88,4 +195,12 @@ def test_output_is_byte_identical(tmp_path, capsys, name, problem, command, suff
     code = main(argv)
     out = capsys.readouterr()
     assert (code, out.err) == (0, "")
-    assert out.out == (GOLDEN / (name + suffix)).read_text()
+    assert _normalise(out.out) == _normalise((GOLDEN / (name + suffix)).read_text())
+
+
+@pytest.mark.parametrize("problem,command,code,err", ERRORS,
+                         ids=[" ".join(c[1]) for c in ERRORS])
+def test_error_exit_code_and_stderr(tmp_path, capsys, problem, command, code, err):
+    got = main(_argv(tmp_path, problem, command))
+    out = capsys.readouterr()
+    assert (got, out.out, out.err) == (code, "", err)

@@ -5,7 +5,6 @@ from .core import (
     CapExceeded,
     Carrier,
     DomainError,
-    EncodedTuple,
     OpFamily,
     Operation,
     PairFamily,
@@ -13,7 +12,6 @@ from .core import (
     RelationPair,
     compose,
     enc,
-    encode_tuple,
     pair_leq,
     pair_qleq,
     polymer,
@@ -43,13 +41,12 @@ from .relpairs import (
 from .harness import Report, run_checks
 
 __all__ = [
-    "CapExceeded", "Carrier", "DomainError", "EncodedTuple", "OpFamily",
-    "Operation", "PairFamily", "Relation", "RelationPair", "compose", "enc",
-    "encode_tuple", "pair_leq", "pair_qleq", "polymer", "projection",
-    "relaxations_of", "inv", "invp", "loc_ops", "pol", "polp", "preserves",
-    "sloc_ops", "GammaResult", "clone_nary_part", "decide_projections",
-    "gamma_fixpoint", "iterative_op", "semiclone_nary_part",
-    "semigroup_generate", "star", "SuperpositionSpec", "general_superposition",
-    "is_s_directed", "loc_pairs", "rpclone_generate", "sloc_pairs",
-    "union_family", "Report", "run_checks",
+    "CapExceeded", "Carrier", "DomainError", "OpFamily", "Operation",
+    "PairFamily", "Relation", "RelationPair", "compose", "enc", "pair_leq",
+    "pair_qleq", "polymer", "projection", "relaxations_of", "inv", "invp",
+    "loc_ops", "pol", "polp", "preserves", "sloc_ops", "GammaResult",
+    "clone_nary_part", "decide_projections", "gamma_fixpoint", "iterative_op",
+    "semiclone_nary_part", "semigroup_generate", "star", "SuperpositionSpec",
+    "general_superposition", "is_s_directed", "loc_pairs", "rpclone_generate",
+    "sloc_pairs", "union_family", "Report", "run_checks",
 ]

@@ -12,12 +12,16 @@ import argparse
 import json
 import sys
 from dataclasses import dataclass, field
+from pathlib import Path
+from typing import NamedTuple
 
 from .core import (
     CapExceeded,
     Carrier,
     DomainError,
+    OpFamily,
     Operation,
+    PairFamily,
     Relation,
     RelationPair,
     enc,
@@ -63,7 +67,7 @@ def _parse_tuple(text: str, arity: int, k: int, line: int, col: int) -> tuple[in
         raise ProblemError(line, col, f"tuple '{text}' does not have arity {arity}")
     out = []
     for ch in text:
-        if not ch.isdigit() or int(ch) >= k:
+        if not ch.isdecimal() or int(ch) >= k:
             raise ProblemError(line, col, f"tuple entry '{ch}' outside carrier of size {k}")
         out.append(int(ch))
     return tuple(out)
@@ -120,7 +124,7 @@ def parse_problem(text: str) -> Problem:
             raise ProblemError(lineno, col, f"duplicate name '{name}'")
         if keyword == "op":
             expected = carrier.k ** arity
-            if len(value) != expected or not all(c.isdigit() for c in value):
+            if len(value) != expected or not all(c.isdecimal() for c in value):
                 raise ProblemError(
                     lineno, col,
                     f"operation table must be {expected} digits, got '{value}'")
@@ -219,12 +223,128 @@ def _named(problem: Problem, kind: str, names: list[str]):
     return out
 
 
-def _emit(args, text_lines: list[str], obj) -> None:
-    if args.json:
-        print(json.dumps(obj, indent=2, sort_keys=True))
-    else:
-        for line in text_lines:
-            print(line)
+class Output(NamedTuple):
+    """What a command prints: text lines, the JSON object, the exit code."""
+
+    lines: list[str]
+    obj: dict
+    code: int = 0
+
+
+def _output(result) -> Output:
+    """A command's own Output, or a family result printed by its type:
+    operations, relation pairs, or a list of relations."""
+    if isinstance(result, Output):
+        return result
+    if isinstance(result, OpFamily):
+        return Output([format_op(f) for f in result], {"ops": [op_to_obj(f) for f in result]})
+    if isinstance(result, PairFamily):
+        return Output([format_pair(p) for p in result],
+                      {"pairs": [pair_to_obj(p) for p in result]})
+    return Output([format_rel(r) for r in result], {"rels": [rel_to_obj(r) for r in result]})
+
+
+def _truth(key: str, value: bool) -> Output:
+    return Output(["true" if value else "false"], {key: value})
+
+
+def _require(cond: bool, message: str) -> None:
+    if not cond:
+        raise ProblemError(0, 0, message)
+
+
+def _preserves(args, problem, k, cap) -> Output:
+    _require(len(args.ops) == 1 and len(args.pairs) == 1,
+             "preserves needs exactly one --ops name and one --pairs name")
+    f = _named(problem, "ops", args.ops)[0]
+    return _truth("preserves", preserves(f, _named(problem, "pairs", args.pairs)[0]))
+
+
+def _seed_tuple(text: str) -> tuple[int, ...]:
+    if text == "eps":
+        return ()
+    try:
+        return tuple(int(c) for c in text)
+    except ValueError:
+        raise ProblemError(0, 0, f"seed tuple '{text}' is neither 'eps' nor a string of digits")
+
+
+def _gamma(args, problem, k, cap) -> Output:
+    ops = _named(problem, "ops", args.ops)
+    seed = [_seed_tuple(t) for t in args.seed_tuples]
+    result = gamma_fixpoint(ops, args.ksize, seed, k, cap)
+    r_sorted = [format_tuple(t) for t in sorted(result.R)]
+    s_sorted = [format_tuple(t) for t in sorted(result.S)]
+    lines = (["R:"] + ["  " + t for t in r_sorted] + ["S:"] + ["  " + t for t in s_sorted]
+             + [f"steps: {result.steps}"])
+    return Output(lines, {"R": r_sorted, "S": s_sorted, "steps": result.steps})
+
+
+def _superpose(args, problem, k, cap) -> Output:
+    try:
+        raw = json.loads(args.spec)
+        spec = SuperpositionSpec(
+            raw["mu"], raw["m"], tuple(raw["beta"]),
+            tuple(tuple(a) for a in raw["alphas"]))
+    except (json.JSONDecodeError, KeyError, TypeError) as e:
+        raise ProblemError(0, 0, f"invalid superposition spec: {e}")
+    result = general_superposition(spec, _named(problem, "pairs", args.pairs), k, cap)
+    return Output([format_pair(result)], pair_to_obj(result))
+
+
+def _rpclone(args, problem, k, cap) -> Output:
+    result = rpclone_generate(_named(problem, "pairs", args.pairs), args.max_arity,
+                              args.intermediate_cap, k, cap)
+    changed = result.slice_changed_at_last_cap
+    pairs = _output(result.pairs)
+    lines = pairs.lines + [
+        f"intermediate-cap: {result.intermediate_cap}",
+        f"slice-changed-at-last-cap: {'true' if changed else 'false'}",
+    ]
+    return Output(lines, {**pairs.obj, "intermediate_cap": result.intermediate_cap,
+                          "slice_changed_at_last_cap": changed})
+
+
+def _check(args, problem, k, cap) -> Output:
+    _require(args.name is not None, "check requires a name or 'all'")
+    _require(args.name == "all" or args.name in dict(harness.CHECKS),
+             f"unknown check '{args.name}'")
+    reports = harness.run_checks(args.name, k if k is not None else 2, args.seed, cap)
+    lines = []
+    for r in reports:
+        lines.append(f"{r.name}: {r.verdict} ({r.runtime_ms} ms)")
+        if r.verdict == "fail":
+            lines.append(f"  counterexample: {json.dumps(r.counterexample, sort_keys=True)}")
+    verdicts = {r.verdict for r in reports}
+    code = 1 if "fail" in verdicts else 2 if "refused" in verdicts else 0
+    return Output(lines, {"reports": [r.to_dict() for r in reports]}, code)
+
+
+# command -> (required arguments, run(args, problem, k, cap)); argparse lists
+# the commands in this order.  A run returns an Output or a family.
+COMMANDS = {
+    "preserves": ((), _preserves),
+    "polp": (("arity",), lambda a, p, k, cap: polp(_named(p, "pairs", a.pairs), a.arity, k, cap)),
+    "invp": (("arity",), lambda a, p, k, cap: invp(_named(p, "ops", a.ops), a.arity, k, cap)),
+    "pol": (("arity",), lambda a, p, k, cap: pol(_named(p, "rels", a.rels), a.arity, k, cap)),
+    "inv": (("arity",), lambda a, p, k, cap: inv(_named(p, "ops", a.ops), a.arity, k, cap)),
+    "gen-semiclone": (("arity",), lambda a, p, k, cap: semiclone_nary_part(
+        _named(p, "ops", a.ops), a.arity, k, cap)),
+    "gen-clone": (("arity",), lambda a, p, k, cap: clone_nary_part(
+        _named(p, "ops", a.ops), a.arity, k, cap)),
+    "gen-semigroup": ((), lambda a, p, k, cap: semigroup_generate(_named(p, "ops", a.ops))),
+    "sloc": (("arity", "s"), lambda a, p, k, cap: sloc_ops(
+        _named(p, "ops", a.ops), a.s, a.arity, k, cap)),
+    "sloc-pairs": (("arity", "s"), lambda a, p, k, cap: sloc_pairs(
+        _named(p, "pairs", a.pairs), a.s, a.arity, k, cap)),
+    "enc": ((), lambda a, p, k, cap: enc(_named(p, "pairs", a.pairs))),
+    "gamma": (("ksize",), _gamma),
+    "superpose": (("spec",), _superpose),
+    "rpclone": (("max_arity",), _rpclone),
+    "decide-proj": ((), lambda a, p, k, cap: _truth(
+        "decide_proj", decide_projections(_named(p, "ops", a.ops), k, cap))),
+    "check": ((), _check),
+}
 
 
 def build_parser() -> argparse.ArgumentParser:
@@ -232,10 +352,7 @@ def build_parser() -> argparse.ArgumentParser:
         prog="finclone",
         description="Computations with finitary operations and relation pairs "
                     "on small finite carriers.")
-    parser.add_argument("command", choices=[
-        "preserves", "polp", "invp", "pol", "inv", "gen-semiclone", "gen-clone",
-        "gen-semigroup", "sloc", "sloc-pairs", "enc", "gamma", "superpose",
-        "rpclone", "decide-proj", "check"])
+    parser.add_argument("command", choices=list(COMMANDS))
     parser.add_argument("name", nargs="?", default=None,
                         help="check name for the 'check' command")
     parser.add_argument("--problem", help="path to a problem file ('-' for stdin)")
@@ -262,171 +379,29 @@ def build_parser() -> argparse.ArgumentParser:
     return parser
 
 
-def _require(cond: bool, message: str) -> None:
-    if not cond:
-        raise ProblemError(0, 0, message)
+def _read_problem(path: str) -> Problem:
+    try:
+        text = sys.stdin.read() if path == "-" else Path(path).read_text(encoding="utf-8")
+    except UnicodeDecodeError as e:
+        raise ProblemError(0, 0, f"problem file is not valid UTF-8: {e}")
+    return parse_problem(text)
 
 
 def run_command(args) -> int:
-    problem: Problem | None = None
-    if args.problem:
-        text = sys.stdin.read() if args.problem == "-" else open(args.problem).read()
-        problem = parse_problem(text)
-    k = problem.carrier.k if problem else args.k
+    required, run = COMMANDS[args.command]
+    problem = _read_problem(args.problem) if args.problem else None
     if args.command != "check":
         _require(problem is not None, "a problem file is required (--problem)")
-    cap = args.caps
-
-    if args.command == "preserves":
-        _require(len(args.ops) == 1 and len(args.pairs) == 1,
-                 "preserves needs exactly one --ops name and one --pairs name")
-        f = _named(problem, "ops", args.ops)[0]
-        p = _named(problem, "pairs", args.pairs)[0]
-        result = preserves(f, p)
-        _emit(args, ["true" if result else "false"], {"preserves": result})
-        return 0
-
-    if args.command in ("polp", "pol"):
-        _require(args.arity is not None, "--arity is required")
-        if args.command == "polp":
-            pairs = _named(problem, "pairs", args.pairs)
-            fam = polp(pairs, args.arity, k, cap)
-        else:
-            rels = _named(problem, "rels", args.rels)
-            fam = pol(rels, args.arity, k, cap)
-        _emit(args, [format_op(f) for f in fam], {"ops": [op_to_obj(f) for f in fam]})
-        return 0
-
-    if args.command in ("invp", "inv"):
-        _require(args.arity is not None, "--arity is required")
-        ops = _named(problem, "ops", args.ops)
-        if args.command == "invp":
-            fam = invp(ops, args.arity, k, cap)
-            _emit(args, [format_pair(p) for p in fam],
-                  {"pairs": [pair_to_obj(p) for p in fam]})
-        else:
-            rels = inv(ops, args.arity, k, cap)
-            _emit(args, [format_rel(r) for r in rels],
-                  {"rels": [rel_to_obj(r) for r in rels]})
-        return 0
-
-    if args.command in ("gen-semiclone", "gen-clone"):
-        _require(args.arity is not None, "--arity is required")
-        ops = _named(problem, "ops", args.ops)
-        part = (semiclone_nary_part if args.command == "gen-semiclone"
-                else clone_nary_part)(ops, args.arity, k, cap)
-        _emit(args, [format_op(f) for f in part], {"ops": [op_to_obj(f) for f in part]})
-        return 0
-
-    if args.command == "gen-semigroup":
-        ops = _named(problem, "ops", args.ops)
-        fam = semigroup_generate(ops)
-        _emit(args, [format_op(f) for f in fam], {"ops": [op_to_obj(f) for f in fam]})
-        return 0
-
-    if args.command == "sloc":
-        _require(args.arity is not None and args.s is not None,
-                 "--arity and --s are required")
-        ops = _named(problem, "ops", args.ops)
-        fam = sloc_ops(ops, args.s, args.arity, k, cap)
-        _emit(args, [format_op(f) for f in fam], {"ops": [op_to_obj(f) for f in fam]})
-        return 0
-
-    if args.command == "sloc-pairs":
-        _require(args.arity is not None and args.s is not None,
-                 "--arity and --s are required")
-        pairs = _named(problem, "pairs", args.pairs)
-        fam = sloc_pairs(pairs, args.s, args.arity, k, cap)
-        _emit(args, [format_pair(p) for p in fam],
-              {"pairs": [pair_to_obj(p) for p in fam]})
-        return 0
-
-    if args.command == "enc":
-        pairs = _named(problem, "pairs", args.pairs)
-        fam = enc(pairs)
-        _emit(args, [format_pair(p) for p in fam],
-              {"pairs": [pair_to_obj(p) for p in fam]})
-        return 0
-
-    if args.command == "gamma":
-        _require(args.ksize is not None, "--ksize is required")
-        ops = _named(problem, "ops", args.ops)
-        seed = [tuple(int(c) for c in t) if t != "eps" else ()
-                for t in args.seed_tuples]
-        result = gamma_fixpoint(ops, args.ksize, seed, k, cap)
-        r_sorted = sorted(result.R)
-        s_sorted = sorted(result.S)
-        lines = (["R:"] + ["  " + format_tuple(t) for t in r_sorted]
-                 + ["S:"] + ["  " + format_tuple(t) for t in s_sorted]
-                 + [f"steps: {result.steps}"])
-        _emit(args, lines, {
-            "R": [format_tuple(t) for t in r_sorted],
-            "S": [format_tuple(t) for t in s_sorted],
-            "steps": result.steps,
-        })
-        return 0
-
-    if args.command == "superpose":
-        _require(args.spec is not None, "--spec is required")
-        try:
-            raw = json.loads(args.spec)
-            spec = SuperpositionSpec(
-                raw["mu"], raw["m"], tuple(raw["beta"]),
-                tuple(tuple(a) for a in raw["alphas"]))
-        except (json.JSONDecodeError, KeyError, TypeError) as e:
-            raise ProblemError(0, 0, f"invalid superposition spec: {e}")
-        pairs = _named(problem, "pairs", args.pairs)
-        result = general_superposition(spec, pairs, k, cap)
-        _emit(args, [format_pair(result)], pair_to_obj(result))
-        return 0
-
-    if args.command == "rpclone":
-        _require(args.max_arity is not None, "--max-arity is required")
-        pairs = _named(problem, "pairs", args.pairs)
-        result = rpclone_generate(pairs, args.max_arity, args.intermediate_cap,
-                                  k, cap)
-        lines = [format_pair(p) for p in result.pairs]
-        lines.append(f"intermediate-cap: {result.intermediate_cap}")
-        lines.append(f"slice-changed-at-last-cap: "
-                     f"{'true' if result.slice_changed_at_last_cap else 'false'}")
-        _emit(args, lines, {
-            "pairs": [pair_to_obj(p) for p in result.pairs],
-            "intermediate_cap": result.intermediate_cap,
-            "slice_changed_at_last_cap": result.slice_changed_at_last_cap,
-        })
-        return 0
-
-    if args.command == "decide-proj":
-        ops = _named(problem, "ops", args.ops)
-        result = decide_projections(ops, k, cap)
-        _emit(args, ["true" if result else "false"], {"decide_proj": result})
-        return 0
-
-    if args.command == "check":
-        _require(args.name is not None, "check requires a name or 'all'")
-        kk = k if k is not None else 2
-        try:
-            reports = harness.run_checks(args.name, kk, args.seed, cap)
-        except KeyError:
-            raise ProblemError(0, 0, f"unknown check '{args.name}'")
-        lines = []
-        failed = False
-        refused = False
-        for r in reports:
-            lines.append(f"{r.name}: {r.verdict} ({r.runtime_ms} ms)")
-            if r.verdict == "fail":
-                failed = True
-                lines.append(f"  counterexample: {json.dumps(r.counterexample, sort_keys=True)}")
-            if r.verdict == "refused":
-                refused = True
-        _emit(args, lines, {"reports": [r.to_dict() for r in reports]})
-        if failed:
-            return 1
-        if refused:
-            return 2
-        return 0
-
-    raise ProblemError(0, 0, f"unknown command '{args.command}'")
+    flags = " and ".join("--" + name.replace("_", "-") for name in required)
+    _require(all(getattr(args, name) is not None for name in required),
+             f"{flags} {'is' if len(required) == 1 else 'are'} required")
+    out = _output(run(args, problem, problem.carrier.k if problem else args.k, args.caps))
+    if args.json:
+        print(json.dumps(out.obj, indent=2, sort_keys=True))
+    else:
+        for line in out.lines:
+            print(line)
+    return out.code
 
 
 def main(argv: list[str] | None = None) -> int:
@@ -434,10 +409,7 @@ def main(argv: list[str] | None = None) -> int:
     args = parser.parse_args(argv)
     try:
         return run_command(args)
-    except ProblemError as e:
-        print(f"input error: {e}", file=sys.stderr)
-        return 3
-    except (DomainError, OSError) as e:
+    except (ProblemError, DomainError, OSError) as e:
         print(f"input error: {e}", file=sys.stderr)
         return 3
     except CapExceeded as e:

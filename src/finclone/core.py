@@ -74,20 +74,6 @@ class Carrier:
 
 
 @dataclass(frozen=True, order=True)
-class EncodedTuple:
-    arity: int
-    index: int
-
-
-def encode_tuple(t: Sequence[int], carrier: Carrier) -> EncodedTuple:
-    return EncodedTuple(len(t), carrier.encode(t))
-
-
-def decode_tuple(e: EncodedTuple, carrier: Carrier) -> tuple[int, ...]:
-    return carrier.decode(e.index, e.arity)
-
-
-@dataclass(frozen=True, order=True)
 class Operation:
     """A finitary operation on {0,...,k-1}: arity n plus a dense value table
     of length k^n in encoding order.  n = 0 is a nullary constant."""
@@ -122,9 +108,6 @@ class Operation:
                 raise DomainError(f"tuple entry {x} outside carrier of size {k}")
             idx = idx * k + x
         return self.table[idx]
-
-    def at_index(self, index: int) -> int:
-        return self.table[index]
 
     def sort_key(self):
         return (self.arity, self.table)
@@ -364,100 +347,59 @@ def pair_qleq(p: RelationPair, q: RelationPair) -> bool:
     return p.rho.issubset(q.rho)
 
 
-class OpFamily:
-    """A deduplicated, canonically ordered finite family of operations.
+class _Family:
+    """A deduplicated, canonically ordered finite family; equality is set
+    equality within one family type.  Subclasses set the member sort key."""
 
-    Iteration order is arity ascending, then table lexicographic; equality is
-    set equality.
-    """
+    __slots__ = ("members", "_set")
 
-    __slots__ = ("ops", "_set")
+    def __init__(self, members=()):
+        items = sorted(set(members), key=type(self)._key)
+        self.members = tuple(items)
+        self._set = frozenset(items)
 
-    def __init__(self, ops: Iterable[Operation] = ()):
-        items = sorted(set(ops), key=Operation.sort_key)
-        object.__setattr__(self, "ops", tuple(items))
-        object.__setattr__(self, "_set", frozenset(items))
-
-    def __iter__(self) -> Iterator[Operation]:
-        return iter(self.ops)
+    def __iter__(self):
+        return iter(self.members)
 
     def __len__(self) -> int:
-        return len(self.ops)
+        return len(self.members)
 
-    def __contains__(self, f: Operation) -> bool:
-        return f in self._set
+    def __contains__(self, x) -> bool:
+        return x in self._set
 
     def __eq__(self, other) -> bool:
-        return isinstance(other, OpFamily) and self._set == other._set
+        return type(other) is type(self) and self._set == other._set
 
     def __hash__(self) -> int:
         return hash(self._set)
 
     def __repr__(self) -> str:
-        return f"OpFamily({list(self.ops)!r})"
+        return f"{type(self).__name__}({list(self.members)!r})"
 
-    def part(self, arity: int) -> "OpFamily":
-        return OpFamily(f for f in self.ops if f.arity == arity)
+    def part(self, arity: int):
+        return type(self)(x for x in self.members if x.arity == arity)
 
-    def upto(self, arity: int) -> "OpFamily":
-        return OpFamily(f for f in self.ops if f.arity <= arity)
+    def union(self, other: Iterable):
+        return type(self)(itertools.chain(self.members, other))
 
-    def arities(self) -> list[int]:
-        return sorted({f.arity for f in self.ops})
-
-    def union(self, other: Iterable[Operation]) -> "OpFamily":
-        return OpFamily(itertools.chain(self.ops, other))
-
-    def difference(self, other: Iterable[Operation]) -> "OpFamily":
-        drop = set(other)
-        return OpFamily(f for f in self.ops if f not in drop)
-
-    def issubset(self, other: "OpFamily") -> bool:
+    def issubset(self, other) -> bool:
         return self._set <= other._set
 
 
-class PairFamily:
-    """A deduplicated, canonically ordered finite family of relation pairs."""
+class OpFamily(_Family):
+    """A family of operations: arity ascending, then table lexicographic."""
 
-    __slots__ = ("pairs", "_set")
+    __slots__ = ()
+    _key = Operation.sort_key
+    ops = _Family.members
 
-    def __init__(self, pairs: Iterable[RelationPair] = ()):
-        items = sorted(set(pairs), key=RelationPair.sort_key)
-        object.__setattr__(self, "pairs", tuple(items))
-        object.__setattr__(self, "_set", frozenset(items))
 
-    def __iter__(self) -> Iterator[RelationPair]:
-        return iter(self.pairs)
+class PairFamily(_Family):
+    """A family of relation pairs: arity ascending, then by component masks."""
 
-    def __len__(self) -> int:
-        return len(self.pairs)
-
-    def __contains__(self, p: RelationPair) -> bool:
-        return p in self._set
-
-    def __eq__(self, other) -> bool:
-        return isinstance(other, PairFamily) and self._set == other._set
-
-    def __hash__(self) -> int:
-        return hash(self._set)
-
-    def __repr__(self) -> str:
-        return f"PairFamily({list(self.pairs)!r})"
-
-    def part(self, arity: int) -> "PairFamily":
-        return PairFamily(p for p in self.pairs if p.arity == arity)
-
-    def upto(self, arity: int) -> "PairFamily":
-        return PairFamily(p for p in self.pairs if p.arity <= arity)
-
-    def arities(self) -> list[int]:
-        return sorted({p.arity for p in self.pairs})
-
-    def union(self, other: Iterable[RelationPair]) -> "PairFamily":
-        return PairFamily(itertools.chain(self.pairs, other))
-
-    def issubset(self, other: "PairFamily") -> bool:
-        return self._set <= other._set
+    __slots__ = ()
+    _key = RelationPair.sort_key
+    pairs = _Family.members
 
 
 def relaxations_of(p: RelationPair) -> PairFamily:

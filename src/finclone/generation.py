@@ -182,10 +182,6 @@ def _row_sums(pools: list[list[tuple[int, ...]]]) -> Iterator[tuple[int, ...]]:
             yield tuple(map(add, row, y))
 
 
-def _ops_from_tuples(tuples: Iterable[tuple[int, ...]], n: int, k: int) -> OpFamily:
-    return OpFamily(Operation(k, n, t) for t in tuples)
-
-
 def semiclone_nary_part(F: Iterable[Operation], n: int, k: int, cap: int = DEFAULT_CAP) -> OpFamily:
     """The n-ary part of the semiclone generated by F.
 
@@ -211,7 +207,7 @@ def semiclone_nary_part(F: Iterable[Operation], n: int, k: int, cap: int = DEFAU
     ksize = carrier.num_tuples(n)
     seed = [tuple(t[i] for t in carrier.tuples(n)) for i in range(n)]
     result = gamma_fixpoint(ops, ksize, seed, k, cap)
-    return _ops_from_tuples(result.S, n, k)
+    return OpFamily(Operation(k, n, t) for t in result.S)
 
 
 def clone_nary_part(F: Iterable[Operation], n: int, k: int, cap: int = DEFAULT_CAP) -> OpFamily:

@@ -6,6 +6,7 @@ re-validate independently.
 
 from __future__ import annotations
 
+import functools
 import itertools
 import random
 import time
@@ -92,16 +93,6 @@ def _pair_key(p: RelationPair) -> str:
     return f"pair/{p.arity}:rho={p.rho.mask:x},rho'={p.rho_prime.mask:x}"
 
 
-def _windowed_maps(k: int, op_cap: int, pair_cap: int, cap: int):
-    def invp_w(F: Iterable[Operation]) -> PairFamily:
-        return invp_upto(list(F), pair_cap, k, cap)
-
-    def polp_w(Q: Iterable[RelationPair]) -> OpFamily:
-        return polp_upto(list(Q), op_cap, k, cap)
-
-    return invp_w, polp_w
-
-
 def check_galois_axioms(k: int = 2, op_arity_cap: int = 2, pair_arity_cap: int = 2,
                         cap: int = 2 ** 20) -> Report:
     """Antitonicity, extensivity and triple-composition idempotence of the
@@ -111,7 +102,8 @@ def check_galois_axioms(k: int = 2, op_arity_cap: int = 2, pair_arity_cap: int =
 
     def body():
         carrier = Carrier(k)
-        invp_w, polp_w = _windowed_maps(k, op_arity_cap, pair_arity_cap, cap)
+        invp_w = lambda F: invp_upto(list(F), pair_arity_cap, k, cap)
+        polp_w = lambda Q: polp_upto(list(Q), op_arity_cap, k, cap)
         ops = [f for n in range(1, op_arity_cap + 1) for f in all_operations(carrier, n)]
         pair_universe_cap = min(pair_arity_cap, 1)
         pairs = [p for m in range(pair_universe_cap + 1) for p in all_pairs(carrier, m)]
@@ -537,75 +529,61 @@ def check_classical(F: Iterable[Operation], Q1: Iterable[Relation], s: int, k: i
     return _run("classical-pol-inv", params, body)
 
 
-def _default_suite(k: int = 2, seed: int = 0, cap: int = 2 ** 20) -> list[Report]:
-    carrier = Carrier(k)
+class _SuiteInputs:
+    """The suite's parameters and fixtures.  The relation fixtures are built
+    on first use, once per run: they exist only for k >= 2, and a check that
+    does not read them still runs at k = 0 and k = 1."""
+
     and_op = Operation(2, 2, (0, 0, 0, 1))
     const0 = Operation(2, 1, (0, 0))
-    leq = Relation.from_tuples(carrier, 2, [(0, 0), (0, 1), (1, 1)])
-    leq_pair = RelationPair.identical(leq)
-    strict01 = RelationPair.of(
-        Relation.from_tuples(carrier, 1, [(0,), (1,)]),
-        Relation.from_tuples(carrier, 1, [(1,)]),
-    )
-    reports = [
-        check_galois_axioms(k, 2, 2, cap),
-        check_op_side_characterisation([and_op], 2, 1, k, cap),
-        check_least_invariant_pair([and_op], [(0, 1)], k, cap),
-        check_finite_collapse(list(all_pairs(carrier, 1)), 1, k, cap),
-        check_pair_side_characterisation([leq_pair], 1, 1, k, cap),
-        check_pair_side_characterisation([strict01], 1, 1, k, cap),
-        check_semiclone_laws([and_op], k, cap),
-        check_projection_decidability([and_op], k, cap),
-        check_projection_decidability([const0], k, cap),
-        check_projection_decidability([], k, cap),
-        check_transformation_semigroups(k, cap),
-        check_directed_unions([leq_pair], 2, 2, k, seed, 50, cap),
-        check_classical([and_op], [leq], 2, k, cap),
-    ]
-    return reports
+
+    def __init__(self, k: int, seed: int, cap: int):
+        self.k, self.seed, self.cap = k, seed, cap
+
+    @functools.cached_property
+    def leq(self) -> Relation:
+        return Relation.from_tuples(Carrier(self.k), 2, [(0, 0), (0, 1), (1, 1)])
+
+    @functools.cached_property
+    def leq_pair(self) -> RelationPair:
+        return RelationPair.identical(self.leq)
+
+    @functools.cached_property
+    def strict01(self) -> RelationPair:
+        carrier = Carrier(self.k)
+        return RelationPair.of(Relation.from_tuples(carrier, 1, [(0,), (1,)]),
+                               Relation.from_tuples(carrier, 1, [(1,)]))
 
 
-CHECKS = {
-    "galois": lambda k, seed, cap: [check_galois_axioms(k, 2, 2, cap)],
-    "op-side": lambda k, seed, cap: [
-        check_op_side_characterisation([Operation(2, 2, (0, 0, 0, 1))], 2, 1, k, cap)
-    ],
-    "least-pair": lambda k, seed, cap: [
-        check_least_invariant_pair([Operation(2, 2, (0, 0, 0, 1))], [(0, 1)], k, cap)
-    ],
-    "finite-collapse": lambda k, seed, cap: [
-        check_finite_collapse(list(all_pairs(Carrier(k), 1)), 1, k, cap)
-    ],
-    "pair-side": lambda k, seed, cap: [
-        check_pair_side_characterisation(
-            [RelationPair.identical(
-                Relation.from_tuples(Carrier(k), 2, [(0, 0), (0, 1), (1, 1)]))],
-            1, 1, k, cap)
-    ],
-    "semiclone-laws": lambda k, seed, cap: [
-        check_semiclone_laws([Operation(2, 2, (0, 0, 0, 1))], k, cap)
-    ],
-    "decide-proj": lambda k, seed, cap: [
-        check_projection_decidability([Operation(2, 2, (0, 0, 0, 1))], k, cap)
-    ],
-    "semigroups": lambda k, seed, cap: [check_transformation_semigroups(k, cap)],
-    "directed-unions": lambda k, seed, cap: [
-        check_directed_unions(
-            [RelationPair.identical(
-                Relation.from_tuples(Carrier(k), 2, [(0, 0), (0, 1), (1, 1)]))],
-            2, 2, k, seed, 50, cap)
-    ],
-    "classical": lambda k, seed, cap: [
-        check_classical([Operation(2, 2, (0, 0, 0, 1))],
-                        [Relation.from_tuples(Carrier(k), 2, [(0, 0), (0, 1), (1, 1)])],
-                        2, k, cap)
-    ],
-}
+# The check suite in order: 'all' runs every entry, a name its first entry.
+CHECKS: list[tuple[str, Callable[[_SuiteInputs], Report]]] = [
+    ("galois", lambda x: check_galois_axioms(x.k, 2, 2, x.cap)),
+    ("op-side", lambda x: check_op_side_characterisation([x.and_op], 2, 1, x.k, x.cap)),
+    ("least-pair", lambda x: check_least_invariant_pair([x.and_op], [(0, 1)], x.k, x.cap)),
+    ("finite-collapse",
+     lambda x: check_finite_collapse(list(all_pairs(Carrier(x.k), 1)), 1, x.k, x.cap)),
+    ("pair-side", lambda x: check_pair_side_characterisation([x.leq_pair], 1, 1, x.k, x.cap)),
+    ("pair-side", lambda x: check_pair_side_characterisation([x.strict01], 1, 1, x.k, x.cap)),
+    ("semiclone-laws", lambda x: check_semiclone_laws([x.and_op], x.k, x.cap)),
+    ("decide-proj", lambda x: check_projection_decidability([x.and_op], x.k, x.cap)),
+    ("decide-proj", lambda x: check_projection_decidability([x.const0], x.k, x.cap)),
+    ("decide-proj", lambda x: check_projection_decidability([], x.k, x.cap)),
+    ("semigroups", lambda x: check_transformation_semigroups(x.k, x.cap)),
+    ("directed-unions",
+     lambda x: check_directed_unions([x.leq_pair], 2, 2, x.k, x.seed, 50, x.cap)),
+    ("classical", lambda x: check_classical([x.and_op], [x.leq], 2, x.k, x.cap)),
+]
 
 
 def run_checks(name: str, k: int = 2, seed: int = 0, cap: int = 2 ** 20) -> list[Report]:
+    """Run every entry of CHECKS for 'all', else the first entry called
+    `name`; raise KeyError for a name CHECKS does not have."""
+    inputs = _SuiteInputs(k, seed, cap)
     if name == "all":
-        return _default_suite(k, seed, cap)
-    if name not in CHECKS:
-        raise KeyError(name)
-    return CHECKS[name](k, seed, cap)
+        # a carrier the relation fixtures do not fit is refused before any check runs
+        _ = inputs.leq_pair, inputs.strict01
+        return [run(inputs) for _, run in CHECKS]
+    for entry, run in CHECKS:
+        if entry == name:
+            return [run(inputs)]
+    raise KeyError(name)

@@ -3,6 +3,7 @@ import json
 
 import pytest
 
+from finclone import harness
 from finclone.cli import main, parse_problem, serialise_problem, ProblemError
 
 PROBLEM = """\
@@ -86,6 +87,11 @@ class TestParsing:
     def test_unknown_keyword(self):
         with pytest.raises(ProblemError):
             parse_problem("domain 2\nfoo x = y\n")
+
+    def test_non_ascii_digit_is_a_parse_error(self):
+        for text in ["domain 2\nrel a/1 = {\u00b2}\n", "domain 2\nop f/1 = \u00b20\n"]:
+            with pytest.raises(ProblemError):
+                parse_problem(text)
 
     def test_eps_only_at_arity_zero(self):
         with pytest.raises(ProblemError):
@@ -239,3 +245,26 @@ class TestExitCodes:
         code, _, err = run(capsys, "polp", "--problem", problem_file,
                            "--pairs", "missing", "--arity", "1")
         assert code == 3 and "unknown pair" in err
+
+    @pytest.mark.parametrize("seed", ["0x", "0-1"])
+    def test_malformed_seed_tuple_is_input_error(self, capsys, problem_file, seed):
+        code, out, err = run(capsys, "gamma", "--problem", problem_file, "--ops", "and",
+                             "--ksize", "2", "--seed-tuples", seed)
+        assert (code, out) == (3, "")
+        assert err.startswith("input error: ") and f"'{seed}'" in err
+
+    def test_problem_file_not_utf8_is_input_error(self, capsys, tmp_path):
+        bad = tmp_path / "bad.txt"
+        bad.write_bytes(b"domain 2\nop f/1 = 01 # \xff\n")
+        code, out, err = run(capsys, "enc", "--problem", str(bad))
+        assert (code, out) == (3, "")
+        assert err.startswith("input error: ") and "UTF-8" in err
+
+    def test_key_error_inside_check_is_not_unknown_check(self, capsys, monkeypatch):
+        def broken(*args):
+            raise KeyError("galois")
+
+        monkeypatch.setattr(harness, "check_galois_axioms", broken)
+        with pytest.raises(KeyError):
+            main(["check", "galois"])
+        assert "unknown check" not in capsys.readouterr().err

@@ -16,7 +16,6 @@ from finclone.core import (
     all_pairs,
     compose,
     enc,
-    encode_tuple,
     is_projection,
     pair_leq,
     pair_qleq,
@@ -32,8 +31,7 @@ def rel(k, arity, tuples):
 
 class TestEncoding:
     def test_empty_tuple(self):
-        e = encode_tuple((), Carrier(2))
-        assert (e.arity, e.index) == (0, 0)
+        assert Carrier(2).encode(()) == 0
 
     def test_base2(self):
         assert Carrier(2).encode((1, 0)) == 2

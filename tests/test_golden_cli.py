@@ -141,6 +141,10 @@ ERRORS = [
     ("k2", ["sloc-pairs", "--pairs", "strict", "--s", "1"], 3,
      "input error: line 0, column 0: --arity and --s are required\n"),
     ("k2", ["gamma", "--ops", "and"], 3, "input error: line 0, column 0: --ksize is required\n"),
+    ("k2", ["gamma", "--ops", "and", "--ksize", "2", "--seed-tuples", "02"], 3,
+     "input error: seed entry 2 outside carrier of size 2\n"),
+    ("k2", ["gamma", "--ops", "and", "--ksize", "2", "--seed-tuples", "011"], 3,
+     "input error: seed tuple (0, 1, 1) does not have length 2\n"),
     ("k2", ["superpose", "--pairs", "leqp"], 3,
      "input error: line 0, column 0: --spec is required\n"),
     ("k2", ["rpclone", "--pairs", "leqp"], 3,

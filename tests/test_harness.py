@@ -34,7 +34,7 @@ class TestDefaultSuite:
             assert r.counterexample is None
 
     def test_named_checks_pass(self):
-        for name in CHECKS:
+        for name in dict(CHECKS):
             for r in run_checks(name):
                 assert r.verdict == "pass", (name, r.counterexample)
 

@@ -1,4 +1,5 @@
-"""Static hygiene of the library source: every imported name is used."""
+"""Static hygiene of the library source: every imported name is used, and
+the package exports exactly what its `__init__` imports."""
 
 import ast
 from pathlib import Path
@@ -34,3 +35,14 @@ def test_detector_flags_unused_and_keeps_used():
 @pytest.mark.parametrize("path", MODULES, ids=lambda p: p.name)
 def test_no_unused_imports(path):
     assert unused_imports(path.read_text()) == []
+
+
+def test_all_matches_init_imports():
+    import finclone
+
+    tree = ast.parse((SRC / "__init__.py").read_text())
+    imported = [alias.asname or alias.name for node in ast.walk(tree)
+                if isinstance(node, ast.ImportFrom) for alias in node.names]
+    assert sorted(finclone.__all__) == sorted(imported)
+    assert len(set(finclone.__all__)) == len(finclone.__all__)
+    assert [n for n in finclone.__all__ if not hasattr(finclone, n)] == []

@@ -353,7 +353,7 @@ class _Family:
 
     __slots__ = ("members", "_set")
 
-    def __init__(self, members=()):
+    def __init__(self, members: Iterable = ()):
         items = sorted(set(members), key=type(self)._key)
         self.members = tuple(items)
         self._set = frozenset(items)

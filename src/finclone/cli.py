@@ -218,7 +218,7 @@ def _named(problem: Problem, kind: str, names: list[str]):
     out = []
     for n in names:
         if n not in table:
-            raise ProblemError(0, 0, f"unknown {kind[:-1]} name '{n}'")
+            raise DomainError(f"unknown {kind[:-1]} name '{n}'")
         out.append(table[n])
     return out
 
@@ -250,7 +250,7 @@ def _truth(key: str, value: bool) -> Output:
 
 def _require(cond: bool, message: str) -> None:
     if not cond:
-        raise ProblemError(0, 0, message)
+        raise DomainError(message)
 
 
 def _preserves(args, problem, k, cap) -> Output:
@@ -266,7 +266,7 @@ def _seed_tuple(text: str) -> tuple[int, ...]:
     try:
         return tuple(int(c) for c in text)
     except ValueError:
-        raise ProblemError(0, 0, f"seed tuple '{text}' is neither 'eps' nor a string of digits")
+        raise DomainError(f"seed tuple '{text}' is neither 'eps' nor a string of digits")
 
 
 def _gamma(args, problem, k, cap) -> Output:
@@ -287,7 +287,7 @@ def _superpose(args, problem, k, cap) -> Output:
             raw["mu"], raw["m"], tuple(raw["beta"]),
             tuple(tuple(a) for a in raw["alphas"]))
     except (json.JSONDecodeError, KeyError, TypeError) as e:
-        raise ProblemError(0, 0, f"invalid superposition spec: {e}")
+        raise DomainError(f"invalid superposition spec: {e}")
     result = general_superposition(spec, _named(problem, "pairs", args.pairs), k, cap)
     return Output([format_pair(result)], pair_to_obj(result))
 
@@ -383,7 +383,7 @@ def _read_problem(path: str) -> Problem:
     try:
         text = sys.stdin.read() if path == "-" else Path(path).read_text(encoding="utf-8")
     except UnicodeDecodeError as e:
-        raise ProblemError(0, 0, f"problem file is not valid UTF-8: {e}")
+        raise DomainError(f"problem file is not valid UTF-8: {e}")
     return parse_problem(text)
 
 

@@ -11,6 +11,7 @@ from __future__ import annotations
 
 import itertools
 from dataclasses import dataclass
+from operator import add
 from typing import Iterable, Iterator, Sequence
 
 
@@ -194,6 +195,48 @@ def bit_indices(mask: int) -> Iterator[int]:
         mask ^= low
 
 
+def submasks(mask: int) -> Iterator[int]:
+    """Every submask of a non-negative mask, descending from mask to 0."""
+    s = mask
+    while True:
+        yield s
+        if not s:
+            return
+        s = (s - 1) & mask
+
+
+def row_sums(pools: Sequence[Sequence[tuple[int, ...]]], width: int) -> Iterator[tuple[int, ...]]:
+    """Entrywise sums of one tuple from each pool, over the product of the pools.
+
+    This is the matrix-row engine.  When pool j holds the columns of an
+    n-column matrix scaled by k^(n-1-j), entry r of a sum is row r of the
+    matrix read as an index into an n-ary value table; the sum is the
+    matrix's scope.  With no pools the one sum is the all-zero tuple of
+    length `width`.
+    """
+    if not pools:
+        yield (0,) * width
+        return
+    *front, last = pools
+    if not front:
+        yield from last
+        return
+    for row in row_sums(front, width):
+        for y in last:
+            yield tuple(map(add, row, y))
+
+
+def row_images(table: Sequence[int], pools: Sequence[Sequence[tuple[int, ...]]],
+               width: int) -> Iterator[tuple[int, ...]]:
+    """The image under `table` of every row sum of `pools`: entry r is the
+    table value at entry r of the sum."""
+    get = table.__getitem__
+    if len(pools) < 2:
+        return (tuple(map(get, row)) for row in row_sums(pools, width))
+    *front, last = pools
+    return (tuple(map(get, map(add, row, y))) for row in row_sums(front, width) for y in last)
+
+
 @dataclass(frozen=True, order=True)
 class Relation:
     """An m-ary relation, stored as a bit mask over the k^m encoded tuples."""
@@ -321,15 +364,7 @@ def all_relations(carrier: Carrier, arity: int) -> Iterator[Relation]:
 def all_pairs(carrier: Carrier, arity: int) -> Iterator[RelationPair]:
     """All 3^(k^arity) relation pairs of the given arity, canonical order."""
     for rho in all_relations(carrier, arity):
-        # iterate submasks of rho.mask, ascending
-        subs = []
-        s = rho.mask
-        while True:
-            subs.append(s)
-            if s == 0:
-                break
-            s = (s - 1) & rho.mask
-        for s in sorted(subs):
+        for s in reversed(list(submasks(rho.mask))):
             yield RelationPair(carrier.k, arity, rho, Relation(carrier.k, arity, s))
 
 
@@ -406,26 +441,13 @@ def relaxations_of(p: RelationPair) -> PairFamily:
     """All (sigma, sigma') with rho' <= sigma' <= sigma <= rho, same arity."""
     k, m = p.k, p.arity
     lo, hi = p.rho_prime.mask, p.rho.mask
-    free = hi & ~lo
-    out = []
-    # sigma ranges over supersets of lo within hi
-    s = free
-    while True:
-        sigma = lo | s
-        inner = sigma & ~lo
-        t = inner
-        while True:
-            sigma_prime = lo | t
-            out.append(
-                RelationPair(k, m, Relation(k, m, sigma), Relation(k, m, sigma_prime))
-            )
-            if t == 0:
-                break
-            t = (t - 1) & inner
-        if s == 0:
-            break
-        s = (s - 1) & free
-    return PairFamily(out)
+    # sigma = lo | s ranges over supersets of lo within hi, sigma' = lo | t
+    # over those within sigma
+    return PairFamily(
+        RelationPair(k, m, Relation(k, m, lo | s), Relation(k, m, lo | t))
+        for s in submasks(hi & ~lo)
+        for t in submasks(s)
+    )
 
 
 def enc(Q: Iterable[RelationPair]) -> PairFamily:

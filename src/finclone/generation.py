@@ -10,15 +10,14 @@ semi-naive (Bancilhon & Ramakrishnan, 1986): a round applies a generator
 only to argument tuples holding a tuple derived in the previous round, since
 the images of older tuples are already in R; the results and round counts
 are those of the naive loop, which the tests keep as the oracle.  Rows are
-evaluated on value-table indices, not through `Operation.__call__`.
+evaluated on value-table indices by the matrix-row engine of `core`, not
+through `Operation.__call__`.
 """
 
 from __future__ import annotations
 
-import itertools
 from dataclasses import dataclass
-from operator import add
-from typing import Iterable, Iterator, Sequence
+from typing import Iterable, Sequence
 
 from .core import (
     Carrier,
@@ -31,6 +30,7 @@ from .core import (
     is_projection,
     polymer,
     projection,
+    row_images,
 )
 
 
@@ -150,7 +150,7 @@ def gamma_fixpoint(
             columns = [scaled[k ** (a - 1 - i)] for i in range(a)]
             for j in range(a):
                 pools = [c[:old] for c in columns[:j]] + [columns[j][old:]] + columns[j + 1:]
-                _images(f.table, pools, new_s)
+                new_s.update(row_images(f.table, pools, ksize))
         S |= new_s
         if new_s <= R:
             return GammaResult(frozenset(R), frozenset(S), steps)
@@ -160,53 +160,16 @@ def gamma_fixpoint(
         steps += 1
 
 
-def _images(table: Sequence[int], pools: list[list[tuple[int, ...]]], out: set) -> None:
-    """Add the row-wise image under `table` of every argument tuple in the
-    product of `pools`; pool i holds members pre-scaled by their weight."""
-    *front, last = pools
-    get = table.__getitem__
-    if not front:
-        out.update(tuple(map(get, y)) for y in last)
-        return
-    for row in _row_sums(front):
-        out.update(tuple(map(get, map(add, row, y))) for y in last)
-
-
-def _row_sums(pools: list[list[tuple[int, ...]]]) -> Iterator[tuple[int, ...]]:
-    if len(pools) == 1:
-        yield from pools[0]
-        return
-    *front, last = pools
-    for row in _row_sums(front):
-        for y in last:
-            yield tuple(map(add, row, y))
-
-
 def semiclone_nary_part(F: Iterable[Operation], n: int, k: int, cap: int = DEFAULT_CAP) -> OpFamily:
     """The n-ary part of the semiclone generated by F.
 
-    For n >= 1 this is the S-component of the fixpoint over K = A^n seeded
-    with the projection tables; an n-ary operation is exactly its tuple of
-    values.  For n = 0 a constant-propagation fixpoint is run instead, since
-    there are no nullary projections to seed with.
+    This is the S-component of the fixpoint over K = A^n seeded with the
+    projection tables; an n-ary operation is exactly its tuple of values.  At
+    n = 0 the seed is empty and S holds the derivable constants.
     """
-    ops = list(F)
     carrier = Carrier(k)
-    if n == 0:
-        consts: set[int] = {f.table[0] for f in ops if f.arity == 0}
-        while True:
-            new = {
-                f(args)
-                for f in ops
-                for args in itertools.product(sorted(consts), repeat=f.arity)
-            }
-            if new <= consts:
-                break
-            consts |= new
-        return OpFamily(Operation(k, 0, (c,)) for c in consts)
-    ksize = carrier.num_tuples(n)
     seed = [tuple(t[i] for t in carrier.tuples(n)) for i in range(n)]
-    result = gamma_fixpoint(ops, ksize, seed, k, cap)
+    result = gamma_fixpoint(F, carrier.num_tuples(n), seed, k, cap)
     return OpFamily(Operation(k, n, t) for t in result.S)
 
 
@@ -214,10 +177,7 @@ def clone_nary_part(F: Iterable[Operation], n: int, k: int, cap: int = DEFAULT_C
     """The n-ary part of the clone generated by F: the semiclone part plus
     the n-ary projections."""
     carrier = Carrier(k)
-    part = semiclone_nary_part(F, n, k, cap)
-    if n == 0:
-        return part
-    return part.union(projection(n, i, carrier) for i in range(n))
+    return semiclone_nary_part(F, n, k, cap).union(projection(n, i, carrier) for i in range(n))
 
 
 def semigroup_generate(G: Iterable[Operation]) -> OpFamily:

@@ -8,6 +8,7 @@ from __future__ import annotations
 
 import functools
 import itertools
+import math
 import random
 import time
 from dataclasses import dataclass, field
@@ -23,6 +24,7 @@ from .core import (
     RelationPair,
     all_operations,
     all_pairs,
+    check_cap,
     compose,
     enc,
     identity_op,
@@ -107,6 +109,8 @@ def check_galois_axioms(k: int = 2, op_arity_cap: int = 2, pair_arity_cap: int =
         ops = [f for n in range(1, op_arity_cap + 1) for f in all_operations(carrier, n)]
         pair_universe_cap = min(pair_arity_cap, 1)
         pairs = [p for m in range(pair_universe_cap + 1) for p in all_pairs(carrier, m)]
+        check_cap("galois two-element unions",
+                  math.comb(len(ops), 2) + math.comb(len(pairs), 2), cap)
         # extensivity and idempotence over singletons
         for f in ops:
             F = OpFamily([f])
@@ -385,6 +389,7 @@ def check_transformation_semigroups(k: int = 2, cap: int = 2 ** 20) -> Report:
     def body():
         carrier = Carrier(k)
         unary = list(all_operations(carrier, 1))
+        check_cap("semigroup subset enumeration", 2 ** len(unary), cap)
         ident = identity_op(carrier)
         for bits in range(1 << len(unary)):
             H = OpFamily(unary[i] for i in range(len(unary)) if bits >> i & 1)

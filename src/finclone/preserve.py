@@ -2,9 +2,11 @@
 their classical specialisations, and the operation-side interpolation
 closures.
 
-Everything except `polp` is computed by definition-level enumeration, with
-complexity caps that refuse rather than truncate.  `polp` is a constraint
-search over table entries; `polp_enumerate` is its enumerating oracle.
+`polp` and `sloc_ops` share one constraint search over table entries;
+`invp` enumerates its candidates.  Matrices over a relation are applied
+row-wise through the engine in `core` (`row_sums`, `row_images`).  Complexity
+caps refuse rather than truncate.  The enumerating oracles of `polp`,
+`sloc_ops` and `op_image_mask` live in the tests.
 """
 
 from __future__ import annotations
@@ -24,9 +26,18 @@ from .core import (
     Relation,
     RelationPair,
     all_operations,
-    bit_indices,
     check_cap,
+    row_images,
+    row_sums,
+    submasks,
 )
+
+
+def _columns(rho: Relation, n: int) -> list[list[tuple[int, ...]]]:
+    """The column pools of the n-column matrices over rho: pool j holds the
+    members of rho scaled by k^(n-1-j), so a row sum is a matrix's scope."""
+    members = list(rho.tuples())
+    return [[tuple(x * rho.k ** (n - 1 - j) for x in t) for t in members] for j in range(n)]
 
 
 @lru_cache(maxsize=None)
@@ -40,12 +51,8 @@ def op_image_mask(f: Operation, rho: Relation) -> int:
     if f.k != rho.k:
         raise DomainError("carrier mismatch between operation and relation")
     carrier = f.carrier
-    members = [carrier.decode(i, rho.arity) for i in rho.indices()]
-    out = 0
-    for cols in itertools.product(members, repeat=f.arity):
-        image = tuple(f(tuple(col[row] for col in cols)) for row in range(rho.arity))
-        out |= 1 << carrier.encode(image)
-    return out
+    images = set(row_images(f.table, _columns(rho, f.arity), rho.arity))
+    return sum(1 << carrier.encode(t) for t in images)
 
 
 def preserves(f: Operation, p: RelationPair) -> bool:
@@ -57,30 +64,20 @@ def preserves(f: Operation, p: RelationPair) -> bool:
 
 
 @lru_cache(maxsize=4096)
-def _scope_mask(rho: Relation, n: int) -> int:
-    """Bit mask of the scopes that n-column matrices over rho read.
-
-    Row i of a matrix is one index into an n-ary value table; the m-tuple of
-    those indices is the matrix's scope, encoded base k^n like a tuple.  With
-    n = 0 every row reads index 0, even when rho is empty.
-    """
-    carrier, tables = rho.carrier, Carrier(rho.k ** n)
-    members = [carrier.decode(i, rho.arity) for i in rho.indices()]
-    out = 0
-    for cols in itertools.product(members, repeat=n):
-        scope = [carrier.encode([col[row] for col in cols]) for row in range(rho.arity)]
-        out |= 1 << tables.encode(scope)
-    return out
+def _scopes(rho: Relation, n: int) -> tuple[int, ...]:
+    """The distinct scopes that n-column matrices over rho read, each encoded
+    base k^n like a tuple.  With n = 0 the one scope is all zeros, even when
+    rho is empty."""
+    tables = Carrier(rho.k ** n)
+    return tuple({tables.encode(scope) for scope in row_sums(_columns(rho, n), rho.arity)})
 
 
 def polp(Q: Iterable[RelationPair], n: int, k: int, cap: int = DEFAULT_CAP) -> OpFamily:
     """All n-ary operations preserving every pair in Q.
 
-    A constraint search over the k^n table entries: each scope read by a
-    matrix over some rho may only map to tuples in the tightest rho' for that
-    rho.  Entries are assigned depth-first in index order, values ascending,
-    and a scope is checked once its largest index is assigned.  The cap still
-    bounds the k^(k^n) tables; `polp_enumerate` is the oracle.
+    A constraint search over the k^n table entries (`_search`): each scope
+    read by a matrix over some rho may only map to tuples in the tightest rho'
+    for that rho.  The cap still bounds the k^(k^n) tables.
     """
     if n < 0:
         raise DomainError("arity must be >= 0")
@@ -95,34 +92,36 @@ def polp(Q: Iterable[RelationPair], n: int, k: int, cap: int = DEFAULT_CAP) -> O
     for p in pairs:
         prev = tightest.get(p.rho)
         tightest[p.rho] = p.rho_prime.mask if prev is None else prev & p.rho_prime.mask
+    # allowed[m, scope]: the images an arity-m scope may take under every rho
+    allowed: dict[tuple[int, int], int] = {}
+    for rho, ok in tightest.items():
+        if ok != (1 << k ** rho.arity) - 1:
+            for scope in _scopes(rho, n):
+                key = (rho.arity, scope)
+                allowed[key] = allowed.get(key, ok) & ok
     size = carrier.num_tuples(n)
     tables = Carrier(size)
-    # banned[m][v]: the arity-m scopes whose image may not be the tuple v
-    banned: dict[int, list[int]] = {}
-    for rho, allowed in tightest.items():
-        images = carrier.num_tuples(rho.arity)
-        excluded = ((1 << images) - 1) & ~allowed
-        if not excluded:
-            continue
-        row = banned.setdefault(rho.arity, [0] * images)
-        scopes = _scope_mask(rho, n)
-        for v in bit_indices(excluded):
-            row[v] |= scopes
-    # checks[i]: (scope, allowed images) for each scope whose largest index is i
     checks: list[list[tuple[tuple[int, ...], int]]] = [[] for _ in range(size)]
-    for m, row in banned.items():
-        any_banned = 0
-        for scopes in row:
-            any_banned |= scopes
-        for scope in bit_indices(any_banned):
-            ok = sum(1 << v for v, scopes in enumerate(row) if not scopes >> scope & 1)
-            idxs = tables.decode(scope, m)
-            if not idxs:
-                # an arity-0 scope reads no entry: it holds for all tables or none
-                if not ok & 1:
-                    return OpFamily()
-                continue
+    for (m, scope), ok in allowed.items():
+        idxs = tables.decode(scope, m)
+        if idxs:
             checks[max(idxs)].append((idxs, ok))
+        elif not ok & 1:
+            # an arity-0 scope reads no entry: it holds for all tables or none
+            return OpFamily()
+    return _search(k, n, checks)
+
+
+def _search(k: int, n: int, checks: list[list[tuple[tuple[int, ...], int]]]) -> OpFamily:
+    """All n-ary operations whose value table maps every scope to one of its
+    allowed images.
+
+    `checks[i]` lists (scope, allowed) for each scope whose largest index is
+    i; a scope is a tuple of table indices, and `allowed` a bit mask over its
+    images encoded base k.  Entries are assigned depth-first in index order,
+    values ascending, and a scope is checked once its largest index is set.
+    """
+    size = len(checks)
     out: list[Operation] = []
     table = [0] * size
 
@@ -142,29 +141,6 @@ def polp(Q: Iterable[RelationPair], n: int, k: int, cap: int = DEFAULT_CAP) -> O
                 extend(i + 1)
 
     extend(0)
-    return OpFamily(out)
-
-
-def polp_enumerate(Q: Iterable[RelationPair], n: int, k: int, cap: int = DEFAULT_CAP) -> OpFamily:
-    """All n-ary operations preserving every pair in Q, by enumerating all
-    k^(k^n) value tables.  The reference oracle for `polp`."""
-    if n < 0:
-        raise DomainError("arity must be >= 0")
-    carrier = Carrier(k)
-    check_cap("polp table enumeration", k ** carrier.num_tuples(n), cap)
-    pairs = list(Q)
-    for p in pairs:
-        if p.k != k:
-            raise DomainError("carrier mismatch in pair family")
-    # group the constraints: for fixed rho only the tightest rho' matters
-    tightest: dict[Relation, int] = {}
-    for p in pairs:
-        prev = tightest.get(p.rho)
-        tightest[p.rho] = p.rho_prime.mask if prev is None else prev & p.rho_prime.mask
-    out = []
-    for f in all_operations(carrier, n):
-        if all(op_image_mask(f, rho) & ~allowed == 0 for rho, allowed in tightest.items()):
-            out.append(f)
     return OpFamily(out)
 
 
@@ -189,13 +165,8 @@ def invp(F: Iterable[Operation], m: int, k: int, cap: int = DEFAULT_CAP) -> Pair
                 break
         if need & ~rho.mask:
             continue
-        free = rho.mask & ~need
-        s = free
-        while True:
-            out.append(RelationPair(k, m, rho, Relation(k, m, need | s)))
-            if s == 0:
-                break
-            s = (s - 1) & free
+        out.extend(RelationPair(k, m, rho, Relation(k, m, need | s))
+                   for s in submasks(rho.mask & ~need))
     return PairFamily(out)
 
 
@@ -238,7 +209,9 @@ def sloc_ops(F: Iterable[Operation], s: int, n: int, k: int, cap: int = DEFAULT_
 
     Only subsets of size exactly min(s, k^n) are checked: agreement on a
     larger set implies agreement on all of its subsets, so the result is
-    identical to quantifying over all sizes <= s.
+    identical to quantifying over all sizes <= s.  Each subset B is one
+    constraint of `_search`: the scope B may only take the images that the
+    members of F^(n) have on B.
     """
     if s < 0:
         raise DomainError("locality parameter must be >= 0")
@@ -252,17 +225,16 @@ def sloc_ops(F: Iterable[Operation], s: int, n: int, k: int, cap: int = DEFAULT_
     if size == 0:
         return OpFamily(all_operations(carrier, n)) if fs else OpFamily()
     check_cap("sloc_ops subset enumeration", math.comb(domain, size) * (k ** domain), cap)
-    subsets = list(itertools.combinations(range(domain), size))
-    out = []
-    for g in all_operations(carrier, n):
-        ok = True
-        for B in subsets:
-            if not any(all(f.table[i] == g.table[i] for i in B) for f in fs):
-                ok = False
-                break
-        if ok:
-            out.append(g)
-    return OpFamily(out)
+    checks: list[list[tuple[tuple[int, ...], int]]] = [[] for _ in range(domain)]
+    for B in itertools.combinations(range(domain), size):
+        ok = 0
+        for f in fs:
+            v = 0
+            for i in B:
+                v = v * k + f.table[i]
+            ok |= 1 << v
+        checks[B[-1]].append((B, ok))
+    return _search(k, n, checks)
 
 
 def loc_ops(F: Iterable[Operation], n: int, k: int, cap: int = DEFAULT_CAP) -> OpFamily:

@@ -17,6 +17,7 @@ from .core import (
     Relation,
     RelationPair,
     check_cap,
+    submasks,
 )
 
 
@@ -389,19 +390,13 @@ def sloc_pairs(
         subsets = [
             sum(1 << i for i in B) for B in itertools.combinations(members, size)
         ]
-        # witnesses usable inside a given sigma' are those with rho' <= sigma';
-        # enumerate sigma' as submasks of sigma
-        sub = sigma_mask
-        while True:
+        # witnesses usable inside a given sigma' are those with rho' <= sigma'
+        for sub in submasks(sigma_mask):
             usable = [rho for rho, rho_p in qm if rho_p & ~sub == 0]
-            ok = all(any(B & ~rho == 0 for rho in usable) for B in subsets)
-            if ok:
+            if all(any(B & ~rho == 0 for rho in usable) for B in subsets):
                 out.append(
                     RelationPair(k, m, Relation(k, m, sigma_mask), Relation(k, m, sub))
                 )
-            if sub == 0:
-                break
-            sub = (sub - 1) & sigma_mask
     return PairFamily(out)
 
 

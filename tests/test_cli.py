@@ -1,5 +1,6 @@
 import io
 import json
+import time
 
 import pytest
 
@@ -229,6 +230,17 @@ class TestExitCodes:
     def test_check_refusal_exit_code(self, capsys):
         code, out, _ = run(capsys, "check", "galois", "--caps", "10")
         assert code == 2
+
+    @pytest.mark.parametrize("name,what,cost", [
+        ("galois", "galois two-element unions", 194232630),
+        ("semigroups", "semigroup subset enumeration", 2 ** 27),
+    ])
+    def test_k3_check_refuses_before_running(self, capsys, name, what, cost):
+        start = time.perf_counter()
+        code, out, _ = run(capsys, "check", name, "--k", "3", "--json")
+        assert time.perf_counter() - start < 5
+        details = json.loads(out)["reports"][0]["details"]
+        assert code == 2 and details == {"what": what, "cost": cost, "cap": 2 ** 20}
 
     def test_parse_error_exit_code(self, capsys, tmp_path):
         bad = tmp_path / "bad.txt"

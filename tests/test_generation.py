@@ -289,6 +289,11 @@ class TestGeneratedParts:
             [Operation(2, 0, (0,)), Operation(2, 0, (1,))])
         assert len(semiclone_nary_part([AND], 0, 2)) == 0
 
+    def test_nullary_part_checks_the_carrier(self):
+        for n in (0, 1):
+            with pytest.raises(DomainError, match="carrier mismatch in operation family"):
+                semiclone_nary_part([Operation(3, 0, (1,))], n, 2)
+
     def test_closure_under_composition(self):
         # generated parts absorb composition with inner ops from the part or trivials
         for F in ([AND], [NOT], [AND, Operation(2, 0, (1,))]):

@@ -1,7 +1,9 @@
-"""Static hygiene of the library source: every imported name is used, and
-the package exports exactly what its `__init__` imports."""
+"""Static hygiene of the library source: every imported name is used, every
+private top-level definition is referenced, and the package exports exactly
+what its `__init__` imports."""
 
 import ast
+from collections import Counter
 from pathlib import Path
 
 import pytest
@@ -35,6 +37,35 @@ def test_detector_flags_unused_and_keeps_used():
 @pytest.mark.parametrize("path", MODULES, ids=lambda p: p.name)
 def test_no_unused_imports(path):
     assert unused_imports(path.read_text()) == []
+
+
+def _referenced_names(node: ast.AST) -> list[str]:
+    return [n.id if isinstance(n, ast.Name) else n.attr if isinstance(n, ast.Attribute) else n.name
+            for n in ast.walk(node) if isinstance(n, (ast.Name, ast.Attribute, ast.alias))]
+
+
+def unreferenced_private(sources: dict[str, str]) -> list[str]:
+    """Private top-level functions and classes that no module references
+    outside their own definition."""
+    trees = {module: ast.parse(source) for module, source in sources.items()}
+    everywhere = Counter(name for tree in trees.values() for name in _referenced_names(tree))
+    return [f"{module}: {node.name}" for module, tree in trees.items() for node in tree.body
+            if isinstance(node, (ast.FunctionDef, ast.ClassDef)) and node.name.startswith("_")
+            and everywhere[node.name] == _referenced_names(node).count(node.name)]
+
+
+def test_private_detector_flags_unreferenced_and_keeps_referenced():
+    sources = {
+        "a.py": "def _dead(n):\n    return _dead(n - 1)\n\ndef _called():\n    pass\n\n"
+                "class _Base:\n    pass\n\ndef _imported():\n    pass\n\n_called()\n",
+        "b.py": "from .a import _imported\n\nclass C(a._Base):\n    pass\n",
+    }
+    assert unreferenced_private(sources) == ["a.py: _dead"]
+
+
+def test_no_unreferenced_private_definitions():
+    sources = {p.name: p.read_text() for p in SRC.glob("*.py")}
+    assert unreferenced_private(sources) == []
 
 
 def test_all_matches_init_imports():

@@ -1,11 +1,15 @@
 import itertools
+import math
 import random
+import time
 
 import pytest
 
 from finclone.core import (
+    DEFAULT_CAP,
     CapExceeded,
     Carrier,
+    DomainError,
     OpFamily,
     Operation,
     PairFamily,
@@ -13,6 +17,8 @@ from finclone.core import (
     RelationPair,
     all_operations,
     all_pairs,
+    all_relations,
+    check_cap,
     enc,
 )
 from finclone.preserve import (
@@ -23,11 +29,75 @@ from finclone.preserve import (
     op_image_mask,
     pol,
     polp,
-    polp_enumerate,
     polp_upto,
     preserves,
     sloc_ops,
 )
+
+
+def op_image_mask_by_definition(f, rho):
+    """The oracle for `op_image_mask`: every n-column matrix over rho, its
+    rows fed to f through `Operation.__call__`."""
+    if f.k != rho.k:
+        raise DomainError("carrier mismatch between operation and relation")
+    carrier = f.carrier
+    members = [carrier.decode(i, rho.arity) for i in rho.indices()]
+    out = 0
+    for cols in itertools.product(members, repeat=f.arity):
+        image = tuple(f(tuple(col[row] for col in cols)) for row in range(rho.arity))
+        out |= 1 << carrier.encode(image)
+    return out
+
+
+def polp_enumerate(Q, n, k, cap=DEFAULT_CAP):
+    """The oracle for `polp`: all n-ary operations preserving every pair in
+    Q, by enumerating all k^(k^n) value tables."""
+    if n < 0:
+        raise DomainError("arity must be >= 0")
+    carrier = Carrier(k)
+    check_cap("polp table enumeration", k ** carrier.num_tuples(n), cap)
+    pairs = list(Q)
+    for p in pairs:
+        if p.k != k:
+            raise DomainError("carrier mismatch in pair family")
+    # group the constraints: for fixed rho only the tightest rho' matters
+    tightest = {}
+    for p in pairs:
+        prev = tightest.get(p.rho)
+        tightest[p.rho] = p.rho_prime.mask if prev is None else prev & p.rho_prime.mask
+    out = []
+    for f in all_operations(carrier, n):
+        if all(op_image_mask(f, rho) & ~allowed == 0 for rho, allowed in tightest.items()):
+            out.append(f)
+    return OpFamily(out)
+
+
+def sloc_ops_enumerate(F, s, n, k, cap=DEFAULT_CAP):
+    """The oracle for `sloc_ops`: every k^(k^n) value table, filtered
+    against every subset of A^n of size min(s, k^n)."""
+    if s < 0:
+        raise DomainError("locality parameter must be >= 0")
+    carrier = Carrier(k)
+    fs = [f for f in F if f.arity == n]
+    for f in fs:
+        if f.k != k:
+            raise DomainError("carrier mismatch in operation family")
+    domain = carrier.num_tuples(n)
+    size = min(s, domain)
+    if size == 0:
+        return OpFamily(all_operations(carrier, n)) if fs else OpFamily()
+    check_cap("sloc_ops subset enumeration", math.comb(domain, size) * (k ** domain), cap)
+    subsets = list(itertools.combinations(range(domain), size))
+    out = []
+    for g in all_operations(carrier, n):
+        ok = True
+        for B in subsets:
+            if not any(all(f.table[i] == g.table[i] for i in B) for f in fs):
+                ok = False
+                break
+        if ok:
+            out.append(g)
+    return OpFamily(out)
 
 C2 = Carrier(2)
 ID = Operation(2, 1, (0, 1))
@@ -177,6 +247,69 @@ class TestPolpSearch:
         before = op_image_mask.cache_info().currsize
         assert len(pol([chain], 2, 3)) == 175
         assert op_image_mask.cache_info().currsize == before
+
+
+class TestImageEngine:
+    """`op_image_mask` on the matrix-row engine against its definition."""
+
+    def test_k2_every_operation_and_relation(self):
+        ops = [f for n in range(3) for f in all_operations(C2, n)]
+        rels = [r for m in range(4) for r in all_relations(C2, m)]
+        for f in ops:
+            for rho in rels:
+                assert op_image_mask(f, rho) == op_image_mask_by_definition(f, rho), (f, rho)
+
+    def test_k3_seeded_cases(self):
+        rng = random.Random(11)
+        c3 = Carrier(3)
+        for _ in range(150):
+            n, m = rng.randint(0, 3), rng.randint(0, 2)
+            f = Operation(3, n, tuple(rng.randrange(3) for _ in range(3 ** n)))
+            rho = Relation(3, m, rng.randrange(1 << c3.num_tuples(m)))
+            assert op_image_mask(f, rho) == op_image_mask_by_definition(f, rho), (f, rho)
+
+    def test_carrier_mismatch(self):
+        for image_mask in (op_image_mask, op_image_mask_by_definition):
+            with pytest.raises(DomainError, match="carrier mismatch between operation"):
+                image_mask(ID, Relation.full(3, 1))
+
+
+def assert_sloc_matches_oracle(families, arities, k, sizes=range(6)):
+    for F in families:
+        for n in arities:
+            for s in sizes:
+                assert sloc_ops(F, s, n, k) == sloc_ops_enumerate(F, s, n, k), (F, s, n)
+
+
+class TestSlocSearch:
+    """The constraint search in `sloc_ops` against the table filter it
+    replaced."""
+
+    def test_k2_families_upto_two(self):
+        ops = [f for n in (1, 2) for f in all_operations(C2, n)]
+        assert_sloc_matches_oracle(families_upto_two(ops), (1, 2), 2)
+
+    @pytest.mark.parametrize("k", [0, 1])
+    def test_degenerate_carriers(self, k):
+        ops = [f for n in range(3) for f in all_operations(Carrier(k), n)]
+        assert_sloc_matches_oracle(families_upto_two(ops), range(3), k)
+
+    def test_k3_seeded_binary_families(self):
+        rng = random.Random(13)
+        families = [[Operation(3, 2, tuple(rng.randrange(3) for _ in range(9)))
+                     for _ in range(size)] for size in (1, 3)]
+        assert_sloc_matches_oracle(families, (2,), 3, range(3))
+
+    def test_three_chain_order_is_fast(self):
+        chain = Relation.from_tuples(Carrier(3), 2, [(a, b) for a in range(3) for b in range(a, 3)])
+        F = pol([chain], 2, 3)
+        start = time.perf_counter()
+        got = sloc_ops(F, 2, 2, 3)
+        assert time.perf_counter() - start < 2
+        assert len(got) == 175 and got == F
+        with pytest.raises(CapExceeded, match="sloc_ops subset enumeration: "
+                                              "estimated cost 1653372 exceeds cap 1048576"):
+            sloc_ops(F, 3, 2, 3)
 
 
 class TestInvp:

@@ -222,9 +222,11 @@ def sloc_ops(F: Iterable[Operation], s: int, n: int, k: int, cap: int = DEFAULT_
             raise DomainError("carrier mismatch in operation family")
     domain = carrier.num_tuples(n)
     size = min(s, domain)
-    if size == 0:
-        return OpFamily(all_operations(carrier, n)) if fs else OpFamily()
+    if size == 0 and not fs:
+        return OpFamily()
     check_cap("sloc_ops subset enumeration", math.comb(domain, size) * (k ** domain), cap)
+    if size == 0:
+        return OpFamily(all_operations(carrier, n))
     checks: list[list[tuple[tuple[int, ...], int]]] = [[] for _ in range(domain)]
     for B in itertools.combinations(range(domain), size):
         ok = 0

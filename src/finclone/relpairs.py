@@ -6,6 +6,7 @@ sLOC/LOC, and directed-family utilities.
 from __future__ import annotations
 
 import itertools
+from collections import deque
 from dataclasses import dataclass
 from typing import Iterable, Sequence
 
@@ -185,33 +186,39 @@ class RpCloneResult:
     slice_changed_at_last_cap: bool
 
 
-def _closure_maps(c: int, k: int) -> list[tuple[list, list]]:
-    """Precomputed bit maps turning the unary elementary operations into
-    transforms of packed pairs, one entry per arity m <= c: the adjacent
-    swaps, and the (target arity, map) list of the identifications, the
-    dropped coordinates and the appended fictitious coordinate.  A map sends
-    bit i of a packed pair rho | rho' << k^m to the mask of its image bits."""
+def _arity_maps(m: int, k: int) -> tuple[list, list[list[int]], list[int]]:
+    """Coordinate operations at arity m as transforms of packed pairs
+    rho | rho' << k^m: the transpositions (j i) for j < i, one list per
+    i >= 1, each as the masked swaps that `_transpose` applies; then bit maps
+    for dropping each coordinate and for appending a fictitious one, which
+    send bit i of a packed pair to the mask of its image bits."""
     carrier = Carrier(k)
+    tuples = list(carrier.tuples(m))
 
-    def packed(m: int, m_out: int, image) -> list[int]:
-        img = [sum(1 << carrier.encode(u) for u in image(t))
-               for t in carrier.tuples(m)]
+    def packed(m_out: int, image) -> list[int]:
+        index = {u: i for i, u in enumerate(carrier.tuples(m_out))}
+        img = [sum(1 << index[u] for u in image(t)) for t in tuples]
         return img + [v << k ** m_out for v in img]
 
-    maps = []
-    for m in range(c + 1):
-        swaps = [packed(m, m, lambda t, i=i: (t[:i] + (t[i + 1], t[i]) + t[i + 2:],))
-                 for i in range(m - 1)]
-        moves = [(m - 1, packed(m, m - 1, lambda t, i=i, j=j:
-                                (t[:j] + t[j + 1:],) if t[i] == t[j] else ()))
-                 for i in range(m) for j in range(i + 1, m)]
-        moves += [(m - 1, packed(m, m - 1, lambda t, d=d: (t[:d] + t[d + 1:],)))
-                  for d in range(m)]
-        if m < c:
-            moves.append((m + 1, packed(m, m + 1,
-                                        lambda t: (t + (a,) for a in range(k)))))
-        maps.append((swaps, moves))
-    return maps
+    def transposition(i: int, j: int) -> list[tuple[int, int]]:
+        # swapping coordinates j < i moves each tuple with t_i - t_j = d > 0
+        # up by d * (k^(m-1-j) - k^(m-1-i)) places: one masked swap per d
+        low = [sum(1 << n for n, t in enumerate(tuples) if t[i] - t[j] == d)
+               for d in range(1, k)]
+        return [(mask | mask << k ** m, d * (k ** (m - 1 - j) - k ** (m - 1 - i)))
+                for d, mask in enumerate(low, 1)]
+
+    swaps = [[transposition(i, j) for j in range(i)] for i in range(1, m)]
+    drops = [packed(m - 1, lambda t, d=d: (t[:d] + t[d + 1:],)) for d in range(m)]
+    return swaps, drops, packed(m + 1, lambda t: [t + (a,) for a in range(k)])
+
+
+def _transpose(x: int, swaps: list[tuple[int, int]]) -> int:
+    """Swap the bits under each mask with those shift places above them."""
+    for mask, shift in swaps:
+        t = (x >> shift ^ x) & mask
+        x ^= t | t << shift
+    return x
 
 
 def _apply(x: int, img: list[int]) -> int:
@@ -223,68 +230,109 @@ def _apply(x: int, img: list[int]) -> int:
     return out
 
 
+class _Closure(list):
+    """The closure at an intermediate cap c, as one set of packed pairs
+    rho | rho' << k^m per arity m <= c; grow() continues it to cap c + 1.
+
+    The work is done per coordinate-permutation orbit.  A pair that is not
+    yet in the closure enters with its whole orbit, and the orbit minimum is
+    its one representative.  The orbit is searched layer by layer: layer i
+    applies the transpositions (j i), j < i, which with the identity are one
+    permutation per coset of the permutations of 0..i-1 among those of 0..i,
+    so every permutation is a product of one choice per layer, and a free
+    orbit costs one transposition per member.  Only representatives are
+    transformed and intersected:
+
+    - A move (identify two coordinates, drop one, append a fictitious one)
+      conjugated by a permutation pi is another move followed by a
+      permutation: identifying i, j of pi(r) identifies pi(i), pi(j) of r,
+      dropping d drops pi(d), and appending extends pi by the new last
+      coordinate.  So move(pi(r)) lies in the orbit of some move'(r).
+      Identifying i and j is no move of its own: it is the intersection
+      with the (i, j) diagonal, then dropping j.
+    - pi(a & b) = pi(a) & pi(b), so for x = pi(r) every x & y is the image
+      under pi of r & pi^-1(y): representatives meeting every pair of their
+      arity suffice.  Semi-naively, a representative meets the orbits
+      processed before it and its own: of two orbits the one processed
+      later meets the other, because r & sigma(r') is the image under sigma
+      of sigma^-1(r) & r'.
+
+    The from-nothing pairs need only two generators: the arity-0 full pair
+    and the binary diagonal.  Appending fictitious coordinates gives the
+    full pair and, up to permutation, every diagonal at each higher arity.
+    The closure is monotone in the cap, so cap c + 1 starts from cap c: it
+    adds the arity-(c+1) seed pairs (and the diagonal at cap 2), appends a
+    fictitious coordinate to the arity-c representatives, and runs on.
+    Closure size is counted as orbits enter, so the max_pairs refusal comes
+    as soon as the closure exceeds it.  Checked against the definition-level
+    closure in tests/test_relpairs.py::TestClosureEngine."""
+
+    def __init__(self, seed: Iterable[RelationPair], k: int, cap: int, max_pairs: int):
+        super().__init__()
+        self.seed = [(p.arity, p.rho.mask | p.rho_prime.mask << k ** p.arity) for p in seed]
+        self.k, self.cap, self.max_pairs = k, cap, max_pairs
+        self.maps: list[tuple[list, list[list[int]], list[int]]] = []
+        self.reps: list[list[int]] = []
+        self.done: list[set[int]] = []
+        self.todo: deque[tuple[int, int, set[int]]] = deque()
+        self.size = 0
+
+    def _admit(self, m: int, x: int) -> None:
+        members = self[m]
+        if x in members:
+            return
+        orbit = {x}
+        for layer in self.maps[m][0]:
+            orbit.update([_transpose(y, swaps) for y in orbit for swaps in layer])
+        members |= orbit
+        rep = min(orbit)
+        self.reps[m].append(rep)
+        self.todo.append((m, rep, orbit))
+        self.size += len(orbit)
+        check_cap("rpclone closure size", self.size, self.max_pairs)
+
+    def grow(self) -> None:
+        k, c = self.k, len(self)
+        check_cap("rpclone tuple space", k ** c, self.cap)
+        self.maps.append(_arity_maps(c, k))
+        self.append(set())
+        self.reps.append([])
+        self.done.append(set())
+        if c == 0:
+            self._admit(0, 0b11)
+        if c == 2:
+            diag = sum(1 << a * (k + 1) for a in range(k))
+            self._admit(2, diag | diag << k * k)
+        for m, x in self.seed:
+            if m == c:
+                self._admit(c, x)
+        if c:
+            append = self.maps[c - 1][2]
+            for r in self.reps[c - 1]:
+                self._admit(c, _apply(r, append))
+        while self.todo:
+            m, r, orbit = self.todo.popleft()
+            _, drops, append = self.maps[m]
+            for img in drops:
+                self._admit(m - 1, _apply(r, img))
+            if m < c:
+                self._admit(m + 1, _apply(r, append))
+            done = self.done[m]
+            done |= orbit
+            for x in set(map(r.__and__, done)) - self[m]:
+                self._admit(m, x)
+
+
 def _rpclone_closure(
     seed: Iterable[RelationPair], c: int, k: int, cap: int, max_pairs: int
-) -> list[set[int]]:
-    """The closure at intermediate cap c, as one set of packed pairs
-    rho | rho' << k^m per arity m <= c.
-
-    Each round applies the unary transforms to the new pairs, then closes
-    under intersection using only orbit representatives: a pair whose packed
-    value is <= those of its adjacent-swap images, which the orbit minimum
-    always is.  This suffices because the adjacent swaps generate every
-    coordinate permutation pi and pi(a & b) = pi(a) & pi(b): for x = pi(r)
-    with r a representative, x & y = pi(r & pi^-1(y)) is reached through the
-    swaps.  Semi-naively, every new pair meets all representatives and every
-    new representative meets all current pairs of its arity.  Checked against
-    the definition-level closure in
-    tests/test_relpairs.py::TestClosureEngine."""
+) -> _Closure:
+    """The closure at intermediate cap c, grown cap by cap from 0; an
+    oversized tuple space at c is refused before any cap is built."""
     check_cap("rpclone tuple space", k ** c, cap)
-    maps = _closure_maps(c, k)
-    carrier = Carrier(k)
-    current: list[set[int]] = [set() for _ in range(c + 1)]
-    for p in seed:
-        if p.arity <= c:
-            current[p.arity].add(p.rho.mask | p.rho_prime.mask << k ** p.arity)
-    for m in range(c + 1):
-        tups = list(carrier.tuples(m))
-        full = (1 << len(tups)) - 1
-        current[m].add(full | full << len(tups))
-        for i in range(m):
-            for j in range(i + 1, m):
-                diag = sum(1 << idx for idx, t in enumerate(tups) if t[i] == t[j])
-                current[m].add(diag | diag << len(tups))
-    reps: list[list[int]] = [[] for _ in range(c + 1)]
-    frontier = [set(s) for s in current]
-    while any(frontier):
-        new: list[set[int]] = [set() for _ in range(c + 1)]
-        for m, front in enumerate(frontier):
-            swaps, moves = maps[m]
-            nm, fresh = new[m], []
-            for x in front:
-                is_rep = True
-                for img in swaps:
-                    y = _apply(x, img)
-                    nm.add(y)
-                    if y < x:
-                        is_rep = False
-                if is_rep:
-                    fresh.append(x)
-                for target, img in moves:
-                    new[target].add(_apply(x, img))
-            reps[m] += fresh
-            for x in front:
-                nm.update(map(x.__and__, reps[m]))
-            for r in fresh:
-                nm.update(map(r.__and__, current[m]))
-        for m in range(c + 1):
-            new[m] -= current[m]
-            current[m] |= new[m]
-        size = sum(map(len, current))
-        if size > max_pairs:
-            check_cap("rpclone closure size", size, max_pairs)
-        frontier = new
-    return current
+    closure = _Closure(seed, k, cap, max_pairs)
+    for _ in range(c + 1):
+        closure.grow()
+    return closure
 
 
 def _rpclone_by_cap(
@@ -298,9 +346,9 @@ def _rpclone_by_cap(
     max_pairs: int,
 ) -> RpCloneResult:
     """Raise the intermediate cap from first_cap (at least target_cap) to
-    last_cap, restricting each closure to arity <= target_cap, and stop once
-    stable_for consecutive caps gave the same slice; only then does the
-    result record the slice as unchanged at the last cap."""
+    last_cap, growing one closure and restricting it to arity <= target_cap,
+    and stop once stable_for consecutive caps gave the same slice; only then
+    does the result record the slice as unchanged at the last cap."""
     seed = list(Q)
     if k is None:
         if not seed:
@@ -316,21 +364,25 @@ def _rpclone_by_cap(
         # every cap up to last_cap is built, so refuse an oversized tuple
         # space before any closure runs
         check_cap("rpclone tuple space", k ** last_cap, cap)
+    closure = _rpclone_closure(seed, first_cap, k, cap, max_pairs)
 
-    def result(packed_slice: list[set[int]], c: int, changed: bool) -> RpCloneResult:
+    def result(c: int, changed: bool) -> RpCloneResult:
         pairs = PairFamily(
             RelationPair(k, m, Relation(k, m, x & (1 << k ** m) - 1),
                          Relation(k, m, x >> k ** m))
-            for m, packed in enumerate(packed_slice) for x in packed
+            for m, packed in enumerate(closure[:target_cap + 1]) for x in packed
         )
         return RpCloneResult(pairs, c, changed)
 
-    slices: list[list[set[int]]] = []
+    # the closure only grows with the cap, so equal slice sizes mean equal slices
+    sizes = []
     for c in range(first_cap, last_cap + 1):
-        slices.append(_rpclone_closure(seed, c, k, cap, max_pairs)[:target_cap + 1])
-        if len(slices) >= stable_for and all(s == slices[-1] for s in slices[-stable_for:]):
-            return result(slices[-1], c, False)
-    return result(slices[-1], last_cap, True)
+        if c > first_cap:
+            closure.grow()
+        sizes.append(tuple(map(len, closure[:target_cap + 1])))
+        if len(sizes) >= stable_for and len(set(sizes[-stable_for:])) == 1:
+            return result(c, False)
+    return result(last_cap, True)
 
 
 def rpclone_generate(

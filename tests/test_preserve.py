@@ -373,6 +373,17 @@ class TestSloc:
         assert len(sloc_ops([], 0, 1, 2)) == 0
         assert sloc_ops([ID], 0, 1, 2) == OpFamily(all_operations(C2, 1))
 
+    def test_s0_charges_the_table_count(self):
+        # F^(3) non-empty at k=3: all 3^27 ternary tables are refused up
+        # front, the same cost as C(27, 0) subsets times 3^27 tables
+        maj = Operation(3, 3, tuple(sorted(t)[1] for t in Carrier(3).tuples(3)))
+        start = time.perf_counter()
+        with pytest.raises(CapExceeded, match="sloc_ops subset enumeration: "
+                                              f"estimated cost {3 ** 27} exceeds"):
+            sloc_ops([maj], 0, 3, 3)
+        assert time.perf_counter() - start < 1
+        assert sloc_ops([], 0, 3, 3) == OpFamily()
+
     def test_full_domain_is_identity(self):
         fam = [CONST0, CONST1]
         assert sloc_ops(fam, 2, 1, 2) == OpFamily(fam)

@@ -1,5 +1,6 @@
 import itertools
 import random
+import time
 
 import pytest
 
@@ -275,6 +276,28 @@ class TestRpClone:
         with pytest.raises(CapExceeded):
             rpclone_generate([LEQ_PAIR], 2, max_pairs=5)
 
+    def test_max_pairs_boundary(self):
+        # refused iff the closure at the intermediate cap has more than
+        # max_pairs members, however early the refusal comes
+        seeds = [[LEQ_PAIR], [pair_of(2, 1, [(0,), (1,)], [(1,)])],
+                 [pair_of(2, 2, [(0, 1), (1, 0), (1, 1)], [(0, 1)])]]
+        for seed in seeds:
+            for c in (2, 3, 4):
+                n = sum(map(len, _rpclone_closure(seed, c, 2, 2 ** 20, 200_000)))
+                rpclone_generate(seed, 1, intermediate_cap=c, max_pairs=n)
+                with pytest.raises(CapExceeded, match="rpclone closure size"):
+                    rpclone_generate(seed, 1, intermediate_cap=c, max_pairs=n - 1)
+
+    def test_max_pairs_refused_as_the_closure_crosses_it(self):
+        # leq-to-eq at intermediate cap 6 outgrows the default 200,000 pairs;
+        # the refusal comes as the closure crosses the bound, long before the
+        # closure is complete
+        eq = Relation.from_tuples(C2, 2, [(0, 0), (1, 1)])
+        start = time.perf_counter()
+        with pytest.raises(CapExceeded, match="rpclone closure size"):
+            rpclone_generate([RelationPair.of(LEQ, eq)], 4)
+        assert time.perf_counter() - start < 5
+
     def test_tuple_space_refused_before_any_closure(self, monkeypatch):
         # cap c - 1 fits the tuple-space cap, cap c does not: the refusal
         # must come before the cheaper closure at c - 1 is built
@@ -346,6 +369,66 @@ class TestClosureEngine:
         eq = Relation.from_tuples(C2, 2, [(0, 0), (1, 1)])
         got = _rpclone_closure([RelationPair.of(LEQ, eq)], 5, 2, 2 ** 20, 200_000)
         assert sum(map(len, got)) == 11041
+
+    def test_matches_definition_other_carriers(self):
+        # every pair of arity <= 2 at k = 0 and k = 1 at each cap up to 3;
+        # at k=3 all 27 unary pairs at caps 1 and 2, 6 seeded binary ones at
+        # cap 2 and 4 seeded unary ones at cap 3
+        cases = [([], c, k) for k in (0, 1) for c in range(4)]
+        cases += [([p], c, k) for k in (0, 1) for a in range(3)
+                  for p in all_pairs(Carrier(k), a) for c in range(a, 4)]
+        unary = list(all_pairs(Carrier(3), 1))
+        rng = random.Random(7)
+        cases += [([p], c, 3) for p in unary for c in (1, 2)]
+        cases += [([p], 2, 3) for p in rng.sample(list(all_pairs(Carrier(3), 2)), 6)]
+        cases += [([p], 3, 3) for p in rng.sample(unary, 4)]
+        for seed, c, k in cases:
+            assert _rpclone_closure(seed, c, k, 2 ** 20, 200_000) == \
+                closure_by_definition(seed, c, k), (seed, c, k)
+
+    def test_grown_caps_match_definition(self):
+        seeds = [[LEQ_PAIR], [pair_of(2, 1, [(0,), (1,)], [(0,)])],
+                 [pair_of(2, 2, [(0, 1), (1, 1)], [(1, 1)])]]
+        for seed in seeds:
+            closure = _rpclone_closure(seed, 1, 2, 2 ** 20, 200_000)
+            assert closure == closure_by_definition(seed, 1, 2)
+            for c in (2, 3):
+                closure.grow()
+                assert closure == closure_by_definition(seed, c, 2), (seed, c)
+
+    def test_transpositions_match_permute(self):
+        # each masked-swap transposition against the superposition-level one
+        rng = random.Random(3)
+        for k, m in ((2, 4), (3, 3)):
+            w = k ** m
+            for _ in range(20):
+                rho = rng.getrandbits(w)
+                p = RelationPair(k, m, Relation(k, m, rho), Relation(k, m, rho & rng.getrandbits(w)))
+                x = p.rho.mask | p.rho_prime.mask << w
+                for i, layer in enumerate(relpairs._arity_maps(m, k)[0], 1):
+                    for j, swaps in enumerate(layer):
+                        pi = list(range(m))
+                        pi[i], pi[j] = j, i
+                        q = permute(p, pi)
+                        assert relpairs._transpose(x, swaps) == \
+                            q.rho.mask | q.rho_prime.mask << w, (p, i, j)
+
+    def test_one_representative_per_orbit(self):
+        # the representatives are the orbit minima under every coordinate
+        # permutation, each orbit's once: 249 orbits among the 6,954
+        # arity-5 pairs of nand-to-neq
+        nand = Relation.from_tuples(C2, 2, [(0, 0), (0, 1), (1, 0)])
+        neq = Relation.from_tuples(C2, 2, [(0, 1), (1, 0)])
+        closure = _rpclone_closure([RelationPair.of(nand, neq)], 5, 2, 2 ** 20, 200_000)
+        assert len(closure.reps[5]) == 249
+        for m, packed in enumerate(closure[:4]):
+            w = 2 ** m
+            pairs = [RelationPair(2, m, Relation(2, m, x & (1 << w) - 1), Relation(2, m, x >> w))
+                     for x in packed]
+            minima = {min(q.rho.mask | q.rho_prime.mask << w
+                          for q in (permute(p, pi) for pi in itertools.permutations(range(m))))
+                      for p in pairs}
+            assert sorted(closure.reps[m]) == sorted(minima), m
 
 
 class TestSlocPairs:

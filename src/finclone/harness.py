@@ -43,8 +43,10 @@ from .preserve import (
     inv,
     invp,
     invp_upto,
+    least_invp,
     pol,
     polp,
+    polp_least,
     polp_upto,
     sloc_ops,
 )
@@ -151,15 +153,18 @@ def check_op_side_characterisation(F: Iterable[Operation], s: int, n: int, k: in
     params = {"k": k, "s": s, "n": n, "F": [_op_key(f) for f in ops]}
 
     def body():
-        pairs = invp_upto(ops, s, k, cap)
-        lhs = polp(pairs, n, k, cap)
+        # of the invariant pairs (rho, rho') polp needs only the least rho'
+        least = {(m, rho): need for m in range(s + 1)
+                 for rho, need in least_invp(ops, m, k, cap).items()}
+        lhs = polp_least(least, n, k, cap)
         rhs = sloc_ops(semiclone_nary_part(ops, n, k, cap), s, n, k, cap)
         if lhs != rhs:
             diff = set(lhs) ^ set(rhs)
             g = min(diff, key=Operation.sort_key)
             return "fail", {"op": _op_key(g), "in_lhs": g in lhs, "in_rhs": g in rhs}, {}
         if k > 0:
-            single = polp(pairs.part(s), n, k, cap)
+            arity_s = {key: need for key, need in least.items() if key[0] == s}
+            single = polp_least(arity_s, n, k, cap)
             if single != rhs:
                 diff = set(single) ^ set(rhs)
                 g = min(diff, key=Operation.sort_key)
@@ -254,8 +259,8 @@ def check_pair_side_characterisation(Q: Iterable[RelationPair], s: int, m: int, 
         F_all = polp_upto(pairs, s, k, cap)
         lhs = invp(F_all, m, k, cap)
         # window variants checked purely on the brute-force side
-        f_s = polp(pairs, s, k, cap)
-        f_0s = OpFamily(itertools.chain(polp(pairs, 0, k, cap), f_s))
+        f_s = F_all.part(s)
+        f_0s = F_all.part(0).union(f_s)
         if invp(f_0s, m, k, cap) != lhs:
             return "fail", {"variant": "arities {0,s}"}, {}
         if any(p.rho.mask == 0 for p in pairs):

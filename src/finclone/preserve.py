@@ -2,11 +2,17 @@
 their classical specialisations, and the operation-side interpolation
 closures.
 
-`polp` and `sloc_ops` share one constraint search over table entries;
-`invp` enumerates its candidates.  Matrices over a relation are applied
-row-wise through the engine in `core` (`row_sums`, `row_images`).  Complexity
-caps refuse rather than truncate.  The enumerating oracles of `polp`,
-`sloc_ops` and `op_image_mask` live in the tests.
+The pair side rests on one engine, `least_invp`: (rho, rho') is invariant
+under F iff F[rho] ⊆ rho' ⊆ rho, where F[rho] is the union of the images of
+the members of F on rho.  A matrix over rho with n columns has at most n
+distinct columns, so F[rho] is the union of the images on the subsets of rho
+of size <= n, and one OR-zeta transform over all subsets gives it for every
+rho at once.  `invp` and `inv` read that map, and `polp` groups its pairs
+into the same map for `polp_least`.  `polp_least` and `sloc_ops` share one
+constraint search over table entries.  Matrices over a relation are applied
+row-wise through the engine in `core` (`row_sums`, `row_images`).
+Complexity caps refuse rather than truncate.  The enumerating oracles of
+`invp`, `polp`, `sloc_ops` and `op_image_mask` live in the tests.
 """
 
 from __future__ import annotations
@@ -64,40 +70,49 @@ def preserves(f: Operation, p: RelationPair) -> bool:
 
 
 @lru_cache(maxsize=4096)
-def _scopes(rho: Relation, n: int) -> tuple[int, ...]:
-    """The distinct scopes that n-column matrices over rho read, each encoded
-    base k^n like a tuple.  With n = 0 the one scope is all zeros, even when
-    rho is empty."""
-    tables = Carrier(rho.k ** n)
-    return tuple({tables.encode(scope) for scope in row_sums(_columns(rho, n), rho.arity)})
+def _scopes(k: int, m: int, rho: int, n: int) -> tuple[int, ...]:
+    """The distinct scopes that n-column matrices over the m-ary relation
+    with mask rho read, each encoded base k^n like a tuple.  With n = 0 the
+    one scope is all zeros, even when rho is empty."""
+    tables = Carrier(k ** n)
+    columns = _columns(Relation(k, m, rho), n)
+    return tuple({tables.encode(scope) for scope in row_sums(columns, m)})
 
 
 def polp(Q: Iterable[RelationPair], n: int, k: int, cap: int = DEFAULT_CAP) -> OpFamily:
     """All n-ary operations preserving every pair in Q.
 
+    For a fixed rho only the tightest rho' matters, so the pairs are grouped
+    into the map {(arity, rho): intersection of their rho'} of `polp_least`.
+    """
+    least: dict[tuple[int, int], int] = {}
+    for p in Q:
+        if p.k != k:
+            raise DomainError("carrier mismatch in pair family")
+        key = (p.arity, p.rho.mask)
+        least[key] = least.get(key, p.rho_prime.mask) & p.rho_prime.mask
+    return polp_least(least, n, k, cap)
+
+
+def polp_least(least: dict[tuple[int, int], int], n: int, k: int,
+               cap: int = DEFAULT_CAP) -> OpFamily:
+    """All n-ary operations preserving the pair (rho, rho') of every entry
+    (arity, rho): rho' of `least`, the relations given as bit masks.
+
     A constraint search over the k^n table entries (`_search`): each scope
-    read by a matrix over some rho may only map to tuples in the tightest rho'
-    for that rho.  The cap still bounds the k^(k^n) tables.
+    read by a matrix over rho may only map to tuples in rho'.  The cap still
+    bounds the k^(k^n) tables.
     """
     if n < 0:
         raise DomainError("arity must be >= 0")
     carrier = Carrier(k)
     check_cap("polp table enumeration", k ** carrier.num_tuples(n), cap)
-    pairs = list(Q)
-    for p in pairs:
-        if p.k != k:
-            raise DomainError("carrier mismatch in pair family")
-    # group the constraints: for fixed rho only the tightest rho' matters
-    tightest: dict[Relation, int] = {}
-    for p in pairs:
-        prev = tightest.get(p.rho)
-        tightest[p.rho] = p.rho_prime.mask if prev is None else prev & p.rho_prime.mask
     # allowed[m, scope]: the images an arity-m scope may take under every rho
     allowed: dict[tuple[int, int], int] = {}
-    for rho, ok in tightest.items():
-        if ok != (1 << k ** rho.arity) - 1:
-            for scope in _scopes(rho, n):
-                key = (rho.arity, scope)
+    for (m, rho), ok in least.items():
+        if ok != (1 << k ** m) - 1:
+            for scope in _scopes(k, m, rho, n):
+                key = (m, scope)
                 allowed[key] = allowed.get(key, ok) & ok
     size = carrier.num_tuples(n)
     tables = Carrier(size)
@@ -144,29 +159,50 @@ def _search(k: int, n: int, checks: list[list[tuple[tuple[int, ...], int]]]) -> 
     return OpFamily(out)
 
 
-def invp(F: Iterable[Operation], m: int, k: int, cap: int = DEFAULT_CAP) -> PairFamily:
-    """All m-ary relation pairs preserved by every operation in F, by
-    enumerating all 3^(k^m) candidates."""
+def least_invp(F: Iterable[Operation], m: int, k: int, cap: int = DEFAULT_CAP) -> dict[int, int]:
+    """{rho: F[rho]} for every m-ary rho with F[rho] ⊆ rho, as bit masks in
+    ascending rho, where F[rho] is the union of the images of the members of
+    F on rho.  These rho are the first components of the pairs invariant
+    under F, and F[rho] is the least second component each admits.
+
+    A matrix over rho with n columns has at most n distinct columns, so
+    F[rho] is the union of `op_image_mask(f, M)` over the subsets M of rho
+    with |M| <= arity(f).  Each such image is taken once, and one OR-zeta
+    (subset-sum) transform over the 2^N subsets of A^m, N = k^m, spreads
+    them to every rho in N * 2^(N-1) ORs (Björklund, Husfeldt, Kaski and
+    Koivisto, "Fourier meets Möbius: fast subset convolution", STOC 2007).
+    The cap charges the 3^N candidate pairs, which bound those ORs.
+    """
     if m < 0:
         raise DomainError("arity must be >= 0")
-    carrier = Carrier(k)
-    check_cap("invp pair enumeration", 3 ** carrier.num_tuples(m), cap)
+    size = Carrier(k).num_tuples(m)
+    check_cap("invp pair enumeration", 3 ** size, cap)
     ops = list(F)
     for f in ops:
         if f.k != k:
             raise DomainError("carrier mismatch in operation family")
+    least = [0] * (1 << size)
+    for f in ops:
+        for M in range(1 << size):
+            if M.bit_count() <= f.arity:
+                least[M] |= op_image_mask(f, Relation(k, m, M))
+    for i in range(size):
+        bit = 1 << i
+        for rho in range(1 << size):
+            if rho & bit:
+                least[rho] |= least[rho ^ bit]
+    return {rho: need for rho, need in enumerate(least) if not need & ~rho}
+
+
+def invp(F: Iterable[Operation], m: int, k: int, cap: int = DEFAULT_CAP) -> PairFamily:
+    """All m-ary relation pairs preserved by every operation in F: for each
+    entry rho: F[rho] of `least_invp`, the pairs (rho, rho') with
+    F[rho] ⊆ rho' ⊆ rho."""
     out = []
-    for rho in (Relation(k, m, mask) for mask in range(1 << carrier.num_tuples(m))):
-        # the union of images is the least admissible rho'
-        need = 0
-        for f in ops:
-            need |= op_image_mask(f, rho)
-            if need & ~rho.mask:
-                break
-        if need & ~rho.mask:
-            continue
-        out.extend(RelationPair(k, m, rho, Relation(k, m, need | s))
-                   for s in submasks(rho.mask & ~need))
+    for rho, need in least_invp(F, m, k, cap).items():
+        first = Relation(k, m, rho)
+        out.extend(RelationPair(k, m, first, Relation(k, m, need | t))
+                   for t in submasks(rho & ~need))
     return PairFamily(out)
 
 
@@ -195,12 +231,9 @@ def pol(Q1: Iterable[Relation], n: int, k: int, cap: int = DEFAULT_CAP) -> OpFam
 
 
 def inv(F: Iterable[Operation], m: int, k: int, cap: int = DEFAULT_CAP) -> list[Relation]:
-    """Classical invariant relations: rho with (rho, rho) invariant."""
-    ops = list(F)
-    return sorted(
-        (p.rho for p in invp(ops, m, k, cap) if p.is_identical()),
-        key=Relation.sort_key,
-    )
+    """Classical invariant relations: rho with (rho, rho) invariant, that is
+    F[rho] ⊆ rho, so exactly the relations `least_invp` lists, ascending."""
+    return [Relation(k, m, rho) for rho in least_invp(F, m, k, cap)]
 
 
 def sloc_ops(F: Iterable[Operation], s: int, n: int, k: int, cap: int = DEFAULT_CAP) -> OpFamily:

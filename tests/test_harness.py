@@ -1,7 +1,16 @@
 import pytest
 
-from finclone.core import Carrier, OpFamily, Operation, Relation, RelationPair, all_pairs
-from finclone import harness
+from finclone import core, harness
+from finclone.core import (
+    Carrier,
+    DomainError,
+    OpFamily,
+    Operation,
+    Relation,
+    RelationPair,
+    all_operations,
+    all_pairs,
+)
 from finclone.harness import (
     Report,
     check_classical,
@@ -70,6 +79,19 @@ class TestRefusal:
         r = check_pair_side_characterisation([LEQ_PAIR], 1, 1, 2, cap=3)
         assert r.verdict == "refused"
 
+    def test_op_side_refuses_in_order(self):
+        # the pair arities are charged first, ascending, then the tables
+        r = check_op_side_characterisation([AND], 3, 2, 2, cap=81)
+        assert r.verdict == "refused"
+        assert r.details == {"what": "invp pair enumeration", "cost": 6561, "cap": 81}
+        r = check_op_side_characterisation([AND], 1, 2, 2, cap=15)
+        assert r.verdict == "refused"
+        assert r.details == {"what": "polp table enumeration", "cost": 16, "cap": 15}
+
+    def test_op_side_carrier_mismatch(self):
+        with pytest.raises(DomainError, match="carrier mismatch in operation family"):
+            check_op_side_characterisation([Operation(3, 1, (0, 1, 2))], 1, 1, 2)
+
 
 class TestNegativeControl:
     def test_tampered_pipeline_is_caught(self, monkeypatch):
@@ -123,6 +145,21 @@ class TestIndividualChecks:
                 for n in (1, 2):
                     r = check_op_side_characterisation(F, s, n, 2)
                     assert r.verdict == "pass", (F, s, n, r.counterexample)
+
+    def test_op_side_builds_no_pair_family(self, monkeypatch):
+        built = []
+        init = core.PairFamily.__init__
+
+        def counted(self, members=()):
+            built.append(1)
+            init(self, members)
+
+        monkeypatch.setattr(core.PairFamily, "__init__", counted)
+        ops = list(all_operations(C2, 2))
+        for F in ([AND], [NOT, ops[6]], [ops[1], ops[7], NOT]):
+            for n in (1, 2):
+                assert check_op_side_characterisation(F, 3, n, 2).verdict == "pass"
+        assert built == []
 
     def test_least_pair_various_seeds(self):
         for B in ([], [(0, 0)], [(0, 1), (1, 0)]):

@@ -20,15 +20,18 @@ from finclone.core import (
     all_relations,
     check_cap,
     enc,
+    submasks,
 )
 from finclone.preserve import (
     inv,
     invp,
     invp_upto,
+    least_invp,
     loc_ops,
     op_image_mask,
     pol,
     polp,
+    polp_least,
     polp_upto,
     preserves,
     sloc_ops,
@@ -70,6 +73,32 @@ def polp_enumerate(Q, n, k, cap=DEFAULT_CAP):
         if all(op_image_mask(f, rho) & ~allowed == 0 for rho, allowed in tightest.items()):
             out.append(f)
     return OpFamily(out)
+
+
+def invp_enumerate(F, m, k, cap=DEFAULT_CAP):
+    """The oracle for `invp`: all m-ary relation pairs preserved by every
+    operation in F, by enumerating all 3^(k^m) candidates."""
+    if m < 0:
+        raise DomainError("arity must be >= 0")
+    carrier = Carrier(k)
+    check_cap("invp pair enumeration", 3 ** carrier.num_tuples(m), cap)
+    ops = list(F)
+    for f in ops:
+        if f.k != k:
+            raise DomainError("carrier mismatch in operation family")
+    out = []
+    for rho in (Relation(k, m, mask) for mask in range(1 << carrier.num_tuples(m))):
+        # the union of images is the least admissible rho'
+        need = 0
+        for f in ops:
+            need |= op_image_mask(f, rho)
+            if need & ~rho.mask:
+                break
+        if need & ~rho.mask:
+            continue
+        out.extend(RelationPair(k, m, rho, Relation(k, m, need | s))
+                   for s in submasks(rho.mask & ~need))
+    return PairFamily(out)
 
 
 def sloc_ops_enumerate(F, s, n, k, cap=DEFAULT_CAP):
@@ -349,6 +378,61 @@ class TestInvp:
     def test_cap_refusal(self):
         with pytest.raises(CapExceeded):
             invp([], 5, 2)
+
+
+def assert_invp_matches_oracle(families, arities, k):
+    for F in families:
+        for m in arities:
+            assert invp(F, m, k) == invp_enumerate(F, m, k), (F, m)
+
+
+class TestLeastPairEngine:
+    """`least_invp` (support subsets and one OR-zeta transform) against the
+    enumeration it replaced, and the op-side search on its map against
+    `polp` on the pair families."""
+
+    def test_k2_families_upto_two(self):
+        ops = [f for n in range(3) for f in all_operations(C2, n)]
+        families = families_upto_two(ops)
+        assert_invp_matches_oracle(families, range(3), 2)
+        # at m = 3 the oracle lists up to 3^8 pairs per family: a sample
+        assert_invp_matches_oracle(random.Random(19).sample(families, 80), (3,), 2)
+
+    @pytest.mark.parametrize("k", [0, 1])
+    def test_degenerate_carriers(self, k):
+        ops = [f for n in range(3) for f in all_operations(Carrier(k), n)]
+        assert_invp_matches_oracle(families_upto_two(ops), range(4), k)
+
+    def test_k3_seeded_families(self):
+        rng = random.Random(17)
+        families = []
+        for _ in range(60):
+            arities = [rng.randint(0, 3) for _ in range(rng.randint(1, 2))]
+            families.append([Operation(3, n, tuple(rng.randrange(3) for _ in range(3 ** n)))
+                             for n in arities])
+        assert_invp_matches_oracle(families, (0, 1), 3)
+        # at m = 2 the oracle takes ternary images on all 512 relations: half
+        assert_invp_matches_oracle(families[::2], (2,), 3)
+
+    def test_images_only_on_small_supports(self):
+        # one binary operation at k=2, m=3: the subsets of A^3 of size <= 2,
+        # 1 + 8 + 28, where enumerating every rho takes all 256
+        op_image_mask.cache_clear()
+        invp([AND], 3, 2)
+        assert op_image_mask.cache_info().currsize == 37
+
+    def test_op_side_search_on_the_least_map(self):
+        ops = [f for n in (1, 2) for f in all_operations(C2, n)]
+        for F in families_upto_two(ops)[1:]:
+            pairs = [list(invp(F, m, 2)) for m in range(4)]
+            for s in range(4):
+                least = {(m, rho): need for m in range(s + 1)
+                         for rho, need in least_invp(F, m, 2).items()}
+                arity_s = {key: need for key, need in least.items() if key[0] == s}
+                for n in (1, 2):
+                    upto = itertools.chain.from_iterable(pairs[:s + 1])
+                    assert polp_least(least, n, 2) == polp(upto, n, 2), (F, s, n)
+                    assert polp_least(arity_s, n, 2) == polp(pairs[s], n, 2), (F, s, n)
 
 
 class TestClassical:

@@ -82,16 +82,24 @@ def _scopes(k: int, m: int, rho: int, n: int) -> tuple[int, ...]:
 def polp(Q: Iterable[RelationPair], n: int, k: int, cap: int = DEFAULT_CAP) -> OpFamily:
     """All n-ary operations preserving every pair in Q.
 
-    For a fixed rho only the tightest rho' matters, so the pairs are grouped
-    into the map {(arity, rho): intersection of their rho'} of `polp_least`.
+    For a fixed rho only the tightest rho' matters, so `least_of` groups the
+    pairs into the map {(arity, rho): intersection of their rho'} that
+    `polp_least` searches on.
     """
+    return polp_least(least_of(Q, k), n, k, cap)
+
+
+def least_of(Q: Iterable[RelationPair], k: int) -> dict[tuple[int, int], int]:
+    """{(arity, rho): the intersection of the rho' of the members of Q with
+    first component rho}, the relations given as bit masks.  For Q = invp(F, m)
+    this is {(m, rho): F[rho]}, the map of `least_invp`."""
     least: dict[tuple[int, int], int] = {}
     for p in Q:
         if p.k != k:
             raise DomainError("carrier mismatch in pair family")
         key = (p.arity, p.rho.mask)
         least[key] = least.get(key, p.rho_prime.mask) & p.rho_prime.mask
-    return polp_least(least, n, k, cap)
+    return least
 
 
 def polp_least(least: dict[tuple[int, int], int], n: int, k: int,

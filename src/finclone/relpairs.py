@@ -17,6 +17,7 @@ from .core import (
     PairFamily,
     Relation,
     RelationPair,
+    bit_indices,
     check_cap,
     submasks,
 )
@@ -251,11 +252,28 @@ class _Closure(list):
       Identifying i and j is no move of its own: it is the intersection
       with the (i, j) diagonal, then dropping j.
     - pi(a & b) = pi(a) & pi(b), so for x = pi(r) every x & y is the image
-      under pi of r & pi^-1(y): representatives meeting every pair of their
-      arity suffice.  Semi-naively, a representative meets the orbits
-      processed before it and its own: of two orbits the one processed
-      later meets the other, because r & sigma(r') is the image under sigma
-      of sigma^-1(r) & r'.
+      under pi of r & pi^-1(y): a representative meeting a union of whole
+      orbits meets, up to pi, every member of that union.
+
+    Not every pair needs to meet every other.  An orbit is move-born when it
+    entered as a seed, as one of the two from-nothing generators below, or
+    by a drop or an append, and meet-born when it came out of an
+    intersection; born[m] is the union of the move-born orbits processed at
+    arity m.  A move-born representative meets every orbit processed before
+    it and its own; a meet-born one meets born[m] only.  This still closes
+    the family under intersection:
+
+    - (i) every member is an intersection of move-born members: a meet-born
+      orbit is the orbit of a & b for members a, b, and pi maps an
+      intersection of move-born members to another one;
+    - (ii) for any member x and move-born g, x & g is reached: of their two
+      orbits, the one processed later meets the other (both sets met are
+      unions of whole orbits, so the bullet above carries over);
+    - (iii) so x & (g1 & ... & gt) is reached by t meets.
+
+    This is the generating-set fact for closure systems (Ganter and Wille,
+    Formal Concept Analysis, 1999); moves are still applied to every
+    representative.
 
     The from-nothing pairs need only two generators: the arity-0 full pair
     and the binary diagonal.  Appending fictitious coordinates gives the
@@ -274,10 +292,11 @@ class _Closure(list):
         self.maps: list[tuple[list, list[list[int]], list[int]]] = []
         self.reps: list[list[int]] = []
         self.done: list[set[int]] = []
-        self.todo: deque[tuple[int, int, set[int]]] = deque()
+        self.born: list[set[int]] = []
+        self.todo: deque[tuple[int, int, set[int], bool]] = deque()
         self.size = 0
 
-    def _admit(self, m: int, x: int) -> None:
+    def _admit(self, m: int, x: int, moved: bool = True) -> None:
         members = self[m]
         if x in members:
             return
@@ -287,7 +306,7 @@ class _Closure(list):
         members |= orbit
         rep = min(orbit)
         self.reps[m].append(rep)
-        self.todo.append((m, rep, orbit))
+        self.todo.append((m, rep, orbit, moved))
         self.size += len(orbit)
         check_cap("rpclone closure size", self.size, self.max_pairs)
 
@@ -298,6 +317,7 @@ class _Closure(list):
         self.append(set())
         self.reps.append([])
         self.done.append(set())
+        self.born.append(set())
         if c == 0:
             self._admit(0, 0b11)
         if c == 2:
@@ -311,16 +331,17 @@ class _Closure(list):
             for r in self.reps[c - 1]:
                 self._admit(c, _apply(r, append))
         while self.todo:
-            m, r, orbit = self.todo.popleft()
+            m, r, orbit, moved = self.todo.popleft()
             _, drops, append = self.maps[m]
             for img in drops:
                 self._admit(m - 1, _apply(r, img))
             if m < c:
                 self._admit(m + 1, _apply(r, append))
-            done = self.done[m]
-            done |= orbit
-            for x in set(map(r.__and__, done)) - self[m]:
-                self._admit(m, x)
+            self.done[m] |= orbit
+            if moved:
+                self.born[m] |= orbit
+            for x in set(map(r.__and__, self.done[m] if moved else self.born[m])) - self[m]:
+                self._admit(m, x, False)
 
 
 def _rpclone_closure(
@@ -349,6 +370,8 @@ def _rpclone_by_cap(
     last_cap, growing one closure and restricting it to arity <= target_cap,
     and stop once stable_for consecutive caps gave the same slice; only then
     does the result record the slice as unchanged at the last cap."""
+    if target_cap < 0:
+        raise DomainError("target arity must be >= 0")
     seed = list(Q)
     if k is None:
         if not seed:
@@ -429,23 +452,39 @@ def sloc_pairs(
 ) -> PairFamily:
     """All m-ary (sigma, sigma') such that every subset of sigma of size <= s
     is covered by the first component of some m-ary member of Q whose second
-    component lies inside sigma'."""
+    component lies inside sigma'.
+
+    A witness covering B covers every subset of B, so only the subsets B of
+    sigma of size min(s, |sigma|) are tested.  For each such covered set B
+    the second components of the witnesses whose first component contains B
+    are collected once per call; sigma' ⊆ sigma is accepted iff, for every
+    B, one of those second components lies inside sigma'.  The witnesses
+    are thus scanned once per covered set instead of once per candidate
+    (the 3^(k^m) pairs that the cap charges)."""
     if s < 0:
         raise DomainError("locality parameter must be >= 0")
+    if m < 0:
+        raise DomainError("arity must be >= 0")
     carrier = Carrier(k)
+    qm = []
+    for p in Q:
+        if p.k != k:
+            raise DomainError("carrier mismatch in pair family")
+        if p.arity == m:
+            qm.append((p.rho.mask, p.rho_prime.mask))
     check_cap("sloc_pairs candidate enumeration", 3 ** carrier.num_tuples(m), cap)
-    qm = [(p.rho.mask, p.rho_prime.mask) for p in Q if p.arity == m]
+    covers: dict[int, frozenset[int]] = {}
     out = []
     for sigma_mask in range(1 << carrier.num_tuples(m)):
-        members = [i for i in range(carrier.num_tuples(m)) if sigma_mask >> i & 1]
-        size = min(s, len(members))
-        subsets = [
-            sum(1 << i for i in B) for B in itertools.combinations(members, size)
-        ]
-        # witnesses usable inside a given sigma' are those with rho' <= sigma'
+        members = list(bit_indices(sigma_mask))
+        needs = set()
+        for B in itertools.combinations(members, min(s, len(members))):
+            b = sum(1 << i for i in B)
+            if b not in covers:
+                covers[b] = frozenset(rho_p for rho, rho_p in qm if not b & ~rho)
+            needs.add(covers[b])
         for sub in submasks(sigma_mask):
-            usable = [rho for rho, rho_p in qm if rho_p & ~sub == 0]
-            if all(any(B & ~rho == 0 for rho in usable) for B in subsets):
+            if all(any(not rho_p & ~sub for rho_p in need) for need in needs):
                 out.append(
                     RelationPair(k, m, Relation(k, m, sigma_mask), Relation(k, m, sub))
                 )

@@ -176,6 +176,10 @@ ERRORS = [
      "refused: polp table enumeration: estimated cost 4294967296 exceeds cap 1048576\n"),
     ("k3", ["invp", "--ops", "min", "--arity", "2", "--caps", "100"], 2,
      "refused: invp pair enumeration: estimated cost 19683 exceeds cap 100\n"),
+    ("k2", ["sloc-pairs", "--pairs", "strict", "--s", "1", "--arity", "-1"], 3,
+     "input error: arity must be >= 0\n"),
+    ("k2", ["rpclone", "--pairs", "strict", "--max-arity", "-1"], 3,
+     "input error: target arity must be >= 0\n"),
 ]
 
 

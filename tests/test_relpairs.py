@@ -1,3 +1,4 @@
+import functools
 import itertools
 import random
 import time
@@ -5,6 +6,7 @@ import time
 import pytest
 
 from finclone.core import (
+    DEFAULT_CAP,
     CapExceeded,
     Carrier,
     DomainError,
@@ -12,7 +14,9 @@ from finclone.core import (
     Relation,
     RelationPair,
     all_pairs,
+    check_cap,
     enc,
+    submasks,
 )
 from finclone import relpairs
 from finclone.preserve import invp, preserves
@@ -237,6 +241,10 @@ class TestRpClone:
         res = rpclone_generate([], 1, k=2)
         assert res.pairs == PairFamily([full_pair(0, 2), full_pair(1, 2)])
 
+    def test_negative_target_rejected(self):
+        with pytest.raises(DomainError, match="target arity must be >= 0"):
+            rpclone_generate([LEQ_PAIR], -1)
+
     def test_no_empty_pairs_injected(self):
         res = rpclone_generate([LEQ_PAIR], 2)
         for p in res.pairs:
@@ -396,6 +404,44 @@ class TestClosureEngine:
                 closure.grow()
                 assert closure == closure_by_definition(seed, c, 2), (seed, c)
 
+    def test_born_orbits_generate_the_closure(self):
+        # born[m], the move-born orbits, is a union of orbits inside
+        # closure[m], and every member is the intersection of the born
+        # members containing it, of which there is at least one; both sets
+        # are closed under the transpositions, so checking the
+        # representatives suffices
+        nand = Relation.from_tuples(C2, 2, [(0, 0), (0, 1), (1, 0)])
+        neq = Relation.from_tuples(C2, 2, [(0, 1), (1, 0)])
+        seeds = [[LEQ_PAIR], [pair_of(2, 1, [(0,), (1,)], [(1,)])],
+                 [pair_of(2, 2, [(0, 1), (1, 0), (1, 1)], [(0, 1)])]]
+        cases = [([RelationPair.of(nand, neq)], 5)]
+        cases += [(seed, c) for seed in seeds for c in range(5)]
+        for seed, c in cases:
+            closure = _rpclone_closure(seed, c, 2, 2 ** 20, 200_000)
+            for m, (members, born) in enumerate(zip(closure, closure.born)):
+                assert born <= members, (seed, c, m)
+                for layer in relpairs._arity_maps(m, 2)[0]:
+                    for swaps in layer:
+                        assert {relpairs._transpose(x, swaps) for x in born} == born
+                for r in closure.reps[m]:
+                    above = [g for g in born if not r & ~g]
+                    assert above and functools.reduce(int.__and__, above) == r, \
+                        (seed, c, m, r)
+
+    def test_matches_definition_multi_pair_families(self):
+        # seeded k=2 families of two or three pairs, where orbits born by a
+        # move meet orbits born by a meet: 20 of arity <= 2 at cap 2, and 4
+        # with one binary pair at cap 3 (three binary pairs there can take
+        # the definition-level closure 45 s)
+        rng = random.Random(31)
+        unary, binary = list(all_pairs(C2, 1)), list(all_pairs(C2, 2))
+        cases = [(rng.sample(unary + binary, rng.randint(2, 3)), 2) for _ in range(20)]
+        cases += [(rng.sample(unary, rng.randint(1, 2)) + [rng.choice(binary)], 3)
+                  for _ in range(4)]
+        for seed, c in cases:
+            assert _rpclone_closure(seed, c, 2, 2 ** 20, 200_000) == \
+                closure_by_definition(seed, c, 2), (seed, c)
+
     def test_transpositions_match_permute(self):
         # each masked-swap transposition against the superposition-level one
         rng = random.Random(3)
@@ -429,6 +475,32 @@ class TestClosureEngine:
                           for q in (permute(p, pi) for pi in itertools.permutations(range(m))))
                       for p in pairs}
             assert sorted(closure.reps[m]) == sorted(minima), m
+
+
+def sloc_pairs_enumerate(Q, s, m, k, cap=DEFAULT_CAP):
+    """The oracle for `sloc_pairs`: for every candidate (sigma, sigma') the
+    witnesses usable inside sigma' are filtered afresh and tested against
+    every subset of sigma of size min(s, |sigma|)."""
+    if s < 0:
+        raise DomainError("locality parameter must be >= 0")
+    carrier = Carrier(k)
+    check_cap("sloc_pairs candidate enumeration", 3 ** carrier.num_tuples(m), cap)
+    qm = [(p.rho.mask, p.rho_prime.mask) for p in Q if p.arity == m]
+    out = []
+    for sigma_mask in range(1 << carrier.num_tuples(m)):
+        members = [i for i in range(carrier.num_tuples(m)) if sigma_mask >> i & 1]
+        size = min(s, len(members))
+        subsets = [
+            sum(1 << i for i in B) for B in itertools.combinations(members, size)
+        ]
+        # witnesses usable inside a given sigma' are those with rho' <= sigma'
+        for sub in submasks(sigma_mask):
+            usable = [rho for rho, rho_p in qm if rho_p & ~sub == 0]
+            if all(any(B & ~rho == 0 for rho in usable) for B in subsets):
+                out.append(
+                    RelationPair(k, m, Relation(k, m, sigma_mask), Relation(k, m, sub))
+                )
+    return PairFamily(out)
 
 
 class TestSlocPairs:
@@ -502,6 +574,56 @@ class TestSlocPairs:
     def test_cap_refusal(self):
         with pytest.raises(CapExceeded):
             sloc_pairs([], 1, 3, 2, cap=100)
+
+    def test_rejects_a_pair_on_another_carrier(self):
+        # as polp does, instead of silently dropping the witness
+        p = next(iter(all_pairs(Carrier(3), 1)))
+        with pytest.raises(DomainError, match="carrier mismatch in pair family"):
+            sloc_pairs([p], 1, 1, 2)
+
+    def test_rejects_negative_arity(self):
+        with pytest.raises(DomainError, match="arity must be >= 0"):
+            sloc_pairs([pair_of(2, 1, [(0,), (1,)], [(1,)])], 1, -1, 2)
+
+    def test_matches_enumeration_k2(self):
+        # every k=2 family of one pair of arity <= 2 and a seeded sample of
+        # two-pair families, at s <= 3 and m in {1, 2}
+        pairs = [p for a in range(3) for p in all_pairs(C2, a)]
+        families = [[p] for p in pairs]
+        families += random.Random(23).sample(list(itertools.combinations(pairs, 2)), 150)
+        for Q in families:
+            for m in (1, 2):
+                for s in range(4):
+                    assert sloc_pairs(Q, s, m, 2) == sloc_pairs_enumerate(Q, s, m, 2), (Q, s, m)
+
+    def test_matches_enumeration_other_carriers(self):
+        # every family of at most two pairs of arity <= 2 at k = 0 and k = 1;
+        # seeded k=3 unary and binary families
+        cases = []
+        for k in (0, 1):
+            pairs = [p for a in range(3) for p in all_pairs(Carrier(k), a)]
+            families = [[]] + [[p] for p in pairs] + list(map(list, itertools.combinations(pairs, 2)))
+            cases += [(Q, s, m, k) for Q in families for m in range(3) for s in range(4)]
+        rng = random.Random(29)
+        unary = list(all_pairs(Carrier(3), 1))
+        cases += [(rng.sample(unary, rng.randint(1, 3)), s, 1, 3) for _ in range(20)
+                  for s in range(4)]
+        binary = [p for p in all_pairs(Carrier(3), 2) if rng.random() < 0.01]
+        cases += [(rng.sample(binary, 2), s, 2, 3) for _ in range(2) for s in (1, 2)]
+        for Q, s, m, k in cases:
+            assert sloc_pairs(Q, s, m, k) == sloc_pairs_enumerate(Q, s, m, k), (Q, s, m, k)
+
+    def test_matches_enumeration_on_closure_slices(self):
+        # the generated families that the pair-side check passes in
+        nand = Relation.from_tuples(C2, 2, [(0, 0), (0, 1), (1, 0)])
+        neq = Relation.from_tuples(C2, 2, [(0, 1), (1, 0)])
+        seeds = [[RelationPair.of(nand, neq)], [LEQ_PAIR],
+                 [pair_of(2, 1, [(0,), (1,)], [(1,)])]]
+        for Q in seeds:
+            m = Q[0].arity
+            gen = rpclone_generate_stable(Q, m).pairs
+            for s in (1, 2):
+                assert sloc_pairs(gen, s, m, 2) == sloc_pairs_enumerate(gen, s, m, 2), (Q, s)
 
 
 class TestDirectedness:

@@ -16,6 +16,7 @@ from pathlib import Path
 from typing import NamedTuple
 
 from .core import (
+    DEFAULT_CAP,
     CapExceeded,
     Carrier,
     DomainError,
@@ -196,23 +197,6 @@ def pair_to_obj(p: RelationPair) -> dict:
     return {"arity": p.arity, "rho": rel_to_obj(p.rho), "rho_prime": rel_to_obj(p.rho_prime)}
 
 
-def serialise_problem(problem: Problem) -> str:
-    lines = [f"domain {problem.carrier.k}"]
-    for name in sorted(problem.ops):
-        f = problem.ops[name]
-        lines.append(f"op {name}/{f.arity} = " + "".join(str(v) for v in f.table))
-    for name in sorted(problem.rels):
-        r = problem.rels[name]
-        items = ",".join(format_tuple(t) for t in r.tuples())
-        lines.append(f"rel {name}/{r.arity} = {{{items}}}")
-    for name in sorted(problem.pairs):
-        p = problem.pairs[name]
-        rho_name = next(n for n in sorted(problem.rels) if problem.rels[n] == p.rho)
-        rp_name = next(n for n in sorted(problem.rels) if problem.rels[n] == p.rho_prime)
-        lines.append(f"pair {name} = ({rho_name}, {rp_name})")
-    return "\n".join(lines) + "\n"
-
-
 def _named(problem: Problem, kind: str, names: list[str]):
     table = {"ops": problem.ops, "rels": problem.rels, "pairs": problem.pairs}[kind]
     out = []
@@ -364,7 +348,7 @@ def build_parser() -> argparse.ArgumentParser:
     parser.add_argument("--s", type=int, default=None)
     parser.add_argument("--intermediate-cap", type=int, default=None)
     parser.add_argument("--seed", type=int, default=0)
-    parser.add_argument("--caps", type=int, default=2 ** 20,
+    parser.add_argument("--caps", type=int, default=DEFAULT_CAP,
                         help="complexity cap before refusing")
     parser.add_argument("--k", type=int, default=None,
                         help="carrier size when no problem file is given")

@@ -141,14 +141,6 @@ def is_projection(f: Operation) -> bool:
     return any(f == projection(f.arity, i, carrier) for i in range(f.arity))
 
 
-def projections_upto(carrier: Carrier, max_arity: int) -> list[Operation]:
-    return [
-        projection(n, i, carrier)
-        for n in range(1, max_arity + 1)
-        for i in range(n)
-    ]
-
-
 def polymer(alpha: Sequence[int], f: Operation, m: int) -> Operation:
     """Re-index the arguments of f via alpha: n -> m, giving x -> f(x o alpha)."""
     if len(alpha) != f.arity:
@@ -301,16 +293,6 @@ class Relation:
         if (self.k, self.arity) != (other.k, other.arity):
             raise DomainError("relation comparison requires equal carrier and arity")
         return self.mask & ~other.mask == 0
-
-    def union(self, other: Relation) -> Relation:
-        if (self.k, self.arity) != (other.k, other.arity):
-            raise DomainError("relation union requires equal carrier and arity")
-        return Relation(self.k, self.arity, self.mask | other.mask)
-
-    def intersection(self, other: Relation) -> Relation:
-        if (self.k, self.arity) != (other.k, other.arity):
-            raise DomainError("relation intersection requires equal carrier and arity")
-        return Relation(self.k, self.arity, self.mask & other.mask)
 
     def sort_key(self):
         return (self.arity, self.mask)

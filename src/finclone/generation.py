@@ -5,13 +5,14 @@ generated clone minus projections is composition-closed.
 The generation engine is a single fixpoint: starting from a seed set B of
 K-indexed value tuples, each round applies every generator row-wise to tuples
 already derived.  n-ary parts of generated structures come out of the same
-engine with K = A^n and the projection tables as seed.  Rounds are
-semi-naive (Bancilhon & Ramakrishnan, 1986): a round applies a generator
-only to argument tuples holding a tuple derived in the previous round, since
-the images of older tuples are already in R; the results and round counts
-are those of the naive loop, which the tests keep as the oracle.  Rows are
-evaluated on value-table indices by the matrix-row engine of `core`, not
-through `Operation.__call__`.
+engine with K = A^n and the projection tables as seed; a transformation
+semigroup is the unary part.  Rounds are semi-naive (Bancilhon &
+Ramakrishnan, 1986): a round applies a generator only to argument tuples
+holding a tuple derived in the previous round, since the images of older
+tuples are already in R; the results and round counts are those of the naive
+loop, which the tests keep as the oracle.  Rows are evaluated on value-table
+indices by the matrix-row engine of `core`, not through
+`Operation.__call__`.
 """
 
 from __future__ import annotations
@@ -26,7 +27,6 @@ from .core import (
     OpFamily,
     Operation,
     check_cap,
-    compose,
     is_projection,
     polymer,
     projection,
@@ -65,24 +65,17 @@ def iterative_op(symbol: str, f: Operation) -> Operation:
 
 def star(f: Operation, g: Operation) -> Operation:
     """Binary composition of the iterative algebra: feed g into the first
-    argument slot of f, keeping the remaining arguments fresh."""
+    argument slot of f, keeping the remaining arguments fresh, so the result
+    is f(g(x_0,...,x_{m-1}), x_m,...,x_{n+m-2}).  A nullary f gives its
+    constant at arity max(0, m - 1)."""
     if f.k != g.k:
         raise DomainError("carrier mismatch in star")
     n, m = f.arity, g.arity
-    k_out = max(0, n + m - 1)
-    carrier = f.carrier
+    arity = max(0, n + m - 1)
     if n == 0:
-        if k_out == 0:
-            return f
-        return polymer([], f, k_out)
-    inner_first = compose(g, [projection(k_out, i, carrier) for i in range(m)], k_out) \
-        if m > 0 else polymer([], g, k_out)
-    if n == 1:
-        if m == 0:
-            return compose(f, [g])
-        return compose(f, [inner_first])
-    rest = [projection(k_out, m + j, carrier) for j in range(n - 1)]
-    return compose(f, [inner_first] + rest)
+        return Operation(f.k, arity, f.table * f.k ** arity)
+    table = tuple(f((g(x[:m]),) + x[m:]) for x in f.carrier.tuples(arity))
+    return Operation(f.k, arity, table)
 
 
 @dataclass(frozen=True)
@@ -122,6 +115,8 @@ def gamma_fixpoint(
     for f in ops:
         if f.k != k:
             raise DomainError("carrier mismatch in operation family")
+    if ksize < 0:
+        raise DomainError("index-set size must be >= 0")
     check_cap("gamma tuple space", k ** ksize, cap)
     Carrier(k)  # raises DomainError for k < 0
     R: set[tuple[int, ...]] = set()
@@ -167,6 +162,8 @@ def semiclone_nary_part(F: Iterable[Operation], n: int, k: int, cap: int = DEFAU
     projection tables; an n-ary operation is exactly its tuple of values.  At
     n = 0 the seed is empty and S holds the derivable constants.
     """
+    if n < 0:
+        raise DomainError("arity must be >= 0")
     carrier = Carrier(k)
     seed = [tuple(t[i] for t in carrier.tuples(n)) for i in range(n)]
     result = gamma_fixpoint(F, carrier.num_tuples(n), seed, k, cap)
@@ -181,31 +178,13 @@ def clone_nary_part(F: Iterable[Operation], n: int, k: int, cap: int = DEFAULT_C
 
 
 def semigroup_generate(G: Iterable[Operation]) -> OpFamily:
-    """Closure of a set of unary operations under composition."""
+    """Closure of a set of unary operations under composition: the unary
+    part of the semiclone they generate."""
     gens = list(G)
     for g in gens:
         if g.arity != 1:
             raise DomainError("semigroup generation takes unary operations only")
-    S: set[Operation] = set(gens)
-    while True:
-        new = {compose(f, [g]) for f in S for g in S} - S
-        if not new:
-            return OpFamily(S)
-        S |= new
-
-
-def semigroup_nary_part(G: Iterable[Operation], n: int, k: int) -> OpFamily:
-    """The n-ary part of the semiclone generated by a set of unary maps:
-    members of the generated semigroup applied to one coordinate."""
-    if n < 1:
-        return OpFamily()
-    carrier = Carrier(k)
-    S = semigroup_generate(G)
-    return OpFamily(
-        compose(f, [projection(n, i, carrier)])
-        for f in S
-        for i in range(n)
-    )
+    return semiclone_nary_part(gens, 1, gens[0].k) if gens else OpFamily()
 
 
 def decide_projections(F: Iterable[Operation], k: int, cap: int = DEFAULT_CAP) -> bool:

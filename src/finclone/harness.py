@@ -15,6 +15,7 @@ from dataclasses import dataclass, field
 from typing import Callable, Iterable
 
 from .core import (
+    DEFAULT_CAP,
     Carrier,
     CapExceeded,
     OpFamily,
@@ -30,7 +31,6 @@ from .core import (
     identity_op,
     is_projection,
     projection,
-    projections_upto,
 )
 from .generation import (
     clone_nary_part,
@@ -42,9 +42,9 @@ from .generation import (
 from .preserve import (
     inv,
     invp,
+    invp_least,
     invp_upto,
     least_invp,
-    least_of,
     pol,
     polp,
     polp_least,
@@ -99,7 +99,7 @@ def _pair_key(p: RelationPair) -> str:
 
 
 def check_galois_axioms(k: int = 2, op_arity_cap: int = 2, pair_arity_cap: int = 2,
-                        cap: int = 2 ** 20) -> Report:
+                        cap: int = DEFAULT_CAP) -> Report:
     """Antitonicity, extensivity and triple-composition idempotence of the
     window-restricted maps between operation sets and pair families,
     exhaustively over singletons and their two-element unions."""
@@ -146,7 +146,7 @@ def check_galois_axioms(k: int = 2, op_arity_cap: int = 2, pair_arity_cap: int =
 
 
 def check_op_side_characterisation(F: Iterable[Operation], s: int, n: int, k: int,
-                                   cap: int = 2 ** 20) -> Report:
+                                   cap: int = DEFAULT_CAP) -> Report:
     """Polymorphisms of all invariant pairs of arity <= s equal the s-local
     closure of the generated composition-closed set, via two independent
     pipelines; also the single-arity-s variant on non-empty carriers."""
@@ -176,7 +176,7 @@ def check_op_side_characterisation(F: Iterable[Operation], s: int, n: int, k: in
 
 
 def check_least_invariant_pair(F: Iterable[Operation], B: Iterable[tuple[int, ...]],
-                               k: int, cap: int = 2 ** 20) -> Report:
+                               k: int, cap: int = DEFAULT_CAP) -> Report:
     """The generation fixpoint over K = A returns the componentwise-least
     invariant pair whose first component contains the seed, compared against
     brute-force enumeration; the round count respects the chain bound."""
@@ -226,7 +226,7 @@ def check_least_invariant_pair(F: Iterable[Operation], B: Iterable[tuple[int, ..
 
 
 def check_finite_collapse(Q: Iterable[RelationPair], m: int, k: int,
-                          cap: int = 2 ** 20) -> Report:
+                          cap: int = DEFAULT_CAP) -> Report:
     """On a finite carrier the relaxation closure, the local closure, and the
     s-local closure at s = k^m coincide."""
     pairs = list(Q)
@@ -246,7 +246,7 @@ def check_finite_collapse(Q: Iterable[RelationPair], m: int, k: int,
 
 
 def check_pair_side_characterisation(Q: Iterable[RelationPair], s: int, m: int, k: int,
-                                     cap: int = 2 ** 20) -> Report:
+                                     cap: int = DEFAULT_CAP) -> Report:
     """Invariant pairs of all polymorphisms of arity <= s equal the s-local
     closure of the generated relation pair clone.  A shortfall of the
     generated side is reported as generation incompleteness; a surplus would
@@ -258,17 +258,16 @@ def check_pair_side_characterisation(Q: Iterable[RelationPair], s: int, m: int, 
 
     def body():
         F_all = polp_upto(pairs, s, k, cap)
-        lhs = invp(F_all, m, k, cap)
+        least = least_invp(F_all, m, k, cap)
+        lhs = invp_least(least, m, k)
         # window variants checked purely on the brute-force side, by their
         # least second components, which determine invp
-        least = least_of(lhs, k)
-        window = lambda F: {(m, rho): need for rho, need in least_invp(F, m, k, cap).items()}
         f_s = F_all.part(s)
         f_0s = F_all.part(0).union(f_s)
-        if window(f_0s) != least:
+        if least_invp(f_0s, m, k, cap) != least:
             return "fail", {"variant": "arities {0,s}"}, {}
         if any(p.rho.mask == 0 for p in pairs):
-            if window(f_s) != least:
+            if least_invp(f_s, m, k, cap) != least:
                 return "fail", {"variant": "single arity s with empty pair"}, {}
         gen = rpclone_generate_stable(pairs, m, k, cap)
         rhs = sloc_pairs(gen.pairs, s, m, k, cap)
@@ -293,7 +292,7 @@ def check_pair_side_characterisation(Q: Iterable[RelationPair], s: int, m: int, 
     return _run("pair-side-characterisation", params, body)
 
 
-def check_semiclone_laws(F: Iterable[Operation], k: int, cap: int = 2 ** 20) -> Report:
+def check_semiclone_laws(F: Iterable[Operation], k: int, cap: int = DEFAULT_CAP) -> Report:
     """Structural laws of generated composition-closed sets on the computed
     arity window: projections generate exactly the trivial operations, adding
     the identity adds exactly the trivial operations, the trivial part of a
@@ -307,7 +306,7 @@ def check_semiclone_laws(F: Iterable[Operation], k: int, cap: int = 2 ** 20) -> 
         carrier = Carrier(k)
         triv = {n: OpFamily(projection(n, i, carrier) for i in range(n)) for n in window}
         if k > 0:
-            for e in projections_upto(carrier, 2):
+            for e in itertools.chain(*triv.values()):
                 for n in window:
                     if semiclone_nary_part([e], n, k, cap) != triv[n]:
                         return "fail", {"law": "projections generate trivials",
@@ -356,7 +355,7 @@ def check_semiclone_laws(F: Iterable[Operation], k: int, cap: int = 2 ** 20) -> 
 
 
 def check_projection_decidability(F: Iterable[Operation], k: int,
-                                  cap: int = 2 ** 20) -> Report:
+                                  cap: int = DEFAULT_CAP) -> Report:
     """The fixpoint decision for whether the generated clone minus
     projections stays composition-closed, cross-validated by a direct closure
     test on the computed arity window."""
@@ -389,7 +388,7 @@ def check_projection_decidability(F: Iterable[Operation], k: int,
     return _run("projection-decidability", params, body)
 
 
-def check_transformation_semigroups(k: int = 2, cap: int = 2 ** 20) -> Report:
+def check_transformation_semigroups(k: int = 2, cap: int = DEFAULT_CAP) -> Report:
     """Every composition-closed set of unary maps is recovered as the unary
     polymorphisms of its invariant pairs up to arity 2; proper ones (without
     the identity) exhibit a strictly relaxing invariant pair."""
@@ -425,7 +424,7 @@ def check_transformation_semigroups(k: int = 2, cap: int = 2 ** 20) -> Report:
 
 def check_directed_unions(Q: Iterable[RelationPair], s: int, m: int, k: int,
                           seed: int = 0, samples: int = 50,
-                          cap: int = 2 ** 20) -> Report:
+                          cap: int = DEFAULT_CAP) -> Report:
     """Unions of s-directed subfamilies of an s-local closure stay inside it."""
     pairs = list(Q)
     params = {"k": k, "s": s, "m": m, "seed": seed, "samples": samples,
@@ -475,7 +474,7 @@ def _sloc_rels(rels: list[Relation], s: int, m: int, k: int) -> list[Relation]:
 
 
 def check_classical(F: Iterable[Operation], Q1: Iterable[Relation], s: int, k: int,
-                    cap: int = 2 ** 20) -> Report:
+                    cap: int = DEFAULT_CAP) -> Report:
     """The identical-pair specialisation: the s-local closure of the
     generated clone equals the polymorphisms of the classical invariants,
     projection-containing sets have only identical invariant pairs, the empty
@@ -589,7 +588,7 @@ CHECKS: list[tuple[str, Callable[[_SuiteInputs], Report]]] = [
 ]
 
 
-def run_checks(name: str, k: int = 2, seed: int = 0, cap: int = 2 ** 20) -> list[Report]:
+def run_checks(name: str, k: int = 2, seed: int = 0, cap: int = DEFAULT_CAP) -> list[Report]:
     """Run every entry of CHECKS for 'all', else the first entry called
     `name`; raise KeyError for a name CHECKS does not have."""
     inputs = _SuiteInputs(k, seed, cap)

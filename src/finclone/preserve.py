@@ -203,11 +203,16 @@ def least_invp(F: Iterable[Operation], m: int, k: int, cap: int = DEFAULT_CAP) -
 
 
 def invp(F: Iterable[Operation], m: int, k: int, cap: int = DEFAULT_CAP) -> PairFamily:
-    """All m-ary relation pairs preserved by every operation in F: for each
-    entry rho: F[rho] of `least_invp`, the pairs (rho, rho') with
-    F[rho] ⊆ rho' ⊆ rho."""
+    """All m-ary relation pairs preserved by every operation in F: the pairs
+    that `invp_least` spans on the map of `least_invp`."""
+    return invp_least(least_invp(F, m, k, cap), m, k)
+
+
+def invp_least(least: dict[int, int], m: int, k: int) -> PairFamily:
+    """For each entry rho: F[rho] of a `least_invp` map, the m-ary pairs
+    (rho, rho') with F[rho] ⊆ rho' ⊆ rho."""
     out = []
-    for rho, need in least_invp(F, m, k, cap).items():
+    for rho, need in least.items():
         first = Relation(k, m, rho)
         out.extend(RelationPair(k, m, first, Relation(k, m, need | t))
                    for t in submasks(rho & ~need))
@@ -256,6 +261,8 @@ def sloc_ops(F: Iterable[Operation], s: int, n: int, k: int, cap: int = DEFAULT_
     """
     if s < 0:
         raise DomainError("locality parameter must be >= 0")
+    if n < 0:
+        raise DomainError("arity must be >= 0")
     carrier = Carrier(k)
     fs = [f for f in F if f.arity == n]
     for f in fs:

@@ -435,16 +435,12 @@ def rpclone_generate_stable(
     target_cap: int,
     k: int | None = None,
     cap: int = DEFAULT_CAP,
-    max_intermediate: int | None = None,
     max_pairs: int = 200_000,
 ) -> RpCloneResult:
     """Raise the intermediate cap from the target arity until the restricted
-    slice is unchanged for two consecutive increments; the earliest possible
-    stop is the default cap target + 2."""
-    if max_intermediate is None:
-        max_intermediate = target_cap + 3
-    return _rpclone_by_cap(Q, target_cap, target_cap, max_intermediate, 3, k, cap,
-                           max_pairs)
+    slice is unchanged for two consecutive increments, at most to target + 3;
+    the earliest possible stop is the default cap target + 2."""
+    return _rpclone_by_cap(Q, target_cap, target_cap, target_cap + 3, 3, k, cap, max_pairs)
 
 
 def sloc_pairs(
@@ -511,14 +507,13 @@ def is_s_directed(T: Iterable[RelationPair], s: int, cap: int = DEFAULT_CAP) -> 
     union = 0
     for mask in firsts:
         union |= mask
-    members = [i for i in range(union.bit_length()) if union >> i & 1]
-    for t in range(min(s, len(members)) + 1):
-        for combo in itertools.combinations(members, t):
-            picked = sum(1 << i for i in combo)
-            # only choices where each tuple lies in some first component matter,
-            # and every member of the union does by construction
-            if not any(picked & ~mask == 0 for mask in firsts):
-                return False
+    members = list(bit_indices(union))
+    # a member containing a choice contains every subset of it, so only
+    # choices of min(s, |union|) tuples are tested
+    for combo in itertools.combinations(members, min(s, len(members))):
+        picked = sum(1 << i for i in combo)
+        if not any(picked & ~mask == 0 for mask in firsts):
+            return False
     return True
 
 

@@ -13,6 +13,7 @@ from finclone.core import (
     check_cap,
     compose,
     is_projection,
+    polymer,
     projection,
 )
 from finclone.generation import (
@@ -23,7 +24,6 @@ from finclone.generation import (
     iterative_op,
     semiclone_nary_part,
     semigroup_generate,
-    semigroup_nary_part,
     star,
 )
 from finclone.preserve import preserves
@@ -98,6 +98,49 @@ class TestStar:
         c1 = Operation(2, 0, (1,))
         h = star(c1, AND)
         assert h.arity == 1 and h.table == (1, 1)
+
+
+def star_by_composition(f, g):
+    """`star` assembled from `compose`, `projection` and `polymer`: g over
+    the first m projections of arity n + m - 1 feeds f's first slot, the
+    later projections its other slots."""
+    n, m = f.arity, g.arity
+    k_out = max(0, n + m - 1)
+    carrier = f.carrier
+    if n == 0:
+        if k_out == 0:
+            return f
+        return polymer([], f, k_out)
+    inner_first = compose(g, [projection(k_out, i, carrier) for i in range(m)], k_out) \
+        if m > 0 else polymer([], g, k_out)
+    if n == 1:
+        if m == 0:
+            return compose(f, [g])
+        return compose(f, [inner_first])
+    rest = [projection(k_out, m + j, carrier) for j in range(n - 1)]
+    return compose(f, [inner_first] + rest)
+
+
+class TestStarByComposition:
+    """`star` from its definition against `star_by_composition`."""
+
+    def test_every_pair_up_to_arity_2_at_k_le_2(self):
+        for k in (0, 1, 2):
+            ops = [f for n in (0, 1, 2) for f in all_operations(Carrier(k), n)]
+            for f in ops:
+                for g in ops:
+                    assert star(f, g) == star_by_composition(f, g), (f, g)
+
+    def test_k3_seeded_pairs(self):
+        rng = random.Random(8)
+        for _ in range(100):
+            f, g = (Operation(3, n, tuple(rng.randrange(3) for _ in range(3 ** n)))
+                    for n in (rng.randrange(4), rng.randrange(4)))
+            assert star(f, g) == star_by_composition(f, g), (f, g)
+
+    def test_carrier_mismatch(self):
+        with pytest.raises(DomainError, match="carrier mismatch in star"):
+            star(NOT, Operation(3, 1, (0, 1, 2)))
 
 
 class TestGammaFixpoint:
@@ -330,7 +373,29 @@ class TestGeneratedParts:
             assert p1.issubset(regen1)
 
 
+def semigroup_by_composition(G):
+    """Closure of unary maps under composition: compose every two members
+    until nothing new appears."""
+    S = set(G)
+    while True:
+        new = {compose(f, [g]) for f in S for g in S} - S
+        if not new:
+            return OpFamily(S)
+        S |= new
+
+
 class TestSemigroups:
+    def test_matches_composition_closure(self):
+        for k, size in ((0, 1), (1, 1), (2, 3)):
+            unary = list(all_operations(Carrier(k), 1))
+            for G in _families(unary, size):
+                assert semigroup_generate(G) == semigroup_by_composition(G), G
+        rng = random.Random(9)
+        unary = list(all_operations(Carrier(3), 1))
+        for _ in range(60):
+            G = rng.sample(unary, rng.randint(1, 4))
+            assert semigroup_generate(G) == semigroup_by_composition(G), G
+
     def test_not_generates_monoid(self):
         assert semigroup_generate([NOT]) == OpFamily([ID, NOT])
 
@@ -341,9 +406,13 @@ class TestSemigroups:
         assert len(semigroup_generate([])) == 0
 
     def test_nary_wrapper_matches_generated_semiclone(self):
+        # the n-ary part of the semiclone generated by unary maps: members of
+        # their semigroup applied to one coordinate
         for G in ([NOT], [CONST0], [NOT, CONST0]):
             for n in (1, 2):
-                assert semigroup_nary_part(G, n, 2) == semiclone_nary_part(G, n, 2)
+                want = OpFamily(compose(f, [projection(n, i, C2)])
+                                for f in semigroup_by_composition(G) for i in range(n))
+                assert semiclone_nary_part(G, n, 2) == want
 
     def test_rejects_non_unary(self):
         with pytest.raises(DomainError):

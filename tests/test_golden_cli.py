@@ -180,6 +180,13 @@ ERRORS = [
      "input error: arity must be >= 0\n"),
     ("k2", ["rpclone", "--pairs", "strict", "--max-arity", "-1"], 3,
      "input error: target arity must be >= 0\n"),
+    ("k2", ["sloc", "--ops", "and", "--s", "1", "--arity", "-1"], 3,
+     "input error: arity must be >= 0\n"),
+    ("k2", ["gen-clone", "--ops", "and", "--arity", "-1"], 3, "input error: arity must be >= 0\n"),
+    ("k2", ["gen-semiclone", "--ops", "and", "--arity", "-1"], 3,
+     "input error: arity must be >= 0\n"),
+    ("k2", ["gamma", "--ops", "and", "--ksize", "-1"], 3,
+     "input error: index-set size must be >= 0\n"),
 ]
 
 

@@ -14,6 +14,7 @@ from finclone.core import (
     Relation,
     RelationPair,
     all_pairs,
+    bit_indices,
     check_cap,
     enc,
     submasks,
@@ -626,7 +627,31 @@ class TestSlocPairs:
                 assert sloc_pairs(gen, s, m, 2) == sloc_pairs_enumerate(gen, s, m, 2), (Q, s)
 
 
+def is_s_directed_by_definition(T, s):
+    """Every choice of at most s tuples from the union of the first
+    components lies inside one member's first component, tested at every
+    size up to s."""
+    firsts = [p.rho.mask for p in T]
+    if not firsts:
+        return False
+    members = list(bit_indices(functools.reduce(int.__or__, firsts)))
+    return all(
+        any(not sum(1 << i for i in combo) & ~mask for mask in firsts)
+        for t in range(min(s, len(members)) + 1)
+        for combo in itertools.combinations(members, t)
+    )
+
+
 class TestDirectedness:
+    def test_matches_definition_on_seeded_k2_families(self):
+        rng = random.Random(12)
+        by_arity = {m: list(all_pairs(C2, m)) for m in (0, 1, 2)}
+        for _ in range(300):
+            pairs = by_arity[rng.randrange(3)]
+            T = rng.sample(pairs, rng.randint(1, min(5, len(pairs))))
+            for s in range(6):
+                assert is_s_directed(T, s) == is_s_directed_by_definition(T, s), (T, s)
+
     def test_empty_family_not_directed(self):
         assert is_s_directed([], 1) is False
 

@@ -10,13 +10,16 @@ semigroup is the unary part.  Rounds are semi-naive (Bancilhon &
 Ramakrishnan, 1986): a round applies a generator only to argument tuples
 holding a tuple derived in the previous round, since the images of older
 tuples are already in R; the results and round counts are those of the naive
-loop, which the tests keep as the oracle.  Rows are evaluated on value-table
+loop, which the tests keep as the oracle.  Once R is all of A^K no round is
+run: every matrix over A^K occurs, so S is completed in closed form by
+(image of f on A)^K for each generator f.  Rows are evaluated on value-table
 indices by the matrix-row engine of `core`, not through
 `Operation.__call__`.
 """
 
 from __future__ import annotations
 
+import itertools
 from dataclasses import dataclass
 from typing import Iterable, Sequence
 
@@ -110,6 +113,13 @@ def gamma_fixpoint(
     are those of re-applying every generator to all of R each round.  Rows
     are evaluated on table indices: member j of an argument tuple is kept
     pre-scaled by k^(a-1-j), so one row is a sum of column digits.
+
+    The loop stops as soon as R is all of A^K, the seeds included, since no
+    later round can add to R.  The naive loop's last round would then apply
+    each generator f of arity > 0 to every matrix over A^K, whose images are
+    exactly (image of f on A)^K; the images over earlier, smaller R are
+    subsets of it.  So S is S so far, plus the nullary constants, plus those
+    products, and `steps` counts the round that filled R.
     """
     ops = list(F)
     for f in ops:
@@ -133,10 +143,11 @@ def gamma_fixpoint(
     # the first `old` entries are the members from before the last round
     scaled = {k ** j: [] for f in gens for j in range(f.arity)}
     fresh = R
-    new_s = {(f.table[0],) * ksize for f in ops if f.arity == 0}
+    consts = {(f.table[0],) * ksize for f in ops if f.arity == 0}
+    new_s = set(consts)
     S: set[tuple[int, ...]] = set()
     steps = 0
-    while True:
+    while len(R) < k ** ksize:
         old = len(R) - len(fresh)
         for w, column in scaled.items():
             column.extend(tuple(x * w for x in t) for t in fresh)
@@ -153,6 +164,11 @@ def gamma_fixpoint(
         R |= fresh
         new_s = set()
         steps += 1
+    # R is all of A^K: the naive loop's last round, in closed form
+    S |= consts
+    for image in {frozenset(f.table) for f in gens}:
+        S.update(itertools.product(sorted(image), repeat=ksize))
+    return GammaResult(frozenset(R), frozenset(S), steps)
 
 
 def semiclone_nary_part(F: Iterable[Operation], n: int, k: int, cap: int = DEFAULT_CAP) -> OpFamily:
@@ -195,6 +211,7 @@ def decide_projections(F: Iterable[Operation], k: int, cap: int = DEFAULT_CAP) -
     non-projection part of F; tested via the fixpoint with K = A seeded with
     the identity tuple.  A carrier of size 0 makes the question vacuous.
     """
+    Carrier(k)  # raises DomainError for k < 0
     if k == 0:
         return True
     ops = [f for f in F if not is_projection(f)]

@@ -493,10 +493,12 @@ def loc_pairs(Q: Iterable[RelationPair], m: int, k: int, cap: int = DEFAULT_CAP)
     return sloc_pairs(Q, Carrier(k).num_tuples(m), m, k, cap)
 
 
-def is_s_directed(T: Iterable[RelationPair], s: int, cap: int = DEFAULT_CAP) -> bool:
+def is_s_directed(T: Iterable[RelationPair], s: int) -> bool:
     """True iff for every choice of at most s tuples, each drawn from the
     first component of some member, a single member's first component
     contains them all."""
+    if s < 0:
+        raise DomainError("locality parameter must be >= 0")
     pairs = list(T)
     if not pairs:
         return False

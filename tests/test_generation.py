@@ -3,6 +3,7 @@ import random
 
 import pytest
 
+from finclone import generation
 from finclone.core import (
     CapExceeded,
     Carrier,
@@ -35,6 +36,7 @@ NOT = Operation(2, 1, (1, 0))
 CONST0 = Operation(2, 1, (0, 0))
 AND = Operation(2, 2, (0, 0, 0, 1))
 OR = Operation(2, 2, (0, 1, 1, 1))
+NAND = Operation(2, 2, (1, 1, 1, 0))
 
 
 class TestIterativeOps:
@@ -249,13 +251,18 @@ class TestSemiNaiveGamma:
     OPS_K2 = [f for n in (0, 1, 2) for f in all_operations(C2, n)]
 
     def check(self, F, ksize, B, k):
-        assert gamma_fixpoint(F, ksize, B, k) == gamma_by_definition(F, ksize, B, k)
+        got = gamma_fixpoint(F, ksize, B, k)
+        assert got == gamma_by_definition(F, ksize, B, k)
+        return got
 
     def test_k2_families_on_projection_seeds(self):
+        filled = 0
         for n in (1, 2):
             seed = [tuple(t[i] for t in C2.tuples(n)) for i in range(n)]
             for F in _families(self.OPS_K2, 2):
-                self.check(F, 2 ** n, seed, 2)
+                filled += len(self.check(F, 2 ** n, seed, 2).R) == 4 ** n
+        # most families reach the exit that R is all of A^K
+        assert filled > 100
 
     def test_k2_every_seed_set_at_ksize_2(self):
         space = list(C2.tuples(2))
@@ -268,12 +275,50 @@ class TestSemiNaiveGamma:
         for k in (0, 1):
             carrier = Carrier(k)
             ops = [f for n in (0, 1, 2, 3) for f in all_operations(carrier, n)]
-            for ksize in (0, 1, 2):
+            for ksize in (0, 1, 2, 3):
                 space = list(carrier.tuples(ksize))
                 for bits in range(1 << len(space)):
                     B = [space[i] for i in range(len(space)) if bits >> i & 1]
                     for F in _families(ops, 2):
                         self.check(F, ksize, B, k)
+
+    def test_k2_small_and_full_seeds(self):
+        # every seed set at ksize 0 and 1, and at ksize 3 the full one, which
+        # is all of A^K before round 0
+        for ksize in (0, 1, 3):
+            space = list(C2.tuples(ksize))
+            seeds = [space] if ksize == 3 else [
+                [space[i] for i in range(len(space)) if bits >> i & 1]
+                for bits in range(1 << len(space))]
+            for B in seeds:
+                for F in _families(self.OPS_K2, 2):
+                    self.check(F, ksize, B, 2)
+
+    def test_k3_families_that_fill(self):
+        # webb(x, y) = max(x, y) + 1 mod 3 is a Sheffer operation
+        C3 = Carrier(3)
+        webb = Operation(3, 2, tuple((max(t) + 1) % 3 for t in C3.tuples(2)))
+        succ = Operation(3, 1, tuple((x + 1) % 3 for x in range(3)))
+        families = ([webb], [webb, Operation(3, 0, (2,))], [succ, webb], [succ])
+        sizes = [len(self.check(F, 3, [tuple(range(3))], 3).R) for F in families]
+        assert sizes == [27, 27, 27, 3]
+
+    def test_no_round_after_R_fills(self, monkeypatch):
+        # each round calls the row engine once per argument position; once
+        # R is all of A^K the naive loop's last round is not run
+        calls, row_images = [], generation.row_images
+
+        def counted(table, pools, width):
+            calls.append(len(pools))
+            return row_images(table, pools, width)
+
+        seed = [(0, 0, 1, 1), (0, 1, 0, 1)]
+        monkeypatch.setattr(generation, "row_images", counted)
+        g = gamma_fixpoint([NAND], 4, seed, 2)
+        monkeypatch.undo()
+        assert len(g.R) == 16 and g.steps >= 1
+        assert len(calls) == 2 * g.steps
+        assert g == gamma_by_definition([NAND], 4, seed, 2)
 
     def test_same_errors_in_the_same_order(self):
         bad = [
@@ -428,6 +473,11 @@ class TestDecideProjections:
 
     def test_empty_family(self):
         assert decide_projections([], 2) is True
+
+    def test_negative_carrier_named_as_the_carrier(self):
+        with pytest.raises(DomainError, match=r"^carrier size must be >= 0, got -1$"):
+            decide_projections([], -1)
+        assert decide_projections([], 0) is True
 
     def test_projections_are_stripped(self):
         assert decide_projections([ID, CONST0], 2) is True

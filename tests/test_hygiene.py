@@ -1,6 +1,6 @@
 """Static hygiene of the library source: every imported name is used, every
-private top-level definition is referenced, and the package exports exactly
-what its `__init__` imports."""
+private top-level definition is referenced, the package exports exactly
+what its `__init__` imports, and no process-global cache is added."""
 
 import ast
 from collections import Counter
@@ -77,3 +77,42 @@ def test_all_matches_init_imports():
     assert sorted(finclone.__all__) == sorted(imported)
     assert len(set(finclone.__all__)) == len(finclone.__all__)
     assert [n for n in finclone.__all__ if not hasattr(finclone, n)] == []
+
+
+# the process-global caches the library has; one may be removed, none added
+KNOWN_CACHES = {"preserve.py: op_image_mask", "preserve.py: _scopes"}
+
+
+def _is_cache(decorator: ast.expr) -> bool:
+    node = decorator.func if isinstance(decorator, ast.Call) else decorator
+    name = node.attr if isinstance(node, ast.Attribute) else getattr(node, "id", None)
+    return name in ("lru_cache", "cache")
+
+
+def cached_functions(sources: dict[str, str]) -> set[str]:
+    """Functions, methods included, decorated with `functools.lru_cache` or
+    `functools.cache`, bare or called, by module or by imported name."""
+    return {f"{module}: {node.name}" for module, source in sources.items()
+            for node in ast.walk(ast.parse(source))
+            if isinstance(node, (ast.FunctionDef, ast.AsyncFunctionDef))
+            and any(map(_is_cache, node.decorator_list))}
+
+
+def test_cache_detector_flags_each_form(tmp_path):
+    source = ("import functools\nfrom functools import cache, lru_cache\n\n"
+              "@functools.lru_cache(maxsize=None)\ndef a():\n    pass\n\n"
+              "@functools.cache\ndef b():\n    pass\n\n"
+              "@lru_cache\ndef c():\n    pass\n\n"
+              "class D:\n    @cache\n    def d(self):\n        pass\n\n"
+              "    @functools.cached_property\n    def e(self):\n        pass\n")
+    assert cached_functions({"m.py": source}) == {"m.py: a", "m.py: b", "m.py: c", "m.py: d"}
+    # a copy of the library with one more cache is caught
+    copy = tmp_path / "core.py"
+    copy.write_text((SRC / "core.py").read_text()
+                    + "\n\n@functools.lru_cache(maxsize=8)\ndef _memo(x):\n    return x\n")
+    assert cached_functions({"core.py": copy.read_text()}) == {"core.py: _memo"}
+
+
+def test_no_new_process_global_cache():
+    sources = {p.name: p.read_text() for p in SRC.glob("*.py")}
+    assert cached_functions(sources) - KNOWN_CACHES == set()

@@ -675,6 +675,15 @@ class TestDirectedness:
         with pytest.raises(DomainError):
             is_s_directed([LEQ_PAIR, full_pair(1, 2)], 1)
 
+    def test_negative_s_rejected(self):
+        for T in ([LEQ_PAIR], []):
+            with pytest.raises(DomainError, match="locality parameter must be >= 0"):
+                is_s_directed(T, -1)
+
+    def test_takes_no_cap(self):
+        with pytest.raises(TypeError):
+            is_s_directed([LEQ_PAIR], 1, 2 ** 20)
+
     def test_union_family(self):
         T = [pair_of(2, 1, [(0,)], [(0,)]), pair_of(2, 1, [(1,)], [])]
         u = union_family(T)

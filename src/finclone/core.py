@@ -1,18 +1,27 @@
 """Shared substrate: carriers, dense tuple encodings, operations, relations,
-relation pairs, canonical families, composition and the relaxation closure.
+relation pairs, canonical families, composition, the relaxation closure and
+the matrix-row engine.
 
 All values are immutable after construction and all functions are pure.
 Tuples over the carrier {0,...,k-1} are encoded base-k with position 0 most
 significant: (x_0,...,x_{m-1}) -> sum x_i * k^(m-1-i).  Every other module
 inherits this encoding.
+
+The matrix-row engine (`row_sums`, `row_images`) works on byte lanes: a
+tuple is packed as `bytes` with one lane of 1, 2, 4 or 8 bytes per entry
+(`pack`), and a column of a matrix is that string read as one int and
+scaled by its place in the table index.  The sum of the columns holds every
+row of the matrix as a table index, one per lane, and no lane carries into
+the next.  With one-byte lanes the image of all rows under a value table is
+one `bytes.translate`.
 """
 
 from __future__ import annotations
 
 import itertools
+import sys
 from dataclasses import dataclass
-from operator import add
-from typing import Iterable, Iterator, Sequence
+from typing import Iterable, Iterator, NamedTuple, Sequence
 
 
 class DomainError(ValueError):
@@ -197,36 +206,82 @@ def submasks(mask: int) -> Iterator[int]:
         s = (s - 1) & mask
 
 
-def row_sums(pools: Sequence[Sequence[tuple[int, ...]]], width: int) -> Iterator[tuple[int, ...]]:
-    """Entrywise sums of one tuple from each pool, over the product of the pools.
+# Lanes are laid out in native byte order, so `memoryview.cast` reads them.
+_LANE_ORDER = sys.byteorder
+_LANE_FORMATS = {1: "B", 2: "H", 4: "I", 8: "Q"}
 
-    This is the matrix-row engine.  When pool j holds the columns of an
-    n-column matrix scaled by k^(n-1-j), entry r of a sum is row r of the
-    matrix read as an index into an n-ary value table; the sum is the
-    matrix's scope.  With no pools the one sum is the all-zero tuple of
-    length `width`.
+
+def lane_bytes(size: int) -> int:
+    """Bytes per lane for lanes holding every value below `size`: 1, 2, 4 or 8."""
+    return next(b for b in _LANE_FORMATS if size <= 256 ** b)
+
+
+def pack(t: Sequence[int], lane: int) -> bytes:
+    """The tuple t as a lane string, `lane` bytes per entry, entry 0 first."""
+    if lane == 1:
+        return bytes(t)
+    return b"".join(x.to_bytes(lane, _LANE_ORDER) for x in t)
+
+
+def unpack(data: bytes, lane: int) -> tuple[int, ...]:
+    """The tuple that `pack` laid out as `data`."""
+    if lane == 1:
+        return tuple(data)
+    return tuple(memoryview(data).cast(_LANE_FORMATS[lane]))
+
+
+def lane_ints(data: Iterable[bytes]) -> list[int]:
+    """Each lane string read as the one int that `row_sums` adds."""
+    return [int.from_bytes(d, _LANE_ORDER) for d in data]
+
+
+class LaneTable(NamedTuple):
+    """An operation's value table laid out for `row_images` on lanes of
+    `lane` bytes: with one-byte lanes the 256-byte table of `bytes.translate`,
+    else each value packed as one lane."""
+
+    lane: int
+    values: bytes | tuple[bytes, ...]
+
+    @classmethod
+    def of(cls, table: Sequence[int], lane: int) -> LaneTable:
+        if lane == 1:
+            return cls(1, bytes(table).ljust(256, b"\0"))
+        return cls(lane, tuple(v.to_bytes(lane, _LANE_ORDER) for v in table))
+
+
+def row_sums(pools: Sequence[Sequence[int]]) -> Iterator[int]:
+    """Sums of one int from each pool, over the product of the pools.
+
+    This is the matrix-row engine.  A member of a pool is a tuple packed as
+    one int (`lane_ints`), one lane per entry.  When pool j holds the
+    columns of an n-column matrix scaled by k^(n-1-j), lane r of a sum is
+    row r of the matrix read as an index into an n-ary value table, and the
+    sum is the matrix's scope; lanes never carry while the lanes hold k^n.
+    With no pools the one sum is 0, the all-zero scope.
     """
     if not pools:
-        yield (0,) * width
-        return
+        return iter((0,))
     *front, last = pools
     if not front:
-        yield from last
-        return
-    for row in row_sums(front, width):
-        for y in last:
-            yield tuple(map(add, row, y))
+        return iter(last)
+    return (row + y for row in row_sums(front) for y in last)
 
 
-def row_images(table: Sequence[int], pools: Sequence[Sequence[tuple[int, ...]]],
-               width: int) -> Iterator[tuple[int, ...]]:
-    """The image under `table` of every row sum of `pools`: entry r is the
-    table value at entry r of the sum."""
-    get = table.__getitem__
-    if len(pools) < 2:
-        return (tuple(map(get, row)) for row in row_sums(pools, width))
-    *front, last = pools
-    return (tuple(map(get, map(add, row, y))) for row in row_sums(front, width) for y in last)
+def row_images(table: LaneTable, pools: Sequence[Sequence[int]], width: int) -> Iterator[bytes]:
+    """The image under `table` of every row sum of `pools` over `width`
+    lanes, packed like the lanes: lane r is the table value at lane r of the
+    sum."""
+    lane, values = table
+    size = width * lane
+    # the last pool is summed here, so each row costs one step of one generator
+    *front, last = pools or ((0,),)
+    rows = row_sums(front)
+    if lane == 1:
+        return ((row + y).to_bytes(size, _LANE_ORDER).translate(values) for row in rows for y in last)
+    fmt, get = _LANE_FORMATS[lane], values.__getitem__
+    return (b"".join(map(get, memoryview((row + y).to_bytes(size, _LANE_ORDER)).cast(fmt)))
+            for row in rows for y in last)
 
 
 @dataclass(frozen=True, order=True)

@@ -12,9 +12,10 @@ holding a tuple derived in the previous round, since the images of older
 tuples are already in R; the results and round counts are those of the naive
 loop, which the tests keep as the oracle.  Once R is all of A^K no round is
 run: every matrix over A^K occurs, so S is completed in closed form by
-(image of f on A)^K for each generator f.  Rows are evaluated on value-table
-indices by the matrix-row engine of `core`, not through
-`Operation.__call__`.
+(image of f on A)^K for each generator f.  Rows are evaluated by the
+byte-lane engine of `core`, not through `Operation.__call__`: a derived
+tuple is one `bytes` key, a row one int sum and one table lookup per lane.
+Each round is charged to the complexity cap before it runs.
 """
 
 from __future__ import annotations
@@ -27,13 +28,18 @@ from .core import (
     Carrier,
     DEFAULT_CAP,
     DomainError,
+    LaneTable,
     OpFamily,
     Operation,
     check_cap,
     is_projection,
+    lane_bytes,
+    lane_ints,
+    pack,
     polymer,
     projection,
     row_images,
+    unpack,
 )
 
 
@@ -110,9 +116,15 @@ def gamma_fixpoint(
     round, later positions any member).  Nullary generators fire in round 0.
     The images of the older members were all added to R in the previous
     round, so S, the stopping test "no image is missing from R" and `steps`
-    are those of re-applying every generator to all of R each round.  Rows
-    are evaluated on table indices: member j of an argument tuple is kept
-    pre-scaled by k^(a-1-j), so one row is a sum of column digits.
+    are those of re-applying every generator to all of R each round.
+
+    Rows run on the byte-lane engine of `core`: a member is packed as
+    `bytes`, one lane per index of K, each lane wide enough for every table
+    index.  As an argument at position j it is one int pre-scaled by
+    k^(a-1-j), so a row sum is one int addition and its image one
+    `row_images` step; R and S stay `bytes` until they are returned.  Before each round the cap is charged the
+    round's rows, |R|^a - |old R|^a for each generator of arity a, summed
+    over the rounds so far.
 
     The loop stops as soon as R is all of A^K, the seeds included, since no
     later round can add to R.  The naive loop's last round would then apply
@@ -129,7 +141,9 @@ def gamma_fixpoint(
         raise DomainError("index-set size must be >= 0")
     check_cap("gamma tuple space", k ** ksize, cap)
     Carrier(k)  # raises DomainError for k < 0
-    R: set[tuple[int, ...]] = set()
+    gens = [f for f in ops if f.arity > 0]
+    lane = lane_bytes(max([k] + [len(f.table) for f in gens]))
+    R: set[bytes] = set()
     for t in B:
         t = tuple(t)
         if len(t) != ksize:
@@ -137,38 +151,43 @@ def gamma_fixpoint(
         for x in t:
             if not 0 <= x < k:
                 raise DomainError(f"seed entry {x} outside carrier of size {k}")
-        R.add(t)
-    gens = [f for f in ops if f.arity > 0]
+        R.add(pack(t, lane))
+    tables = [LaneTable.of(f.table, lane) for f in gens]
     # scaled[w] holds w * t for every member t of R in the order of arrival:
     # the first `old` entries are the members from before the last round
     scaled = {k ** j: [] for f in gens for j in range(f.arity)}
     fresh = R
-    consts = {(f.table[0],) * ksize for f in ops if f.arity == 0}
+    consts = {pack((f.table[0],) * ksize, lane) for f in ops if f.arity == 0}
     new_s = set(consts)
-    S: set[tuple[int, ...]] = set()
-    steps = 0
+    S: set[bytes] = set()
+    steps = rows = 0
     while len(R) < k ** ksize:
         old = len(R) - len(fresh)
+        rows += sum(len(R) ** f.arity - old ** f.arity for f in gens)
+        check_cap("gamma row evaluations", rows, cap)
+        members = lane_ints(fresh)
         for w, column in scaled.items():
-            column.extend(tuple(x * w for x in t) for t in fresh)
-        for f in gens:
+            column.extend(map(w.__mul__, members))
+        for f, table in zip(gens, tables):
             a = f.arity
             columns = [scaled[k ** (a - 1 - i)] for i in range(a)]
             for j in range(a):
                 pools = [c[:old] for c in columns[:j]] + [columns[j][old:]] + columns[j + 1:]
-                new_s.update(row_images(f.table, pools, ksize))
+                new_s.update(row_images(table, pools, ksize))
         S |= new_s
         if new_s <= R:
-            return GammaResult(frozenset(R), frozenset(S), steps)
+            break
         fresh = new_s - R
         R |= fresh
         new_s = set()
         steps += 1
-    # R is all of A^K: the naive loop's last round, in closed form
-    S |= consts
-    for image in {frozenset(f.table) for f in gens}:
-        S.update(itertools.product(sorted(image), repeat=ksize))
-    return GammaResult(frozenset(R), frozenset(S), steps)
+    else:
+        # R is all of A^K: the naive loop's last round, in closed form
+        S |= consts
+        for image in {frozenset(f.table) for f in gens}:
+            S.update(pack(t, lane) for t in itertools.product(sorted(image), repeat=ksize))
+    return GammaResult(frozenset(unpack(t, lane) for t in R),
+                       frozenset(unpack(t, lane) for t in S), steps)
 
 
 def semiclone_nary_part(F: Iterable[Operation], n: int, k: int, cap: int = DEFAULT_CAP) -> OpFamily:

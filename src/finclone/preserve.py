@@ -10,7 +10,10 @@ of size <= n, and one OR-zeta transform over all subsets gives it for every
 rho at once.  `invp` and `inv` read that map, and `polp` groups its pairs
 into the same map for `polp_least`.  `polp_least` and `sloc_ops` share one
 constraint search over table entries.  Matrices over a relation are applied
-row-wise through the engine in `core` (`row_sums`, `row_images`).
+row-wise through the byte-lane engine in `core` (`row_images`):
+`op_image_mask` takes the images of the rows under the operation's table,
+and `_scopes` each scope, as a tuple of table indices, as its image under
+the identity table.
 Complexity caps refuse rather than truncate.  The enumerating oracles of
 `invp`, `polp`, `sloc_ops` and `op_image_mask` live in the tests.
 """
@@ -26,6 +29,7 @@ from .core import (
     Carrier,
     DomainError,
     DEFAULT_CAP,
+    LaneTable,
     OpFamily,
     Operation,
     PairFamily,
@@ -33,17 +37,21 @@ from .core import (
     RelationPair,
     all_operations,
     check_cap,
+    lane_bytes,
+    lane_ints,
+    pack,
     row_images,
-    row_sums,
     submasks,
+    unpack,
 )
 
 
-def _columns(rho: Relation, n: int) -> list[list[tuple[int, ...]]]:
+def _columns(rho: Relation, n: int, lane: int) -> list[list[int]]:
     """The column pools of the n-column matrices over rho: pool j holds the
-    members of rho scaled by k^(n-1-j), so a row sum is a matrix's scope."""
-    members = list(rho.tuples())
-    return [[tuple(x * rho.k ** (n - 1 - j) for x in t) for t in members] for j in range(n)]
+    members of rho packed on `lane`-byte lanes and scaled by k^(n-1-j), so a
+    row sum is a matrix's scope."""
+    members = lane_ints(pack(t, lane) for t in rho.tuples())
+    return [[x * rho.k ** (n - 1 - j) for x in members] for j in range(n)]
 
 
 @lru_cache(maxsize=None)
@@ -57,8 +65,10 @@ def op_image_mask(f: Operation, rho: Relation) -> int:
     if f.k != rho.k:
         raise DomainError("carrier mismatch between operation and relation")
     carrier = f.carrier
-    images = set(row_images(f.table, _columns(rho, f.arity), rho.arity))
-    return sum(1 << carrier.encode(t) for t in images)
+    lane = lane_bytes(max(f.k, len(f.table)))
+    table = LaneTable.of(f.table, lane)
+    images = set(row_images(table, _columns(rho, f.arity, lane), rho.arity))
+    return sum(1 << carrier.encode(unpack(t, lane)) for t in images)
 
 
 def preserves(f: Operation, p: RelationPair) -> bool:
@@ -70,13 +80,15 @@ def preserves(f: Operation, p: RelationPair) -> bool:
 
 
 @lru_cache(maxsize=4096)
-def _scopes(k: int, m: int, rho: int, n: int) -> tuple[int, ...]:
+def _scopes(k: int, m: int, rho: int, n: int) -> tuple[tuple[int, ...], ...]:
     """The distinct scopes that n-column matrices over the m-ary relation
-    with mask rho read, each encoded base k^n like a tuple.  With n = 0 the
-    one scope is all zeros, even when rho is empty."""
-    tables = Carrier(k ** n)
-    columns = _columns(Relation(k, m, rho), n)
-    return tuple({tables.encode(scope) for scope in row_sums(columns, m)})
+    with mask rho read, each the tuple of its m table indices: the image of
+    the matrix's row sum under the identity table.  With n = 0 the one scope
+    is all zeros, even when rho is empty."""
+    lane = lane_bytes(k ** n)
+    identity = LaneTable.of(range(k ** n), lane)
+    rows = row_images(identity, _columns(Relation(k, m, rho), n, lane), m)
+    return tuple(unpack(scope, lane) for scope in set(rows))
 
 
 def polp(Q: Iterable[RelationPair], n: int, k: int, cap: int = DEFAULT_CAP) -> OpFamily:
@@ -115,18 +127,15 @@ def polp_least(least: dict[tuple[int, int], int], n: int, k: int,
         raise DomainError("arity must be >= 0")
     carrier = Carrier(k)
     check_cap("polp table enumeration", k ** carrier.num_tuples(n), cap)
-    # allowed[m, scope]: the images an arity-m scope may take under every rho
-    allowed: dict[tuple[int, int], int] = {}
+    # allowed[scope]: the images a scope of m table indices may take under
+    # every m-ary rho
+    allowed: dict[tuple[int, ...], int] = {}
     for (m, rho), ok in least.items():
         if ok != (1 << k ** m) - 1:
             for scope in _scopes(k, m, rho, n):
-                key = (m, scope)
-                allowed[key] = allowed.get(key, ok) & ok
-    size = carrier.num_tuples(n)
-    tables = Carrier(size)
-    checks: list[list[tuple[tuple[int, ...], int]]] = [[] for _ in range(size)]
-    for (m, scope), ok in allowed.items():
-        idxs = tables.decode(scope, m)
+                allowed[scope] = allowed.get(scope, ok) & ok
+    checks: list[list[tuple[tuple[int, ...], int]]] = [[] for _ in range(carrier.num_tuples(n))]
+    for idxs, ok in allowed.items():
         if idxs:
             checks[max(idxs)].append((idxs, ok))
         elif not ok & 1:

@@ -237,6 +237,19 @@ class TestExitCodes:
         details = json.loads(out)["reports"][0]["details"]
         assert code == 2 and details == {"what": what, "cost": cost, "cap": 2 ** 20}
 
+    def test_runaway_fixpoint_refuses(self, capsys, tmp_path):
+        # webb(x, y) = max(x, y) + 1 mod 3 generates all of A^9 from the
+        # binary projections, so the fixpoint's rows cross the cap long
+        # before the last round
+        problem = tmp_path / "webb.txt"
+        problem.write_text("domain 3\nop webb/2 = 120220000\n")
+        start = time.perf_counter()
+        code, out, err = run(capsys, "gen-semiclone", "--problem", str(problem),
+                             "--ops", "webb", "--arity", "2")
+        assert time.perf_counter() - start < 5
+        assert (code, out) == (2, "")
+        assert err == "refused: gamma row evaluations: estimated cost 2259009 exceeds cap 1048576\n"
+
     def test_parse_error_exit_code(self, capsys, tmp_path):
         bad = tmp_path / "bad.txt"
         bad.write_text("domain 2\nrel a/1 = {0}\nrel b/1 = {1}\npair p = (a, b)\n")

@@ -1,4 +1,5 @@
 import itertools
+from operator import add
 
 import pytest
 from hypothesis import given, settings
@@ -7,6 +8,7 @@ from hypothesis import strategies as st
 from finclone.core import (
     Carrier,
     DomainError,
+    LaneTable,
     OpFamily,
     Operation,
     PairFamily,
@@ -17,11 +19,16 @@ from finclone.core import (
     compose,
     enc,
     is_projection,
+    lane_bytes,
+    lane_ints,
+    pack,
     pair_leq,
     pair_qleq,
     polymer,
     projection,
     relaxations_of,
+    row_images,
+    unpack,
 )
 
 
@@ -157,6 +164,87 @@ class TestCompose:
         left = compose(compose(f, gs, target_arity=m), rs, target_arity=p)
         right = compose(f, [compose(g, rs) for g in gs], target_arity=p)
         assert left == right
+
+
+def row_sums_by_tuples(pools, width):
+    """The oracle for `row_sums`: entrywise sums of one tuple from each pool,
+    over the product of the pools; with no pools the all-zero tuple."""
+    if not pools:
+        yield (0,) * width
+        return
+    *front, last = pools
+    if not front:
+        yield from last
+        return
+    for row in row_sums_by_tuples(front, width):
+        for y in last:
+            yield tuple(map(add, row, y))
+
+
+def row_images_by_tuples(table, pools, width):
+    """The oracle for `row_images`: the table value at every entry of every
+    row sum, one tuple at a time."""
+    return (tuple(map(table.__getitem__, row)) for row in row_sums_by_tuples(pools, width))
+
+
+class TestLaneEngine:
+    """The byte-lane row engine against the tuple engine it replaced: the
+    same rows, in the same order, on every lane width that holds the table."""
+
+    @staticmethod
+    def check(k, table, pools, width, lane):
+        a = len(pools)
+        scaled = [[tuple(x * k ** (a - 1 - j) for x in t) for t in pool]
+                  for j, pool in enumerate(pools)]
+        lanes = [[x * k ** (a - 1 - j) for x in lane_ints(pack(t, lane) for t in pool)]
+                 for j, pool in enumerate(pools)]
+        identity = LaneTable.of(range(k ** a), lane)
+        sums = [unpack(t, lane) for t in row_images(identity, lanes, width)]
+        assert sums == list(row_sums_by_tuples(scaled, width))
+        images = [unpack(t, lane) for t in row_images(LaneTable.of(table, lane), lanes, width)]
+        assert images == list(row_images_by_tuples(table, scaled, width))
+
+    @settings(max_examples=300, deadline=None)
+    @given(st.data())
+    def test_matches_tuple_engine(self, data):
+        k = data.draw(st.integers(0, 4), label="k")
+        # a nullary table needs a value, which a carrier of size 0 lacks
+        a = data.draw(st.integers(1 if k == 0 else 0, 4), label="arity")
+        width = data.draw(st.integers(0, 5), label="width")
+        value = st.integers(0, k - 1) if k else st.nothing()
+        table = data.draw(st.lists(value, min_size=k ** a, max_size=k ** a), label="table")
+        # at k = 0 the one member is the empty tuple, at width 0
+        member, most = st.tuples(*[value] * width), 4 if k or not width else 0
+        pools = [data.draw(st.lists(member, max_size=most), label=f"pool {j}") for j in range(a)]
+        lanes = [b for b in (1, 2, 4, 8) if b >= lane_bytes(max(k, k ** a))]
+        self.check(k, table, pools, width, data.draw(st.sampled_from(lanes), label="lane"))
+
+    def test_tables_beyond_one_byte_lanes(self):
+        # 2^9, 3^6 and 4^5 table entries need two-byte lanes, and so do the
+        # values of a carrier of 300
+        for k, a in ((2, 9), (3, 6), (4, 5), (300, 1)):
+            assert lane_bytes(k ** a) == 2
+            table = [i * 7 % k for i in range(k ** a)]
+            members = list(itertools.islice(Carrier(k).tuples(3), 3))
+            for pools in ([members] * a, [members[:1]] * (a - 1) + [[]]):
+                self.check(k, table, pools, 3, 2)
+
+    def test_no_pools_and_empty_pools(self):
+        for lane in (1, 2):
+            self.check(3, [2], [], 4, lane)
+            self.check(3, [2], [], 0, lane)
+            self.check(2, [0, 1, 1, 0], [[(0, 1)], []], 2, lane)
+            self.check(2, [0, 1, 1, 0], [[], [(0, 1)]], 2, lane)
+
+    def test_lane_widths(self):
+        assert [lane_bytes(n) for n in (0, 1, 256, 257, 2 ** 16, 2 ** 16 + 1, 2 ** 32 + 1)] == [
+            1, 1, 1, 2, 2, 4, 8]
+
+    def test_pack_round_trip(self):
+        for lane in (1, 2, 4, 8):
+            for t in ((), (0,), (255, 0, 7), (1, 2, 3, 4, 5)):
+                data = pack(t, lane)
+                assert len(data) == len(t) * lane and unpack(data, lane) == t
 
 
 class TestRelationsAndPairs:

@@ -1,5 +1,6 @@
 import itertools
 import random
+import time
 
 import pytest
 
@@ -303,6 +304,21 @@ class TestSemiNaiveGamma:
         sizes = [len(self.check(F, 3, [tuple(range(3))], 3).R) for F in families]
         assert sizes == [27, 27, 27, 3]
 
+    def test_tables_beyond_one_byte_lanes(self):
+        # 2^9 and 3^6 table entries: R and S ride on two-byte lanes
+        C3 = Carrier(3)
+        two_of_nine = Operation(2, 9, tuple(int(sum(t) >= 2) for t in C2.tuples(9)))
+        g = self.check([two_of_nine], 2, [(0, 1), (1, 0)], 2)
+        assert g.R == {(0, 1), (1, 0), (1, 1)} and g.steps == 1
+        g = self.check([two_of_nine, NOT], 1, [(0,)], 2)
+        assert len(g.R) == 2 and g.steps == 1
+        w6 = Operation(3, 6, tuple((min(max(t[:3]), max(t[3:])) + t[0]) % 3
+                                   for t in C3.tuples(6)))
+        for B in ([(0, 1)], [(2, 2)]):
+            assert self.check([w6], 2, B, 3).steps == 2
+        # R fills A^1, so S is completed in closed form
+        assert len(self.check([w6], 1, [(1,)], 3).R) == 3
+
     def test_no_round_after_R_fills(self, monkeypatch):
         # each round calls the row engine once per argument position; once
         # R is all of A^K the naive loop's last round is not run
@@ -319,6 +335,22 @@ class TestSemiNaiveGamma:
         assert len(g.R) == 16 and g.steps >= 1
         assert len(calls) == 2 * g.steps
         assert g == gamma_by_definition([NAND], 4, seed, 2)
+
+    def test_rows_are_charged_to_the_cap(self):
+        webb = Operation(3, 2, tuple((max(t) + 1) % 3 for t in Carrier(3).tuples(2)))
+        start = time.perf_counter()
+        with pytest.raises(CapExceeded, match="^gamma row evaluations: ") as e:
+            semiclone_nary_part([webb], 2, 3)
+        assert time.perf_counter() - start < 5
+        assert e.value.cost > e.value.cap == 2 ** 20
+        # the charge is cumulative, |R|^a - |old R|^a per generator and
+        # round: NAND at K = A^2 grows R through 2, 3, 6 and 10 members
+        # before it fills, so its rows sum to 10^2
+        seed = [(0, 0, 1, 1), (0, 1, 0, 1)]
+        with pytest.raises(CapExceeded, match="^gamma row evaluations: estimated cost 100 "):
+            gamma_fixpoint([NAND], 4, seed, 2, cap=99)
+        g = gamma_fixpoint([NAND], 4, seed, 2, cap=100)
+        assert g == gamma_by_definition([NAND], 4, seed, 2) and len(g.R) == 16
 
     def test_same_errors_in_the_same_order(self):
         bad = [

@@ -6,11 +6,14 @@ with `--json`, and compares stdout byte for byte with
 carry their run time, so `(N ms)` and `"runtime_ms": N` are normalised on
 both sides.  The files were recorded from the CLI before `gamma_fixpoint`
 became a semi-naive engine (the generation commands) and before the command
-and check tables replaced the CLI's if-chain (every other command); a
-refactor must leave them unchanged.  The error paths pin exit code and
+and check tables replaced the CLI's if-chain (every other command), and the
+cases on the wide problems, whose tables need more than one-byte lanes, before
+the matrix-row engine moved to byte lanes; a refactor must leave them
+unchanged.  The error paths pin exit code and
 stderr.
 """
 
+import itertools
 import re
 from pathlib import Path
 
@@ -56,6 +59,13 @@ pair leqp = (leq, leq)
 pair leqeq = (leq, eq)
 pair lowzero = (low, zero)
 """,
+    # two9: at least two of nine arguments are 1; w6: min(max(x0..x2),
+    # max(x3..x5)) + x0 mod 3
+    "k2w": "domain 2\nop two9/9 = " + "".join(
+        str(int(sum(t) >= 2)) for t in itertools.product(range(2), repeat=9)) + "\n",
+    "k3w": "domain 3\nop w6/6 = " + "".join(
+        str((min(max(t[:3]), max(t[3:])) + t[0]) % 3)
+        for t in itertools.product(range(3), repeat=6)) + "\n",
 }
 
 SPEC = '{"mu":3,"m":2,"beta":[0,2],"alphas":[[0,1],[1,2]]}'
@@ -88,6 +98,9 @@ CASES = [
     ("gen-semiclone-k3-min-2", "k3", ["gen-semiclone", "--ops", "min", "--arity", "2"]),
     ("gen-semiclone-k3-succ-one-1", "k3", ["gen-semiclone", "--ops", "succ", "one", "--arity", "1"]),
     ("gen-semiclone-k3-maj-1", "k3", ["gen-semiclone", "--ops", "maj", "--arity", "1"]),
+    ("gamma-k2w-two9", "k2w", ["gamma", "--ops", "two9", "--ksize", "2",
+                               "--seed-tuples", "01", "10"]),
+    ("gen-semiclone-k3w-w6-1", "k3w", ["gen-semiclone", "--ops", "w6", "--arity", "1"]),
     ("gen-clone-k2-or-2", "k2", ["gen-clone", "--ops", "or", "--arity", "2"]),
     ("gen-clone-k2-xor-c0-2", "k2", ["gen-clone", "--ops", "xor", "c0", "--arity", "2"]),
     ("gen-clone-k3-max-succ-1", "k3", ["gen-clone", "--ops", "max", "succ", "--arity", "1"]),

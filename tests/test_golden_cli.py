@@ -9,8 +9,7 @@ became a semi-naive engine (the generation commands) and before the command
 and check tables replaced the CLI's if-chain (every other command), and the
 cases on the wide problems, whose tables need more than one-byte lanes, before
 the matrix-row engine moved to byte lanes; a refactor must leave them
-unchanged.  The error paths pin exit code and
-stderr.
+unchanged.  The error paths pin exit code and stderr.
 """
 
 import itertools

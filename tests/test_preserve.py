@@ -298,15 +298,15 @@ class TestImageEngine:
             assert op_image_mask(f, rho) == op_image_mask_by_definition(f, rho), (f, rho)
 
     def test_tables_beyond_one_byte_lanes(self):
-        # 2^9 and 3^6 table entries: rows ride on two-byte lanes; the
-        # oracle's matrices are kept to a few thousand per relation
+        # 2^9 and 3^6 table entries: rows ride on two-byte lanes; relations
+        # of at most 3 members keep the oracle to 3^9 matrices each
         two_of_nine = Operation(2, 9, tuple(int(sum(t) >= 2) for t in C2.tuples(9)))
         w6 = Operation(3, 6, tuple((min(max(t[:3]), max(t[3:])) + t[0]) % 3
                                    for t in Carrier(3).tuples(6)))
-        for f, most in ((two_of_nine, 3), (w6, 3)):
+        for f in (two_of_nine, w6):
             for m in (0, 1, 2):
                 for rho in all_relations(f.carrier, m):
-                    if len(rho) <= most:
+                    if len(rho) <= 3:
                         assert op_image_mask(f, rho) == op_image_mask_by_definition(f, rho), (f, rho)
 
     def test_carrier_mismatch(self):

@@ -10,6 +10,7 @@ from .core import (
     PairFamily,
     Relation,
     RelationPair,
+    capped,
     compose,
     enc,
     pair_leq,
@@ -42,7 +43,7 @@ from .harness import Report, run_checks
 
 __all__ = [
     "CapExceeded", "Carrier", "DomainError", "OpFamily", "Operation",
-    "PairFamily", "Relation", "RelationPair", "compose", "enc", "pair_leq",
+    "PairFamily", "Relation", "RelationPair", "capped", "compose", "enc", "pair_leq",
     "pair_qleq", "polymer", "projection", "relaxations_of", "inv", "invp",
     "loc_ops", "pol", "polp", "preserves", "sloc_ops", "GammaResult",
     "clone_nary_part", "decide_projections", "gamma_fixpoint", "iterative_op",

@@ -2,8 +2,8 @@
 operations, relations and relation pairs, run library computations or checks,
 and emit canonical text or JSON.
 
-Exit codes: 0 success/pass, 1 check failed, 2 refused by a complexity cap,
-3 input error.
+Exit codes: 0 success/pass, 1 check failed, 2 refused by the complexity cap
+`--caps` (a `core.capped` scope around the command), 3 input error.
 """
 
 from __future__ import annotations
@@ -25,6 +25,7 @@ from .core import (
     PairFamily,
     Relation,
     RelationPair,
+    capped,
     enc,
 )
 from .generation import (
@@ -237,7 +238,7 @@ def _require(cond: bool, message: str) -> None:
         raise DomainError(message)
 
 
-def _preserves(args, problem, k, cap) -> Output:
+def _preserves(args, problem, k) -> Output:
     _require(len(args.ops) == 1 and len(args.pairs) == 1,
              "preserves needs exactly one --ops name and one --pairs name")
     f = _named(problem, "ops", args.ops)[0]
@@ -253,10 +254,10 @@ def _seed_tuple(text: str) -> tuple[int, ...]:
         raise DomainError(f"seed tuple '{text}' is neither 'eps' nor a string of digits")
 
 
-def _gamma(args, problem, k, cap) -> Output:
+def _gamma(args, problem, k) -> Output:
     ops = _named(problem, "ops", args.ops)
     seed = [_seed_tuple(t) for t in args.seed_tuples]
-    result = gamma_fixpoint(ops, args.ksize, seed, k, cap)
+    result = gamma_fixpoint(ops, args.ksize, seed, k)
     r_sorted = [format_tuple(t) for t in sorted(result.R)]
     s_sorted = [format_tuple(t) for t in sorted(result.S)]
     lines = (["R:"] + ["  " + t for t in r_sorted] + ["S:"] + ["  " + t for t in s_sorted]
@@ -264,7 +265,7 @@ def _gamma(args, problem, k, cap) -> Output:
     return Output(lines, {"R": r_sorted, "S": s_sorted, "steps": result.steps})
 
 
-def _superpose(args, problem, k, cap) -> Output:
+def _superpose(args, problem, k) -> Output:
     try:
         raw = json.loads(args.spec)
         spec = SuperpositionSpec(
@@ -272,13 +273,13 @@ def _superpose(args, problem, k, cap) -> Output:
             tuple(tuple(a) for a in raw["alphas"]))
     except (json.JSONDecodeError, KeyError, TypeError) as e:
         raise DomainError(f"invalid superposition spec: {e}")
-    result = general_superposition(spec, _named(problem, "pairs", args.pairs), k, cap)
+    result = general_superposition(spec, _named(problem, "pairs", args.pairs), k)
     return Output([format_pair(result)], pair_to_obj(result))
 
 
-def _rpclone(args, problem, k, cap) -> Output:
+def _rpclone(args, problem, k) -> Output:
     result = rpclone_generate(_named(problem, "pairs", args.pairs), args.max_arity,
-                              args.intermediate_cap, k, cap)
+                              args.intermediate_cap, k)
     changed = result.slice_changed_at_last_cap
     pairs = _output(result.pairs)
     lines = pairs.lines + [
@@ -289,11 +290,11 @@ def _rpclone(args, problem, k, cap) -> Output:
                           "slice_changed_at_last_cap": changed})
 
 
-def _check(args, problem, k, cap) -> Output:
+def _check(args, problem, k) -> Output:
     _require(args.name is not None, "check requires a name or 'all'")
     _require(args.name == "all" or args.name in dict(harness.CHECKS),
              f"unknown check '{args.name}'")
-    reports = harness.run_checks(args.name, k if k is not None else 2, args.seed, cap)
+    reports = harness.run_checks(args.name, k if k is not None else 2, args.seed)
     lines = []
     for r in reports:
         lines.append(f"{r.name}: {r.verdict} ({r.runtime_ms} ms)")
@@ -304,29 +305,27 @@ def _check(args, problem, k, cap) -> Output:
     return Output(lines, {"reports": [r.to_dict() for r in reports]}, code)
 
 
-# command -> (required arguments, run(args, problem, k, cap)); argparse lists
+# command -> (required arguments, run(args, problem, k)); argparse lists
 # the commands in this order.  A run returns an Output or a family.
 COMMANDS = {
     "preserves": ((), _preserves),
-    "polp": (("arity",), lambda a, p, k, cap: polp(_named(p, "pairs", a.pairs), a.arity, k, cap)),
-    "invp": (("arity",), lambda a, p, k, cap: invp(_named(p, "ops", a.ops), a.arity, k, cap)),
-    "pol": (("arity",), lambda a, p, k, cap: pol(_named(p, "rels", a.rels), a.arity, k, cap)),
-    "inv": (("arity",), lambda a, p, k, cap: inv(_named(p, "ops", a.ops), a.arity, k, cap)),
-    "gen-semiclone": (("arity",), lambda a, p, k, cap: semiclone_nary_part(
-        _named(p, "ops", a.ops), a.arity, k, cap)),
-    "gen-clone": (("arity",), lambda a, p, k, cap: clone_nary_part(
-        _named(p, "ops", a.ops), a.arity, k, cap)),
-    "gen-semigroup": ((), lambda a, p, k, cap: semigroup_generate(_named(p, "ops", a.ops))),
-    "sloc": (("arity", "s"), lambda a, p, k, cap: sloc_ops(
-        _named(p, "ops", a.ops), a.s, a.arity, k, cap)),
-    "sloc-pairs": (("arity", "s"), lambda a, p, k, cap: sloc_pairs(
-        _named(p, "pairs", a.pairs), a.s, a.arity, k, cap)),
-    "enc": ((), lambda a, p, k, cap: enc(_named(p, "pairs", a.pairs))),
+    "polp": (("arity",), lambda a, p, k: polp(_named(p, "pairs", a.pairs), a.arity, k)),
+    "invp": (("arity",), lambda a, p, k: invp(_named(p, "ops", a.ops), a.arity, k)),
+    "pol": (("arity",), lambda a, p, k: pol(_named(p, "rels", a.rels), a.arity, k)),
+    "inv": (("arity",), lambda a, p, k: inv(_named(p, "ops", a.ops), a.arity, k)),
+    "gen-semiclone": (("arity",), lambda a, p, k: semiclone_nary_part(
+        _named(p, "ops", a.ops), a.arity, k)),
+    "gen-clone": (("arity",), lambda a, p, k: clone_nary_part(_named(p, "ops", a.ops), a.arity, k)),
+    "gen-semigroup": ((), lambda a, p, k: semigroup_generate(_named(p, "ops", a.ops))),
+    "sloc": (("arity", "s"), lambda a, p, k: sloc_ops(_named(p, "ops", a.ops), a.s, a.arity, k)),
+    "sloc-pairs": (("arity", "s"), lambda a, p, k: sloc_pairs(
+        _named(p, "pairs", a.pairs), a.s, a.arity, k)),
+    "enc": ((), lambda a, p, k: enc(_named(p, "pairs", a.pairs))),
     "gamma": (("ksize",), _gamma),
     "superpose": (("spec",), _superpose),
     "rpclone": (("max_arity",), _rpclone),
-    "decide-proj": ((), lambda a, p, k, cap: _truth(
-        "decide_proj", decide_projections(_named(p, "ops", a.ops), k, cap))),
+    "decide-proj": ((), lambda a, p, k: _truth(
+        "decide_proj", decide_projections(_named(p, "ops", a.ops), k))),
     "check": ((), _check),
 }
 
@@ -379,7 +378,8 @@ def run_command(args) -> int:
     flags = " and ".join("--" + name.replace("_", "-") for name in required)
     _require(all(getattr(args, name) is not None for name in required),
              f"{flags} {'is' if len(required) == 1 else 'are'} required")
-    out = _output(run(args, problem, problem.carrier.k if problem else args.k, args.caps))
+    with capped(args.caps):
+        out = _output(run(args, problem, problem.carrier.k if problem else args.k))
     if args.json:
         print(json.dumps(out.obj, indent=2, sort_keys=True))
     else:

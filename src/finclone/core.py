@@ -14,12 +14,17 @@ scaled by its place in the table index.  The sum of the columns holds every
 row of the matrix as a table index, one per lane, and no lane carries into
 the next.  With one-byte lanes the image of all rows under a value table is
 one `bytes.translate`.
+
+Engines charge their cost estimates to `check_cap`, which refuses one above
+the complexity cap of the innermost `capped` scope; no engine takes a cap.
 """
 
 from __future__ import annotations
 
 import itertools
 import sys
+from contextlib import contextmanager
+from contextvars import ContextVar
 from dataclasses import dataclass
 from typing import Iterable, Iterator, NamedTuple, Sequence
 
@@ -29,22 +34,47 @@ class DomainError(ValueError):
 
 
 class CapExceeded(RuntimeError):
-    """An enumeration would exceed the configured complexity cap.
+    """An enumeration would exceed the complexity cap in force.
 
-    Raised instead of silently truncating; carries a cost estimate.
+    Raised instead of silently truncating; carries the cost estimate, or,
+    for one with more digits than `str` converts, its magnitude as text
+    (">= 2^N"), so that the message and a JSON dump of the cost print.
     """
 
-    def __init__(self, what: str, cost: int, cap: int):
+    def __init__(self, what: str, cost: int, limit: int):
+        try:
+            shown = str(cost)
+        except ValueError:
+            cost = shown = f">= 2^{cost.bit_length() - 1}"
         self.what = what
         self.cost = cost
-        self.cap = cap
-        super().__init__(f"{what}: estimated cost {cost} exceeds cap {cap}")
+        self.cap = limit
+        super().__init__(f"{what}: estimated cost {shown} exceeds cap {limit}")
 
 
 DEFAULT_CAP = 2 ** 20
 
+_CAP: ContextVar[int] = ContextVar("finclone_cap", default=DEFAULT_CAP)
 
-def check_cap(what: str, cost: int, cap: int = DEFAULT_CAP) -> None:
+
+@contextmanager
+def capped(limit: int) -> Iterator[None]:
+    """Run the enclosed computations under the complexity cap `limit`: each
+    `check_cap` inside refuses a cost above it.  Scopes nest, the innermost
+    applies, and the outer cap comes back on exit; outside every scope the
+    cap is DEFAULT_CAP.  The scope belongs to the current thread or task."""
+    if limit < 0:
+        raise DomainError("cap must be >= 0")
+    token = _CAP.set(limit)
+    try:
+        yield
+    finally:
+        _CAP.reset(token)
+
+
+def check_cap(what: str, cost: int) -> None:
+    """Refuse, by raising CapExceeded, a cost above the innermost cap."""
+    cap = _CAP.get()
     if cost > cap:
         raise CapExceeded(what, cost, cap)
 

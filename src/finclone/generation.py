@@ -26,7 +26,6 @@ from typing import Iterable, Sequence
 
 from .core import (
     Carrier,
-    DEFAULT_CAP,
     DomainError,
     LaneTable,
     OpFamily,
@@ -97,13 +96,8 @@ class GammaResult:
     steps: int
 
 
-def gamma_fixpoint(
-    F: Iterable[Operation],
-    ksize: int,
-    B: Iterable[Sequence[int]],
-    k: int,
-    cap: int = DEFAULT_CAP,
-) -> GammaResult:
+def gamma_fixpoint(F: Iterable[Operation], ksize: int, B: Iterable[Sequence[int]],
+                   k: int) -> GammaResult:
     """Least invariant pair containing B: R grows by row-wise application of
     every generator to tuples already in R, S collects everything derived.
 
@@ -122,9 +116,10 @@ def gamma_fixpoint(
     `bytes`, one lane per index of K, each lane wide enough for every table
     index.  As an argument at position j it is one int pre-scaled by
     k^(a-1-j), so a row sum is one int addition and its image one
-    `row_images` step; R and S stay `bytes` until they are returned.  Before each round the cap is charged the
-    round's rows, |R|^a - |old R|^a for each generator of arity a, summed
-    over the rounds so far.
+    `row_images` step; R and S stay `bytes` until they are returned.
+    Before each round the complexity cap in force (`core.capped`) is
+    charged the round's rows, |R|^a - |old R|^a for each generator of
+    arity a, summed over the rounds so far.
 
     The loop stops as soon as R is all of A^K, the seeds included, since no
     later round can add to R.  The naive loop's last round would then apply
@@ -139,7 +134,7 @@ def gamma_fixpoint(
             raise DomainError("carrier mismatch in operation family")
     if ksize < 0:
         raise DomainError("index-set size must be >= 0")
-    check_cap("gamma tuple space", k ** ksize, cap)
+    check_cap("gamma tuple space", k ** ksize)
     Carrier(k)  # raises DomainError for k < 0
     gens = [f for f in ops if f.arity > 0]
     lane = lane_bytes(max([k] + [len(f.table) for f in gens]))
@@ -164,7 +159,7 @@ def gamma_fixpoint(
     while len(R) < k ** ksize:
         old = len(R) - len(fresh)
         rows += sum(len(R) ** f.arity - old ** f.arity for f in gens)
-        check_cap("gamma row evaluations", rows, cap)
+        check_cap("gamma row evaluations", rows)
         members = lane_ints(fresh)
         for w, column in scaled.items():
             column.extend(map(w.__mul__, members))
@@ -190,7 +185,7 @@ def gamma_fixpoint(
                        frozenset(unpack(t, lane) for t in S), steps)
 
 
-def semiclone_nary_part(F: Iterable[Operation], n: int, k: int, cap: int = DEFAULT_CAP) -> OpFamily:
+def semiclone_nary_part(F: Iterable[Operation], n: int, k: int) -> OpFamily:
     """The n-ary part of the semiclone generated by F.
 
     This is the S-component of the fixpoint over K = A^n seeded with the
@@ -201,15 +196,15 @@ def semiclone_nary_part(F: Iterable[Operation], n: int, k: int, cap: int = DEFAU
         raise DomainError("arity must be >= 0")
     carrier = Carrier(k)
     seed = [tuple(t[i] for t in carrier.tuples(n)) for i in range(n)]
-    result = gamma_fixpoint(F, carrier.num_tuples(n), seed, k, cap)
+    result = gamma_fixpoint(F, carrier.num_tuples(n), seed, k)
     return OpFamily(Operation(k, n, t) for t in result.S)
 
 
-def clone_nary_part(F: Iterable[Operation], n: int, k: int, cap: int = DEFAULT_CAP) -> OpFamily:
+def clone_nary_part(F: Iterable[Operation], n: int, k: int) -> OpFamily:
     """The n-ary part of the clone generated by F: the semiclone part plus
     the n-ary projections."""
     carrier = Carrier(k)
-    return semiclone_nary_part(F, n, k, cap).union(projection(n, i, carrier) for i in range(n))
+    return semiclone_nary_part(F, n, k).union(projection(n, i, carrier) for i in range(n))
 
 
 def semigroup_generate(G: Iterable[Operation]) -> OpFamily:
@@ -222,7 +217,7 @@ def semigroup_generate(G: Iterable[Operation]) -> OpFamily:
     return semiclone_nary_part(gens, 1, gens[0].k) if gens else OpFamily()
 
 
-def decide_projections(F: Iterable[Operation], k: int, cap: int = DEFAULT_CAP) -> bool:
+def decide_projections(F: Iterable[Operation], k: int) -> bool:
     """True iff the clone generated by F, with all projections removed, is
     still composition-closed.
 
@@ -235,5 +230,5 @@ def decide_projections(F: Iterable[Operation], k: int, cap: int = DEFAULT_CAP) -
         return True
     ops = [f for f in F if not is_projection(f)]
     id_tuple = tuple(range(k))
-    result = gamma_fixpoint(ops, k, [id_tuple], k, cap)
+    result = gamma_fixpoint(ops, k, [id_tuple], k)
     return id_tuple not in result.S

@@ -28,7 +28,6 @@ from typing import Iterable
 from .core import (
     Carrier,
     DomainError,
-    DEFAULT_CAP,
     LaneTable,
     OpFamily,
     Operation,
@@ -91,14 +90,14 @@ def _scopes(k: int, m: int, rho: int, n: int) -> tuple[tuple[int, ...], ...]:
     return tuple(unpack(scope, lane) for scope in set(rows))
 
 
-def polp(Q: Iterable[RelationPair], n: int, k: int, cap: int = DEFAULT_CAP) -> OpFamily:
+def polp(Q: Iterable[RelationPair], n: int, k: int) -> OpFamily:
     """All n-ary operations preserving every pair in Q.
 
     For a fixed rho only the tightest rho' matters, so `least_of` groups the
     pairs into the map {(arity, rho): intersection of their rho'} that
     `polp_least` searches on.
     """
-    return polp_least(least_of(Q, k), n, k, cap)
+    return polp_least(least_of(Q, k), n, k)
 
 
 def least_of(Q: Iterable[RelationPair], k: int) -> dict[tuple[int, int], int]:
@@ -114,8 +113,7 @@ def least_of(Q: Iterable[RelationPair], k: int) -> dict[tuple[int, int], int]:
     return least
 
 
-def polp_least(least: dict[tuple[int, int], int], n: int, k: int,
-               cap: int = DEFAULT_CAP) -> OpFamily:
+def polp_least(least: dict[tuple[int, int], int], n: int, k: int) -> OpFamily:
     """All n-ary operations preserving the pair (rho, rho') of every entry
     (arity, rho): rho' of `least`, the relations given as bit masks.
 
@@ -126,7 +124,7 @@ def polp_least(least: dict[tuple[int, int], int], n: int, k: int,
     if n < 0:
         raise DomainError("arity must be >= 0")
     carrier = Carrier(k)
-    check_cap("polp table enumeration", k ** carrier.num_tuples(n), cap)
+    check_cap("polp table enumeration", k ** carrier.num_tuples(n))
     # allowed[scope]: the images a scope of m table indices may take under
     # every m-ary rho
     allowed: dict[tuple[int, ...], int] = {}
@@ -176,7 +174,7 @@ def _search(k: int, n: int, checks: list[list[tuple[tuple[int, ...], int]]]) -> 
     return OpFamily(out)
 
 
-def least_invp(F: Iterable[Operation], m: int, k: int, cap: int = DEFAULT_CAP) -> dict[int, int]:
+def least_invp(F: Iterable[Operation], m: int, k: int) -> dict[int, int]:
     """{rho: F[rho]} for every m-ary rho with F[rho] ⊆ rho, as bit masks in
     ascending rho, where F[rho] is the union of the images of the members of
     F on rho.  These rho are the first components of the pairs invariant
@@ -193,7 +191,7 @@ def least_invp(F: Iterable[Operation], m: int, k: int, cap: int = DEFAULT_CAP) -
     if m < 0:
         raise DomainError("arity must be >= 0")
     size = Carrier(k).num_tuples(m)
-    check_cap("invp pair enumeration", 3 ** size, cap)
+    check_cap("invp pair enumeration", 3 ** size)
     ops = list(F)
     for f in ops:
         if f.k != k:
@@ -211,10 +209,10 @@ def least_invp(F: Iterable[Operation], m: int, k: int, cap: int = DEFAULT_CAP) -
     return {rho: need for rho, need in enumerate(least) if not need & ~rho}
 
 
-def invp(F: Iterable[Operation], m: int, k: int, cap: int = DEFAULT_CAP) -> PairFamily:
+def invp(F: Iterable[Operation], m: int, k: int) -> PairFamily:
     """All m-ary relation pairs preserved by every operation in F: the pairs
     that `invp_least` spans on the map of `least_invp`."""
-    return invp_least(least_invp(F, m, k, cap), m, k)
+    return invp_least(least_invp(F, m, k), m, k)
 
 
 def invp_least(least: dict[int, int], m: int, k: int) -> PairFamily:
@@ -228,37 +226,37 @@ def invp_least(least: dict[int, int], m: int, k: int) -> PairFamily:
     return PairFamily(out)
 
 
-def invp_upto(F: Iterable[Operation], max_arity: int, k: int, cap: int = DEFAULT_CAP) -> PairFamily:
+def invp_upto(F: Iterable[Operation], max_arity: int, k: int) -> PairFamily:
     """Disjoint-union convenience wrapper: all invariant pairs of arity <= max_arity."""
     ops = list(F)
     out: list[RelationPair] = []
     for m in range(max_arity + 1):
-        out.extend(invp(ops, m, k, cap))
+        out.extend(invp(ops, m, k))
     return PairFamily(out)
 
 
-def polp_upto(Q: Iterable[RelationPair], max_arity: int, k: int, cap: int = DEFAULT_CAP) -> OpFamily:
+def polp_upto(Q: Iterable[RelationPair], max_arity: int, k: int) -> OpFamily:
     """All polymorphisms of Q of arity <= max_arity."""
     pairs = list(Q)
     out: list[Operation] = []
     for n in range(max_arity + 1):
-        out.extend(polp(pairs, n, k, cap))
+        out.extend(polp(pairs, n, k))
     return OpFamily(out)
 
 
-def pol(Q1: Iterable[Relation], n: int, k: int, cap: int = DEFAULT_CAP) -> OpFamily:
+def pol(Q1: Iterable[Relation], n: int, k: int) -> OpFamily:
     """Classical polymorphisms: operations preserving each relation as the
     identical pair (rho, rho)."""
-    return polp([RelationPair.identical(rho) for rho in Q1], n, k, cap)
+    return polp([RelationPair.identical(rho) for rho in Q1], n, k)
 
 
-def inv(F: Iterable[Operation], m: int, k: int, cap: int = DEFAULT_CAP) -> list[Relation]:
+def inv(F: Iterable[Operation], m: int, k: int) -> list[Relation]:
     """Classical invariant relations: rho with (rho, rho) invariant, that is
     F[rho] ⊆ rho, so exactly the relations `least_invp` lists, ascending."""
-    return [Relation(k, m, rho) for rho in least_invp(F, m, k, cap)]
+    return [Relation(k, m, rho) for rho in least_invp(F, m, k)]
 
 
-def sloc_ops(F: Iterable[Operation], s: int, n: int, k: int, cap: int = DEFAULT_CAP) -> OpFamily:
+def sloc_ops(F: Iterable[Operation], s: int, n: int, k: int) -> OpFamily:
     """Operations agreeing with some member of F^(n) on every subset of A^n
     of size <= s.
 
@@ -281,7 +279,7 @@ def sloc_ops(F: Iterable[Operation], s: int, n: int, k: int, cap: int = DEFAULT_
     size = min(s, domain)
     if size == 0 and not fs:
         return OpFamily()
-    check_cap("sloc_ops subset enumeration", math.comb(domain, size) * (k ** domain), cap)
+    check_cap("sloc_ops subset enumeration", math.comb(domain, size) * (k ** domain))
     if size == 0:
         return OpFamily(all_operations(carrier, n))
     checks: list[list[tuple[tuple[int, ...], int]]] = [[] for _ in range(domain)]
@@ -296,6 +294,6 @@ def sloc_ops(F: Iterable[Operation], s: int, n: int, k: int, cap: int = DEFAULT_
     return _search(k, n, checks)
 
 
-def loc_ops(F: Iterable[Operation], n: int, k: int, cap: int = DEFAULT_CAP) -> OpFamily:
+def loc_ops(F: Iterable[Operation], n: int, k: int) -> OpFamily:
     """Finite-carrier local closure: interpolation on the whole of A^n."""
-    return sloc_ops(F, Carrier(k).num_tuples(n), n, k, cap)
+    return sloc_ops(F, Carrier(k).num_tuples(n), n, k)

@@ -11,8 +11,8 @@ from dataclasses import dataclass
 from typing import Iterable, Sequence
 
 from .core import (
+    CapExceeded,
     Carrier,
-    DEFAULT_CAP,
     DomainError,
     PairFamily,
     Relation,
@@ -35,6 +35,9 @@ class SuperpositionSpec:
     alphas: tuple[tuple[int, ...], ...]
 
     def __post_init__(self):
+        entries = [self.mu, self.m, *self.beta, *itertools.chain.from_iterable(self.alphas)]
+        if any(type(v) is not int for v in entries):  # bool is an int subclass
+            raise DomainError("variable counts and map values must be integers")
         if self.mu < 0 or self.m < 0:
             raise DomainError("variable counts must be >= 0")
         if len(self.beta) != self.m:
@@ -48,11 +51,9 @@ class SuperpositionSpec:
                     raise DomainError("input map value outside the variable scheme")
 
 
-def _superpose_relations(
-    spec: SuperpositionSpec, rels: Sequence[Relation], k: int, cap: int
-) -> Relation:
+def _superpose_relations(spec: SuperpositionSpec, rels: Sequence[Relation], k: int) -> Relation:
     carrier = Carrier(k)
-    check_cap("superposition assignment space", k ** spec.mu, cap)
+    check_cap("superposition assignment space", k ** spec.mu)
     decoded = [
         (alpha, frozenset(rel.indices()))
         for alpha, rel in zip(spec.alphas, rels)
@@ -69,12 +70,8 @@ def _superpose_relations(
     return Relation(k, spec.m, out)
 
 
-def general_superposition(
-    spec: SuperpositionSpec,
-    pairs: Sequence[RelationPair],
-    k: int,
-    cap: int = DEFAULT_CAP,
-) -> RelationPair:
+def general_superposition(spec: SuperpositionSpec, pairs: Sequence[RelationPair],
+                          k: int) -> RelationPair:
     """Combine relation pairs through a common variable scheme, applied
     componentwise: the result collects a o beta over all assignments a whose
     restrictions a o alpha_i hit the respective components."""
@@ -87,31 +84,31 @@ def general_superposition(
             raise DomainError(
                 f"input map of length {len(alpha)} applied to a pair of arity {p.arity}"
             )
-    rho = _superpose_relations(spec, [p.rho for p in pairs], k, cap)
-    rho_prime = _superpose_relations(spec, [p.rho_prime for p in pairs], k, cap)
+    rho = _superpose_relations(spec, [p.rho for p in pairs], k)
+    rho_prime = _superpose_relations(spec, [p.rho_prime for p in pairs], k)
     return RelationPair(k, spec.m, rho, rho_prime)
 
 
-def permute(p: RelationPair, pi: Sequence[int], cap: int = DEFAULT_CAP) -> RelationPair:
+def permute(p: RelationPair, pi: Sequence[int]) -> RelationPair:
     """Reorder coordinates: output coordinate j reads input coordinate pi(j)."""
     m = p.arity
     if sorted(pi) != list(range(m)):
         raise DomainError("coordinate permutation must be a bijection on the arity")
     spec = SuperpositionSpec(m, m, tuple(pi), (tuple(range(m)),))
-    return general_superposition(spec, [p], p.k, cap)
+    return general_superposition(spec, [p], p.k)
 
 
-def identify(p: RelationPair, merge: Sequence[int], target_arity: int, cap: int = DEFAULT_CAP) -> RelationPair:
+def identify(p: RelationPair, merge: Sequence[int], target_arity: int) -> RelationPair:
     """Identify coordinates via a surjection merge: arity -> target_arity."""
     if len(merge) != p.arity:
         raise DomainError("merge map length must equal the pair arity")
     if set(merge) != set(range(target_arity)):
         raise DomainError("merge map must be onto the target coordinates")
     spec = SuperpositionSpec(target_arity, target_arity, tuple(range(target_arity)), (tuple(merge),))
-    return general_superposition(spec, [p], p.k, cap)
+    return general_superposition(spec, [p], p.k)
 
 
-def add_fictitious(p: RelationPair, positions: Sequence[int], cap: int = DEFAULT_CAP) -> RelationPair:
+def add_fictitious(p: RelationPair, positions: Sequence[int]) -> RelationPair:
     """Insert unconstrained coordinates at the given output positions."""
     m_out = p.arity + len(positions)
     positions = sorted(positions)
@@ -123,29 +120,29 @@ def add_fictitious(p: RelationPair, positions: Sequence[int], cap: int = DEFAULT
     old_of_new = [v for v in range(m_out) if v not in positions]
     alpha = tuple(old_of_new)
     spec = SuperpositionSpec(m_out, m_out, tuple(range(m_out)), (alpha,))
-    return general_superposition(spec, [p], p.k, cap)
+    return general_superposition(spec, [p], p.k)
 
 
-def project_onto(p: RelationPair, coords: Sequence[int], cap: int = DEFAULT_CAP) -> RelationPair:
+def project_onto(p: RelationPair, coords: Sequence[int]) -> RelationPair:
     """Keep only the listed coordinates (in the listed order)."""
     for c in coords:
         if not 0 <= c < p.arity:
             raise DomainError(f"coordinate {c} out of range for arity {p.arity}")
     spec = SuperpositionSpec(p.arity, len(coords), tuple(coords), (tuple(range(p.arity)),))
-    return general_superposition(spec, [p], p.k, cap)
+    return general_superposition(spec, [p], p.k)
 
 
-def intersect(p: RelationPair, q: RelationPair, cap: int = DEFAULT_CAP) -> RelationPair:
+def intersect(p: RelationPair, q: RelationPair) -> RelationPair:
     """Componentwise intersection of two pairs of equal arity."""
     if p.arity != q.arity:
         raise DomainError("intersection requires equal arity")
     m = p.arity
     ident = tuple(range(m))
     spec = SuperpositionSpec(m, m, ident, (ident, ident))
-    return general_superposition(spec, [p, q], p.k, cap)
+    return general_superposition(spec, [p, q], p.k)
 
 
-def diagonal(m: int, i: int, j: int, k: int, cap: int = DEFAULT_CAP) -> RelationPair:
+def diagonal(m: int, i: int, j: int, k: int) -> RelationPair:
     """The m-ary identical pair of tuples whose coordinates i and j agree.
     Produced from no inputs (an empty-index superposition)."""
     if not (0 <= i < m and 0 <= j < m):
@@ -166,14 +163,14 @@ def diagonal(m: int, i: int, j: int, k: int, cap: int = DEFAULT_CAP) -> Relation
         else:
             beta.append(var_of[c])
     spec = SuperpositionSpec(fresh, m, tuple(beta), ())
-    return general_superposition(spec, [], k, cap)
+    return general_superposition(spec, [], k)
 
 
-def full_pair(m: int, k: int, cap: int = DEFAULT_CAP) -> RelationPair:
+def full_pair(m: int, k: int) -> RelationPair:
     """The m-ary identical pair on all tuples, from an empty-index
     superposition; at m = 0 this is the pair on the empty tuple alone."""
     spec = SuperpositionSpec(m, m, tuple(range(m)), ())
-    return general_superposition(spec, [], k, cap)
+    return general_superposition(spec, [], k)
 
 
 @dataclass(frozen=True)
@@ -185,6 +182,10 @@ class RpCloneResult:
     pairs: PairFamily
     intermediate_cap: int
     slice_changed_at_last_cap: bool
+
+
+# the closure refuses once it holds more pairs than this, over all arities
+MAX_PAIRS = 200_000
 
 
 def _arity_maps(m: int, k: int) -> tuple[list, list[list[int]], list[int]]:
@@ -281,14 +282,14 @@ class _Closure(list):
     The closure is monotone in the cap, so cap c + 1 starts from cap c: it
     adds the arity-(c+1) seed pairs (and the diagonal at cap 2), appends a
     fictitious coordinate to the arity-c representatives, and runs on.
-    Closure size is counted as orbits enter, so the max_pairs refusal comes
+    Closure size is counted as orbits enter, so the MAX_PAIRS refusal comes
     as soon as the closure exceeds it.  Checked against the definition-level
     closure in tests/test_relpairs.py::TestClosureEngine."""
 
-    def __init__(self, seed: Iterable[RelationPair], k: int, cap: int, max_pairs: int):
+    def __init__(self, seed: Iterable[RelationPair], k: int):
         super().__init__()
         self.seed = [(p.arity, p.rho.mask | p.rho_prime.mask << k ** p.arity) for p in seed]
-        self.k, self.cap, self.max_pairs = k, cap, max_pairs
+        self.k = k
         self.maps: list[tuple[list, list[list[int]], list[int]]] = []
         self.reps: list[list[int]] = []
         self.done: list[set[int]] = []
@@ -308,11 +309,12 @@ class _Closure(list):
         self.reps[m].append(rep)
         self.todo.append((m, rep, orbit, moved))
         self.size += len(orbit)
-        check_cap("rpclone closure size", self.size, self.max_pairs)
+        if self.size > MAX_PAIRS:
+            raise CapExceeded("rpclone closure size", self.size, MAX_PAIRS)
 
     def grow(self) -> None:
         k, c = self.k, len(self)
-        check_cap("rpclone tuple space", k ** c, self.cap)
+        check_cap("rpclone tuple space", k ** c)
         self.maps.append(_arity_maps(c, k))
         self.append(set())
         self.reps.append([])
@@ -344,28 +346,18 @@ class _Closure(list):
                 self._admit(m, x, False)
 
 
-def _rpclone_closure(
-    seed: Iterable[RelationPair], c: int, k: int, cap: int, max_pairs: int
-) -> _Closure:
+def _rpclone_closure(seed: Iterable[RelationPair], c: int, k: int) -> _Closure:
     """The closure at intermediate cap c, grown cap by cap from 0; an
     oversized tuple space at c is refused before any cap is built."""
-    check_cap("rpclone tuple space", k ** c, cap)
-    closure = _Closure(seed, k, cap, max_pairs)
+    check_cap("rpclone tuple space", k ** c)
+    closure = _Closure(seed, k)
     for _ in range(c + 1):
         closure.grow()
     return closure
 
 
-def _rpclone_by_cap(
-    Q: Iterable[RelationPair],
-    target_cap: int,
-    first_cap: int,
-    last_cap: int,
-    stable_for: int,
-    k: int | None,
-    cap: int,
-    max_pairs: int,
-) -> RpCloneResult:
+def _rpclone_by_cap(Q: Iterable[RelationPair], target_cap: int, first_cap: int, last_cap: int,
+                    stable_for: int, k: int | None) -> RpCloneResult:
     """Raise the intermediate cap from first_cap (at least target_cap) to
     last_cap, growing one closure and restricting it to arity <= target_cap,
     and stop once stable_for consecutive caps gave the same slice; only then
@@ -386,8 +378,8 @@ def _rpclone_by_cap(
     if last_cap - first_cap < stable_for:
         # every cap up to last_cap is built, so refuse an oversized tuple
         # space before any closure runs
-        check_cap("rpclone tuple space", k ** last_cap, cap)
-    closure = _rpclone_closure(seed, first_cap, k, cap, max_pairs)
+        check_cap("rpclone tuple space", k ** last_cap)
+    closure = _rpclone_closure(seed, first_cap, k)
 
     def result(c: int, changed: bool) -> RpCloneResult:
         pairs = PairFamily(
@@ -408,14 +400,8 @@ def _rpclone_by_cap(
     return result(last_cap, True)
 
 
-def rpclone_generate(
-    Q: Iterable[RelationPair],
-    target_cap: int,
-    intermediate_cap: int | None = None,
-    k: int | None = None,
-    cap: int = DEFAULT_CAP,
-    max_pairs: int = 200_000,
-) -> RpCloneResult:
+def rpclone_generate(Q: Iterable[RelationPair], target_cap: int,
+                     intermediate_cap: int | None = None, k: int | None = None) -> RpCloneResult:
     """Close Q under coordinate permutation, identification, dropping a
     coordinate, fictitious coordinates, binary intersection, and the
     from-nothing diagonal and full pairs, keeping every intermediate result
@@ -427,25 +413,19 @@ def rpclone_generate(
     are never injected; they appear only when derivable from Q.
     """
     c = intermediate_cap if intermediate_cap is not None else target_cap + 2
-    return _rpclone_by_cap(Q, target_cap, c - 1, c, 2, k, cap, max_pairs)
+    return _rpclone_by_cap(Q, target_cap, c - 1, c, 2, k)
 
 
 def rpclone_generate_stable(
-    Q: Iterable[RelationPair],
-    target_cap: int,
-    k: int | None = None,
-    cap: int = DEFAULT_CAP,
-    max_pairs: int = 200_000,
+    Q: Iterable[RelationPair], target_cap: int, k: int | None = None
 ) -> RpCloneResult:
     """Raise the intermediate cap from the target arity until the restricted
     slice is unchanged for two consecutive increments, at most to target + 3;
     the earliest possible stop is the default cap target + 2."""
-    return _rpclone_by_cap(Q, target_cap, target_cap, target_cap + 3, 3, k, cap, max_pairs)
+    return _rpclone_by_cap(Q, target_cap, target_cap, target_cap + 3, 3, k)
 
 
-def sloc_pairs(
-    Q: Iterable[RelationPair], s: int, m: int, k: int, cap: int = DEFAULT_CAP
-) -> PairFamily:
+def sloc_pairs(Q: Iterable[RelationPair], s: int, m: int, k: int) -> PairFamily:
     """All m-ary (sigma, sigma') such that every subset of sigma of size <= s
     is covered by the first component of some m-ary member of Q whose second
     component lies inside sigma'.
@@ -468,7 +448,7 @@ def sloc_pairs(
             raise DomainError("carrier mismatch in pair family")
         if p.arity == m:
             qm.append((p.rho.mask, p.rho_prime.mask))
-    check_cap("sloc_pairs candidate enumeration", 3 ** carrier.num_tuples(m), cap)
+    check_cap("sloc_pairs candidate enumeration", 3 ** carrier.num_tuples(m))
     covers: dict[int, frozenset[int]] = {}
     out = []
     for sigma_mask in range(1 << carrier.num_tuples(m)):
@@ -487,10 +467,10 @@ def sloc_pairs(
     return PairFamily(out)
 
 
-def loc_pairs(Q: Iterable[RelationPair], m: int, k: int, cap: int = DEFAULT_CAP) -> PairFamily:
+def loc_pairs(Q: Iterable[RelationPair], m: int, k: int) -> PairFamily:
     """Finite-carrier local closure for pairs: covering subsets up to the
     full tuple count."""
-    return sloc_pairs(Q, Carrier(k).num_tuples(m), m, k, cap)
+    return sloc_pairs(Q, Carrier(k).num_tuples(m), m, k)
 
 
 def is_s_directed(T: Iterable[RelationPair], s: int) -> bool:

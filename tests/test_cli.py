@@ -1,5 +1,6 @@
 import io
 import json
+import math
 import time
 
 import pytest
@@ -226,13 +227,20 @@ class TestExitCodes:
         code, out, _ = run(capsys, "check", "galois", "--caps", "10")
         assert code == 2
 
-    @pytest.mark.parametrize("name,what,cost", [
-        ("galois", "galois two-element unions", 194232630),
-        ("semigroups", "semigroup subset enumeration", 2 ** 27),
+    # galois at k=4 counts its 4^4 + 4^16 operations and 3 + 3^4 pairs
+    # before it lists them
+    @pytest.mark.parametrize("name,what,cost,k", [
+        pytest.param("galois", "galois two-element unions", 194232630, 3,
+                     id="galois-galois two-element unions-194232630"),
+        pytest.param("semigroups", "semigroup subset enumeration", 2 ** 27, 3,
+                     id="semigroups-semigroup subset enumeration-134217728"),
+        pytest.param("galois", "galois two-element unions",
+                     math.comb(4 ** 4 + 4 ** 16, 2) + math.comb(3 + 3 ** 4, 2), 4,
+                     id="galois-k4"),
     ])
-    def test_k3_check_refuses_before_running(self, capsys, name, what, cost):
+    def test_k3_check_refuses_before_running(self, capsys, name, what, cost, k):
         start = time.perf_counter()
-        code, out, _ = run(capsys, "check", name, "--k", "3", "--json")
+        code, out, _ = run(capsys, "check", name, "--k", str(k), "--json")
         assert time.perf_counter() - start < 5
         details = json.loads(out)["reports"][0]["details"]
         assert code == 2 and details == {"what": what, "cost": cost, "cap": 2 ** 20}

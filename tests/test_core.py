@@ -6,6 +6,8 @@ from hypothesis import given, settings
 from hypothesis import strategies as st
 
 from finclone.core import (
+    DEFAULT_CAP,
+    CapExceeded,
     Carrier,
     DomainError,
     LaneTable,
@@ -16,6 +18,8 @@ from finclone.core import (
     RelationPair,
     all_operations,
     all_pairs,
+    capped,
+    check_cap,
     compose,
     enc,
     is_projection,
@@ -34,6 +38,55 @@ from finclone.core import (
 
 def rel(k, arity, tuples):
     return Relation.from_tuples(Carrier(k), arity, tuples)
+
+
+def refused_cap(cost):
+    """The cap that refused `cost`, or None when it passed."""
+    try:
+        check_cap("probe", cost)
+    except CapExceeded as e:
+        return e.cap
+    return None
+
+
+class TestCapScope:
+    def test_default_cap_outside_every_scope(self):
+        assert refused_cap(DEFAULT_CAP) is None
+        assert refused_cap(DEFAULT_CAP + 1) == DEFAULT_CAP
+
+    def test_innermost_scope_applies(self):
+        with capped(10):
+            assert refused_cap(10) is None and refused_cap(11) == 10
+            with capped(3):
+                assert refused_cap(4) == 3
+                with capped(20):
+                    assert refused_cap(11) is None and refused_cap(21) == 20
+            assert refused_cap(11) == 10
+
+    def test_outer_cap_restored_after_an_exception(self):
+        with capped(10):
+            with pytest.raises(CapExceeded, match="^inner: estimated cost 6 exceeds cap 5$"):
+                with capped(5):
+                    check_cap("inner", 6)
+            assert refused_cap(11) == 10
+        assert refused_cap(DEFAULT_CAP + 1) == DEFAULT_CAP
+
+    def test_zero_is_a_cap_and_negative_is_rejected(self):
+        with capped(0):
+            assert refused_cap(0) is None and refused_cap(1) == 0
+            with pytest.raises(DomainError, match="^cap must be >= 0$"):
+                with capped(-1):
+                    pass
+            assert refused_cap(1) == 0
+
+    def test_a_cost_too_long_for_decimal_is_shown_by_magnitude(self):
+        # CPython refuses to print ints of more than 4,300 digits by default
+        assert str(CapExceeded("small", 10 ** 4299, 7)) == \
+            f"small: estimated cost {10 ** 4299} exceeds cap 7"
+        e = CapExceeded("big", 2 ** 16384, 7)
+        assert (e.cost, e.cap) == (">= 2^16384", 7)
+        assert str(e) == "big: estimated cost >= 2^16384 exceeds cap 7"
+        assert CapExceeded("big", 2 ** 16385 - 1, 7).cost == ">= 2^16384"
 
 
 class TestEncoding:

@@ -12,6 +12,7 @@ from finclone.core import (
     OpFamily,
     Operation,
     all_operations,
+    capped,
     check_cap,
     compose,
     is_projection,
@@ -207,14 +208,14 @@ class TestGammaFixpoint:
                 assert g.S == best_s
 
 
-def gamma_by_definition(F, ksize, B, k, cap=2 ** 20):
+def gamma_by_definition(F, ksize, B, k):
     """The naive fixpoint: every round re-applies every generator to all
     argument tuples over R, through `Operation.__call__`."""
     ops = list(F)
     for f in ops:
         if f.k != k:
             raise DomainError("carrier mismatch in operation family")
-    check_cap("gamma tuple space", k ** ksize, cap)
+    check_cap("gamma tuple space", k ** ksize)
     carrier = Carrier(k)
     R = set()
     for t in B:
@@ -348,8 +349,10 @@ class TestSemiNaiveGamma:
         # before it fills, so its rows sum to 10^2
         seed = [(0, 0, 1, 1), (0, 1, 0, 1)]
         with pytest.raises(CapExceeded, match="^gamma row evaluations: estimated cost 100 "):
-            gamma_fixpoint([NAND], 4, seed, 2, cap=99)
-        g = gamma_fixpoint([NAND], 4, seed, 2, cap=100)
+            with capped(99):
+                gamma_fixpoint([NAND], 4, seed, 2)
+        with capped(100):
+            g = gamma_fixpoint([NAND], 4, seed, 2)
         assert g == gamma_by_definition([NAND], 4, seed, 2) and len(g.R) == 16
 
     def test_same_errors_in_the_same_order(self):
@@ -363,8 +366,8 @@ class TestSemiNaiveGamma:
         for F, ksize, B, k, cap in bad:
             errors = []
             for engine in (gamma_fixpoint, gamma_by_definition):
-                with pytest.raises((DomainError, CapExceeded)) as e:
-                    engine(F, ksize, B, k, cap)
+                with pytest.raises((DomainError, CapExceeded)) as e, capped(cap):
+                    engine(F, ksize, B, k)
                 errors.append((type(e.value), str(e.value)))
             assert errors[0] == errors[1]
 

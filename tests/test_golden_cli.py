@@ -199,6 +199,21 @@ ERRORS = [
      "input error: arity must be >= 0\n"),
     ("k2", ["gamma", "--ops", "and", "--ksize", "-1"], 3,
      "input error: index-set size must be >= 0\n"),
+    ("k2", ["polp", "--pairs", "leqp", "--arity", "14"], 2,
+     "refused: polp table enumeration: estimated cost >= 2^16384 exceeds cap 1048576\n"),
+    ("k2", ["superpose", "--pairs", "leqp", "--spec",
+            '{"mu":1.5,"m":1,"beta":[0],"alphas":[[0,1]]}'], 3,
+     "input error: variable counts and map values must be integers\n"),
+    ("k2", ["superpose", "--pairs", "leqp", "--spec",
+            '{"mu":2,"m":1,"beta":[0.0],"alphas":[[0,1]]}'], 3,
+     "input error: variable counts and map values must be integers\n"),
+    ("k2", ["superpose", "--pairs", "leqp", "--spec",
+            '{"mu":2,"m":true,"beta":[0],"alphas":[[0,1]]}'], 3,
+     "input error: variable counts and map values must be integers\n"),
+    ("k2", ["polp", "--pairs", "leqp", "--arity", "1", "--caps", "-1"], 3,
+     "input error: cap must be >= 0\n"),
+    ("k2", ["gen-semigroup", "--ops", "not", "--caps", "1"], 2,
+     "refused: gamma tuple space: estimated cost 4 exceeds cap 1\n"),
 ]
 
 

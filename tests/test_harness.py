@@ -1,3 +1,5 @@
+import json
+
 import pytest
 
 from finclone import core, harness
@@ -10,6 +12,7 @@ from finclone.core import (
     RelationPair,
     all_operations,
     all_pairs,
+    capped,
 )
 from finclone.harness import (
     Report,
@@ -69,24 +72,33 @@ class TestReportShape:
 
 class TestRefusal:
     def test_tiny_cap_refuses(self):
-        r = check_galois_axioms(2, 2, 2, cap=10)
+        with capped(10):
+            r = check_galois_axioms(2, 2, 2)
         assert r.verdict == "refused"
         assert r.counterexample is None
         assert {"what", "cost", "cap"} <= set(r.details)
         assert r.details["cost"] > r.details["cap"] == 10
 
     def test_refusal_in_pair_side(self):
-        r = check_pair_side_characterisation([LEQ_PAIR], 1, 1, 2, cap=3)
+        with capped(3):
+            r = check_pair_side_characterisation([LEQ_PAIR], 1, 1, 2)
         assert r.verdict == "refused"
 
     def test_op_side_refuses_in_order(self):
         # the pair arities are charged first, ascending, then the tables
-        r = check_op_side_characterisation([AND], 3, 2, 2, cap=81)
+        with capped(81):
+            r = check_op_side_characterisation([AND], 3, 2, 2)
         assert r.verdict == "refused"
         assert r.details == {"what": "invp pair enumeration", "cost": 6561, "cap": 81}
-        r = check_op_side_characterisation([AND], 1, 2, 2, cap=15)
+        with capped(15):
+            r = check_op_side_characterisation([AND], 1, 2, 2)
         assert r.verdict == "refused"
         assert r.details == {"what": "polp table enumeration", "cost": 16, "cap": 15}
+
+    def test_refusal_of_a_cost_too_long_for_decimal_dumps_as_json(self):
+        r = check_op_side_characterisation([AND], 1, 14, 2)
+        assert r.details == {"what": "polp table enumeration", "cost": ">= 2^16384", "cap": 2 ** 20}
+        assert '"cost": ">= 2^16384"' in json.dumps(r.to_dict())
 
     def test_op_side_carrier_mismatch(self):
         with pytest.raises(DomainError, match="carrier mismatch in operation family"):
@@ -99,8 +111,8 @@ class TestNegativeControl:
         # notice and name the missing operation
         real = harness.sloc_ops
 
-        def tampered(F, s, n, k, cap=2 ** 20):
-            fam = list(real(F, s, n, k, cap))
+        def tampered(F, s, n, k):
+            fam = list(real(F, s, n, k))
             return OpFamily(fam[:-1]) if fam else OpFamily(fam)
 
         monkeypatch.setattr(harness, "sloc_ops", tampered)
@@ -114,8 +126,8 @@ class TestNegativeControl:
     def test_tampered_generation_is_caught(self, monkeypatch):
         real = harness.gamma_fixpoint
 
-        def tampered(F, ksize, B, k, cap=2 ** 20):
-            g = real(F, ksize, B, k, cap)
+        def tampered(F, ksize, B, k):
+            g = real(F, ksize, B, k)
             return type(g)(g.R | {(1, 1)}, g.S | {(1, 1)}, g.steps)
 
         monkeypatch.setattr(harness, "gamma_fixpoint", tampered)

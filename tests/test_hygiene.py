@@ -1,6 +1,7 @@
 """Static hygiene of the library source: every imported name is used, every
 private top-level definition is referenced, the package exports exactly
-what its `__init__` imports, and no process-global cache is added."""
+what its `__init__` imports, no process-global cache is added, and no
+function takes the complexity cap as a parameter."""
 
 import ast
 from collections import Counter
@@ -116,3 +117,35 @@ def test_cache_detector_flags_each_form(tmp_path):
 def test_no_new_process_global_cache():
     sources = {p.name: p.read_text() for p in SRC.glob("*.py")}
     assert cached_functions(sources) - KNOWN_CACHES == set()
+
+
+# the complexity cap is scoped (`core.capped`), never passed down a call chain
+FORBIDDEN_PARAMETERS = {"cap", "max_pairs"}
+
+
+def cap_parameters(sources: dict[str, str]) -> list[str]:
+    """Functions, methods and lambdas with a parameter named in
+    FORBIDDEN_PARAMETERS."""
+    return [f"{module}:{node.lineno}: {getattr(node, 'name', 'lambda')}({arg.arg})"
+            for module, source in sources.items() for node in ast.walk(ast.parse(source))
+            if isinstance(node, (ast.FunctionDef, ast.AsyncFunctionDef, ast.Lambda))
+            for arg in (*node.args.posonlyargs, *node.args.args, node.args.vararg,
+                        *node.args.kwonlyargs, node.args.kwarg)
+            if arg is not None and arg.arg in FORBIDDEN_PARAMETERS]
+
+
+def test_cap_parameter_detector_flags_each_form():
+    source = ("def a(x, cap=1):\n    pass\n\n"
+              "def b(*, max_pairs):\n    pass\n\n"
+              "class C:\n    def c(self, cap, /):\n        pass\n\n"
+              "d = lambda a, p, k, cap: a\n\n"
+              "def e(x, capped=1, limit=2, **kw):\n    return check_cap('e', x)\n\n"
+              "def f(*cap, g=lambda max_pairs: 0):\n    pass\n")
+    assert cap_parameters({"m.py": source}) == [
+        "m.py:1: a(cap)", "m.py:4: b(max_pairs)", "m.py:16: f(cap)", "m.py:8: c(cap)",
+        "m.py:11: lambda(cap)", "m.py:16: lambda(max_pairs)"]
+
+
+def test_no_cap_parameter():
+    sources = {p.name: p.read_text() for p in sorted(SRC.glob("*.py"))}
+    assert cap_parameters(sources) == []

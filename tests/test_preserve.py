@@ -6,7 +6,6 @@ import time
 import pytest
 
 from finclone.core import (
-    DEFAULT_CAP,
     CapExceeded,
     Carrier,
     DomainError,
@@ -52,13 +51,13 @@ def op_image_mask_by_definition(f, rho):
     return out
 
 
-def polp_enumerate(Q, n, k, cap=DEFAULT_CAP):
+def polp_enumerate(Q, n, k):
     """The oracle for `polp`: all n-ary operations preserving every pair in
     Q, by enumerating all k^(k^n) value tables."""
     if n < 0:
         raise DomainError("arity must be >= 0")
     carrier = Carrier(k)
-    check_cap("polp table enumeration", k ** carrier.num_tuples(n), cap)
+    check_cap("polp table enumeration", k ** carrier.num_tuples(n))
     pairs = list(Q)
     for p in pairs:
         if p.k != k:
@@ -75,13 +74,13 @@ def polp_enumerate(Q, n, k, cap=DEFAULT_CAP):
     return OpFamily(out)
 
 
-def invp_enumerate(F, m, k, cap=DEFAULT_CAP):
+def invp_enumerate(F, m, k):
     """The oracle for `invp`: all m-ary relation pairs preserved by every
     operation in F, by enumerating all 3^(k^m) candidates."""
     if m < 0:
         raise DomainError("arity must be >= 0")
     carrier = Carrier(k)
-    check_cap("invp pair enumeration", 3 ** carrier.num_tuples(m), cap)
+    check_cap("invp pair enumeration", 3 ** carrier.num_tuples(m))
     ops = list(F)
     for f in ops:
         if f.k != k:
@@ -101,7 +100,7 @@ def invp_enumerate(F, m, k, cap=DEFAULT_CAP):
     return PairFamily(out)
 
 
-def sloc_ops_enumerate(F, s, n, k, cap=DEFAULT_CAP):
+def sloc_ops_enumerate(F, s, n, k):
     """The oracle for `sloc_ops`: every k^(k^n) value table, filtered
     against every subset of A^n of size min(s, k^n)."""
     if s < 0:
@@ -115,7 +114,7 @@ def sloc_ops_enumerate(F, s, n, k, cap=DEFAULT_CAP):
     size = min(s, domain)
     if size == 0:
         return OpFamily(all_operations(carrier, n)) if fs else OpFamily()
-    check_cap("sloc_ops subset enumeration", math.comb(domain, size) * (k ** domain), cap)
+    check_cap("sloc_ops subset enumeration", math.comb(domain, size) * (k ** domain))
     subsets = list(itertools.combinations(range(domain), size))
     out = []
     for g in all_operations(carrier, n):

@@ -6,7 +6,6 @@ import time
 import pytest
 
 from finclone.core import (
-    DEFAULT_CAP,
     CapExceeded,
     Carrier,
     DomainError,
@@ -15,6 +14,7 @@ from finclone.core import (
     RelationPair,
     all_pairs,
     bit_indices,
+    capped,
     check_cap,
     enc,
     submasks,
@@ -69,6 +69,14 @@ class TestSpecValidation:
     def test_input_map_range(self):
         with pytest.raises(DomainError):
             SuperpositionSpec(1, 1, (0,), ((2,),))
+
+    @pytest.mark.parametrize("args", [
+        (1.5, 1, (0,), ()), (2, True, (0,), ()), (2, 1, (0.0,), ()),
+        (2, 1, (0,), ((False,),)), (True, 0, (), ()),
+    ])
+    def test_entries_must_be_ints(self, args):
+        with pytest.raises(DomainError, match="^variable counts and map values must be integers$"):
+            SuperpositionSpec(*args)
 
     def test_input_count_mismatch(self):
         spec = SuperpositionSpec(1, 1, (0,), ((0,),))
@@ -281,21 +289,25 @@ class TestRpClone:
         for p in res.pairs:
             assert preserves(AND, p)
 
-    def test_max_pairs_refusal(self):
-        with pytest.raises(CapExceeded):
-            rpclone_generate([LEQ_PAIR], 2, max_pairs=5)
+    def test_max_pairs_refusal(self, monkeypatch):
+        monkeypatch.setattr(relpairs, "MAX_PAIRS", 5)
+        with pytest.raises(CapExceeded, match=r"^rpclone closure size: estimated cost \d+ exceeds cap 5$"):
+            rpclone_generate([LEQ_PAIR], 2)
 
-    def test_max_pairs_boundary(self):
+    def test_max_pairs_boundary(self, monkeypatch):
         # refused iff the closure at the intermediate cap has more than
-        # max_pairs members, however early the refusal comes
+        # MAX_PAIRS members, however early the refusal comes
         seeds = [[LEQ_PAIR], [pair_of(2, 1, [(0,), (1,)], [(1,)])],
                  [pair_of(2, 2, [(0, 1), (1, 0), (1, 1)], [(0, 1)])]]
         for seed in seeds:
             for c in (2, 3, 4):
-                n = sum(map(len, _rpclone_closure(seed, c, 2, 2 ** 20, 200_000)))
-                rpclone_generate(seed, 1, intermediate_cap=c, max_pairs=n)
+                monkeypatch.undo()
+                n = sum(map(len, _rpclone_closure(seed, c, 2)))
+                monkeypatch.setattr(relpairs, "MAX_PAIRS", n)
+                rpclone_generate(seed, 1, intermediate_cap=c)
+                monkeypatch.setattr(relpairs, "MAX_PAIRS", n - 1)
                 with pytest.raises(CapExceeded, match="rpclone closure size"):
-                    rpclone_generate(seed, 1, intermediate_cap=c, max_pairs=n - 1)
+                    rpclone_generate(seed, 1, intermediate_cap=c)
 
     def test_max_pairs_refused_as_the_closure_crosses_it(self):
         # leq-to-eq at intermediate cap 6 outgrows the default 200,000 pairs;
@@ -303,7 +315,8 @@ class TestRpClone:
         # closure is complete
         eq = Relation.from_tuples(C2, 2, [(0, 0), (1, 1)])
         start = time.perf_counter()
-        with pytest.raises(CapExceeded, match="rpclone closure size"):
+        with pytest.raises(CapExceeded, match=r"^rpclone closure size: estimated cost \d+ "
+                                              "exceeds cap 200000$"):
             rpclone_generate([RelationPair.of(LEQ, eq)], 4)
         assert time.perf_counter() - start < 5
 
@@ -315,7 +328,8 @@ class TestRpClone:
                             lambda *a: calls.append(a))
         for c in (3, 4, 5):
             with pytest.raises(CapExceeded, match="rpclone tuple space"):
-                rpclone_generate([LEQ_PAIR], 2, intermediate_cap=c, cap=2 ** (c - 1))
+                with capped(2 ** (c - 1)):
+                    rpclone_generate([LEQ_PAIR], 2, intermediate_cap=c)
         assert calls == []
 
 
@@ -364,19 +378,19 @@ class TestClosureEngine:
         cases += [([p], 2) for p in arity2]
         cases += [([p], 3) for p in random.Random(5).sample(arity2, 24)]
         for seed, c in cases:
-            assert _rpclone_closure(seed, c, 2, 2 ** 20, 200_000) == \
+            assert _rpclone_closure(seed, c, 2) == \
                 closure_by_definition(seed, c, 2), (seed, c)
 
     def test_nand_to_neq_sizes(self):
         nand = Relation.from_tuples(C2, 2, [(0, 0), (0, 1), (1, 0)])
         neq = Relation.from_tuples(C2, 2, [(0, 1), (1, 0)])
-        got = _rpclone_closure([RelationPair.of(nand, neq)], 5, 2, 2 ** 20, 200_000)
+        got = _rpclone_closure([RelationPair.of(nand, neq)], 5, 2)
         assert tuple(map(len, got)) == (2, 3, 11, 64, 556, 6954)
         assert sum(map(len, got)) == 7590
 
     def test_leq_to_eq_size(self):
         eq = Relation.from_tuples(C2, 2, [(0, 0), (1, 1)])
-        got = _rpclone_closure([RelationPair.of(LEQ, eq)], 5, 2, 2 ** 20, 200_000)
+        got = _rpclone_closure([RelationPair.of(LEQ, eq)], 5, 2)
         assert sum(map(len, got)) == 11041
 
     def test_matches_definition_other_carriers(self):
@@ -392,14 +406,14 @@ class TestClosureEngine:
         cases += [([p], 2, 3) for p in rng.sample(list(all_pairs(Carrier(3), 2)), 6)]
         cases += [([p], 3, 3) for p in rng.sample(unary, 4)]
         for seed, c, k in cases:
-            assert _rpclone_closure(seed, c, k, 2 ** 20, 200_000) == \
+            assert _rpclone_closure(seed, c, k) == \
                 closure_by_definition(seed, c, k), (seed, c, k)
 
     def test_grown_caps_match_definition(self):
         seeds = [[LEQ_PAIR], [pair_of(2, 1, [(0,), (1,)], [(0,)])],
                  [pair_of(2, 2, [(0, 1), (1, 1)], [(1, 1)])]]
         for seed in seeds:
-            closure = _rpclone_closure(seed, 1, 2, 2 ** 20, 200_000)
+            closure = _rpclone_closure(seed, 1, 2)
             assert closure == closure_by_definition(seed, 1, 2)
             for c in (2, 3):
                 closure.grow()
@@ -418,7 +432,7 @@ class TestClosureEngine:
         cases = [([RelationPair.of(nand, neq)], 5)]
         cases += [(seed, c) for seed in seeds for c in range(5)]
         for seed, c in cases:
-            closure = _rpclone_closure(seed, c, 2, 2 ** 20, 200_000)
+            closure = _rpclone_closure(seed, c, 2)
             for m, (members, born) in enumerate(zip(closure, closure.born)):
                 assert born <= members, (seed, c, m)
                 for layer in relpairs._arity_maps(m, 2)[0]:
@@ -440,7 +454,7 @@ class TestClosureEngine:
         cases += [(rng.sample(unary, rng.randint(1, 2)) + [rng.choice(binary)], 3)
                   for _ in range(4)]
         for seed, c in cases:
-            assert _rpclone_closure(seed, c, 2, 2 ** 20, 200_000) == \
+            assert _rpclone_closure(seed, c, 2) == \
                 closure_by_definition(seed, c, 2), (seed, c)
 
     def test_transpositions_match_permute(self):
@@ -466,7 +480,7 @@ class TestClosureEngine:
         # arity-5 pairs of nand-to-neq
         nand = Relation.from_tuples(C2, 2, [(0, 0), (0, 1), (1, 0)])
         neq = Relation.from_tuples(C2, 2, [(0, 1), (1, 0)])
-        closure = _rpclone_closure([RelationPair.of(nand, neq)], 5, 2, 2 ** 20, 200_000)
+        closure = _rpclone_closure([RelationPair.of(nand, neq)], 5, 2)
         assert len(closure.reps[5]) == 249
         for m, packed in enumerate(closure[:4]):
             w = 2 ** m
@@ -478,14 +492,14 @@ class TestClosureEngine:
             assert sorted(closure.reps[m]) == sorted(minima), m
 
 
-def sloc_pairs_enumerate(Q, s, m, k, cap=DEFAULT_CAP):
+def sloc_pairs_enumerate(Q, s, m, k):
     """The oracle for `sloc_pairs`: for every candidate (sigma, sigma') the
     witnesses usable inside sigma' are filtered afresh and tested against
     every subset of sigma of size min(s, |sigma|)."""
     if s < 0:
         raise DomainError("locality parameter must be >= 0")
     carrier = Carrier(k)
-    check_cap("sloc_pairs candidate enumeration", 3 ** carrier.num_tuples(m), cap)
+    check_cap("sloc_pairs candidate enumeration", 3 ** carrier.num_tuples(m))
     qm = [(p.rho.mask, p.rho_prime.mask) for p in Q if p.arity == m]
     out = []
     for sigma_mask in range(1 << carrier.num_tuples(m)):
@@ -574,7 +588,8 @@ class TestSlocPairs:
 
     def test_cap_refusal(self):
         with pytest.raises(CapExceeded):
-            sloc_pairs([], 1, 3, 2, cap=100)
+            with capped(100):
+                sloc_pairs([], 1, 3, 2)
 
     def test_rejects_a_pair_on_another_carrier(self):
         # as polp does, instead of silently dropping the witness

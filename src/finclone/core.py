@@ -41,11 +41,11 @@ class CapExceeded(RuntimeError):
     (">= 2^N"), so that the message and a JSON dump of the cost print.
     """
 
-    def __init__(self, what: str, cost: int, limit: int):
+    def __init__(self, what: str, cost: int | str, limit: int):
         try:
             shown = str(cost)
         except ValueError:
-            cost = shown = f">= 2^{cost.bit_length() - 1}"
+            cost = shown = _at_least(cost.bit_length() - 1)
         self.what = what
         self.cost = cost
         self.cap = limit
@@ -72,11 +72,51 @@ def capped(limit: int) -> Iterator[None]:
         _CAP.reset(token)
 
 
-def check_cap(what: str, cost: int) -> None:
-    """Refuse, by raising CapExceeded, a cost above the innermost cap."""
+def _at_least(bits: int) -> str:
+    """How CapExceeded shows an estimate of `bits + 1` bits."""
+    return f">= 2^{bits}"
+
+
+def check_cap(what: str, cost: int, base: int = 1, exponent: int = 0) -> None:
+    """Refuse, by raising CapExceeded, an estimate of cost * base ** exponent
+    above the innermost cap.
+
+    The magnitude is compared first: an estimate whose bit length is sure
+    to exceed both the cap's and four bits for each decimal digit that `str`
+    converts is refused as ">= 2^N" from its leading bits, so a huge power
+    is never built.
+    """
     cap = _CAP.get()
+    if exponent and base > 1 and cost > 0:
+        bits = cost.bit_length() - 1 + exponent * (base.bit_length() - 1)
+        if bits > cap.bit_length() and bits > 4 * sys.get_int_max_str_digits() > 0:
+            raise CapExceeded(what, _at_least(_log2_floor(cost, base, exponent)), cap)
+    cost *= base ** exponent
     if cost > cap:
         raise CapExceeded(what, cost, cap)
+
+
+def _log2_floor(cost: int, base: int, exponent: int) -> int:
+    """floor(log2(cost * base ** exponent)) for cost, base >= 1, from the
+    product's leading 128 bits rounded down and rounded up; built in full
+    only when the two bounds straddle a power of two."""
+
+    def bound(up: bool) -> int:
+        def keep(x: int, shift: int) -> tuple[int, int]:
+            drop = max(x.bit_length() - 128, 0)
+            top = x >> drop
+            return top + (up and top << drop != x), shift + drop
+
+        x, shift = 1, 0
+        for bit in bin(exponent)[2:]:
+            x, shift = keep(x * x, 2 * shift)
+            if bit == "1":
+                x, shift = keep(x * base, shift)
+        x, shift = keep(x * cost, shift)
+        return x.bit_length() - 1 + shift
+
+    low, high = bound(False), bound(True)
+    return low if low == high else (cost * base ** exponent).bit_length() - 1
 
 
 @dataclass(frozen=True, order=True)
@@ -263,6 +303,14 @@ def unpack(data: bytes, lane: int) -> tuple[int, ...]:
 def lane_ints(data: Iterable[bytes]) -> list[int]:
     """Each lane string read as the one int that `row_sums` adds."""
     return [int.from_bytes(d, _LANE_ORDER) for d in data]
+
+
+def int_lanes(x: int, lane: int, width: int) -> tuple[int, ...]:
+    """The `width` lanes of `lane` bytes that make up x, its lowest bits
+    first: on a little-endian host, the tuple whose `pack` `lane_ints` reads
+    as x."""
+    lanes = unpack(x.to_bytes(width * lane, _LANE_ORDER), lane)
+    return lanes if _LANE_ORDER == "little" else lanes[::-1]
 
 
 class LaneTable(NamedTuple):

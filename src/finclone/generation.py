@@ -134,7 +134,7 @@ def gamma_fixpoint(F: Iterable[Operation], ksize: int, B: Iterable[Sequence[int]
             raise DomainError("carrier mismatch in operation family")
     if ksize < 0:
         raise DomainError("index-set size must be >= 0")
-    check_cap("gamma tuple space", k ** ksize)
+    check_cap("gamma tuple space", 1, k, ksize)
     Carrier(k)  # raises DomainError for k < 0
     gens = [f for f in ops if f.arity > 0]
     lane = lane_bytes(max([k] + [len(f.table) for f in gens]))

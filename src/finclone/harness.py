@@ -393,8 +393,8 @@ def check_transformation_semigroups(k: int = 2) -> Report:
 
     def body():
         carrier = Carrier(k)
+        check_cap("semigroup subset enumeration", 1, 2, k ** k)
         unary = list(all_operations(carrier, 1))
-        check_cap("semigroup subset enumeration", 2 ** len(unary))
         ident = identity_op(carrier)
         for bits in range(1 << len(unary)):
             H = OpFamily(unary[i] for i in range(len(unary)) if bits >> i & 1)

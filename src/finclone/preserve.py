@@ -5,11 +5,13 @@ closures.
 The pair side rests on one engine, `least_invp`: (rho, rho') is invariant
 under F iff F[rho] ⊆ rho' ⊆ rho, where F[rho] is the union of the images of
 the members of F on rho.  A matrix over rho with n columns has at most n
-distinct columns, so F[rho] is the union of the images on the subsets of rho
-of size <= n, and one OR-zeta transform over all subsets gives it for every
-rho at once.  `invp` and `inv` read that map, and `polp` groups its pairs
-into the same map for `polp_least`.  `polp_least` and `sloc_ops` share one
-constraint search over table entries.  Matrices over a relation are applied
+distinct columns, so F[rho] is the union of the images on the non-empty
+subsets of rho of size <= n (on the empty set when n = 0).  Those images
+are held in one int, a lane of `lane_bytes(2^N)` bytes for each of the 2^N
+subsets of A^m (N = k^m), and an OR-zeta transform of N big-int steps gives
+F[rho] for every rho at once.  `invp` and `inv` read that map, and `polp`
+groups its pairs into the same map for `polp_least`.  `polp_least` and
+`sloc_ops` share one constraint search over table entries.  Matrices over a relation are applied
 row-wise through the byte-lane engine in `core` (`row_images`):
 `op_image_mask` takes the images of the rows under the operation's table,
 and `_scopes` each scope, as a tuple of table indices, as its image under
@@ -36,6 +38,7 @@ from .core import (
     RelationPair,
     all_operations,
     check_cap,
+    int_lanes,
     lane_bytes,
     lane_ints,
     pack,
@@ -124,7 +127,7 @@ def polp_least(least: dict[tuple[int, int], int], n: int, k: int) -> OpFamily:
     if n < 0:
         raise DomainError("arity must be >= 0")
     carrier = Carrier(k)
-    check_cap("polp table enumeration", k ** carrier.num_tuples(n))
+    check_cap("polp table enumeration", 1, k, carrier.num_tuples(n))
     # allowed[scope]: the images a scope of m table indices may take under
     # every m-ary rho
     allowed: dict[tuple[int, ...], int] = {}
@@ -182,31 +185,45 @@ def least_invp(F: Iterable[Operation], m: int, k: int) -> dict[int, int]:
 
     A matrix over rho with n columns has at most n distinct columns, so
     F[rho] is the union of `op_image_mask(f, M)` over the subsets M of rho
-    with |M| <= arity(f).  Each such image is taken once, and one OR-zeta
-    (subset-sum) transform over the 2^N subsets of A^m, N = k^m, spreads
-    them to every rho in N * 2^(N-1) ORs (Björklund, Husfeldt, Kaski and
-    Koivisto, "Fourier meets Möbius: fast subset convolution", STOC 2007).
-    The cap charges the 3^N candidate pairs, which bound those ORs.
+    with |M| <= arity(f); the columns of a matrix with at least one column
+    form a non-empty set, so M is empty only for a nullary f.  Each such
+    image is taken once, in the lane of M of one int that holds a lane of
+    `lane_bytes(2^N)` bytes for each of the 2^N subsets of A^m, N = k^m,
+    subset 0 lowest.  The OR-zeta (subset-sum) transform (Björklund,
+    Husfeldt, Kaski and Koivisto, "Fourier meets Möbius: fast subset
+    convolution", STOC 2007) then spreads them to every rho in N steps, one
+    per element i of A^m: each lane of a subset without i is ORed into the
+    lane of that subset with i.  The cap charges the 3^N candidate pairs.
     """
     if m < 0:
         raise DomainError("arity must be >= 0")
     size = Carrier(k).num_tuples(m)
-    check_cap("invp pair enumeration", 3 ** size)
+    check_cap("invp pair enumeration", 1, 3, size)
     ops = list(F)
     for f in ops:
         if f.k != k:
             raise DomainError("carrier mismatch in operation family")
-    least = [0] * (1 << size)
+    lane = lane_bytes(1 << size)
+    bits = 8 * lane
+    singles = [1 << i for i in range(size)]
+    # by_size[r]: (the shift of its lane, the relation) for each subset of
+    # size r, listed when a member of F first needs them
+    by_size: dict[int, list[tuple[int, Relation]]] = {}
+    least = 0
     for f in ops:
-        for M in range(1 << size):
-            if M.bit_count() <= f.arity:
-                least[M] |= op_image_mask(f, Relation(k, m, M))
-    for i in range(size):
-        bit = 1 << i
-        for rho in range(1 << size):
-            if rho & bit:
-                least[rho] |= least[rho ^ bit]
-    return {rho: need for rho, need in enumerate(least) if not need & ~rho}
+        for r in range(min(f.arity, 1), min(f.arity, size) + 1):
+            if r not in by_size:
+                by_size[r] = [(bits * M, Relation(k, m, M))
+                              for M in map(sum, itertools.combinations(singles, r))]
+            for shift, M in by_size[r]:
+                least |= op_image_mask(f, M) << shift
+    for i in reversed(range(size)):
+        step = bits << i
+        # all ones on the lanes of the subsets without element i
+        without = (1 << step) - 1 if i == size - 1 else without ^ without << step
+        least |= (least & without) << step
+    lanes = int_lanes(least, lane, 1 << size)
+    return {rho: need for rho, need in enumerate(lanes) if not need & ~rho}
 
 
 def invp(F: Iterable[Operation], m: int, k: int) -> PairFamily:
@@ -279,7 +296,7 @@ def sloc_ops(F: Iterable[Operation], s: int, n: int, k: int) -> OpFamily:
     size = min(s, domain)
     if size == 0 and not fs:
         return OpFamily()
-    check_cap("sloc_ops subset enumeration", math.comb(domain, size) * (k ** domain))
+    check_cap("sloc_ops subset enumeration", math.comb(domain, size), k, domain)
     if size == 0:
         return OpFamily(all_operations(carrier, n))
     checks: list[list[tuple[tuple[int, ...], int]]] = [[] for _ in range(domain)]

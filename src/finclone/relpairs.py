@@ -53,7 +53,7 @@ class SuperpositionSpec:
 
 def _superpose_relations(spec: SuperpositionSpec, rels: Sequence[Relation], k: int) -> Relation:
     carrier = Carrier(k)
-    check_cap("superposition assignment space", k ** spec.mu)
+    check_cap("superposition assignment space", 1, k, spec.mu)
     decoded = [
         (alpha, frozenset(rel.indices()))
         for alpha, rel in zip(spec.alphas, rels)
@@ -448,7 +448,7 @@ def sloc_pairs(Q: Iterable[RelationPair], s: int, m: int, k: int) -> PairFamily:
             raise DomainError("carrier mismatch in pair family")
         if p.arity == m:
             qm.append((p.rho.mask, p.rho_prime.mask))
-    check_cap("sloc_pairs candidate enumeration", 3 ** carrier.num_tuples(m))
+    check_cap("sloc_pairs candidate enumeration", 1, 3, carrier.num_tuples(m))
     covers: dict[int, frozenset[int]] = {}
     out = []
     for sigma_mask in range(1 << carrier.num_tuples(m)):

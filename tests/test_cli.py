@@ -245,6 +245,33 @@ class TestExitCodes:
         details = json.loads(out)["reports"][0]["details"]
         assert code == 2 and details == {"what": what, "cost": cost, "cap": 2 ** 20}
 
+    # estimates far past the cap are refused from their magnitude, before
+    # 3^(3^15) or 2^(7^7) is built
+    @pytest.mark.parametrize("domain,argv,text", [
+        pytest.param("3", ["sloc", "--ops", "id", "--s", "1", "--arity", "15"],
+                     "sloc_ops subset enumeration: estimated cost >= 2^22742503", id="sloc-k3-15"),
+        pytest.param("2", ["polp", "--pairs", "leqp", "--arity", "15"],
+                     "polp table enumeration: estimated cost >= 2^32768", id="polp-k2-15"),
+        pytest.param("2", ["polp", "--pairs", "leqp", "--arity", "16"],
+                     "polp table enumeration: estimated cost >= 2^65536", id="polp-k2-16"),
+    ])
+    def test_huge_estimates_refuse_at_once(self, capsys, tmp_path, domain, argv, text):
+        problem = tmp_path / "problem.txt"
+        problem.write_text(PROBLEM if domain == "2" else "domain 3\nop id/1 = 012\n")
+        start = time.perf_counter()
+        code, out, err = run(capsys, *argv[:1], "--problem", str(problem), *argv[1:])
+        assert time.perf_counter() - start < 2
+        assert (code, out, err) == (2, "", f"refused: {text} exceeds cap 1048576\n")
+
+    def test_semigroups_count_before_they_list(self, capsys):
+        # 7^7 unary operations would take seconds to list; 2^(7^7) is refused
+        start = time.perf_counter()
+        code, out, _ = run(capsys, "check", "semigroups", "--k", "7", "--json")
+        assert time.perf_counter() - start < 2
+        details = json.loads(out)["reports"][0]["details"]
+        assert code == 2 and details == {
+            "what": "semigroup subset enumeration", "cost": ">= 2^823543", "cap": 2 ** 20}
+
     def test_runaway_fixpoint_refuses(self, capsys, tmp_path):
         # webb(x, y) = max(x, y) + 1 mod 3 generates all of A^9 from the
         # binary projections, so the fixpoint's rows cross the cap long

@@ -1,4 +1,6 @@
 import itertools
+import sys
+import time
 from operator import add
 
 import pytest
@@ -16,12 +18,14 @@ from finclone.core import (
     PairFamily,
     Relation,
     RelationPair,
+    _log2_floor,
     all_operations,
     all_pairs,
     capped,
     check_cap,
     compose,
     enc,
+    int_lanes,
     is_projection,
     lane_bytes,
     lane_ints,
@@ -87,6 +91,42 @@ class TestCapScope:
         assert (e.cost, e.cap) == (">= 2^16384", 7)
         assert str(e) == "big: estimated cost >= 2^16384 exceeds cap 7"
         assert CapExceeded("big", 2 ** 16385 - 1, 7).cost == ">= 2^16384"
+
+    def test_magnitude_of_a_power_from_its_leading_bits(self):
+        # 2^200 - 1 times a power of two straddles a power of two in its
+        # leading bits, so it is built to decide
+        for cost, base, exponent in itertools.product(
+                (1, 2, 3, 2 ** 200 - 1, 10 ** 50), (2, 3, 5, 7, 256, 1000),
+                (0, 1, 2, 127, 1000, 20000)):
+            assert _log2_floor(cost, base, exponent) == \
+                (cost * base ** exponent).bit_length() - 1, (cost, base, exponent)
+
+    def test_a_power_is_refused_as_if_it_were_built(self):
+        # around the length past which a power is refused unbuilt: four bits
+        # for each of the 4,300 digits that `str` converts by default
+        for cost, base, exponent, limit in (
+                (1, 3, 17199, 7), (1, 3, 17200, 7), (1, 3, 17201, 7), (1, 2, 17201, 7),
+                (5, 3, 17200, 7), (1, 3, 10 ** 5, 7), (14348907, 3, 10 ** 5, 7),
+                (1, 3, 20, 3 ** 20), (1, 3, 20, 3 ** 20 - 1), (1, 0, 5, 0), (0, 3, 10 ** 6, 0),
+                (1, 2, 3000, 2 ** 3000), (1, 2, 3000, 2 ** 3000 - 1), (1, 3, 20000, 2 ** 3000)):
+            with capped(limit):
+                try:
+                    check_cap("probe", cost, base, exponent)
+                except CapExceeded as e:
+                    got = (str(e), e.cost)
+                else:
+                    got = None
+            built = cost * base ** exponent
+            expected = None if built <= limit else \
+                (str(CapExceeded("probe", built, limit)), CapExceeded("probe", built, limit).cost)
+            assert got == expected, (cost, base, exponent, limit)
+
+    def test_a_power_far_past_the_cap_is_never_built(self):
+        start = time.perf_counter()
+        for exponent in (3 ** 15, 3 ** 20, 10 ** 10):
+            with pytest.raises(CapExceeded, match=r"^probe: estimated cost >= 2\^\d+ exceeds"):
+                check_cap("probe", 3 ** 15, 3, exponent)
+        assert time.perf_counter() - start < 1
 
 
 class TestEncoding:
@@ -292,6 +332,15 @@ class TestLaneEngine:
     def test_lane_widths(self):
         assert [lane_bytes(n) for n in (0, 1, 256, 257, 2 ** 16, 2 ** 16 + 1, 2 ** 32 + 1)] == [
             1, 1, 1, 2, 2, 4, 8]
+
+    def test_int_lanes_reads_lanes_lowest_first(self):
+        for lane in (1, 2, 4, 8):
+            for t in ((), (0,), (255, 0, 7), (1, 2, 3, 4, 5), (3, 0, 0, 0)):
+                x = sum(v << 8 * lane * i for i, v in enumerate(t))
+                assert int_lanes(x, lane, len(t)) == t
+                if sys.byteorder == "little":
+                    # the inverse of `lane_ints`
+                    assert lane_ints([pack(t, lane)]) == [x]
 
     def test_pack_round_trip(self):
         for lane in (1, 2, 4, 8):

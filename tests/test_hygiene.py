@@ -1,7 +1,8 @@
 """Static hygiene of the library source: every imported name is used, every
 private top-level definition is referenced, the package exports exactly
-what its `__init__` imports, no process-global cache is added, and no
-function takes the complexity cap as a parameter."""
+what its `__init__` imports, no process-global cache is added, no
+function takes the complexity cap as a parameter, and no module reaches
+into another's private names."""
 
 import ast
 from collections import Counter
@@ -149,3 +150,50 @@ def test_cap_parameter_detector_flags_each_form():
 def test_no_cap_parameter():
     sources = {p.name: p.read_text() for p in sorted(SRC.glob("*.py"))}
     assert cap_parameters(sources) == []
+
+
+def _private(name: str) -> bool:
+    return name.startswith("_") and not name.startswith("__")
+
+
+def private_imports(sources: dict[str, str]) -> list[str]:
+    """Private names a module takes from another: `from m import _x`,
+    `import m._x`, and `m._x` on a module bound by `import m` or
+    `from . import m`.  Dunder names are not private."""
+    out = []
+    for module, source in sources.items():
+        tree = ast.parse(source)
+        modules = set()
+        for node in ast.walk(tree):
+            if isinstance(node, ast.Import):
+                modules.update(alias.asname or alias.name.split(".")[0] for alias in node.names)
+                out += [f"{module}:{node.lineno}: import {alias.name}" for alias in node.names
+                        if any(map(_private, alias.name.split(".")))]
+            elif isinstance(node, ast.ImportFrom):
+                if node.module is None:
+                    modules.update(alias.asname or alias.name for alias in node.names)
+                source_module = "." * node.level + (node.module or "")
+                out += [f"{module}:{node.lineno}: from {source_module} import {alias.name}"
+                        for alias in node.names if _private(alias.name)]
+        out += [f"{module}:{node.lineno}: {node.value.id}.{node.attr}" for node in ast.walk(tree)
+                if isinstance(node, ast.Attribute) and isinstance(node.value, ast.Name)
+                and node.value.id in modules and _private(node.attr)]
+    return out
+
+
+def test_private_import_detector_flags_each_form():
+    source = ("from __future__ import annotations\nimport sys, os.path\n"
+              "from .core import _LANE_ORDER, pack\nfrom . import core\n"
+              "from .lanes import _helper as helper\nimport pkg._impl\n\n"
+              "order = core._LANE_ORDER\nframe = sys._getframe\n"
+              "name = core.__name__ + pack.__doc__\n\n"
+              "class C:\n    def f(self):\n        return self._x, C._y\n")
+    assert private_imports({"m.py": source}) == [
+        "m.py:3: from .core import _LANE_ORDER", "m.py:5: from .lanes import _helper",
+        "m.py:6: import pkg._impl",
+        "m.py:8: core._LANE_ORDER", "m.py:9: sys._getframe"]
+
+
+def test_no_private_imports():
+    sources = {p.name: p.read_text() for p in sorted(SRC.glob("*.py"))}
+    assert private_imports(sources) == []

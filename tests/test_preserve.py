@@ -4,6 +4,8 @@ import random
 import time
 
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
 
 from finclone.core import (
     CapExceeded,
@@ -17,8 +19,10 @@ from finclone.core import (
     all_operations,
     all_pairs,
     all_relations,
+    capped,
     check_cap,
     enc,
+    lane_bytes,
     submasks,
 )
 from finclone.preserve import (
@@ -425,12 +429,61 @@ class TestLeastPairEngine:
         # at m = 2 the oracle takes ternary images on all 512 relations: half
         assert_invp_matches_oracle(families[::2], (2,), 3)
 
+    @staticmethod
+    def least_by_definition(F, m, k, rhos):
+        """The oracle for `least_invp` on the relations `rhos`: the union of
+        the images of F on all of rho, kept when it lies within rho."""
+        out = {}
+        for rho in rhos:
+            need = 0
+            for f in F:
+                need |= op_image_mask(f, Relation(k, m, rho))
+            if not need & ~rho:
+                out[rho] = need
+        return out
+
+    @staticmethod
+    def operation(data, k, most=3):
+        # a nullary table needs a value, which a carrier of size 0 lacks
+        n = data.draw(st.integers(1 if k == 0 else 0, most), label="arity")
+        value = st.integers(0, k - 1) if k else st.nothing()
+        return Operation(k, n, tuple(data.draw(st.lists(value, min_size=k ** n, max_size=k ** n))))
+
+    @settings(max_examples=150, deadline=None)
+    @given(st.data())
+    def test_one_byte_lanes_match_the_definition(self, data):
+        k = data.draw(st.integers(0, 3), label="k")
+        m = data.draw(st.sampled_from([m for m in range(4) if k ** m <= 8]), label="m")
+        F = [self.operation(data, k) for _ in range(data.draw(st.integers(0, 3), label="|F|"))]
+        assert lane_bytes(2 ** k ** m) == 1
+        got = least_invp(F, m, k)
+        assert list(got.items()) == list(self.least_by_definition(F, m, k, range(2 ** k ** m)).items())
+
+    def test_two_byte_lanes_match_the_definition(self):
+        # k=3, m=2: 2^9 subsets, in full
+        assert lane_bytes(2 ** 9) == 2
+        rng = random.Random(23)
+        for arities in ([], [0], [1], [2], [3], [0, 2], [1, 3]):
+            F = [Operation(3, n, tuple(rng.randrange(3) for _ in range(3 ** n))) for n in arities]
+            got = least_invp(F, 2, 3)
+            assert list(got.items()) == list(self.least_by_definition(F, 2, 3, range(2 ** 9)).items())
+        # k=2, m=4: 2^16 subsets, on a sample of rho and of the invariant ones
+        assert lane_bytes(2 ** 16) == 2
+        maj = Operation(2, 3, tuple(int(sum(t) >= 2) for t in C2.tuples(3)))
+        for F in ([AND], [maj, NOT], [N1, maj]):
+            with capped(3 ** 16):
+                got = least_invp(F, 4, 2)
+            assert list(got) == sorted(got)
+            rhos = rng.sample(range(2 ** 16), 150) + rng.sample(list(got), min(len(got), 150))
+            expected = self.least_by_definition(F, 4, 2, rhos)
+            assert {rho: got[rho] for rho in rhos if rho in got} == expected
+
     def test_images_only_on_small_supports(self):
-        # one binary operation at k=2, m=3: the subsets of A^3 of size <= 2,
-        # 1 + 8 + 28, where enumerating every rho takes all 256
+        # one binary operation at k=2, m=3: the non-empty subsets of A^3 of
+        # size <= 2, 8 + 28, where enumerating every rho takes all 256
         op_image_mask.cache_clear()
         invp([AND], 3, 2)
-        assert op_image_mask.cache_info().currsize == 37
+        assert op_image_mask.cache_info().currsize == 36
 
     def test_op_side_search_on_the_least_map(self):
         ops = [f for n in (1, 2) for f in all_operations(C2, n)]

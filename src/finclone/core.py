@@ -36,20 +36,16 @@ class DomainError(ValueError):
 class CapExceeded(RuntimeError):
     """An enumeration would exceed the complexity cap in force.
 
-    Raised instead of silently truncating; carries the cost estimate, or,
-    for one with more digits than `str` converts, its magnitude as text
-    (">= 2^N"), so that the message and a JSON dump of the cost print.
+    Raised instead of silently truncating; carries the cost estimate and the
+    cap, either of them, when it has more digits than `str` converts, as its
+    magnitude in text (">= 2^N"), so that the message and a JSON dump print.
     """
 
     def __init__(self, what: str, cost: int | str, limit: int):
-        try:
-            shown = str(cost)
-        except ValueError:
-            cost = shown = _at_least(cost.bit_length() - 1)
         self.what = what
-        self.cost = cost
-        self.cap = limit
-        super().__init__(f"{what}: estimated cost {shown} exceeds cap {limit}")
+        self.cost = _printable(cost)
+        self.cap = _printable(limit)
+        super().__init__(f"{what}: estimated cost {self.cost} exceeds cap {self.cap}")
 
 
 DEFAULT_CAP = 2 ** 20
@@ -73,8 +69,17 @@ def capped(limit: int) -> Iterator[None]:
 
 
 def _at_least(bits: int) -> str:
-    """How CapExceeded shows an estimate of `bits + 1` bits."""
+    """How CapExceeded shows a number of `bits + 1` bits."""
     return f">= 2^{bits}"
+
+
+def _printable(n: int | str) -> int | str:
+    """n, or its magnitude when it has more digits than `str` converts."""
+    try:
+        str(n)
+    except ValueError:
+        return _at_least(n.bit_length() - 1)
+    return n
 
 
 def check_cap(what: str, cost: int, base: int = 1, exponent: int = 0) -> None:

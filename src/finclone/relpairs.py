@@ -1,6 +1,12 @@
-"""Superposition of relation pairs, its elementary specialisations, bounded
-generation of relation pair clones, the pair-side interpolation closures
-sLOC/LOC, and directed-family utilities.
+"""Superposition of relation pairs, bounded generation of relation pair
+clones, the pair-side interpolation closures sLOC/LOC, and directed-family
+utilities.
+
+The closure engine `_Closure` works on packed pairs, not through
+superposition; the tests build the definition-level closure oracle from the
+elementary specialisations of `general_superposition` (permutation,
+identification, projection, fictitious coordinates, intersection and the
+from-nothing pairs).
 """
 
 from __future__ import annotations
@@ -89,90 +95,6 @@ def general_superposition(spec: SuperpositionSpec, pairs: Sequence[RelationPair]
     return RelationPair(k, spec.m, rho, rho_prime)
 
 
-def permute(p: RelationPair, pi: Sequence[int]) -> RelationPair:
-    """Reorder coordinates: output coordinate j reads input coordinate pi(j)."""
-    m = p.arity
-    if sorted(pi) != list(range(m)):
-        raise DomainError("coordinate permutation must be a bijection on the arity")
-    spec = SuperpositionSpec(m, m, tuple(pi), (tuple(range(m)),))
-    return general_superposition(spec, [p], p.k)
-
-
-def identify(p: RelationPair, merge: Sequence[int], target_arity: int) -> RelationPair:
-    """Identify coordinates via a surjection merge: arity -> target_arity."""
-    if len(merge) != p.arity:
-        raise DomainError("merge map length must equal the pair arity")
-    if set(merge) != set(range(target_arity)):
-        raise DomainError("merge map must be onto the target coordinates")
-    spec = SuperpositionSpec(target_arity, target_arity, tuple(range(target_arity)), (tuple(merge),))
-    return general_superposition(spec, [p], p.k)
-
-
-def add_fictitious(p: RelationPair, positions: Sequence[int]) -> RelationPair:
-    """Insert unconstrained coordinates at the given output positions."""
-    m_out = p.arity + len(positions)
-    positions = sorted(positions)
-    if len(set(positions)) != len(positions):
-        raise DomainError("duplicate insertion positions")
-    for pos in positions:
-        if not 0 <= pos < m_out:
-            raise DomainError(f"insertion position {pos} out of range")
-    old_of_new = [v for v in range(m_out) if v not in positions]
-    alpha = tuple(old_of_new)
-    spec = SuperpositionSpec(m_out, m_out, tuple(range(m_out)), (alpha,))
-    return general_superposition(spec, [p], p.k)
-
-
-def project_onto(p: RelationPair, coords: Sequence[int]) -> RelationPair:
-    """Keep only the listed coordinates (in the listed order)."""
-    for c in coords:
-        if not 0 <= c < p.arity:
-            raise DomainError(f"coordinate {c} out of range for arity {p.arity}")
-    spec = SuperpositionSpec(p.arity, len(coords), tuple(coords), (tuple(range(p.arity)),))
-    return general_superposition(spec, [p], p.k)
-
-
-def intersect(p: RelationPair, q: RelationPair) -> RelationPair:
-    """Componentwise intersection of two pairs of equal arity."""
-    if p.arity != q.arity:
-        raise DomainError("intersection requires equal arity")
-    m = p.arity
-    ident = tuple(range(m))
-    spec = SuperpositionSpec(m, m, ident, (ident, ident))
-    return general_superposition(spec, [p, q], p.k)
-
-
-def diagonal(m: int, i: int, j: int, k: int) -> RelationPair:
-    """The m-ary identical pair of tuples whose coordinates i and j agree.
-    Produced from no inputs (an empty-index superposition)."""
-    if not (0 <= i < m and 0 <= j < m):
-        raise DomainError("diagonal coordinates out of range")
-    beta = []
-    drop = max(i, j)
-    keep = min(i, j)
-    fresh = 0
-    var_of = {}
-    for c in range(m):
-        if c == drop and i != j:
-            continue
-        var_of[c] = fresh
-        fresh += 1
-    for c in range(m):
-        if c == drop and i != j:
-            beta.append(var_of[keep])
-        else:
-            beta.append(var_of[c])
-    spec = SuperpositionSpec(fresh, m, tuple(beta), ())
-    return general_superposition(spec, [], k)
-
-
-def full_pair(m: int, k: int) -> RelationPair:
-    """The m-ary identical pair on all tuples, from an empty-index
-    superposition; at m = 0 this is the pair on the empty tuple alone."""
-    spec = SuperpositionSpec(m, m, tuple(range(m)), ())
-    return general_superposition(spec, [], k)
-
-
 @dataclass(frozen=True)
 class RpCloneResult:
     """Closure outcome restricted to the target arity window, with the
@@ -233,8 +155,11 @@ def _apply(x: int, img: list[int]) -> int:
 
 
 class _Closure(list):
-    """The closure at an intermediate cap c, as one set of packed pairs
-    rho | rho' << k^m per arity m <= c; grow() continues it to cap c + 1.
+    """The closure at intermediate cap top, as one set of packed pairs
+    rho | rho' << k^m per arity m <= top, built cap by cap from 0 with an
+    oversized tuple space k^top refused before any cap is built; grow()
+    continues it to the next cap, and counts[c] holds the set sizes per
+    arity once cap c was built.
 
     The work is done per coordinate-permutation orbit.  A pair that is not
     yet in the closure enters with its whole orbit, and the orbit minimum is
@@ -286,7 +211,8 @@ class _Closure(list):
     as soon as the closure exceeds it.  Checked against the definition-level
     closure in tests/test_relpairs.py::TestClosureEngine."""
 
-    def __init__(self, seed: Iterable[RelationPair], k: int):
+    def __init__(self, seed: Iterable[RelationPair], k: int, top: int):
+        check_cap("rpclone tuple space", k ** top)
         super().__init__()
         self.seed = [(p.arity, p.rho.mask | p.rho_prime.mask << k ** p.arity) for p in seed]
         self.k = k
@@ -296,6 +222,9 @@ class _Closure(list):
         self.born: list[set[int]] = []
         self.todo: deque[tuple[int, int, set[int], bool]] = deque()
         self.size = 0
+        self.counts: list[tuple[int, ...]] = []
+        for _ in range(top + 1):
+            self.grow()
 
     def _admit(self, m: int, x: int, moved: bool = True) -> None:
         members = self[m]
@@ -344,16 +273,7 @@ class _Closure(list):
                 self.born[m] |= orbit
             for x in set(map(r.__and__, self.done[m] if moved else self.born[m])) - self[m]:
                 self._admit(m, x, False)
-
-
-def _rpclone_closure(seed: Iterable[RelationPair], c: int, k: int) -> _Closure:
-    """The closure at intermediate cap c, grown cap by cap from 0; an
-    oversized tuple space at c is refused before any cap is built."""
-    check_cap("rpclone tuple space", k ** c)
-    closure = _Closure(seed, k)
-    for _ in range(c + 1):
-        closure.grow()
-    return closure
+        self.counts.append(tuple(map(len, self)))
 
 
 def _rpclone_by_cap(Q: Iterable[RelationPair], target_cap: int, first_cap: int, last_cap: int,
@@ -375,11 +295,9 @@ def _rpclone_by_cap(Q: Iterable[RelationPair], target_cap: int, first_cap: int, 
     if last_cap < target_cap:
         raise DomainError("intermediate cap must be >= target cap")
     first_cap = max(first_cap, target_cap)
-    if last_cap - first_cap < stable_for:
-        # every cap up to last_cap is built, so refuse an oversized tuple
-        # space before any closure runs
-        check_cap("rpclone tuple space", k ** last_cap)
-    closure = _rpclone_closure(seed, first_cap, k)
+    # when every cap up to last_cap is built, the closure is built to it at
+    # once, so that an oversized tuple space is refused before any cap runs
+    closure = _Closure(seed, k, last_cap if last_cap - first_cap < stable_for else first_cap)
 
     def result(c: int, changed: bool) -> RpCloneResult:
         pairs = PairFamily(
@@ -389,13 +307,13 @@ def _rpclone_by_cap(Q: Iterable[RelationPair], target_cap: int, first_cap: int, 
         )
         return RpCloneResult(pairs, c, changed)
 
-    # the closure only grows with the cap, so equal slice sizes mean equal slices
-    sizes = []
-    for c in range(first_cap, last_cap + 1):
-        if c > first_cap:
+    # the closure only grows with the cap, so equal slice sizes at caps
+    # c - stable_for + 1 and c mean equal slices at every cap between
+    for c in range(first_cap + stable_for - 1, last_cap + 1):
+        while len(closure) <= c:
             closure.grow()
-        sizes.append(tuple(map(len, closure[:target_cap + 1])))
-        if len(sizes) >= stable_for and len(set(sizes[-stable_for:])) == 1:
+        sizes = [counts[:target_cap + 1] for counts in closure.counts]
+        if sizes[c - stable_for + 1] == sizes[c]:
             return result(c, False)
     return result(last_cap, True)
 
@@ -408,9 +326,11 @@ def rpclone_generate(Q: Iterable[RelationPair], target_cap: int,
     at arity <= intermediate_cap, then restrict to arity <= target_cap.
 
     For a fixed intermediate cap this computes a subset of the full closure;
-    it is monotone in the cap, and the result records whether raising the cap
-    by one more step would still change the restricted slice.  Empty pairs
-    are never injected; they appear only when derivable from Q.
+    it is monotone in the cap, and the result records whether the last cap
+    increment, from intermediate_cap - 1 to intermediate_cap, changed the
+    restricted slice.  With intermediate_cap == target_cap no increment is
+    compared and the flag reads true.  Empty pairs are never injected; they
+    appear only when derivable from Q.
     """
     c = intermediate_cap if intermediate_cap is not None else target_cap + 2
     return _rpclone_by_cap(Q, target_cap, c - 1, c, 2, k)
@@ -482,8 +402,9 @@ def is_s_directed(T: Iterable[RelationPair], s: int) -> bool:
     pairs = list(T)
     if not pairs:
         return False
-    arities = {p.arity for p in pairs}
-    if len(arities) > 1:
+    if len({p.k for p in pairs}) > 1:
+        raise DomainError("carrier mismatch in pair family")
+    if len({p.arity for p in pairs}) > 1:
         raise DomainError("directedness requires a single arity")
     firsts = [p.rho.mask for p in pairs]
     union = 0
@@ -504,8 +425,9 @@ def union_family(T: Iterable[RelationPair]) -> RelationPair:
     pairs = list(T)
     if not pairs:
         raise DomainError("union of an empty family is undefined")
-    arities = {p.arity for p in pairs}
-    if len(arities) > 1:
+    if len({p.k for p in pairs}) > 1:
+        raise DomainError("carrier mismatch in pair family")
+    if len({p.arity for p in pairs}) > 1:
         raise DomainError("union requires a single arity")
     k, m = pairs[0].k, pairs[0].arity
     rho = 0

@@ -92,6 +92,17 @@ class TestCapScope:
         assert str(e) == "big: estimated cost >= 2^16384 exceeds cap 7"
         assert CapExceeded("big", 2 ** 16385 - 1, 7).cost == ">= 2^16384"
 
+    def test_a_cap_too_long_for_decimal_is_shown_by_magnitude(self):
+        with capped(2 ** 14300):
+            with pytest.raises(CapExceeded) as refused:
+                check_cap("probe", 2 ** 14301)
+        assert (refused.value.cost, refused.value.cap) == (">= 2^14301", ">= 2^14300")
+        assert str(refused.value) == "probe: estimated cost >= 2^14301 exceeds cap >= 2^14300"
+        # a cap that prints keeps its digits
+        e = CapExceeded("probe", 2 ** 16384, 10 ** 4299)
+        assert e.cap == 10 ** 4299
+        assert str(e) == f"probe: estimated cost >= 2^16384 exceeds cap {10 ** 4299}"
+
     def test_magnitude_of_a_power_from_its_leading_bits(self):
         # 2^200 - 1 times a power of two straddles a power of two in its
         # leading bits, so it is built to decide

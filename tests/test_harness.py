@@ -100,6 +100,13 @@ class TestRefusal:
         assert r.details == {"what": "polp table enumeration", "cost": ">= 2^16384", "cap": 2 ** 20}
         assert '"cost": ">= 2^16384"' in json.dumps(r.to_dict())
 
+    def test_refusal_under_a_cap_too_long_for_decimal_dumps_as_json(self):
+        with capped(2 ** 14300):
+            r = check_op_side_characterisation([AND], 1, 14, 2)
+        assert r.details == {"what": "polp table enumeration", "cost": ">= 2^16384",
+                             "cap": ">= 2^14300"}
+        assert '"cap": ">= 2^14300"' in json.dumps(r.to_dict())
+
     def test_op_side_carrier_mismatch(self):
         with pytest.raises(DomainError, match="carrier mismatch in operation family"):
             check_op_side_characterisation([Operation(3, 1, (0, 1, 2))], 1, 1, 2)

@@ -1,8 +1,9 @@
 """Static hygiene of the library source: every imported name is used, every
-private top-level definition is referenced, the package exports exactly
-what its `__init__` imports, no process-global cache is added, no
-function takes the complexity cap as a parameter, and no module reaches
-into another's private names."""
+top-level definition is referenced (a public one by the library or by the
+package's exports), the package exports exactly what its `__init__`
+imports, no process-global cache is added, no function takes the
+complexity cap as a parameter, and no module reaches into another's
+private names."""
 
 import ast
 from collections import Counter
@@ -46,13 +47,15 @@ def _referenced_names(node: ast.AST) -> list[str]:
             for n in ast.walk(node) if isinstance(n, (ast.Name, ast.Attribute, ast.alias))]
 
 
-def unreferenced_private(sources: dict[str, str]) -> list[str]:
-    """Private top-level functions and classes that no module references
-    outside their own definition."""
+def unreferenced(sources: dict[str, str], private: bool) -> list[str]:
+    """Private, or public, top-level functions and classes that no module
+    references outside their own definition; an import, such as the
+    package's `__init__` exporting a name, is a reference."""
     trees = {module: ast.parse(source) for module, source in sources.items()}
     everywhere = Counter(name for tree in trees.values() for name in _referenced_names(tree))
     return [f"{module}: {node.name}" for module, tree in trees.items() for node in tree.body
-            if isinstance(node, (ast.FunctionDef, ast.ClassDef)) and node.name.startswith("_")
+            if isinstance(node, (ast.FunctionDef, ast.ClassDef))
+            and node.name.startswith("_") == private
             and everywhere[node.name] == _referenced_names(node).count(node.name)]
 
 
@@ -62,12 +65,29 @@ def test_private_detector_flags_unreferenced_and_keeps_referenced():
                 "class _Base:\n    pass\n\ndef _imported():\n    pass\n\n_called()\n",
         "b.py": "from .a import _imported\n\nclass C(a._Base):\n    pass\n",
     }
-    assert unreferenced_private(sources) == ["a.py: _dead"]
+    assert unreferenced(sources, private=True) == ["a.py: _dead"]
 
 
 def test_no_unreferenced_private_definitions():
     sources = {p.name: p.read_text() for p in SRC.glob("*.py")}
-    assert unreferenced_private(sources) == []
+    assert unreferenced(sources, private=True) == []
+
+
+def test_public_detector_flags_unused_and_keeps_exported_or_referenced():
+    sources = {
+        "__init__.py": "from .a import exported\n",
+        "a.py": "def exported():\n    return helper()\n\ndef helper():\n    pass\n\n"
+                "def dead(n):\n    return dead(n - 1)\n\nclass Spec:\n    pass\n\n"
+                "class Unused:\n    pass\n\ndef _private():\n    pass\n",
+        "b.py": "from .a import Spec\n\ndef _use(s: Spec):\n    pass\n",
+    }
+    assert unreferenced(sources, private=False) == ["a.py: dead", "a.py: Unused"]
+
+
+def test_no_unreferenced_public_definitions():
+    # every public function or class is exported or used by the library
+    sources = {p.name: p.read_text() for p in SRC.glob("*.py")}
+    assert unreferenced(sources, private=False) == []
 
 
 def test_all_matches_init_imports():

@@ -2,6 +2,7 @@ import functools
 import itertools
 import random
 import time
+from typing import Sequence
 
 import pytest
 
@@ -22,18 +23,11 @@ from finclone.core import (
 from finclone import relpairs
 from finclone.preserve import invp, preserves
 from finclone.relpairs import (
+    _Closure,
     SuperpositionSpec,
-    add_fictitious,
-    diagonal,
-    full_pair,
     general_superposition,
-    identify,
-    intersect,
     is_s_directed,
     loc_pairs,
-    permute,
-    project_onto,
-    _rpclone_closure,
     rpclone_generate,
     rpclone_generate_stable,
     sloc_pairs,
@@ -138,78 +132,6 @@ class TestGeneralSuperposition:
                 assert set(rel_got.tuples()) == want
 
 
-class TestElementaryOps:
-    def test_permute(self):
-        p = pair_of(2, 2, [(0, 1)], [(0, 1)])
-        got = permute(p, (1, 0))
-        assert tuples_of(got) == ({(1, 0)}, {(1, 0)})
-
-    def test_permute_rejects_non_bijection(self):
-        with pytest.raises(DomainError):
-            permute(LEQ_PAIR, (0, 0))
-
-    def test_identify(self):
-        got = identify(LEQ_PAIR, (0, 0), 1)
-        assert tuples_of(got) == ({(0,), (1,)}, {(0,), (1,)})
-
-    def test_identify_strict_pair(self):
-        p = pair_of(2, 2, [(0, 0), (0, 1), (1, 1)], [(0, 1)])
-        got = identify(p, (0, 0), 1)
-        assert tuples_of(got) == ({(0,), (1,)}, set())
-
-    def test_add_fictitious(self):
-        p = pair_of(2, 1, [(1,)], [(1,)])
-        got = add_fictitious(p, [0])
-        assert tuples_of(got) == ({(0, 1), (1, 1)}, {(0, 1), (1, 1)})
-
-    def test_project_onto(self):
-        got = project_onto(LEQ_PAIR, [0])
-        assert tuples_of(got) == ({(0,), (1,)}, {(0,), (1,)})
-        got = project_onto(LEQ_PAIR, [1, 0])
-        assert tuples_of(got) == ({(0, 0), (1, 0), (1, 1)},
-                                  {(0, 0), (1, 0), (1, 1)})
-
-    def test_intersect_matches_direct_masks(self):
-        rng = random.Random(4)
-        pairs = list(all_pairs(C2, 2))
-        for _ in range(40):
-            p, q = rng.choice(pairs), rng.choice(pairs)
-            got = intersect(p, q)
-            assert got.rho.mask == p.rho.mask & q.rho.mask
-            assert got.rho_prime.mask == p.rho_prime.mask & q.rho_prime.mask
-
-    def test_intersect_rejects_arity_mismatch(self):
-        with pytest.raises(DomainError):
-            intersect(LEQ_PAIR, full_pair(1, 2))
-
-    def test_diagonal(self):
-        got = diagonal(2, 0, 1, 2)
-        assert got.is_identical()
-        assert set(got.rho.tuples()) == {(0, 0), (1, 1)}
-        got3 = diagonal(3, 0, 2, 2)
-        assert set(got3.rho.tuples()) == {t for t in C2.tuples(3) if t[0] == t[2]}
-
-    def test_diagonal_equal_indices_is_full(self):
-        assert diagonal(2, 1, 1, 2) == full_pair(2, 2)
-
-    def test_full_pair(self):
-        got = full_pair(2, 2)
-        assert got.is_identical() and len(got.rho) == 4
-
-    def test_nullary_full_pair(self):
-        got = full_pair(0, 2)
-        assert got.is_identical() and len(got.rho) == 1
-
-    def test_elementary_ops_are_superpositions_of_invariants(self):
-        # invariant pair families absorb every elementary operation
-        fam2 = set(invp([], 2, 2))
-        fam1 = set(invp([], 1, 2))
-        for p in list(fam2)[:10]:
-            assert permute(p, (1, 0)) in fam2
-            assert identify(p, (0, 0), 1) in fam1
-            assert project_onto(p, [0]) in fam1
-
-
 class TestInvpClosedUnderSuperposition:
     def test_random_specs_stay_invariant(self):
         from finclone.core import Operation
@@ -302,7 +224,7 @@ class TestRpClone:
         for seed in seeds:
             for c in (2, 3, 4):
                 monkeypatch.undo()
-                n = sum(map(len, _rpclone_closure(seed, c, 2)))
+                n = sum(map(len, _Closure(seed, 2, c)))
                 monkeypatch.setattr(relpairs, "MAX_PAIRS", n)
                 rpclone_generate(seed, 1, intermediate_cap=c)
                 monkeypatch.setattr(relpairs, "MAX_PAIRS", n - 1)
@@ -322,15 +244,172 @@ class TestRpClone:
 
     def test_tuple_space_refused_before_any_closure(self, monkeypatch):
         # cap c - 1 fits the tuple-space cap, cap c does not: the refusal
-        # must come before the cheaper closure at c - 1 is built
-        calls = []
-        monkeypatch.setattr(relpairs, "_rpclone_closure",
-                            lambda *a: calls.append(a))
+        # must come before the cheaper closure at c - 1 is built: no cap of
+        # the closure is grown
+        calls, grow = [], relpairs._Closure.grow
+        monkeypatch.setattr(relpairs._Closure, "grow",
+                            lambda self: calls.append(len(self)) or grow(self))
         for c in (3, 4, 5):
             with pytest.raises(CapExceeded, match="rpclone tuple space"):
                 with capped(2 ** (c - 1)):
                     rpclone_generate([LEQ_PAIR], 2, intermediate_cap=c)
         assert calls == []
+
+
+def permute(p: RelationPair, pi: Sequence[int]) -> RelationPair:
+    """Reorder coordinates: output coordinate j reads input coordinate pi(j)."""
+    m = p.arity
+    if sorted(pi) != list(range(m)):
+        raise DomainError("coordinate permutation must be a bijection on the arity")
+    spec = SuperpositionSpec(m, m, tuple(pi), (tuple(range(m)),))
+    return general_superposition(spec, [p], p.k)
+
+
+def identify(p: RelationPair, merge: Sequence[int], target_arity: int) -> RelationPair:
+    """Identify coordinates via a surjection merge: arity -> target_arity."""
+    if len(merge) != p.arity:
+        raise DomainError("merge map length must equal the pair arity")
+    if set(merge) != set(range(target_arity)):
+        raise DomainError("merge map must be onto the target coordinates")
+    spec = SuperpositionSpec(target_arity, target_arity, tuple(range(target_arity)), (tuple(merge),))
+    return general_superposition(spec, [p], p.k)
+
+
+def add_fictitious(p: RelationPair, positions: Sequence[int]) -> RelationPair:
+    """Insert unconstrained coordinates at the given output positions."""
+    m_out = p.arity + len(positions)
+    positions = sorted(positions)
+    if len(set(positions)) != len(positions):
+        raise DomainError("duplicate insertion positions")
+    for pos in positions:
+        if not 0 <= pos < m_out:
+            raise DomainError(f"insertion position {pos} out of range")
+    old_of_new = [v for v in range(m_out) if v not in positions]
+    alpha = tuple(old_of_new)
+    spec = SuperpositionSpec(m_out, m_out, tuple(range(m_out)), (alpha,))
+    return general_superposition(spec, [p], p.k)
+
+
+def project_onto(p: RelationPair, coords: Sequence[int]) -> RelationPair:
+    """Keep only the listed coordinates (in the listed order)."""
+    for c in coords:
+        if not 0 <= c < p.arity:
+            raise DomainError(f"coordinate {c} out of range for arity {p.arity}")
+    spec = SuperpositionSpec(p.arity, len(coords), tuple(coords), (tuple(range(p.arity)),))
+    return general_superposition(spec, [p], p.k)
+
+
+def intersect(p: RelationPair, q: RelationPair) -> RelationPair:
+    """Componentwise intersection of two pairs of equal arity."""
+    if p.arity != q.arity:
+        raise DomainError("intersection requires equal arity")
+    m = p.arity
+    ident = tuple(range(m))
+    spec = SuperpositionSpec(m, m, ident, (ident, ident))
+    return general_superposition(spec, [p, q], p.k)
+
+
+def diagonal(m: int, i: int, j: int, k: int) -> RelationPair:
+    """The m-ary identical pair of tuples whose coordinates i and j agree.
+    Produced from no inputs (an empty-index superposition)."""
+    if not (0 <= i < m and 0 <= j < m):
+        raise DomainError("diagonal coordinates out of range")
+    beta = []
+    drop = max(i, j)
+    keep = min(i, j)
+    fresh = 0
+    var_of = {}
+    for c in range(m):
+        if c == drop and i != j:
+            continue
+        var_of[c] = fresh
+        fresh += 1
+    for c in range(m):
+        if c == drop and i != j:
+            beta.append(var_of[keep])
+        else:
+            beta.append(var_of[c])
+    spec = SuperpositionSpec(fresh, m, tuple(beta), ())
+    return general_superposition(spec, [], k)
+
+
+def full_pair(m: int, k: int) -> RelationPair:
+    """The m-ary identical pair on all tuples, from an empty-index
+    superposition; at m = 0 this is the pair on the empty tuple alone."""
+    spec = SuperpositionSpec(m, m, tuple(range(m)), ())
+    return general_superposition(spec, [], k)
+
+
+class TestElementaryOps:
+    def test_permute(self):
+        p = pair_of(2, 2, [(0, 1)], [(0, 1)])
+        got = permute(p, (1, 0))
+        assert tuples_of(got) == ({(1, 0)}, {(1, 0)})
+
+    def test_permute_rejects_non_bijection(self):
+        with pytest.raises(DomainError):
+            permute(LEQ_PAIR, (0, 0))
+
+    def test_identify(self):
+        got = identify(LEQ_PAIR, (0, 0), 1)
+        assert tuples_of(got) == ({(0,), (1,)}, {(0,), (1,)})
+
+    def test_identify_strict_pair(self):
+        p = pair_of(2, 2, [(0, 0), (0, 1), (1, 1)], [(0, 1)])
+        got = identify(p, (0, 0), 1)
+        assert tuples_of(got) == ({(0,), (1,)}, set())
+
+    def test_add_fictitious(self):
+        p = pair_of(2, 1, [(1,)], [(1,)])
+        got = add_fictitious(p, [0])
+        assert tuples_of(got) == ({(0, 1), (1, 1)}, {(0, 1), (1, 1)})
+
+    def test_project_onto(self):
+        got = project_onto(LEQ_PAIR, [0])
+        assert tuples_of(got) == ({(0,), (1,)}, {(0,), (1,)})
+        got = project_onto(LEQ_PAIR, [1, 0])
+        assert tuples_of(got) == ({(0, 0), (1, 0), (1, 1)},
+                                  {(0, 0), (1, 0), (1, 1)})
+
+    def test_intersect_matches_direct_masks(self):
+        rng = random.Random(4)
+        pairs = list(all_pairs(C2, 2))
+        for _ in range(40):
+            p, q = rng.choice(pairs), rng.choice(pairs)
+            got = intersect(p, q)
+            assert got.rho.mask == p.rho.mask & q.rho.mask
+            assert got.rho_prime.mask == p.rho_prime.mask & q.rho_prime.mask
+
+    def test_intersect_rejects_arity_mismatch(self):
+        with pytest.raises(DomainError):
+            intersect(LEQ_PAIR, full_pair(1, 2))
+
+    def test_diagonal(self):
+        got = diagonal(2, 0, 1, 2)
+        assert got.is_identical()
+        assert set(got.rho.tuples()) == {(0, 0), (1, 1)}
+        got3 = diagonal(3, 0, 2, 2)
+        assert set(got3.rho.tuples()) == {t for t in C2.tuples(3) if t[0] == t[2]}
+
+    def test_diagonal_equal_indices_is_full(self):
+        assert diagonal(2, 1, 1, 2) == full_pair(2, 2)
+
+    def test_full_pair(self):
+        got = full_pair(2, 2)
+        assert got.is_identical() and len(got.rho) == 4
+
+    def test_nullary_full_pair(self):
+        got = full_pair(0, 2)
+        assert got.is_identical() and len(got.rho) == 1
+
+    def test_elementary_ops_are_superpositions_of_invariants(self):
+        # invariant pair families absorb every elementary operation
+        fam2 = set(invp([], 2, 2))
+        fam1 = set(invp([], 1, 2))
+        for p in list(fam2)[:10]:
+            assert permute(p, (1, 0)) in fam2
+            assert identify(p, (0, 0), 1) in fam1
+            assert project_onto(p, [0]) in fam1
 
 
 def closure_by_definition(seed, c, k):
@@ -378,19 +457,19 @@ class TestClosureEngine:
         cases += [([p], 2) for p in arity2]
         cases += [([p], 3) for p in random.Random(5).sample(arity2, 24)]
         for seed, c in cases:
-            assert _rpclone_closure(seed, c, 2) == \
+            assert _Closure(seed, 2, c) == \
                 closure_by_definition(seed, c, 2), (seed, c)
 
     def test_nand_to_neq_sizes(self):
         nand = Relation.from_tuples(C2, 2, [(0, 0), (0, 1), (1, 0)])
         neq = Relation.from_tuples(C2, 2, [(0, 1), (1, 0)])
-        got = _rpclone_closure([RelationPair.of(nand, neq)], 5, 2)
+        got = _Closure([RelationPair.of(nand, neq)], 2, 5)
         assert tuple(map(len, got)) == (2, 3, 11, 64, 556, 6954)
         assert sum(map(len, got)) == 7590
 
     def test_leq_to_eq_size(self):
         eq = Relation.from_tuples(C2, 2, [(0, 0), (1, 1)])
-        got = _rpclone_closure([RelationPair.of(LEQ, eq)], 5, 2)
+        got = _Closure([RelationPair.of(LEQ, eq)], 2, 5)
         assert sum(map(len, got)) == 11041
 
     def test_matches_definition_other_carriers(self):
@@ -406,14 +485,14 @@ class TestClosureEngine:
         cases += [([p], 2, 3) for p in rng.sample(list(all_pairs(Carrier(3), 2)), 6)]
         cases += [([p], 3, 3) for p in rng.sample(unary, 4)]
         for seed, c, k in cases:
-            assert _rpclone_closure(seed, c, k) == \
+            assert _Closure(seed, k, c) == \
                 closure_by_definition(seed, c, k), (seed, c, k)
 
     def test_grown_caps_match_definition(self):
         seeds = [[LEQ_PAIR], [pair_of(2, 1, [(0,), (1,)], [(0,)])],
                  [pair_of(2, 2, [(0, 1), (1, 1)], [(1, 1)])]]
         for seed in seeds:
-            closure = _rpclone_closure(seed, 1, 2)
+            closure = _Closure(seed, 2, 1)
             assert closure == closure_by_definition(seed, 1, 2)
             for c in (2, 3):
                 closure.grow()
@@ -432,7 +511,7 @@ class TestClosureEngine:
         cases = [([RelationPair.of(nand, neq)], 5)]
         cases += [(seed, c) for seed in seeds for c in range(5)]
         for seed, c in cases:
-            closure = _rpclone_closure(seed, c, 2)
+            closure = _Closure(seed, 2, c)
             for m, (members, born) in enumerate(zip(closure, closure.born)):
                 assert born <= members, (seed, c, m)
                 for layer in relpairs._arity_maps(m, 2)[0]:
@@ -454,7 +533,7 @@ class TestClosureEngine:
         cases += [(rng.sample(unary, rng.randint(1, 2)) + [rng.choice(binary)], 3)
                   for _ in range(4)]
         for seed, c in cases:
-            assert _rpclone_closure(seed, c, 2) == \
+            assert _Closure(seed, 2, c) == \
                 closure_by_definition(seed, c, 2), (seed, c)
 
     def test_transpositions_match_permute(self):
@@ -480,7 +559,7 @@ class TestClosureEngine:
         # arity-5 pairs of nand-to-neq
         nand = Relation.from_tuples(C2, 2, [(0, 0), (0, 1), (1, 0)])
         neq = Relation.from_tuples(C2, 2, [(0, 1), (1, 0)])
-        closure = _rpclone_closure([RelationPair.of(nand, neq)], 5, 2)
+        closure = _Closure([RelationPair.of(nand, neq)], 2, 5)
         assert len(closure.reps[5]) == 249
         for m, packed in enumerate(closure[:4]):
             w = 2 ** m
@@ -690,6 +769,12 @@ class TestDirectedness:
         with pytest.raises(DomainError):
             is_s_directed([LEQ_PAIR, full_pair(1, 2)], 1)
 
+    def test_mixed_carriers_rejected(self):
+        # the identical pairs on {0} at k=2 and on {1} at k=3
+        T = [pair_of(2, 1, [(0,)], [(0,)]), pair_of(3, 1, [(1,)], [(1,)])]
+        with pytest.raises(DomainError, match="^carrier mismatch in pair family$"):
+            is_s_directed(T, 1)
+
     def test_negative_s_rejected(self):
         for T in ([LEQ_PAIR], []):
             with pytest.raises(DomainError, match="locality parameter must be >= 0"):
@@ -707,6 +792,11 @@ class TestDirectedness:
     def test_union_empty_rejected(self):
         with pytest.raises(DomainError):
             union_family([])
+
+    def test_union_mixed_carriers_rejected(self):
+        T = [pair_of(2, 1, [(0,)], [(0,)]), pair_of(3, 1, [(1,)], [(1,)])]
+        with pytest.raises(DomainError, match="^carrier mismatch in pair family$"):
+            union_family(T)
 
     def test_directed_union_stays_in_sloc_closure(self):
         # an s-directed subfamily of an s-local closure has its union inside

@@ -286,9 +286,14 @@ _LANE_ORDER = sys.byteorder
 _LANE_FORMATS = {1: "B", 2: "H", 4: "I", 8: "Q"}
 
 
-def lane_bytes(size: int) -> int:
-    """Bytes per lane for lanes holding every value below `size`: 1, 2, 4 or 8."""
-    return next(b for b in _LANE_FORMATS if size <= 256 ** b)
+def lane_bytes(size: int, what: str = "byte-lane width") -> int:
+    """Bytes per lane for lanes holding every value below `size`: 1, 2, 4 or 8.
+    No lane holds a size above 2^64: that is refused as CapExceeded, with
+    `what` naming the layer, before anything is laid out."""
+    for b in _LANE_FORMATS:
+        if size <= 256 ** b:
+            return b
+    raise CapExceeded(what, size, 256 ** max(_LANE_FORMATS))
 
 
 def pack(t: Sequence[int], lane: int) -> bytes:

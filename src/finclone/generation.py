@@ -5,8 +5,9 @@ generated clone minus projections is composition-closed.
 The generation engine is a single fixpoint: starting from a seed set B of
 K-indexed value tuples, each round applies every generator row-wise to tuples
 already derived.  n-ary parts of generated structures come out of the same
-engine with K = A^n and the projection tables as seed; a transformation
-semigroup is the unary part.  Rounds are semi-naive (Bancilhon &
+engine with K = A^n and the projection tables as seed, as the value tables
+of `semiclone_tables`, which `semiclone_nary_part` turns into operations; a
+transformation semigroup is the unary part.  Rounds are semi-naive (Bancilhon &
 Ramakrishnan, 1986): a round applies a generator only to argument tuples
 holding a tuple derived in the previous round, since the images of older
 tuples are already in R; the results and round counts are those of the naive
@@ -185,8 +186,8 @@ def gamma_fixpoint(F: Iterable[Operation], ksize: int, B: Iterable[Sequence[int]
                        frozenset(unpack(t, lane) for t in S), steps)
 
 
-def semiclone_nary_part(F: Iterable[Operation], n: int, k: int) -> OpFamily:
-    """The n-ary part of the semiclone generated by F.
+def semiclone_tables(F: Iterable[Operation], n: int, k: int) -> frozenset[tuple[int, ...]]:
+    """The value tables of the n-ary part of the semiclone generated by F.
 
     This is the S-component of the fixpoint over K = A^n seeded with the
     projection tables; an n-ary operation is exactly its tuple of values.  At
@@ -196,8 +197,13 @@ def semiclone_nary_part(F: Iterable[Operation], n: int, k: int) -> OpFamily:
         raise DomainError("arity must be >= 0")
     carrier = Carrier(k)
     seed = [tuple(t[i] for t in carrier.tuples(n)) for i in range(n)]
-    result = gamma_fixpoint(F, carrier.num_tuples(n), seed, k)
-    return OpFamily(Operation(k, n, t) for t in result.S)
+    return gamma_fixpoint(F, carrier.num_tuples(n), seed, k).S
+
+
+def semiclone_nary_part(F: Iterable[Operation], n: int, k: int) -> OpFamily:
+    """The n-ary part of the semiclone generated by F: the operations of
+    `semiclone_tables`."""
+    return OpFamily(Operation(k, n, t) for t in semiclone_tables(F, n, k))
 
 
 def clone_nary_part(F: Iterable[Operation], n: int, k: int) -> OpFamily:

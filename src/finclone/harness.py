@@ -36,6 +36,7 @@ from .generation import (
     decide_projections,
     gamma_fixpoint,
     semiclone_nary_part,
+    semiclone_tables,
     semigroup_generate,
 )
 from .preserve import (
@@ -48,7 +49,9 @@ from .preserve import (
     polp,
     polp_least,
     polp_upto,
+    preserving,
     sloc_ops,
+    sloc_tables,
 )
 from .relpairs import (
     is_s_directed,
@@ -154,22 +157,21 @@ def check_op_side_characterisation(F: Iterable[Operation], s: int, n: int, k: in
     params = {"k": k, "s": s, "n": n, "F": [_op_key(f) for f in ops]}
 
     def body():
-        # of the invariant pairs (rho, rho') polp needs only the least rho'
-        least = {(m, rho): need for m in range(s + 1)
-                 for rho, need in least_invp(ops, m, k).items()}
-        lhs = polp_least(least, n, k)
-        rhs = sloc_ops(semiclone_nary_part(ops, n, k), s, n, k)
+        # of the invariant pairs (rho, rho') polp needs only the least rho';
+        # one search finds the tables preserving the pairs of arity s, and
+        # the window <= s keeps those that also preserve the lower arities
+        least = [least_invp(ops, m, k) for m in range(s + 1)]
+        single = polp_least({(s, rho): need for rho, need in least[s].items()}, n, k)
+        lower = {(m, rho): need for m in range(s) for rho, need in least[m].items()}
+        lhs = set(preserving(single, lower, n, k))
+        rhs = set(sloc_tables(semiclone_tables(ops, n, k), s, n, k))
         if lhs != rhs:
-            diff = set(lhs) ^ set(rhs)
-            g = min(diff, key=Operation.sort_key)
-            return "fail", {"op": _op_key(g), "in_lhs": g in lhs, "in_rhs": g in rhs}, {}
-        if k > 0:
-            arity_s = {key: need for key, need in least.items() if key[0] == s}
-            single = polp_least(arity_s, n, k)
-            if single != rhs:
-                diff = set(single) ^ set(rhs)
-                g = min(diff, key=Operation.sort_key)
-                return "fail", {"variant": "single-arity", "op": _op_key(g)}, {}
+            t = min(lhs ^ rhs)
+            return "fail", {"op": _op_key(Operation(k, n, t)), "in_lhs": t in lhs,
+                            "in_rhs": t in rhs}, {}
+        if k > 0 and set(single) != rhs:
+            t = min(set(single) ^ rhs)
+            return "fail", {"variant": "single-arity", "op": _op_key(Operation(k, n, t))}, {}
         return "pass", None, {"size": len(lhs)}
 
     return _run("op-side-characterisation", params, body)

@@ -10,9 +10,16 @@ subsets of rho of size <= n (on the empty set when n = 0).  Those images
 are held in one int, a lane of `lane_bytes(2^N)` bytes for each of the 2^N
 subsets of A^m (N = k^m), and an OR-zeta transform of N big-int steps gives
 F[rho] for every rho at once.  `invp` and `inv` read that map, and `polp`
-groups its pairs into the same map for `polp_least`.  `polp_least` and
-`sloc_ops` share one constraint search over table entries.  Matrices over a relation are applied
-row-wise through the byte-lane engine in `core` (`row_images`):
+groups its pairs into the same map for `polp_least`.
+
+The operation side works on value tables: `polp_least` and `sloc_tables`
+share one constraint search over table entries, which returns the tables
+as tuples in ascending order, and `preserving` filters given tables through
+the constraints of a least map, which it builds as `polp_least` does
+(`_allowed`).
+`polp`, `pol` and `sloc_ops` build their `OpFamily` from those tables; the
+op-side check compares the tables themselves.  Matrices over a relation
+are applied row-wise through the byte-lane engine in `core` (`row_images`):
 `op_image_mask` takes the images of the rows under the operation's table,
 and `_scopes` each scope, as a tuple of table indices, as its image under
 the identity table.
@@ -36,7 +43,6 @@ from .core import (
     PairFamily,
     Relation,
     RelationPair,
-    all_operations,
     check_cap,
     int_lanes,
     lane_bytes,
@@ -100,7 +106,7 @@ def polp(Q: Iterable[RelationPair], n: int, k: int) -> OpFamily:
     pairs into the map {(arity, rho): intersection of their rho'} that
     `polp_least` searches on.
     """
-    return polp_least(least_of(Q, k), n, k)
+    return OpFamily(Operation(k, n, t) for t in polp_least(least_of(Q, k), n, k))
 
 
 def least_of(Q: Iterable[RelationPair], k: int) -> dict[tuple[int, int], int]:
@@ -116,38 +122,65 @@ def least_of(Q: Iterable[RelationPair], k: int) -> dict[tuple[int, int], int]:
     return least
 
 
-def polp_least(least: dict[tuple[int, int], int], n: int, k: int) -> OpFamily:
-    """All n-ary operations preserving the pair (rho, rho') of every entry
-    (arity, rho): rho' of `least`, the relations given as bit masks.
+def polp_least(least: dict[tuple[int, int], int], n: int, k: int) -> list[tuple[int, ...]]:
+    """The value tables, ascending, of the n-ary operations preserving the
+    pair (rho, rho') of every entry (arity, rho): rho' of `least`, the
+    relations given as bit masks.
 
-    A constraint search over the k^n table entries (`_search`): each scope
-    read by a matrix over rho may only map to tuples in rho'.  The cap still
-    bounds the k^(k^n) tables.
+    A constraint search over the k^n table entries (`_search`) on the scopes
+    of `_allowed`.  The cap still bounds the k^(k^n) tables.
     """
     if n < 0:
         raise DomainError("arity must be >= 0")
     carrier = Carrier(k)
     check_cap("polp table enumeration", 1, k, carrier.num_tuples(n))
-    # allowed[scope]: the images a scope of m table indices may take under
-    # every m-ary rho
+    allowed = _allowed(least, n, k)
+    if not allowed.pop((), 1) & 1:
+        # an arity-0 scope reads no entry: it holds for all tables or none
+        return []
+    checks: list[list[tuple[tuple[int, ...], int]]] = [[] for _ in range(carrier.num_tuples(n))]
+    for idxs, ok in allowed.items():
+        checks[max(idxs)].append((idxs, ok))
+    return _search(k, checks)
+
+
+def preserving(tables: Iterable[tuple[int, ...]], least: dict[tuple[int, int], int],
+               n: int, k: int) -> list[tuple[int, ...]]:
+    """The n-ary value tables among `tables`, in their order, that preserve
+    the pair of every entry of `least`: the tables of `polp_least` that
+    `tables` holds, found by a filter instead of a search."""
+    if n < 0:
+        raise DomainError("arity must be >= 0")
+    scopes = list(_allowed(least, n, k).items())
+    out = []
+    for table in tables:
+        for idxs, ok in scopes:
+            v = 0
+            for j in idxs:
+                v = v * k + table[j]
+            if not ok >> v & 1:
+                break
+        else:
+            out.append(table)
+    return out
+
+
+def _allowed(least: dict[tuple[int, int], int], n: int, k: int) -> dict[tuple[int, ...], int]:
+    """The constraints that the entries (arity, rho): rho' of `least` put on
+    n-ary value tables: each scope, a tuple of the m table indices that a
+    matrix over rho reads, may only map to the images in the bit mask of
+    the intersection of the rho' of every m-ary rho it is read from."""
     allowed: dict[tuple[int, ...], int] = {}
     for (m, rho), ok in least.items():
         if ok != (1 << k ** m) - 1:
             for scope in _scopes(k, m, rho, n):
                 allowed[scope] = allowed.get(scope, ok) & ok
-    checks: list[list[tuple[tuple[int, ...], int]]] = [[] for _ in range(carrier.num_tuples(n))]
-    for idxs, ok in allowed.items():
-        if idxs:
-            checks[max(idxs)].append((idxs, ok))
-        elif not ok & 1:
-            # an arity-0 scope reads no entry: it holds for all tables or none
-            return OpFamily()
-    return _search(k, n, checks)
+    return allowed
 
 
-def _search(k: int, n: int, checks: list[list[tuple[tuple[int, ...], int]]]) -> OpFamily:
-    """All n-ary operations whose value table maps every scope to one of its
-    allowed images.
+def _search(k: int, checks: list[list[tuple[tuple[int, ...], int]]]) -> list[tuple[int, ...]]:
+    """All value tables that map every scope to one of its allowed images,
+    ascending, each once.
 
     `checks[i]` lists (scope, allowed) for each scope whose largest index is
     i; a scope is a tuple of table indices, and `allowed` a bit mask over its
@@ -155,12 +188,12 @@ def _search(k: int, n: int, checks: list[list[tuple[tuple[int, ...], int]]]) -> 
     values ascending, and a scope is checked once its largest index is set.
     """
     size = len(checks)
-    out: list[Operation] = []
+    out: list[tuple[int, ...]] = []
     table = [0] * size
 
     def extend(i: int) -> None:
         if i == size:
-            out.append(Operation(k, n, tuple(table)))
+            out.append(tuple(table))
             return
         for x in range(k):
             table[i] = x
@@ -174,7 +207,7 @@ def _search(k: int, n: int, checks: list[list[tuple[tuple[int, ...], int]]]) -> 
                 extend(i + 1)
 
     extend(0)
-    return OpFamily(out)
+    return out
 
 
 def least_invp(F: Iterable[Operation], m: int, k: int) -> dict[int, int]:
@@ -193,7 +226,8 @@ def least_invp(F: Iterable[Operation], m: int, k: int) -> dict[int, int]:
     Husfeldt, Kaski and Koivisto, "Fourier meets Möbius: fast subset
     convolution", STOC 2007) then spreads them to every rho in N steps, one
     per element i of A^m: each lane of a subset without i is ORed into the
-    lane of that subset with i.  The cap charges the 3^N candidate pairs.
+    lane of that subset with i.  The cap charges the 3^N candidate pairs,
+    and N > 64, whose lanes would need more than 8 bytes, is refused.
     """
     if m < 0:
         raise DomainError("arity must be >= 0")
@@ -203,7 +237,7 @@ def least_invp(F: Iterable[Operation], m: int, k: int) -> dict[int, int]:
     for f in ops:
         if f.k != k:
             raise DomainError("carrier mismatch in operation family")
-    lane = lane_bytes(1 << size)
+    lane = lane_bytes(1 << size, "invp subset lanes")
     bits = 8 * lane
     singles = [1 << i for i in range(size)]
     # by_size[r]: (the shift of its lane, the relation) for each subset of
@@ -275,40 +309,47 @@ def inv(F: Iterable[Operation], m: int, k: int) -> list[Relation]:
 
 def sloc_ops(F: Iterable[Operation], s: int, n: int, k: int) -> OpFamily:
     """Operations agreeing with some member of F^(n) on every subset of A^n
-    of size <= s.
+    of size <= s: the operations of `sloc_tables` on the tables of F^(n)."""
+    fs = [f for f in F if f.arity == n]
+    for f in fs:
+        if f.k != k:
+            raise DomainError("carrier mismatch in operation family")
+    return OpFamily(Operation(k, n, t) for t in sloc_tables([f.table for f in fs], s, n, k))
+
+
+def sloc_tables(tables: Iterable[tuple[int, ...]], s: int, n: int,
+                k: int) -> list[tuple[int, ...]]:
+    """The n-ary value tables, ascending, that agree with one of `tables` on
+    every subset of A^n of size <= s.
 
     Only subsets of size exactly min(s, k^n) are checked: agreement on a
     larger set implies agreement on all of its subsets, so the result is
     identical to quantifying over all sizes <= s.  Each subset B is one
     constraint of `_search`: the scope B may only take the images that the
-    members of F^(n) have on B.
+    given tables have on B.
     """
     if s < 0:
         raise DomainError("locality parameter must be >= 0")
     if n < 0:
         raise DomainError("arity must be >= 0")
-    carrier = Carrier(k)
-    fs = [f for f in F if f.arity == n]
-    for f in fs:
-        if f.k != k:
-            raise DomainError("carrier mismatch in operation family")
-    domain = carrier.num_tuples(n)
+    domain = Carrier(k).num_tuples(n)
+    given = list(tables)
     size = min(s, domain)
-    if size == 0 and not fs:
-        return OpFamily()
+    if size == 0 and not given:
+        return []
     check_cap("sloc_ops subset enumeration", math.comb(domain, size), k, domain)
     if size == 0:
-        return OpFamily(all_operations(carrier, n))
+        return list(itertools.product(range(k), repeat=domain))
     checks: list[list[tuple[tuple[int, ...], int]]] = [[] for _ in range(domain)]
     for B in itertools.combinations(range(domain), size):
         ok = 0
-        for f in fs:
+        for table in given:
             v = 0
             for i in B:
-                v = v * k + f.table[i]
+                v = v * k + table[i]
             ok |= 1 << v
         checks[B[-1]].append((B, ok))
-    return _search(k, n, checks)
+    return _search(k, checks)
 
 
 def loc_ops(F: Iterable[Operation], n: int, k: int) -> OpFamily:

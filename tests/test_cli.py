@@ -263,6 +263,19 @@ class TestExitCodes:
         assert time.perf_counter() - start < 2
         assert (code, out, err) == (2, "", f"refused: {text} exceeds cap 1048576\n")
 
+    def test_lanes_past_eight_bytes_refuse(self, capsys, tmp_path):
+        # inv at arity 7 on k=2: the 3^128 estimate fits under 10^62, but
+        # least_invp's 2^128 subsets need lanes wider than 8 bytes
+        problem = tmp_path / "problem.txt"
+        problem.write_text(PROBLEM)
+        start = time.perf_counter()
+        code, out, err = run(capsys, "inv", "--problem", str(problem), "--ops", "and",
+                             "--arity", "7", "--caps", str(10 ** 62))
+        assert time.perf_counter() - start < 2
+        assert (code, out) == (2, "")
+        assert err == (f"refused: invp subset lanes: estimated cost {2 ** 128} "
+                       f"exceeds cap {2 ** 64}\n")
+
     def test_semigroups_count_before_they_list(self, capsys):
         # 7^7 unary operations would take seconds to list; 2^(7^7) is refused
         start = time.perf_counter()

@@ -341,8 +341,12 @@ class TestLaneEngine:
             self.check(2, [0, 1, 1, 0], [[], [(0, 1)]], 2, lane)
 
     def test_lane_widths(self):
-        assert [lane_bytes(n) for n in (0, 1, 256, 257, 2 ** 16, 2 ** 16 + 1, 2 ** 32 + 1)] == [
-            1, 1, 1, 2, 2, 4, 8]
+        assert [lane_bytes(n) for n in (0, 1, 256, 257, 2 ** 16, 2 ** 16 + 1, 2 ** 32 + 1,
+                                        2 ** 64)] == [1, 1, 1, 2, 2, 4, 8, 8]
+        # no lane holds more: a refusal that names the layer, not a crash
+        with pytest.raises(CapExceeded, match=f"^probe: estimated cost {2 ** 64 + 1} "
+                                              f"exceeds cap {2 ** 64}$"):
+            lane_bytes(2 ** 64 + 1, "probe")
 
     def test_int_lanes_reads_lanes_lowest_first(self):
         for lane in (1, 2, 4, 8):

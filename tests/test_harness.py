@@ -1,3 +1,4 @@
+import itertools
 import json
 
 import pytest
@@ -6,7 +7,6 @@ from finclone import core, harness
 from finclone.core import (
     Carrier,
     DomainError,
-    OpFamily,
     Operation,
     Relation,
     RelationPair,
@@ -114,20 +114,33 @@ class TestRefusal:
 
 class TestNegativeControl:
     def test_tampered_pipeline_is_caught(self, monkeypatch):
-        # drop one member from the local-closure side; the dual route must
+        # drop one table from the local-closure side; the dual route must
         # notice and name the missing operation
-        real = harness.sloc_ops
+        real = harness.sloc_tables
 
-        def tampered(F, s, n, k):
-            fam = list(real(F, s, n, k))
-            return OpFamily(fam[:-1]) if fam else OpFamily(fam)
+        def tampered(tables, s, n, k):
+            return real(tables, s, n, k)[:-1]
 
-        monkeypatch.setattr(harness, "sloc_ops", tampered)
+        monkeypatch.setattr(harness, "sloc_tables", tampered)
         r = check_op_side_characterisation([AND], 2, 1, 2)
         assert r.verdict == "fail"
         assert r.counterexample["in_lhs"] and not r.counterexample["in_rhs"]
         monkeypatch.undo()
         # the counterexample disappears once the real pipeline is restored
+        assert check_op_side_characterisation([AND], 2, 1, 2).verdict == "pass"
+
+    def test_tampered_single_arity_search_is_caught(self, monkeypatch):
+        # an arity-s search that ignores its constraints returns every unary
+        # table; the lower arities filter the extra ones out of the window,
+        # so only the single-arity variant can see them.  The unary part of
+        # the semiclone of AND is the identity, and the least of the extra
+        # tables is the constant 0.
+        monkeypatch.setattr(harness, "polp_least",
+                            lambda least, n, k: list(itertools.product(range(k), repeat=k ** n)))
+        r = check_op_side_characterisation([AND], 2, 1, 2)
+        assert r.verdict == "fail"
+        assert r.counterexample == {"variant": "single-arity", "op": "op/1:00"}
+        monkeypatch.undo()
         assert check_op_side_characterisation([AND], 2, 1, 2).verdict == "pass"
 
     def test_tampered_generation_is_caught(self, monkeypatch):
@@ -178,6 +191,26 @@ class TestIndividualChecks:
         for F in ([AND], [NOT, ops[6]], [ops[1], ops[7], NOT]):
             for n in (1, 2):
                 assert check_op_side_characterisation(F, 3, n, 2).verdict == "pass"
+        assert built == []
+
+    def test_passing_op_side_builds_no_operation(self, monkeypatch):
+        # the check runs on value tables from start to end: a pass builds
+        # no Operation and no OpFamily
+        built = []
+        init = core.OpFamily.__init__
+
+        def counted(self, members=()):
+            built.append("OpFamily")
+            init(self, members)
+
+        ops = list(all_operations(C2, 2))
+        monkeypatch.setattr(core.OpFamily, "__init__", counted)
+        monkeypatch.setattr(core.Operation, "__post_init__",
+                            lambda self: built.append("Operation"))
+        for F in ([AND], [NOT, ops[6]], [ops[1], ops[7], NOT], []):
+            for s in (0, 1, 2, 3):
+                for n in (0, 1, 2):
+                    assert check_op_side_characterisation(F, s, n, 2).verdict == "pass"
         assert built == []
 
     def test_least_pair_various_seeds(self):

@@ -30,6 +30,7 @@ from finclone.preserve import (
     invp,
     invp_upto,
     least_invp,
+    least_of,
     loc_ops,
     op_image_mask,
     pol,
@@ -37,7 +38,9 @@ from finclone.preserve import (
     polp_least,
     polp_upto,
     preserves,
+    preserving,
     sloc_ops,
+    sloc_tables,
 )
 
 
@@ -233,7 +236,13 @@ def families_upto_two(pairs):
 def assert_search_matches_oracle(families, arities, k):
     for Q in families:
         for n in arities:
-            assert polp(Q, n, k) == polp_enumerate(Q, n, k), (Q, n)
+            want = polp_enumerate(Q, n, k)
+            assert polp(Q, n, k) == want, (Q, n)
+            # the tables in the family's order: strictly ascending
+            tables = [f.table for f in want]
+            assert polp_least(least_of(Q, k), n, k) == tables, (Q, n)
+            every = itertools.product(range(k), repeat=k ** n)
+            assert preserving(every, least_of(Q, k), n, k) == tables, (Q, n)
 
 
 class TestPolpSearch:
@@ -321,8 +330,12 @@ class TestImageEngine:
 def assert_sloc_matches_oracle(families, arities, k, sizes=range(6)):
     for F in families:
         for n in arities:
+            tables = [f.table for f in F if f.arity == n]
             for s in sizes:
-                assert sloc_ops(F, s, n, k) == sloc_ops_enumerate(F, s, n, k), (F, s, n)
+                want = sloc_ops_enumerate(F, s, n, k)
+                assert sloc_ops(F, s, n, k) == want, (F, s, n)
+                # the tables in the family's order: strictly ascending
+                assert sloc_tables(tables, s, n, k) == [f.table for f in want], (F, s, n)
 
 
 class TestSlocSearch:
@@ -478,6 +491,14 @@ class TestLeastPairEngine:
             expected = self.least_by_definition(F, 4, 2, rhos)
             assert {rho: got[rho] for rho in rhos if rho in got} == expected
 
+    def test_lanes_past_eight_bytes_refuse(self):
+        # k=2, m=7: 3^128 candidate pairs fit under the cap, but the 2^128
+        # subsets need lanes of 16 bytes; refused before anything is built
+        with capped(10 ** 62), pytest.raises(CapExceeded) as refused:
+            least_invp([AND], 7, 2)
+        assert (refused.value.what, refused.value.cost, refused.value.cap) == (
+            "invp subset lanes", 2 ** 128, 2 ** 64)
+
     def test_images_only_on_small_supports(self):
         # one binary operation at k=2, m=3: the non-empty subsets of A^3 of
         # size <= 2, 8 + 28, where enumerating every rho takes all 256
@@ -486,6 +507,8 @@ class TestLeastPairEngine:
         assert op_image_mask.cache_info().currsize == 36
 
     def test_op_side_search_on_the_least_map(self):
+        # polp_least returns the tables of polp over the same pairs, in the
+        # family's order; preserving filters the arity-s tables down to them
         ops = [f for n in (1, 2) for f in all_operations(C2, n)]
         for F in families_upto_two(ops)[1:]:
             pairs = [list(invp(F, m, 2)) for m in range(4)]
@@ -493,10 +516,14 @@ class TestLeastPairEngine:
                 least = {(m, rho): need for m in range(s + 1)
                          for rho, need in least_invp(F, m, 2).items()}
                 arity_s = {key: need for key, need in least.items() if key[0] == s}
+                lower = {key: need for key, need in least.items() if key[0] < s}
                 for n in (1, 2):
                     upto = itertools.chain.from_iterable(pairs[:s + 1])
-                    assert polp_least(least, n, 2) == polp(upto, n, 2), (F, s, n)
-                    assert polp_least(arity_s, n, 2) == polp(pairs[s], n, 2), (F, s, n)
+                    want = [f.table for f in polp(upto, n, 2)]
+                    assert polp_least(least, n, 2) == want, (F, s, n)
+                    single = polp_least(arity_s, n, 2)
+                    assert single == [f.table for f in polp(pairs[s], n, 2)], (F, s, n)
+                    assert preserving(single, lower, n, 2) == want, (F, s, n)
 
 
 class TestClassical:

@@ -13,7 +13,9 @@ tuple is packed as `bytes` with one lane of 1, 2, 4 or 8 bytes per entry
 scaled by its place in the table index.  The sum of the columns holds every
 row of the matrix as a table index, one per lane, and no lane carries into
 the next.  With one-byte lanes the image of all rows under a value table is
-one `bytes.translate`.
+one `bytes.translate`.  On it sits the one image engine of both Galois
+maps, `matrix_images`: the distinct tuples that a value table gives on the
+matrices over a relation given as its bit mask.
 
 Engines charge their cost estimates to `check_cap`, which refuses one above
 the complexity cap of the innermost `capped` scope; no engine takes a cap.
@@ -186,13 +188,7 @@ class Operation:
     def __call__(self, args: Sequence[int]) -> int:
         if len(args) != self.arity:
             raise DomainError(f"expected {self.arity} arguments, got {len(args)}")
-        k = self.k
-        idx = 0
-        for x in args:
-            if not 0 <= x < k:
-                raise DomainError(f"tuple entry {x} outside carrier of size {k}")
-            idx = idx * k + x
-        return self.table[idx]
+        return self.table[self.carrier.encode(args)]
 
     def sort_key(self):
         return (self.arity, self.table)
@@ -370,6 +366,28 @@ def row_images(table: LaneTable, pools: Sequence[Sequence[int]], width: int) -> 
     fmt, get = _LANE_FORMATS[lane], values.__getitem__
     return (b"".join(map(get, memoryview((row + y).to_bytes(size, _LANE_ORDER)).cast(fmt)))
             for row in rows for y in last)
+
+
+def matrix_images(values: Sequence[int], k: int, m: int, rho: int,
+                  n: int) -> tuple[tuple[int, ...], ...]:
+    """The distinct m-tuples that the value table `values` of an n-ary
+    operation on {0,...,k-1} gives on the n-column matrices over the m-ary
+    relation with mask `rho`: each matrix's columns are members of rho, and
+    each of its m rows is read as an index into `values`.  With n = 0 the one
+    image is the constant tuple, even when rho is empty; with rho empty and
+    n > 0 there is none.  Under the identity table `range(k ** n)` an image
+    is the tuple of table indices the matrix reads.
+
+    The members of rho are packed on lanes that hold every table index and
+    every value below k, and column pool j of `row_images` holds them scaled
+    by k^(n-1-j).
+    """
+    carrier = Carrier(k)
+    lane = lane_bytes(max(k, len(values)))
+    members = lane_ints(pack(carrier.decode(i, m), lane) for i in bit_indices(rho))
+    pools = [[x * k ** (n - 1 - j) for x in members] for j in range(n)]
+    images = set(row_images(LaneTable.of(values, lane), pools, m))
+    return tuple(unpack(t, lane) for t in images)
 
 
 @dataclass(frozen=True, order=True)

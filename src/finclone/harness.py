@@ -11,12 +11,13 @@ import itertools
 import math
 import random
 import time
-from dataclasses import dataclass, field
+from dataclasses import asdict, dataclass, field
 from typing import Callable, Iterable
 
 from .core import (
     Carrier,
     CapExceeded,
+    DomainError,
     OpFamily,
     Operation,
     PairFamily,
@@ -72,14 +73,7 @@ class Report:
     details: dict = field(default_factory=dict)
 
     def to_dict(self) -> dict:
-        return {
-            "name": self.name,
-            "params": self.params,
-            "verdict": self.verdict,
-            "counterexample": self.counterexample,
-            "runtime_ms": self.runtime_ms,
-            "details": self.details,
-        }
+        return asdict(self)
 
 
 def _run(name: str, params: dict, body: Callable[[], tuple[str, dict | None, dict]]) -> Report:
@@ -157,6 +151,8 @@ def check_op_side_characterisation(F: Iterable[Operation], s: int, n: int, k: in
     params = {"k": k, "s": s, "n": n, "F": [_op_key(f) for f in ops]}
 
     def body():
+        if s < 0:
+            raise DomainError("locality parameter must be >= 0")
         # of the invariant pairs (rho, rho') polp needs only the least rho';
         # one search finds the tables preserving the pairs of arity s, and
         # the window <= s keeps those that also preserve the lower arities

@@ -13,16 +13,17 @@ F[rho] for every rho at once.  `invp` and `inv` read that map, and `polp`
 groups its pairs into the same map for `polp_least`.
 
 The operation side works on value tables: `polp_least` and `sloc_tables`
-share one constraint search over table entries, which returns the tables
-as tuples in ascending order, and `preserving` filters given tables through
+hand their constraints, a map {scope: allowed images}, to the one
+constraint search over table entries (`_search`), which returns the tables
+as tuples in ascending order; `preserving` filters given tables through
 the constraints of a least map, which it builds as `polp_least` does
 (`_allowed`).
 `polp`, `pol` and `sloc_ops` build their `OpFamily` from those tables; the
-op-side check compares the tables themselves.  Matrices over a relation
-are applied row-wise through the byte-lane engine in `core` (`row_images`):
-`op_image_mask` takes the images of the rows under the operation's table,
-and `_scopes` each scope, as a tuple of table indices, as its image under
-the identity table.
+op-side check compares the tables themselves.  Both sides rest on one image
+engine, `core.matrix_images`, on relations given as bit masks:
+`op_image_mask` is the images of the n-column matrices over a relation
+under the operation's table, and `_scopes` the scopes those matrices read,
+their images under the identity table.
 Complexity caps refuse rather than truncate.  The enumerating oracles of
 `invp`, `polp`, `sloc_ops` and `op_image_mask` live in the tests.
 """
@@ -37,7 +38,6 @@ from typing import Iterable
 from .core import (
     Carrier,
     DomainError,
-    LaneTable,
     OpFamily,
     Operation,
     PairFamily,
@@ -46,37 +46,21 @@ from .core import (
     check_cap,
     int_lanes,
     lane_bytes,
-    lane_ints,
-    pack,
-    row_images,
+    matrix_images,
     submasks,
-    unpack,
 )
 
 
-def _columns(rho: Relation, n: int, lane: int) -> list[list[int]]:
-    """The column pools of the n-column matrices over rho: pool j holds the
-    members of rho packed on `lane`-byte lanes and scaled by k^(n-1-j), so a
-    row sum is a matrix's scope."""
-    members = lane_ints(pack(t, lane) for t in rho.tuples())
-    return [[x * rho.k ** (n - 1 - j) for x in members] for j in range(n)]
-
-
 @lru_cache(maxsize=None)
-def op_image_mask(f: Operation, rho: Relation) -> int:
-    """Bit mask of { f applied row-wise to an n-column matrix over rho }.
+def op_image_mask(f: Operation, m: int, rho: int) -> int:
+    """Bit mask of { f applied row-wise to an n-column matrix over the m-ary
+    relation with mask rho }: the images of f's table under `matrix_images`.
 
-    Each choice of n members of rho forms a matrix whose rows are fed to f;
-    the resulting m-tuple is collected.  With n = 0 this yields the constant
-    tuple (f(),...,f()); with rho empty and n > 0 it yields nothing.
+    With n = 0 this is the constant tuple (f(),...,f()); with rho empty and
+    n > 0 it is empty.
     """
-    if f.k != rho.k:
-        raise DomainError("carrier mismatch between operation and relation")
     carrier = f.carrier
-    lane = lane_bytes(max(f.k, len(f.table)))
-    table = LaneTable.of(f.table, lane)
-    images = set(row_images(table, _columns(rho, f.arity, lane), rho.arity))
-    return sum(1 << carrier.encode(unpack(t, lane)) for t in images)
+    return sum(1 << carrier.encode(t) for t in matrix_images(f.table, f.k, m, rho, f.arity))
 
 
 def preserves(f: Operation, p: RelationPair) -> bool:
@@ -84,19 +68,16 @@ def preserves(f: Operation, p: RelationPair) -> bool:
     in p.rho_prime."""
     if f.k != p.k:
         raise DomainError("carrier mismatch between operation and pair")
-    return op_image_mask(f, p.rho) & ~p.rho_prime.mask == 0
+    return op_image_mask(f, p.arity, p.rho.mask) & ~p.rho_prime.mask == 0
 
 
 @lru_cache(maxsize=4096)
 def _scopes(k: int, m: int, rho: int, n: int) -> tuple[tuple[int, ...], ...]:
     """The distinct scopes that n-column matrices over the m-ary relation
-    with mask rho read, each the tuple of its m table indices: the image of
-    the matrix's row sum under the identity table.  With n = 0 the one scope
-    is all zeros, even when rho is empty."""
-    lane = lane_bytes(k ** n)
-    identity = LaneTable.of(range(k ** n), lane)
-    rows = row_images(identity, _columns(Relation(k, m, rho), n, lane), m)
-    return tuple(unpack(scope, lane) for scope in set(rows))
+    with mask rho read, each the tuple of the m table indices a matrix
+    reads, which is its image under the identity table.  With n = 0 the one
+    scope is all zeros, even when rho is empty."""
+    return matrix_images(range(k ** n), k, m, rho, n)
 
 
 def polp(Q: Iterable[RelationPair], n: int, k: int) -> OpFamily:
@@ -134,14 +115,7 @@ def polp_least(least: dict[tuple[int, int], int], n: int, k: int) -> list[tuple[
         raise DomainError("arity must be >= 0")
     carrier = Carrier(k)
     check_cap("polp table enumeration", 1, k, carrier.num_tuples(n))
-    allowed = _allowed(least, n, k)
-    if not allowed.pop((), 1) & 1:
-        # an arity-0 scope reads no entry: it holds for all tables or none
-        return []
-    checks: list[list[tuple[tuple[int, ...], int]]] = [[] for _ in range(carrier.num_tuples(n))]
-    for idxs, ok in allowed.items():
-        checks[max(idxs)].append((idxs, ok))
-    return _search(k, checks)
+    return _search(k, carrier.num_tuples(n), _allowed(least, n, k))
 
 
 def preserving(tables: Iterable[tuple[int, ...]], least: dict[tuple[int, int], int],
@@ -178,16 +152,22 @@ def _allowed(least: dict[tuple[int, int], int], n: int, k: int) -> dict[tuple[in
     return allowed
 
 
-def _search(k: int, checks: list[list[tuple[tuple[int, ...], int]]]) -> list[tuple[int, ...]]:
-    """All value tables that map every scope to one of its allowed images,
-    ascending, each once.
+def _search(k: int, size: int, constraints: dict[tuple[int, ...], int]) -> list[tuple[int, ...]]:
+    """All value tables of `size` entries that map every scope of
+    `constraints` to one of its allowed images, ascending, each once.
 
-    `checks[i]` lists (scope, allowed) for each scope whose largest index is
-    i; a scope is a tuple of table indices, and `allowed` a bit mask over its
-    images encoded base k.  Entries are assigned depth-first in index order,
-    values ascending, and a scope is checked once its largest index is set.
+    A scope is a tuple of table indices, and its `allowed` a bit mask over
+    its images encoded base k.  The empty scope reads no entry: its one image
+    is 0, so it holds for all tables or for none.  Entries are assigned
+    depth-first in index order, values ascending, and a scope is checked once
+    its largest index is set.
     """
-    size = len(checks)
+    if not constraints.get((), 1) & 1:
+        return []
+    checks: list[list[tuple[tuple[int, ...], int]]] = [[] for _ in range(size)]
+    for idxs, ok in constraints.items():
+        if idxs:
+            checks[max(idxs)].append((idxs, ok))
     out: list[tuple[int, ...]] = []
     table = [0] * size
 
@@ -217,7 +197,7 @@ def least_invp(F: Iterable[Operation], m: int, k: int) -> dict[int, int]:
     under F, and F[rho] is the least second component each admits.
 
     A matrix over rho with n columns has at most n distinct columns, so
-    F[rho] is the union of `op_image_mask(f, M)` over the subsets M of rho
+    F[rho] is the union of `op_image_mask(f, m, M)` over the subsets M of rho
     with |M| <= arity(f); the columns of a matrix with at least one column
     form a non-empty set, so M is empty only for a nullary f.  Each such
     image is taken once, in the lane of M of one int that holds a lane of
@@ -240,17 +220,11 @@ def least_invp(F: Iterable[Operation], m: int, k: int) -> dict[int, int]:
     lane = lane_bytes(1 << size, "invp subset lanes")
     bits = 8 * lane
     singles = [1 << i for i in range(size)]
-    # by_size[r]: (the shift of its lane, the relation) for each subset of
-    # size r, listed when a member of F first needs them
-    by_size: dict[int, list[tuple[int, Relation]]] = {}
     least = 0
     for f in ops:
         for r in range(min(f.arity, 1), min(f.arity, size) + 1):
-            if r not in by_size:
-                by_size[r] = [(bits * M, Relation(k, m, M))
-                              for M in map(sum, itertools.combinations(singles, r))]
-            for shift, M in by_size[r]:
-                least |= op_image_mask(f, M) << shift
+            for M in map(sum, itertools.combinations(singles, r)):
+                least |= op_image_mask(f, m, M) << bits * M
     for i in reversed(range(size)):
         step = bits << i
         # all ones on the lanes of the subsets without element i
@@ -310,11 +284,12 @@ def inv(F: Iterable[Operation], m: int, k: int) -> list[Relation]:
 def sloc_ops(F: Iterable[Operation], s: int, n: int, k: int) -> OpFamily:
     """Operations agreeing with some member of F^(n) on every subset of A^n
     of size <= s: the operations of `sloc_tables` on the tables of F^(n)."""
-    fs = [f for f in F if f.arity == n]
-    for f in fs:
+    ops = list(F)
+    for f in ops:
         if f.k != k:
             raise DomainError("carrier mismatch in operation family")
-    return OpFamily(Operation(k, n, t) for t in sloc_tables([f.table for f in fs], s, n, k))
+    tables = [f.table for f in ops if f.arity == n]
+    return OpFamily(Operation(k, n, t) for t in sloc_tables(tables, s, n, k))
 
 
 def sloc_tables(tables: Iterable[tuple[int, ...]], s: int, n: int,
@@ -326,7 +301,8 @@ def sloc_tables(tables: Iterable[tuple[int, ...]], s: int, n: int,
     larger set implies agreement on all of its subsets, so the result is
     identical to quantifying over all sizes <= s.  Each subset B is one
     constraint of `_search`: the scope B may only take the images that the
-    given tables have on B.
+    given tables have on B.  With s = 0 the one subset is the empty B = (),
+    which holds for every table when `tables` is non-empty.
     """
     if s < 0:
         raise DomainError("locality parameter must be >= 0")
@@ -338,9 +314,7 @@ def sloc_tables(tables: Iterable[tuple[int, ...]], s: int, n: int,
     if size == 0 and not given:
         return []
     check_cap("sloc_ops subset enumeration", math.comb(domain, size), k, domain)
-    if size == 0:
-        return list(itertools.product(range(k), repeat=domain))
-    checks: list[list[tuple[tuple[int, ...], int]]] = [[] for _ in range(domain)]
+    constraints: dict[tuple[int, ...], int] = {}
     for B in itertools.combinations(range(domain), size):
         ok = 0
         for table in given:
@@ -348,8 +322,8 @@ def sloc_tables(tables: Iterable[tuple[int, ...]], s: int, n: int,
             for i in B:
                 v = v * k + table[i]
             ok |= 1 << v
-        checks[B[-1]].append((B, ok))
-    return _search(k, checks)
+        constraints[B] = ok
+    return _search(k, domain, constraints)
 
 
 def loc_ops(F: Iterable[Operation], n: int, k: int) -> OpFamily:

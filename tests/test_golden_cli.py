@@ -214,6 +214,10 @@ ERRORS = [
      "input error: cap must be >= 0\n"),
     ("k2", ["gen-semigroup", "--ops", "not", "--caps", "1"], 2,
      "refused: gamma tuple space: estimated cost 4 exceeds cap 1\n"),
+    ("k2", ["polp", "--pairs", "leqp", "--arity", "-1"], 3, "input error: arity must be >= 0\n"),
+    ("k2", ["pol", "--rels", "leq", "--arity", "-1"], 3, "input error: arity must be >= 0\n"),
+    ("k2", ["invp", "--ops", "and", "--arity", "-1"], 3, "input error: arity must be >= 0\n"),
+    ("k2", ["inv", "--ops", "and", "--arity", "-1"], 3, "input error: arity must be >= 0\n"),
 ]
 
 

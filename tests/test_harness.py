@@ -3,7 +3,7 @@ import json
 
 import pytest
 
-from finclone import core, harness
+from finclone import core, harness, preserve
 from finclone.core import (
     Carrier,
     DomainError,
@@ -111,6 +111,17 @@ class TestRefusal:
         with pytest.raises(DomainError, match="carrier mismatch in operation family"):
             check_op_side_characterisation([Operation(3, 1, (0, 1, 2))], 1, 1, 2)
 
+    def test_negative_locality_is_an_input_error_on_both_sides(self, monkeypatch):
+        # the op side refuses s < 0 before it builds any least map
+        built = []
+        monkeypatch.setattr(harness, "least_invp", lambda *args: built.append(args))
+        with pytest.raises(DomainError, match="locality parameter must be >= 0"):
+            check_op_side_characterisation([AND], -1, 1, 2)
+        assert built == []
+        monkeypatch.undo()
+        with pytest.raises(DomainError, match="locality parameter must be >= 0"):
+            check_pair_side_characterisation([LEQ_PAIR], -1, 1, 2)
+
 
 class TestNegativeControl:
     def test_tampered_pipeline_is_caught(self, monkeypatch):
@@ -211,6 +222,22 @@ class TestIndividualChecks:
             for s in (0, 1, 2, 3):
                 for n in (0, 1, 2):
                     assert check_op_side_characterisation(F, s, n, 2).verdict == "pass"
+        assert built == []
+
+    def test_passing_op_side_builds_no_relation(self, monkeypatch):
+        # images and scopes are taken on relation masks: with both caches
+        # cold, neither the check nor least_invp builds a Relation
+        built = []
+        preserve.op_image_mask.cache_clear()
+        preserve._scopes.cache_clear()
+        monkeypatch.setattr(core.Relation, "__post_init__", lambda self: built.append(self))
+        ops = list(all_operations(C2, 2))
+        for F in ([AND], [NOT, ops[6]], [ops[1], ops[7], NOT], []):
+            for s in (0, 1, 2, 3):
+                for n in (0, 1, 2):
+                    assert check_op_side_characterisation(F, s, n, 2).verdict == "pass"
+            for m in range(4):
+                preserve.least_invp(F, m, 2)
         assert built == []
 
     def test_least_pair_various_seeds(self):

@@ -76,7 +76,8 @@ def polp_enumerate(Q, n, k):
         tightest[p.rho] = p.rho_prime.mask if prev is None else prev & p.rho_prime.mask
     out = []
     for f in all_operations(carrier, n):
-        if all(op_image_mask(f, rho) & ~allowed == 0 for rho, allowed in tightest.items()):
+        if all(op_image_mask(f, rho.arity, rho.mask) & ~allowed == 0
+               for rho, allowed in tightest.items()):
             out.append(f)
     return OpFamily(out)
 
@@ -97,7 +98,7 @@ def invp_enumerate(F, m, k):
         # the union of images is the least admissible rho'
         need = 0
         for f in ops:
-            need |= op_image_mask(f, rho)
+            need |= op_image_mask(f, m, rho.mask)
             if need & ~rho.mask:
                 break
         if need & ~rho.mask:
@@ -113,10 +114,11 @@ def sloc_ops_enumerate(F, s, n, k):
     if s < 0:
         raise DomainError("locality parameter must be >= 0")
     carrier = Carrier(k)
-    fs = [f for f in F if f.arity == n]
-    for f in fs:
+    ops = list(F)
+    for f in ops:
         if f.k != k:
             raise DomainError("carrier mismatch in operation family")
+    fs = [f for f in ops if f.arity == n]
     domain = carrier.num_tuples(n)
     size = min(s, domain)
     if size == 0:
@@ -298,7 +300,7 @@ class TestImageEngine:
         rels = [r for m in range(4) for r in all_relations(C2, m)]
         for f in ops:
             for rho in rels:
-                assert op_image_mask(f, rho) == op_image_mask_by_definition(f, rho), (f, rho)
+                assert op_image_mask(f, rho.arity, rho.mask) == op_image_mask_by_definition(f, rho), (f, rho)
 
     def test_k3_seeded_cases(self):
         rng = random.Random(11)
@@ -307,7 +309,7 @@ class TestImageEngine:
             n, m = rng.randint(0, 3), rng.randint(0, 2)
             f = Operation(3, n, tuple(rng.randrange(3) for _ in range(3 ** n)))
             rho = Relation(3, m, rng.randrange(1 << c3.num_tuples(m)))
-            assert op_image_mask(f, rho) == op_image_mask_by_definition(f, rho), (f, rho)
+            assert op_image_mask(f, rho.arity, rho.mask) == op_image_mask_by_definition(f, rho), (f, rho)
 
     def test_tables_beyond_one_byte_lanes(self):
         # 2^9 and 3^6 table entries: rows ride on two-byte lanes; relations
@@ -319,12 +321,15 @@ class TestImageEngine:
             for m in (0, 1, 2):
                 for rho in all_relations(f.carrier, m):
                     if len(rho) <= 3:
-                        assert op_image_mask(f, rho) == op_image_mask_by_definition(f, rho), (f, rho)
+                        got = op_image_mask(f, rho.arity, rho.mask)
+                        assert got == op_image_mask_by_definition(f, rho), (f, rho)
 
     def test_carrier_mismatch(self):
-        for image_mask in (op_image_mask, op_image_mask_by_definition):
-            with pytest.raises(DomainError, match="carrier mismatch between operation"):
-                image_mask(ID, Relation.full(3, 1))
+        # op_image_mask takes a mask, so `preserves` checks the carrier
+        with pytest.raises(DomainError, match="carrier mismatch between operation and pair"):
+            preserves(ID, RelationPair.identical(Relation.full(3, 1)))
+        with pytest.raises(DomainError, match="carrier mismatch between operation and relation"):
+            op_image_mask_by_definition(ID, Relation.full(3, 1))
 
 
 def assert_sloc_matches_oracle(families, arities, k, sizes=range(6)):
@@ -450,7 +455,7 @@ class TestLeastPairEngine:
         for rho in rhos:
             need = 0
             for f in F:
-                need |= op_image_mask(f, Relation(k, m, rho))
+                need |= op_image_mask(f, m, rho)
             if not need & ~rho:
                 out[rho] = need
         return out
@@ -558,6 +563,14 @@ class TestSloc:
             sloc_ops([maj], 0, 3, 3)
         assert time.perf_counter() - start < 1
         assert sloc_ops([], 0, 3, 3) == OpFamily()
+
+    def test_carrier_checked_on_every_member(self):
+        # a k=3 member of another arity is as wrong as one of arity n
+        F = [Operation(3, 1, (0, 1, 2)), AND]
+        for closure in (lambda: sloc_ops(F, 1, 2, 2), lambda: loc_ops(F, 2, 2),
+                        lambda: sloc_ops_enumerate(F, 1, 2, 2)):
+            with pytest.raises(DomainError, match="carrier mismatch in operation family"):
+                closure()
 
     def test_full_domain_is_identity(self):
         fam = [CONST0, CONST1]

@@ -253,6 +253,8 @@ def check_pair_side_characterisation(Q: Iterable[RelationPair], s: int, m: int, 
     params = {"k": k, "s": s, "m": m, "Q": [_pair_key(p) for p in pairs]}
 
     def body():
+        if s < 0:
+            raise DomainError("locality parameter must be >= 0")
         F_all = polp_upto(pairs, s, k)
         least = least_invp(F_all, m, k)
         lhs = invp_least(least, m, k)

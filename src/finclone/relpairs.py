@@ -98,8 +98,8 @@ def general_superposition(spec: SuperpositionSpec, pairs: Sequence[RelationPair]
 @dataclass(frozen=True)
 class RpCloneResult:
     """Closure outcome restricted to the target arity window, with the
-    intermediate arity cap used and whether the last cap increment changed
-    the restricted slice."""
+    intermediate arity cap used and whether the slice changed over the last
+    cap increment (`rpclone_generate`) or two (`rpclone_generate_stable`)."""
 
     pairs: PairFamily
     intermediate_cap: int
@@ -276,12 +276,8 @@ class _Closure(list):
         self.counts.append(tuple(map(len, self)))
 
 
-def _rpclone_by_cap(Q: Iterable[RelationPair], target_cap: int, first_cap: int, last_cap: int,
-                    stable_for: int, k: int | None) -> RpCloneResult:
-    """Raise the intermediate cap from first_cap (at least target_cap) to
-    last_cap, growing one closure and restricting it to arity <= target_cap,
-    and stop once stable_for consecutive caps gave the same slice; only then
-    does the result record the slice as unchanged at the last cap."""
+def _closure(Q: Iterable[RelationPair], target_cap: int, top: int, k: int | None) -> _Closure:
+    """Check the arguments of both stopping rules; the closure of Q at cap top."""
     if target_cap < 0:
         raise DomainError("target arity must be >= 0")
     seed = list(Q)
@@ -292,30 +288,19 @@ def _rpclone_by_cap(Q: Iterable[RelationPair], target_cap: int, first_cap: int, 
     for p in seed:
         if p.k != k:
             raise DomainError("carrier mismatch in pair family")
-    if last_cap < target_cap:
+    if top < target_cap:
         raise DomainError("intermediate cap must be >= target cap")
-    first_cap = max(first_cap, target_cap)
-    # when every cap up to last_cap is built, the closure is built to it at
-    # once, so that an oversized tuple space is refused before any cap runs
-    closure = _Closure(seed, k, last_cap if last_cap - first_cap < stable_for else first_cap)
+    return _Closure(seed, k, top)
 
-    def result(c: int, changed: bool) -> RpCloneResult:
-        pairs = PairFamily(
-            RelationPair(k, m, Relation(k, m, x & (1 << k ** m) - 1),
-                         Relation(k, m, x >> k ** m))
-            for m, packed in enumerate(closure[:target_cap + 1]) for x in packed
-        )
-        return RpCloneResult(pairs, c, changed)
 
-    # the closure only grows with the cap, so equal slice sizes at caps
-    # c - stable_for + 1 and c mean equal slices at every cap between
-    for c in range(first_cap + stable_for - 1, last_cap + 1):
-        while len(closure) <= c:
-            closure.grow()
-        sizes = [counts[:target_cap + 1] for counts in closure.counts]
-        if sizes[c - stable_for + 1] == sizes[c]:
-            return result(c, False)
-    return result(last_cap, True)
+def _slice(closure: _Closure, target_cap: int, changed: bool) -> RpCloneResult:
+    """The closure's pairs of arity <= target_cap at its last cap."""
+    k = closure.k
+    pairs = PairFamily(
+        RelationPair(k, m, Relation(k, m, x & (1 << k ** m) - 1), Relation(k, m, x >> k ** m))
+        for m, packed in enumerate(closure[:target_cap + 1]) for x in packed
+    )
+    return RpCloneResult(pairs, len(closure) - 1, changed)
 
 
 def rpclone_generate(Q: Iterable[RelationPair], target_cap: int,
@@ -323,26 +308,38 @@ def rpclone_generate(Q: Iterable[RelationPair], target_cap: int,
     """Close Q under coordinate permutation, identification, dropping a
     coordinate, fictitious coordinates, binary intersection, and the
     from-nothing diagonal and full pairs, keeping every intermediate result
-    at arity <= intermediate_cap, then restrict to arity <= target_cap.
+    at arity <= intermediate_cap (default target_cap + 2), then restrict to
+    arity <= target_cap.
 
     For a fixed intermediate cap this computes a subset of the full closure;
-    it is monotone in the cap, and the result records whether the last cap
+    it is monotone in the cap, and the flag records whether the last cap
     increment, from intermediate_cap - 1 to intermediate_cap, changed the
     restricted slice.  With intermediate_cap == target_cap no increment is
     compared and the flag reads true.  Empty pairs are never injected; they
-    appear only when derivable from Q.
-    """
+    appear only when derivable from Q."""
     c = intermediate_cap if intermediate_cap is not None else target_cap + 2
-    return _rpclone_by_cap(Q, target_cap, c - 1, c, 2, k)
+    closure = _closure(Q, target_cap, c, k)
+    # the closure only grows with the cap, so equal slice sizes mean equal slices
+    sizes = [counts[:target_cap + 1] for counts in closure.counts]
+    return _slice(closure, target_cap, c == target_cap or sizes[c - 1] != sizes[c])
 
 
 def rpclone_generate_stable(
     Q: Iterable[RelationPair], target_cap: int, k: int | None = None
 ) -> RpCloneResult:
-    """Raise the intermediate cap from the target arity until the restricted
-    slice is unchanged for two consecutive increments, at most to target + 3;
-    the earliest possible stop is the default cap target + 2."""
-    return _rpclone_by_cap(Q, target_cap, target_cap, target_cap + 3, 3, k)
+    """Raise the intermediate cap from target + 2 to at most target + 3 and
+    stop at the first cap c whose restricted slice is as large as at c - 2,
+    so unchanged over two increments, as the slice only grows with the cap.
+    The flag is true iff those two slices differ: the rule gave up at
+    target + 3.  The stop is a heuristic; a higher cap may still add pairs."""
+    closure = _closure(Q, target_cap, target_cap, k)
+    closure.grow()
+    for c in (target_cap + 2, target_cap + 3):
+        closure.grow()
+        sizes = [counts[:target_cap + 1] for counts in closure.counts]
+        if sizes[c - 2] == sizes[c]:
+            break
+    return _slice(closure, target_cap, sizes[c - 2] != sizes[c])
 
 
 def sloc_pairs(Q: Iterable[RelationPair], s: int, m: int, k: int) -> PairFamily:

@@ -112,15 +112,17 @@ class TestRefusal:
             check_op_side_characterisation([Operation(3, 1, (0, 1, 2))], 1, 1, 2)
 
     def test_negative_locality_is_an_input_error_on_both_sides(self, monkeypatch):
-        # the op side refuses s < 0 before it builds any least map
+        # both sides refuse s < 0 before they build any least map, and the
+        # pair side before it runs the rpclone closure
         built = []
         monkeypatch.setattr(harness, "least_invp", lambda *args: built.append(args))
+        monkeypatch.setattr(harness, "rpclone_generate_stable",
+                            lambda *args: built.append(args))
         with pytest.raises(DomainError, match="locality parameter must be >= 0"):
             check_op_side_characterisation([AND], -1, 1, 2)
-        assert built == []
-        monkeypatch.undo()
         with pytest.raises(DomainError, match="locality parameter must be >= 0"):
-            check_pair_side_characterisation([LEQ_PAIR], -1, 1, 2)
+            check_pair_side_characterisation([LEQ_PAIR], -1, 2, 2)
+        assert built == []
 
 
 class TestNegativeControl:

@@ -211,6 +211,17 @@ class TestRpClone:
         for p in res.pairs:
             assert preserves(AND, p)
 
+    def test_flag_of_each_stopping_rule(self):
+        # slice sizes 1, 2, 3, 3 at caps 0-3: the stable rule finds the
+        # slices at caps 1 and 3 apart and gives up at cap 3, while the last
+        # increment, from cap 2 to 3, left the slice unchanged
+        Q = [pair_of(2, 1, [], []), pair_of(2, 2, [(0, 0), (1, 0)], [])]
+        assert [c[:1] for c in _Closure(Q, 2, 3).counts] == [(1,), (2,), (3,), (3,)]
+        stable, fixed = rpclone_generate_stable(Q, 0), rpclone_generate(Q, 0, 3)
+        assert (stable.intermediate_cap, stable.slice_changed_at_last_cap) == (3, True)
+        assert (fixed.intermediate_cap, fixed.slice_changed_at_last_cap) == (3, False)
+        assert stable.pairs == fixed.pairs
+
     def test_max_pairs_refusal(self, monkeypatch):
         monkeypatch.setattr(relpairs, "MAX_PAIRS", 5)
         with pytest.raises(CapExceeded, match=r"^rpclone closure size: estimated cost \d+ exceeds cap 5$"):

@@ -251,15 +251,6 @@ def invp_least(least: dict[int, int], m: int, k: int) -> PairFamily:
     return PairFamily(out)
 
 
-def invp_upto(F: Iterable[Operation], max_arity: int, k: int) -> PairFamily:
-    """Disjoint-union convenience wrapper: all invariant pairs of arity <= max_arity."""
-    ops = list(F)
-    out: list[RelationPair] = []
-    for m in range(max_arity + 1):
-        out.extend(invp(ops, m, k))
-    return PairFamily(out)
-
-
 def polp_upto(Q: Iterable[RelationPair], max_arity: int, k: int) -> OpFamily:
     """All polymorphisms of Q of arity <= max_arity."""
     pairs = list(Q)
@@ -302,7 +293,8 @@ def sloc_tables(tables: Iterable[tuple[int, ...]], s: int, n: int,
     identical to quantifying over all sizes <= s.  Each subset B is one
     constraint of `_search`: the scope B may only take the images that the
     given tables have on B.  With s = 0 the one subset is the empty B = (),
-    which holds for every table when `tables` is non-empty.
+    which holds for every table when `tables` is non-empty.  With no given
+    table no constraint can hold, so the answer is empty at every s.
     """
     if s < 0:
         raise DomainError("locality parameter must be >= 0")
@@ -311,7 +303,7 @@ def sloc_tables(tables: Iterable[tuple[int, ...]], s: int, n: int,
     domain = Carrier(k).num_tuples(n)
     given = list(tables)
     size = min(s, domain)
-    if size == 0 and not given:
+    if not given:
         return []
     check_cap("sloc_ops subset enumeration", math.comb(domain, size), k, domain)
     constraints: dict[tuple[int, ...], int] = {}

@@ -237,6 +237,8 @@ class TestExitCodes:
         pytest.param("galois", "galois two-element unions",
                      math.comb(4 ** 4 + 4 ** 16, 2) + math.comb(3 + 3 ** 4, 2), 4,
                      id="galois-k4"),
+        pytest.param("least-pair", "least-pair brute force", 3 ** 27, 3,
+                     id="least-pair-least-pair brute force-7625597484987"),
     ])
     def test_k3_check_refuses_before_running(self, capsys, name, what, cost, k):
         start = time.perf_counter()
@@ -246,10 +248,10 @@ class TestExitCodes:
         assert code == 2 and details == {"what": what, "cost": cost, "cap": 2 ** 20}
 
     # estimates far past the cap are refused from their magnitude, before
-    # 3^(3^15) or 2^(7^7) is built
+    # 3^(3^9) or 2^(2^16) is built
     @pytest.mark.parametrize("domain,argv,text", [
-        pytest.param("3", ["sloc", "--ops", "id", "--s", "1", "--arity", "15"],
-                     "sloc_ops subset enumeration: estimated cost >= 2^22742503", id="sloc-k3-15"),
+        pytest.param("3", ["sloc", "--ops", "c0", "--s", "1", "--arity", "9"],
+                     "sloc_ops subset enumeration: estimated cost >= 2^31211", id="sloc-k3-9"),
         pytest.param("2", ["polp", "--pairs", "leqp", "--arity", "15"],
                      "polp table enumeration: estimated cost >= 2^32768", id="polp-k2-15"),
         pytest.param("2", ["polp", "--pairs", "leqp", "--arity", "16"],
@@ -257,11 +259,23 @@ class TestExitCodes:
     ])
     def test_huge_estimates_refuse_at_once(self, capsys, tmp_path, domain, argv, text):
         problem = tmp_path / "problem.txt"
-        problem.write_text(PROBLEM if domain == "2" else "domain 3\nop id/1 = 012\n")
+        # at k=3 one 9-ary constant, a table of 3^9 = 19,683 digits
+        problem.write_text(PROBLEM if domain == "2" else "domain 3\nop c0/9 = " + "0" * 3 ** 9)
         start = time.perf_counter()
         code, out, err = run(capsys, *argv[:1], "--problem", str(problem), *argv[1:])
         assert time.perf_counter() - start < 2
         assert (code, out, err) == (2, "", f"refused: {text} exceeds cap 1048576\n")
+
+    def test_empty_family_has_an_empty_local_closure(self, capsys, tmp_path):
+        # id has no 15-ary member, so no subset constraint can hold: the
+        # answer is empty at once, with no estimate of the 3^15 subsets
+        problem = tmp_path / "problem.txt"
+        problem.write_text("domain 3\nop id/1 = 012\n")
+        start = time.perf_counter()
+        code, out, err = run(capsys, "sloc", "--problem", str(problem), "--ops", "id",
+                             "--s", "1", "--arity", "15", "--json")
+        assert time.perf_counter() - start < 2
+        assert (code, json.loads(out), err) == (0, {"ops": []}, "")
 
     def test_lanes_past_eight_bytes_refuse(self, capsys, tmp_path):
         # inv at arity 7 on k=2: the 3^128 estimate fits under 10^62, but

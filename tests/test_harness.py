@@ -50,6 +50,20 @@ class TestDefaultSuite:
             for r in run_checks(name):
                 assert r.verdict == "pass", (name, r.counterexample)
 
+    @pytest.mark.parametrize("k", [0, 1, 3, 4])
+    def test_every_carrier_size_answers_or_refuses(self, k):
+        # the fixtures are built from k: no carrier size is an input error,
+        # and a check too large for the cap is refused, never run away
+        reports = run_checks("all", k)
+        assert len(reports) == len(CHECKS)
+        assert {r.verdict for r in reports} <= {"pass", "refused"}
+        refused = {r.name for r in reports if r.verdict == "refused"}
+        if k < 2:
+            assert refused == set()
+        if k == 3:
+            assert refused == {"galois-axioms", "least-invariant-pair",
+                               "transformation-semigroups"}
+
     def test_unknown_name(self):
         with pytest.raises(KeyError):
             run_checks("no-such-check")
@@ -73,7 +87,7 @@ class TestReportShape:
 class TestRefusal:
     def test_tiny_cap_refuses(self):
         with capped(10):
-            r = check_galois_axioms(2, 2, 2)
+            r = check_galois_axioms(2)
         assert r.verdict == "refused"
         assert r.counterexample is None
         assert {"what", "cost", "cap"} <= set(r.details)
@@ -284,5 +298,5 @@ class TestIndividualChecks:
             assert r.verdict == "pass", r.counterexample
 
     def test_small_carrier(self):
-        assert check_galois_axioms(1, 2, 2).verdict == "pass"
+        assert check_galois_axioms(1).verdict == "pass"
         assert check_transformation_semigroups(1).verdict == "pass"

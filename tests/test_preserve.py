@@ -28,7 +28,6 @@ from finclone.core import (
 from finclone.preserve import (
     inv,
     invp,
-    invp_upto,
     least_invp,
     least_of,
     loc_ops,
@@ -564,6 +563,13 @@ class TestSloc:
         assert time.perf_counter() - start < 1
         assert sloc_ops([], 0, 3, 3) == OpFamily()
 
+    def test_empty_family_is_empty_at_every_s(self):
+        # with no given table no subset constraint can hold: the answer is
+        # empty at once, with no estimate, even where the subsets are many
+        with capped(0):
+            assert all(sloc_ops([], s, 3, 3) == OpFamily() for s in range(4))
+            assert loc_ops([], 3, 3) == OpFamily()
+
     def test_carrier_checked_on_every_member(self):
         # a k=3 member of another arity is as wrong as one of arity n
         F = [Operation(3, 1, (0, 1, 2)), AND]
@@ -639,22 +645,27 @@ class TestSloc:
             assert sloc_ops(small, s, 2, 2).issubset(sloc_ops(big, s, 2, 2))
 
 
+def _invp_upto2(F):
+    """The k=2 invariant pairs of arity <= 2, one `invp` per arity."""
+    return PairFamily(p for m in range(3) for p in invp(F, m, 2))
+
+
 class TestGaloisWindows:
     def test_extensivity_both_sides(self):
         F = [AND]
-        q = invp_upto(F, 2, 2)
+        q = _invp_upto2(F)
         assert AND in polp_upto(q, 2, 2)
         Q = [LEQ_PAIR]
         g = polp_upto(Q, 2, 2)
-        assert LEQ_PAIR in invp_upto(g, 2, 2)
+        assert LEQ_PAIR in _invp_upto2(g)
 
     def test_triple_composition(self):
         Q = [LEQ_PAIR]
         g = polp_upto(Q, 2, 2)
-        assert polp_upto(invp_upto(g, 2, 2), 2, 2) == g
+        assert polp_upto(_invp_upto2(g), 2, 2) == g
         F = [NOT]
-        q = invp_upto(F, 2, 2)
-        assert invp_upto(polp_upto(q, 2, 2), 2, 2) == q
+        q = _invp_upto2(F)
+        assert _invp_upto2(polp_upto(q, 2, 2)) == q
 
 
 class TestDegenerateCarriers:

@@ -182,12 +182,12 @@ class _Closure(list):
       orbits meets, up to pi, every member of that union.
 
     Not every pair needs to meet every other.  An orbit is move-born when it
-    entered as a seed, as one of the two from-nothing generators below, or
-    by a drop or an append, and meet-born when it came out of an
-    intersection; born[m] is the union of the move-born orbits processed at
-    arity m.  A move-born representative meets every orbit processed before
-    it and its own; a meet-born one meets born[m] only.  This still closes
-    the family under intersection:
+    entered as a seed, as one of the two from-nothing generators below, by
+    a drop, or by the append of a move-born orbit, and meet-born when it
+    came out of an intersection; born[m] is the union of the move-born
+    orbits processed at arity m.  A move-born representative meets every
+    orbit processed before it and its own; a meet-born one meets born[m]
+    only.  This still closes the family under intersection:
 
     - (i) every member is an intersection of move-born members: a meet-born
       orbit is the orbit of a & b for members a, b, and pi maps an
@@ -198,15 +198,19 @@ class _Closure(list):
     - (iii) so x & (g1 & ... & gt) is reached by t meets.
 
     This is the generating-set fact for closure systems (Ganter and Wille,
-    Formal Concept Analysis, 1999); moves are still applied to every
-    representative.
+    Formal Concept Analysis, 1999).  Every representative is dropped, but
+    only move-born ones are appended to: append(a & b) = append(a) &
+    append(b), so by (i) the append of a meet-born member is a meet of
+    appends of move-born members, which (iii) reaches.  Drops do not
+    distribute over intersection.
 
     The from-nothing pairs need only two generators: the arity-0 full pair
     and the binary diagonal.  Appending fictitious coordinates gives the
     full pair and, up to permutation, every diagonal at each higher arity.
     The closure is monotone in the cap, so cap c + 1 starts from cap c: it
     adds the arity-(c+1) seed pairs (and the diagonal at cap 2), appends a
-    fictitious coordinate to the arity-c representatives, and runs on.
+    fictitious coordinate to the move-born arity-c representatives, and
+    runs on.
     Closure size is counted as orbits enter, so the MAX_PAIRS refusal comes
     as soon as the closure exceeds it.  Checked against the definition-level
     closure in tests/test_relpairs.py::TestClosureEngine."""
@@ -260,13 +264,14 @@ class _Closure(list):
         if c:
             append = self.maps[c - 1][2]
             for r in self.reps[c - 1]:
-                self._admit(c, _apply(r, append))
+                if r in self.born[c - 1]:
+                    self._admit(c, _apply(r, append))
         while self.todo:
             m, r, orbit, moved = self.todo.popleft()
             _, drops, append = self.maps[m]
             for img in drops:
                 self._admit(m - 1, _apply(r, img))
-            if m < c:
+            if m < c and moved:
                 self._admit(m + 1, _apply(r, append))
             self.done[m] |= orbit
             if moved:

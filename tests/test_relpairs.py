@@ -1,10 +1,13 @@
 import functools
+import hashlib
 import itertools
 import random
 import time
 from typing import Sequence
 
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
 
 from finclone.core import (
     CapExceeded,
@@ -37,6 +40,16 @@ from finclone.relpairs import (
 C2 = Carrier(2)
 LEQ = Relation.from_tuples(C2, 2, [(0, 0), (0, 1), (1, 1)])
 LEQ_PAIR = RelationPair.identical(LEQ)
+
+
+# the closure-engine regression pin (TestClosureEngine.test_regression_pin)
+PIN_CASES = 933
+PIN_CLOSURES = "66cc685c9032f888fabfa040d9d96c16a92ea7c1532e10661267719dbcd5810e"
+PIN_REFUSALS = {
+    50: (181, "8a08a732084ece7b8ca3a3645d35d2af8ade4b3d652c133a6b5b268f28c0da34"),
+    500: (46, "2c299afc1e85023a5a51586e3c01e7eecddbd064b59e5de92f71d39a327ba169"),
+    3_000: (2, "e00ecf770f671bbd2f665a01f775ffcd1baf3b5870d20d10f9d25ae27d954b3d"),
+}
 
 
 def pair_of(k, arity, rho_tuples, rho_prime_tuples):
@@ -543,9 +556,36 @@ class TestClosureEngine:
         cases = [(rng.sample(unary + binary, rng.randint(2, 3)), 2) for _ in range(20)]
         cases += [(rng.sample(unary, rng.randint(1, 2)) + [rng.choice(binary)], 3)
                   for _ in range(4)]
+        skipped = 0
         for seed, c in cases:
-            assert _Closure(seed, 2, c) == \
-                closure_by_definition(seed, c, 2), (seed, c)
+            closure = _Closure(seed, 2, c)
+            assert closure == closure_by_definition(seed, c, 2), (seed, c)
+            skipped += sum(r not in closure.born[m] for m in range(c) for r in closure.reps[m])
+        # meet-born representatives below the cap, whose append the engine
+        # skips: without them this grid would not test that rule
+        assert skipped
+
+    @settings(max_examples=200, deadline=None)
+    @given(st.data())
+    def test_append_distributes_over_meets(self, data):
+        # append(a & b) == append(a) & append(b), the step that lets the
+        # engine skip appending meet-born representatives
+        k = data.draw(st.integers(0, 3), label="k")
+        m = data.draw(st.integers(0, 3), label="m")
+        w = k ** m
+        a, b = (data.draw(st.integers(0, (1 << 2 * w) - 1), label=name) for name in "ab")
+        append = relpairs._arity_maps(m, k)[2]
+        assert relpairs._apply(a & b, append) == \
+            relpairs._apply(a, append) & relpairs._apply(b, append)
+
+    def test_drop_does_not_distribute_over_meets(self):
+        # dropping coordinate 1 of {(0, 0)} and {(0, 1)} gives {(0,)} twice,
+        # but their meet is empty: drops of meet-born representatives stay
+        a, b = (pair_of(2, 2, [t], [t]) for t in ((0, 0), (0, 1)))
+        a, b = (p.rho.mask | p.rho_prime.mask << 4 for p in (a, b))
+        drop = relpairs._arity_maps(2, 2)[1][1]
+        assert relpairs._apply(a & b, drop) == 0
+        assert relpairs._apply(a, drop) & relpairs._apply(b, drop) == 0b101
 
     def test_transpositions_match_permute(self):
         # each masked-swap transposition against the superposition-level one
@@ -580,6 +620,49 @@ class TestClosureEngine:
                           for q in (permute(p, pi) for pi in itertools.permutations(range(m))))
                       for p in pairs}
             assert sorted(closure.reps[m]) == sorted(minima), m
+
+    @staticmethod
+    def _pin_grid():
+        # k = 1, 2, 3; the empty family, single pairs and two-pair families
+        # of arity <= 2 (all of them at k=1, every single pair at k=2, seeded
+        # samples otherwise); caps 0-4, 0-2 at k=3; nand-to-neq and leq-to-eq
+        # at cap 5
+        cases = []
+        for k, top, singles, doubles in ((1, 4, None, None), (2, 4, None, 24), (3, 2, 24, 12)):
+            pairs = [p for a in range(3) for p in all_pairs(Carrier(k), a)]
+            rng = random.Random(k)
+            seeds = [[]] + [[p] for p in (pairs if singles is None else rng.sample(pairs, singles))]
+            seeds += (list(map(list, itertools.combinations(pairs, 2))) if doubles is None
+                      else [rng.sample(pairs, 2) for _ in range(doubles)])
+            cases += [(seed, k, c) for seed in seeds for c in range(top + 1)]
+        eq = Relation.from_tuples(C2, 2, [(0, 0), (1, 1)])
+        nand = Relation.from_tuples(C2, 2, [(0, 0), (0, 1), (1, 0)])
+        neq = Relation.from_tuples(C2, 2, [(0, 1), (1, 0)])
+        return cases + [([RelationPair.of(nand, neq)], 2, 5), ([RelationPair.of(LEQ, eq)], 2, 5)]
+
+    def test_regression_pin(self, monkeypatch):
+        # per-arity closure sets and counts on a fixed grid, and which inputs
+        # a small MAX_PAIRS refuses (the refusal kind, not its cost, which
+        # depends on the order in which orbits enter); the digests were
+        # recorded with an engine that appended to every representative
+        cases = self._pin_grid()
+        digest = hashlib.sha256()
+        for seed, k, c in cases:
+            closure = _Closure(seed, k, c)
+            digest.update(repr((k, c, [sorted(s) for s in closure], closure.counts)).encode())
+        assert (len(cases), digest.hexdigest()) == (PIN_CASES, PIN_CLOSURES)
+        for limit, refused in PIN_REFUSALS.items():
+            monkeypatch.setattr(relpairs, "MAX_PAIRS", limit)
+            kinds = hashlib.sha256()
+            count = 0
+            for seed, k, c in cases:
+                try:
+                    _Closure(seed, k, c)
+                    kinds.update(b"-")
+                except CapExceeded as e:
+                    kinds.update(e.what.encode() + b";")
+                    count += 1
+            assert (count, kinds.hexdigest()) == refused, limit
 
 
 def sloc_pairs_enumerate(Q, s, m, k):

@@ -485,15 +485,15 @@ def check_classical(F: Iterable[Operation], Q1: Iterable[Relation], s: int, k: i
         carrier = Carrier(k)
         for n in (1, 2):
             lhs = sloc_ops(clone_nary_part(ops, n, k), s, n, k)
-            inv_upto = [rho for m in range(s + 1) for rho in inv(ops, m, k)]
-            rhs_upto = pol(inv_upto, n, k)
-            rhs_single = pol(inv(ops, s, k), n, k)
+            if n == 1:  # once, after the sloc_ops that large k refuses first
+                invs = [inv(ops, m, k) for m in range(s + 1)]
+            rhs_upto = pol(itertools.chain(*invs), n, k)
+            rhs_single = pol(invs[s], n, k)
             if not (lhs == rhs_upto == rhs_single):
                 return "fail", {"equality": "sloc clone vs pol inv", "n": n,
                                 "sizes": [len(lhs), len(rhs_upto), len(rhs_single)]}, {}
             # invariants of arity < 1 are redundant
-            inv_from_1 = [rho for m in range(1, s + 1) for rho in inv(ops, m, k)]
-            if pol(inv_from_1, n, k) != rhs_upto:
+            if pol(itertools.chain(*invs[1:]), n, k) != rhs_upto:
                 return "fail", {"equality": "small-arity invariants redundant", "n": n}, {}
         if k > 0:
             with_proj = ops + [identity_op(carrier)]

@@ -3,10 +3,12 @@ clones, the pair-side interpolation closures sLOC/LOC, and directed-family
 utilities.
 
 The closure engine `_Closure` works on packed pairs, not through
-superposition; the tests build the definition-level closure oracle from the
-elementary specialisations of `general_superposition` (permutation,
-identification, projection, fictitious coordinates, intersection and the
-from-nothing pairs).
+superposition: an append repeats each bit k times, a drop ORs each bit into
+the k-aligned one below it and keeps every k-th bit, and the transposition
+masks are its one per-arity table.  The tests build the definition-level
+closure oracle from the elementary specialisations of `general_superposition`
+(permutation, identification, projection, fictitious coordinates,
+intersection and the from-nothing pairs).
 """
 
 from __future__ import annotations
@@ -110,19 +112,10 @@ class RpCloneResult:
 MAX_PAIRS = 200_000
 
 
-def _arity_maps(m: int, k: int) -> tuple[list, list[list[int]], list[int]]:
-    """Coordinate operations at arity m as transforms of packed pairs
-    rho | rho' << k^m: the transpositions (j i) for j < i, one list per
-    i >= 1, each as the masked swaps that `_transpose` applies; then bit maps
-    for dropping each coordinate and for appending a fictitious one, which
-    send bit i of a packed pair to the mask of its image bits."""
-    carrier = Carrier(k)
-    tuples = list(carrier.tuples(m))
-
-    def packed(m_out: int, image) -> list[int]:
-        index = {u: i for i, u in enumerate(carrier.tuples(m_out))}
-        img = [sum(1 << index[u] for u in image(t)) for t in tuples]
-        return img + [v << k ** m_out for v in img]
+def _arity_maps(m: int, k: int) -> list[list[list[tuple[int, int]]]]:
+    """The transpositions (j i), j < i, at arity m as the masked swaps that
+    `_transpose` applies to packed pairs rho | rho' << k^m, one list per i."""
+    tuples = list(Carrier(k).tuples(m))
 
     def transposition(i: int, j: int) -> list[tuple[int, int]]:
         # swapping coordinates j < i moves each tuple with t_i - t_j = d > 0
@@ -132,9 +125,7 @@ def _arity_maps(m: int, k: int) -> tuple[list, list[list[int]], list[int]]:
         return [(mask | mask << k ** m, d * (k ** (m - 1 - j) - k ** (m - 1 - i)))
                 for d, mask in enumerate(low, 1)]
 
-    swaps = [[transposition(i, j) for j in range(i)] for i in range(1, m)]
-    drops = [packed(m - 1, lambda t, d=d: (t[:d] + t[d + 1:],)) for d in range(m)]
-    return swaps, drops, packed(m + 1, lambda t: [t + (a,) for a in range(k)])
+    return [[transposition(i, j) for j in range(i)] for i in range(1, m)]
 
 
 def _transpose(x: int, swaps: list[tuple[int, int]]) -> int:
@@ -145,13 +136,20 @@ def _transpose(x: int, swaps: list[tuple[int, int]]) -> int:
     return x
 
 
-def _apply(x: int, img: list[int]) -> int:
-    out = 0
-    while x:
-        low = x & -x
-        out |= img[low.bit_length() - 1]
-        x ^= low
-    return out
+def _append(x: int, k: int) -> int:
+    """Append a fictitious last coordinate: each bit becomes k copies (none at k = 0)."""
+    return int(format(x, "b").replace("0", "0" * k).replace("1", "1" * k) or "0", 2)
+
+
+def _drop_last(x: int, k: int) -> int:
+    """Drop the last coordinate of a packed pair: bit i * k + a goes to bit i,
+    by ORing each bit into the k-aligned one below and keeping every k-th."""
+    if not x:  # the only pair of arity >= 1 at k = 0
+        return 0
+    y = x
+    for a in range(1, k):
+        y |= x >> a
+    return int(format(y, "b")[::-k][::-1], 2)
 
 
 class _Closure(list):
@@ -211,6 +209,9 @@ class _Closure(list):
     adds the arity-(c+1) seed pairs (and the diagonal at cap 2), appends a
     fictitious coordinate to the move-born arity-c representatives, and
     runs on.
+    Moves are bit arithmetic (`_append`, `_drop_last`); dropping d < m - 1
+    swaps d and m - 1 first, so the result lies in the orbit of the drop of d.
+    maps[m], the transpositions as masked swaps, is the one per-arity table.
     Closure size is counted as orbits enter, so the MAX_PAIRS refusal comes
     as soon as the closure exceeds it.  Checked against the definition-level
     closure in tests/test_relpairs.py::TestClosureEngine."""
@@ -220,7 +221,7 @@ class _Closure(list):
         super().__init__()
         self.seed = [(p.arity, p.rho.mask | p.rho_prime.mask << k ** p.arity) for p in seed]
         self.k = k
-        self.maps: list[tuple[list, list[list[int]], list[int]]] = []
+        self.maps: list[list[list[list[tuple[int, int]]]]] = []
         self.reps: list[list[int]] = []
         self.done: list[set[int]] = []
         self.born: list[set[int]] = []
@@ -235,7 +236,7 @@ class _Closure(list):
         if x in members:
             return
         orbit = {x}
-        for layer in self.maps[m][0]:
+        for layer in self.maps[m]:
             orbit.update([_transpose(y, swaps) for y in orbit for swaps in layer])
         members |= orbit
         rep = min(orbit)
@@ -262,17 +263,16 @@ class _Closure(list):
             if m == c:
                 self._admit(c, x)
         if c:
-            append = self.maps[c - 1][2]
-            for r in self.reps[c - 1]:
-                if r in self.born[c - 1]:
-                    self._admit(c, _apply(r, append))
+            for r in filter(self.born[c - 1].__contains__, self.reps[c - 1]):
+                self._admit(c, _append(r, k))
         while self.todo:
             m, r, orbit, moved = self.todo.popleft()
-            _, drops, append = self.maps[m]
-            for img in drops:
-                self._admit(m - 1, _apply(r, img))
+            for swaps in self.maps[m][-1] if m > 1 else ():
+                self._admit(m - 1, _drop_last(_transpose(r, swaps), k))
+            if m:
+                self._admit(m - 1, _drop_last(r, k))
             if m < c and moved:
-                self._admit(m + 1, _apply(r, append))
+                self._admit(m + 1, _append(r, k))
             self.done[m] |= orbit
             if moved:
                 self.born[m] |= orbit

@@ -538,7 +538,7 @@ class TestClosureEngine:
             closure = _Closure(seed, 2, c)
             for m, (members, born) in enumerate(zip(closure, closure.born)):
                 assert born <= members, (seed, c, m)
-                for layer in relpairs._arity_maps(m, 2)[0]:
+                for layer in closure.maps[m]:
                     for swaps in layer:
                         assert {relpairs._transpose(x, swaps) for x in born} == born
                 for r in closure.reps[m]:
@@ -574,18 +574,16 @@ class TestClosureEngine:
         m = data.draw(st.integers(0, 3), label="m")
         w = k ** m
         a, b = (data.draw(st.integers(0, (1 << 2 * w) - 1), label=name) for name in "ab")
-        append = relpairs._arity_maps(m, k)[2]
-        assert relpairs._apply(a & b, append) == \
-            relpairs._apply(a, append) & relpairs._apply(b, append)
+        assert relpairs._append(a & b, k) == \
+            relpairs._append(a, k) & relpairs._append(b, k)
 
     def test_drop_does_not_distribute_over_meets(self):
         # dropping coordinate 1 of {(0, 0)} and {(0, 1)} gives {(0,)} twice,
         # but their meet is empty: drops of meet-born representatives stay
         a, b = (pair_of(2, 2, [t], [t]) for t in ((0, 0), (0, 1)))
         a, b = (p.rho.mask | p.rho_prime.mask << 4 for p in (a, b))
-        drop = relpairs._arity_maps(2, 2)[1][1]
-        assert relpairs._apply(a & b, drop) == 0
-        assert relpairs._apply(a, drop) & relpairs._apply(b, drop) == 0b101
+        assert relpairs._drop_last(a & b, 2) == 0
+        assert relpairs._drop_last(a, 2) & relpairs._drop_last(b, 2) == 0b101
 
     def test_transpositions_match_permute(self):
         # each masked-swap transposition against the superposition-level one
@@ -596,13 +594,38 @@ class TestClosureEngine:
                 rho = rng.getrandbits(w)
                 p = RelationPair(k, m, Relation(k, m, rho), Relation(k, m, rho & rng.getrandbits(w)))
                 x = p.rho.mask | p.rho_prime.mask << w
-                for i, layer in enumerate(relpairs._arity_maps(m, k)[0], 1):
+                for i, layer in enumerate(relpairs._arity_maps(m, k), 1):
                     for j, swaps in enumerate(layer):
                         pi = list(range(m))
                         pi[i], pi[j] = j, i
                         q = permute(p, pi)
                         assert relpairs._transpose(x, swaps) == \
                             q.rho.mask | q.rho_prime.mask << w, (p, i, j)
+
+    @pytest.mark.parametrize("m", range(4))
+    @pytest.mark.parametrize("k", range(4))
+    @settings(max_examples=25, deadline=None)
+    @given(st.data())
+    def test_moves_match_definition(self, k, m, data):
+        # the packed append against `add_fictitious` at the new last
+        # position, and each drop as the engine makes it (swap d and m - 1,
+        # drop m - 1) against `project_onto` the coordinates that leaves
+        w = k ** m
+        rho = data.draw(st.integers(0, (1 << w) - 1), label="rho")
+        rho_p = rho & data.draw(st.integers(0, (1 << w) - 1), label="rho'")
+        p = RelationPair(k, m, Relation(k, m, rho), Relation(k, m, rho_p))
+        x = rho | rho_p << w
+        q = add_fictitious(p, [m])
+        assert relpairs._append(x, k) == q.rho.mask | q.rho_prime.mask << k * w
+        layer = relpairs._arity_maps(m, k)[-1] if m > 1 else []
+        for d in range(m):
+            y = relpairs._transpose(x, layer[d]) if d < m - 1 else x
+            coords = list(range(m - 1))
+            if d < m - 1:
+                coords[d] = m - 1
+            q = project_onto(p, coords)
+            assert relpairs._drop_last(y, k) == \
+                q.rho.mask | q.rho_prime.mask << k ** (m - 1), d
 
     def test_one_representative_per_orbit(self):
         # the representatives are the orbit minima under every coordinate

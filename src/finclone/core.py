@@ -319,6 +319,21 @@ def int_lanes(x: int, lane: int, width: int) -> tuple[int, ...]:
     return lanes if _LANE_ORDER == "little" else lanes[::-1]
 
 
+def or_zeta(x: int, bits: int, n: int) -> int:
+    """The OR-zeta (subset-sum) transform of x read as 2^n lanes of `bits`
+    bits, lane S (lowest first) for the subset S of {0,...,n-1}: each lane
+    becomes the OR of the lanes of all subsets of S.  One big-int step per
+    element i, ORing each lane of a subset without i into the lane of that
+    subset with i (Björklund, Husfeldt, Kaski and Koivisto, "Fourier meets
+    Möbius: fast subset convolution", STOC 2007)."""
+    for i in reversed(range(n)):
+        step = bits << i
+        # all ones on the lanes of the subsets without element i
+        without = (1 << step) - 1 if i == n - 1 else without ^ without << step
+        x |= (x & without) << step
+    return x
+
+
 class LaneTable(NamedTuple):
     """An operation's value table laid out for `row_images` on lanes of
     `lane` bytes: with one-byte lanes the 256-byte table of `bytes.translate`,
@@ -491,6 +506,17 @@ class RelationPair:
     @property
     def carrier(self) -> Carrier:
         return Carrier(self.k)
+
+    @classmethod
+    def from_packed(cls, k: int, arity: int, x: int) -> RelationPair:
+        """The pair that `packed` gives as x."""
+        size = k ** arity
+        return cls(k, arity, Relation(k, arity, x & (1 << size) - 1),
+                   Relation(k, arity, x >> size))
+
+    def packed(self) -> int:
+        """The pair as one int rho | rho' << k^arity."""
+        return self.rho.mask | self.rho_prime.mask << self.k ** self.arity
 
     def is_identical(self) -> bool:
         return self.rho.mask == self.rho_prime.mask

@@ -42,7 +42,7 @@ from .generation import (
 from .preserve import (
     inv,
     invp,
-    invp_least,
+    invp_least_packed,
     least_invp,
     pol,
     polp,
@@ -56,7 +56,9 @@ from .relpairs import (
     is_s_directed,
     loc_pairs,
     rpclone_generate_stable,
+    rpclone_stable_packed,
     sloc_pairs,
+    sloc_pairs_packed,
     union_family,
 )
 
@@ -89,7 +91,11 @@ def _op_key(f: Operation) -> str:
 
 
 def _pair_key(p: RelationPair) -> str:
-    return f"pair/{p.arity}:rho={p.rho.mask:x},rho'={p.rho_prime.mask:x}"
+    return _mask_key(p.arity, p.rho.mask, p.rho_prime.mask)
+
+
+def _mask_key(m: int, rho: int, rho_p: int) -> str:
+    return f"pair/{m}:rho={rho:x},rho'={rho_p:x}"
 
 
 def check_galois_axioms(k: int = 2) -> Report:
@@ -248,7 +254,14 @@ def check_pair_side_characterisation(Q: Iterable[RelationPair], s: int, m: int, 
     generated side is reported as generation incompleteness; a surplus would
     be a logic error and must never occur.  The {0,s}-arity and, when an
     empty pair is present, single-arity-s polymorphism windows are also
-    compared against the brute-force side."""
+    compared against the brute-force side.
+
+    Both sides are sets of m-ary pairs packed as rho | rho' << k^m: the
+    pairs `invp_least_packed` spans on the least map, and the s-local
+    closure `sloc_pairs_packed` of the arity-m slice of the stable-rule
+    closure (`rpclone_stable_packed`).  A counterexample names the first
+    differing pair in `PairFamily` order, by (rho, rho'), formatted from
+    its masks."""
     pairs = list(Q)
     params = {"k": k, "s": s, "m": m, "Q": [_pair_key(p) for p in pairs]}
 
@@ -257,7 +270,7 @@ def check_pair_side_characterisation(Q: Iterable[RelationPair], s: int, m: int, 
             raise DomainError("locality parameter must be >= 0")
         F_all = polp_upto(pairs, s, k)
         least = least_invp(F_all, m, k)
-        lhs = invp_least(least, m, k)
+        lhs = invp_least_packed(least, m, k)
         # window variants checked purely on the brute-force side, by their
         # least second components, which determine invp
         f_s = F_all.part(s)
@@ -267,25 +280,26 @@ def check_pair_side_characterisation(Q: Iterable[RelationPair], s: int, m: int, 
         if any(p.rho.mask == 0 for p in pairs):
             if least_invp(f_s, m, k) != least:
                 return "fail", {"variant": "single arity s with empty pair"}, {}
-        gen = rpclone_generate_stable(pairs, m, k)
-        rhs = sloc_pairs(gen.pairs, s, m, k)
+        closure, _ = rpclone_stable_packed(pairs, m, k)
+        cap = len(closure) - 1
+        rhs = sloc_pairs_packed(closure[m], s, m, k)
         if rhs == lhs:
-            return "pass", None, {
-                "size": len(lhs),
-                "intermediate_cap": gen.intermediate_cap,
-            }
-        extra = [p for p in rhs if p not in lhs]
+            return "pass", None, {"size": len(lhs), "intermediate_cap": cap}
+        size = k ** m
+
+        def first(packed: set[int]) -> str:
+            return _mask_key(m, *min((x & (1 << size) - 1, x >> size) for x in packed))
+
+        extra = rhs - lhs
         if extra:
-            return "fail", {
-                "kind": "logic_error",
-                "pair": _pair_key(extra[0]),
-            }, {"intermediate_cap": gen.intermediate_cap}
-        missing = [p for p in lhs if p not in rhs]
+            return "fail", {"kind": "logic_error", "pair": first(extra)}, \
+                {"intermediate_cap": cap}
+        missing = lhs - rhs
         return "fail", {
             "kind": "generation_incomplete",
-            "pair": _pair_key(missing[0]),
+            "pair": first(missing),
             "missing": len(missing),
-        }, {"intermediate_cap": gen.intermediate_cap}
+        }, {"intermediate_cap": cap}
 
     return _run("pair-side-characterisation", params, body)
 

@@ -9,8 +9,10 @@ distinct columns, so F[rho] is the union of the images on the non-empty
 subsets of rho of size <= n (on the empty set when n = 0).  Those images
 are held in one int, a lane of `lane_bytes(2^N)` bytes for each of the 2^N
 subsets of A^m (N = k^m), and an OR-zeta transform of N big-int steps gives
-F[rho] for every rho at once.  `invp` and `inv` read that map, and `polp`
-groups its pairs into the same map for `polp_least`.
+F[rho] for every rho at once.  `invp` and `inv` read that map, `invp` by
+way of `invp_least_packed`, which spans it into packed pairs
+rho | rho' << N; `polp` groups its pairs into the same map for
+`polp_least`.
 
 The operation side works on value tables: `polp_least` and `sloc_tables`
 hand their constraints, a map {scope: allowed images}, to the one
@@ -47,6 +49,7 @@ from .core import (
     int_lanes,
     lane_bytes,
     matrix_images,
+    or_zeta,
     submasks,
 )
 
@@ -202,12 +205,11 @@ def least_invp(F: Iterable[Operation], m: int, k: int) -> dict[int, int]:
     form a non-empty set, so M is empty only for a nullary f.  Each such
     image is taken once, in the lane of M of one int that holds a lane of
     `lane_bytes(2^N)` bytes for each of the 2^N subsets of A^m, N = k^m,
-    subset 0 lowest.  The OR-zeta (subset-sum) transform (Björklund,
-    Husfeldt, Kaski and Koivisto, "Fourier meets Möbius: fast subset
-    convolution", STOC 2007) then spreads them to every rho in N steps, one
-    per element i of A^m: each lane of a subset without i is ORed into the
-    lane of that subset with i.  The cap charges the 3^N candidate pairs,
-    and N > 64, whose lanes would need more than 8 bytes, is refused.
+    subset 0 lowest.  The OR-zeta (subset-sum) transform `core.or_zeta`
+    then spreads them to every rho in N steps, one per element i of A^m:
+    each lane of a subset without i is ORed into the lane of that subset
+    with i.  The cap charges the 3^N candidate pairs, and N > 64, whose
+    lanes would need more than 8 bytes, is refused.
     """
     if m < 0:
         raise DomainError("arity must be >= 0")
@@ -225,12 +227,7 @@ def least_invp(F: Iterable[Operation], m: int, k: int) -> dict[int, int]:
         for r in range(min(f.arity, 1), min(f.arity, size) + 1):
             for M in map(sum, itertools.combinations(singles, r)):
                 least |= op_image_mask(f, m, M) << bits * M
-    for i in reversed(range(size)):
-        step = bits << i
-        # all ones on the lanes of the subsets without element i
-        without = (1 << step) - 1 if i == size - 1 else without ^ without << step
-        least |= (least & without) << step
-    lanes = int_lanes(least, lane, 1 << size)
+    lanes = int_lanes(or_zeta(least, bits, size), lane, 1 << size)
     return {rho: need for rho, need in enumerate(lanes) if not need & ~rho}
 
 
@@ -242,13 +239,19 @@ def invp(F: Iterable[Operation], m: int, k: int) -> PairFamily:
 
 def invp_least(least: dict[int, int], m: int, k: int) -> PairFamily:
     """For each entry rho: F[rho] of a `least_invp` map, the m-ary pairs
-    (rho, rho') with F[rho] ⊆ rho' ⊆ rho."""
-    out = []
-    for rho, need in least.items():
-        first = Relation(k, m, rho)
-        out.extend(RelationPair(k, m, first, Relation(k, m, need | t))
-                   for t in submasks(rho & ~need))
-    return PairFamily(out)
+    (rho, rho') with F[rho] ⊆ rho' ⊆ rho: those of `invp_least_packed`,
+    with one `Relation` per first component, shared by its pairs."""
+    size = k ** m
+    firsts = {rho: Relation(k, m, rho) for rho in least}
+    return PairFamily(RelationPair(k, m, firsts[x & (1 << size) - 1], Relation(k, m, x >> size))
+                      for x in invp_least_packed(least, m, k))
+
+
+def invp_least_packed(least: dict[int, int], m: int, k: int) -> set[int]:
+    """The pairs of `invp_least`, each packed as one int rho | rho' << k^m."""
+    size = k ** m
+    return {rho | (need | t) << size for rho, need in least.items()
+            for t in submasks(rho & ~need)}
 
 
 def polp_upto(Q: Iterable[RelationPair], max_arity: int, k: int) -> OpFamily:

@@ -2,11 +2,14 @@
 clones, the pair-side interpolation closures sLOC/LOC, and directed-family
 utilities.
 
-The closure engine `_Closure` works on packed pairs, not through
-superposition: an append repeats each bit k times, a drop ORs each bit into
-the k-aligned one below it and keeps every k-th bit, and the transposition
-masks are its one per-arity table.  The tests build the definition-level
-closure oracle from the elementary specialisations of `general_superposition`
+The closure engine `_Closure` works on packed pairs rho | rho' << k^m, not
+through superposition: an append repeats each bit k times, a drop ORs each
+bit into the k-aligned one below it and keeps every k-th bit, and the
+transposition masks are its one per-arity table.  `rpclone_stable_packed`
+and `sloc_pairs_packed` are the packed engines under
+`rpclone_generate_stable` and `sloc_pairs`, which build `RelationPair`s
+only from their results.  The tests build the definition-level closure
+oracle from the elementary specialisations of `general_superposition`
 (permutation, identification, projection, fictitious coordinates,
 intersection and the from-nothing pairs).
 """
@@ -27,6 +30,7 @@ from .core import (
     RelationPair,
     bit_indices,
     check_cap,
+    or_zeta,
     submasks,
 )
 
@@ -219,7 +223,7 @@ class _Closure(list):
     def __init__(self, seed: Iterable[RelationPair], k: int, top: int):
         check_cap("rpclone tuple space", k ** top)
         super().__init__()
-        self.seed = [(p.arity, p.rho.mask | p.rho_prime.mask << k ** p.arity) for p in seed]
+        self.seed = [(p.arity, p.packed()) for p in seed]
         self.k = k
         self.maps: list[list[list[list[tuple[int, int]]]]] = []
         self.reps: list[list[int]] = []
@@ -281,8 +285,11 @@ class _Closure(list):
         self.counts.append(tuple(map(len, self)))
 
 
-def _closure(Q: Iterable[RelationPair], target_cap: int, top: int, k: int | None) -> _Closure:
-    """Check the arguments of both stopping rules; the closure of Q at cap top."""
+def _seeds(Q: Iterable[RelationPair], target_cap: int,
+           k: int | None) -> tuple[list[RelationPair], int, int]:
+    """Check the arguments of both stopping rules: Q as a list, the carrier
+    size, and the largest of target_cap and the seed arities.  A seed
+    enters the closure only once the cap reaches its arity."""
     if target_cap < 0:
         raise DomainError("target arity must be >= 0")
     seed = list(Q)
@@ -293,18 +300,13 @@ def _closure(Q: Iterable[RelationPair], target_cap: int, top: int, k: int | None
     for p in seed:
         if p.k != k:
             raise DomainError("carrier mismatch in pair family")
-    if top < target_cap:
-        raise DomainError("intermediate cap must be >= target cap")
-    return _Closure(seed, k, top)
+    return seed, k, max([target_cap, *(p.arity for p in seed)])
 
 
 def _slice(closure: _Closure, target_cap: int, changed: bool) -> RpCloneResult:
     """The closure's pairs of arity <= target_cap at its last cap."""
-    k = closure.k
-    pairs = PairFamily(
-        RelationPair(k, m, Relation(k, m, x & (1 << k ** m) - 1), Relation(k, m, x >> k ** m))
-        for m, packed in enumerate(closure[:target_cap + 1]) for x in packed
-    )
+    pairs = PairFamily(RelationPair.from_packed(closure.k, m, x)
+                       for m, packed in enumerate(closure[:target_cap + 1]) for x in packed)
     return RpCloneResult(pairs, len(closure) - 1, changed)
 
 
@@ -313,8 +315,10 @@ def rpclone_generate(Q: Iterable[RelationPair], target_cap: int,
     """Close Q under coordinate permutation, identification, dropping a
     coordinate, fictitious coordinates, binary intersection, and the
     from-nothing diagonal and full pairs, keeping every intermediate result
-    at arity <= intermediate_cap (default target_cap + 2), then restrict to
-    arity <= target_cap.
+    at arity <= intermediate_cap, then restrict to arity <= target_cap.  The
+    cap defaults to max(target_cap + 2, the largest seed arity).  An
+    explicit cap below the target is an input error, and so is one below a
+    seed's arity: that seed would never enter the closure.
 
     For a fixed intermediate cap this computes a subset of the full closure;
     it is monotone in the cap, and the flag records whether the last cap
@@ -322,8 +326,13 @@ def rpclone_generate(Q: Iterable[RelationPair], target_cap: int,
     restricted slice.  With intermediate_cap == target_cap no increment is
     compared and the flag reads true.  Empty pairs are never injected; they
     appear only when derivable from Q."""
-    c = intermediate_cap if intermediate_cap is not None else target_cap + 2
-    closure = _closure(Q, target_cap, c, k)
+    seed, k, top = _seeds(Q, target_cap, k)
+    c = intermediate_cap if intermediate_cap is not None else max(target_cap + 2, top)
+    if c < target_cap:
+        raise DomainError("intermediate cap must be >= target cap")
+    if c < top:
+        raise DomainError("intermediate cap must be >= the largest seed arity")
+    closure = _Closure(seed, k, c)
     # the closure only grows with the cap, so equal slice sizes mean equal slices
     sizes = [counts[:target_cap + 1] for counts in closure.counts]
     return _slice(closure, target_cap, c == target_cap or sizes[c - 1] != sizes[c])
@@ -332,61 +341,97 @@ def rpclone_generate(Q: Iterable[RelationPair], target_cap: int,
 def rpclone_generate_stable(
     Q: Iterable[RelationPair], target_cap: int, k: int | None = None
 ) -> RpCloneResult:
-    """Raise the intermediate cap from target + 2 to at most target + 3 and
-    stop at the first cap c whose restricted slice is as large as at c - 2,
-    so unchanged over two increments, as the slice only grows with the cap.
-    The flag is true iff those two slices differ: the rule gave up at
-    target + 3.  The stop is a heuristic; a higher cap may still add pairs."""
-    closure = _closure(Q, target_cap, target_cap, k)
+    """The closure of Q at the stable rule's cap, restricted to arity <=
+    target_cap: the pairs of `rpclone_stable_packed`."""
+    closure, changed = rpclone_stable_packed(Q, target_cap, k)
+    return _slice(closure, target_cap, changed)
+
+
+def rpclone_stable_packed(
+    Q: Iterable[RelationPair], target_cap: int, k: int | None = None
+) -> tuple[_Closure, bool]:
+    """The stable rule on packed pairs: the closure, whose entry m is the set
+    of its m-ary pairs rho | rho' << k^m and whose length is one more than
+    the intermediate cap, and the flag.
+
+    From b = max(target_cap, a - 1), a the largest seed arity, the cap is
+    raised to b + 2 and at most b + 3, stopping at the first cap c whose
+    slice at arity <= target_cap is as large as at c - 2, so unchanged over
+    two increments, as the slice only grows with the cap.  Every seed has
+    entered by cap b + 1, so the closure at c and c - 1 holds them all.  The
+    flag is true iff those two slices differ: the rule gave up at b + 3.
+    The stop is a heuristic; a higher cap may still add pairs."""
+    seed, k, top = _seeds(Q, target_cap, k)
+    b = max(target_cap, top - 1)
+    closure = _Closure(seed, k, b)
     closure.grow()
-    for c in (target_cap + 2, target_cap + 3):
+    for c in (b + 2, b + 3):
         closure.grow()
         sizes = [counts[:target_cap + 1] for counts in closure.counts]
         if sizes[c - 2] == sizes[c]:
             break
-    return _slice(closure, target_cap, sizes[c - 2] != sizes[c])
+    return closure, sizes[c - 2] != sizes[c]
 
 
 def sloc_pairs(Q: Iterable[RelationPair], s: int, m: int, k: int) -> PairFamily:
     """All m-ary (sigma, sigma') such that every subset of sigma of size <= s
     is covered by the first component of some m-ary member of Q whose second
-    component lies inside sigma'.
+    component lies inside sigma': the pairs of `sloc_pairs_packed` on the
+    m-ary members of Q."""
+
+    def witnesses():
+        for p in Q:
+            if p.k != k:
+                raise DomainError("carrier mismatch in pair family")
+            if p.arity == m:
+                yield p.packed()
+
+    return PairFamily(RelationPair.from_packed(k, m, x)
+                      for x in sloc_pairs_packed(witnesses(), s, m, k))
+
+
+def sloc_pairs_packed(witnesses: Iterable[int], s: int, m: int, k: int) -> set[int]:
+    """The s-local closure of the m-ary witnesses (rho, rho'), all pairs
+    given and returned packed as rho | rho' << N with N = k^m.
 
     A witness covering B covers every subset of B, so only the subsets B of
-    sigma of size min(s, |sigma|) are tested.  For each such covered set B
-    the second components of the witnesses whose first component contains B
-    are collected once per call; sigma' ⊆ sigma is accepted iff, for every
-    B, one of those second components lies inside sigma'.  The witnesses
-    are thus scanned once per covered set instead of once per candidate
-    (the 3^(k^m) pairs that the cap charges)."""
+    sigma of size min(s, |sigma|) are tested.  The up-set of a covered set
+    B is the int of 2^N bits whose bit T is set iff T contains the second
+    component of some witness whose first component contains B: the bits
+    of those second components, spread to their supersets by one OR-zeta
+    transform (`core.or_zeta`).  A candidate sigma' ⊆ sigma is accepted iff
+    its bit is set in the AND of the up-sets of sigma's covered sets, one
+    bit test per candidate instead of a scan of the witnesses.
+
+    The cap charges the 3^N candidate pairs before any work, and that
+    bounds the up-sets: each is built once per call and holds 2^N bits,
+    fewer than the candidates, so 512 bytes at the default cap (3^N <= 2^20
+    there, so N <= 12).  One is held per covered set, at most
+    sum_{j <= s} C(N, j) <= 2^N of them: at most 2 MiB at the default cap."""
     if s < 0:
         raise DomainError("locality parameter must be >= 0")
     if m < 0:
         raise DomainError("arity must be >= 0")
-    carrier = Carrier(k)
-    qm = []
-    for p in Q:
-        if p.k != k:
-            raise DomainError("carrier mismatch in pair family")
-        if p.arity == m:
-            qm.append((p.rho.mask, p.rho_prime.mask))
-    check_cap("sloc_pairs candidate enumeration", 1, 3, carrier.num_tuples(m))
-    covers: dict[int, frozenset[int]] = {}
-    out = []
-    for sigma_mask in range(1 << carrier.num_tuples(m)):
-        members = list(bit_indices(sigma_mask))
-        needs = set()
+    size = Carrier(k).num_tuples(m)
+    full = (1 << size) - 1
+    qm = [(x & full, x >> size) for x in witnesses]
+    check_cap("sloc_pairs candidate enumeration", 1, 3, size)
+    ups: dict[int, int] = {}
+    out = set()
+    for sigma in range(1 << size):
+        members = list(bit_indices(sigma))
+        need = -1
         for B in itertools.combinations(members, min(s, len(members))):
             b = sum(1 << i for i in B)
-            if b not in covers:
-                covers[b] = frozenset(rho_p for rho, rho_p in qm if not b & ~rho)
-            needs.add(covers[b])
-        for sub in submasks(sigma_mask):
-            if all(any(not rho_p & ~sub for rho_p in need) for need in needs):
-                out.append(
-                    RelationPair(k, m, Relation(k, m, sigma_mask), Relation(k, m, sub))
-                )
-    return PairFamily(out)
+            if b not in ups:
+                seeds = 0
+                for rho, rho_p in qm:
+                    if not b & ~rho:
+                        seeds |= 1 << rho_p
+                ups[b] = or_zeta(seeds, 1, size)
+            need &= ups[b]
+        out.update(sigma | sub << size for sub in submasks(sigma) if need >> sub & 1)
+    return out
 
 
 def loc_pairs(Q: Iterable[RelationPair], m: int, k: int) -> PairFamily:

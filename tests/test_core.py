@@ -29,6 +29,7 @@ from finclone.core import (
     is_projection,
     lane_bytes,
     lane_ints,
+    or_zeta,
     pack,
     pair_leq,
     pair_qleq,
@@ -357,6 +358,22 @@ class TestLaneEngine:
                     # the inverse of `lane_ints`
                     assert lane_ints([pack(t, lane)]) == [x]
 
+    @settings(max_examples=200, deadline=None)
+    @given(st.data())
+    def test_or_zeta_matches_definition(self, data):
+        # lane S of the transform is the OR of the lanes of every subset of S
+        n = data.draw(st.integers(0, 4), label="n")
+        bits = data.draw(st.sampled_from((1, 3, 8)), label="bits")
+        lanes = data.draw(st.lists(st.integers(0, (1 << bits) - 1), min_size=1 << n,
+                                   max_size=1 << n), label="lanes")
+        x = sum(v << bits * S for S, v in enumerate(lanes))
+        want = [0] * (1 << n)
+        for S in range(1 << n):
+            for T in range(1 << n):
+                if not T & ~S:
+                    want[S] |= lanes[T]
+        assert or_zeta(x, bits, n) == sum(v << bits * S for S, v in enumerate(want))
+
     def test_pack_round_trip(self):
         for lane in (1, 2, 4, 8):
             for t in ((), (0,), (255, 0, 7), (1, 2, 3, 4, 5)):
@@ -373,6 +390,14 @@ class TestRelationsAndPairs:
     def test_nullary_relation(self):
         assert len(Relation.full(2, 0)) == 1
         assert len(Relation.empty(2, 0)) == 0
+
+    def test_packed_pair_round_trip(self):
+        for k in range(4):
+            for m in range(3 if k < 3 else 2):
+                for p in all_pairs(Carrier(k), m):
+                    x = p.packed()
+                    assert x == p.rho.mask | p.rho_prime.mask << k ** m
+                    assert RelationPair.from_packed(k, m, x) == p
 
     def test_pair_validates_inclusion(self):
         with pytest.raises(DomainError):

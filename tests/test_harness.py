@@ -1,5 +1,7 @@
+import hashlib
 import itertools
 import json
+import random
 
 import pytest
 
@@ -35,6 +37,17 @@ AND = Operation(2, 2, (0, 0, 0, 1))
 NOT = Operation(2, 1, (1, 0))
 LEQ = Relation.from_tuples(C2, 2, [(0, 0), (0, 1), (1, 1)])
 LEQ_PAIR = RelationPair.identical(LEQ)
+EQ = Relation.from_tuples(C2, 2, [(0, 0), (1, 1)])
+LEQ_TO_EQ = RelationPair.of(LEQ, EQ)
+STRICT01 = RelationPair.of(Relation.from_tuples(C2, 1, [(0,), (1,)]),
+                           Relation.from_tuples(C2, 1, [(1,)]))
+NAND_TO_NEQ = RelationPair.of(Relation.from_tuples(C2, 2, [(0, 0), (0, 1), (1, 0)]),
+                              Relation.from_tuples(C2, 2, [(0, 1), (1, 0)]))
+
+# the pair-side report pin (TestPairSideCheck.test_reports_pinned), recorded
+# with the check that compared `PairFamily` objects
+PAIR_SIDE_PIN_CASES = 614
+PAIR_SIDE_PIN = "01c6303c8b84b60bedb3fa22c3ebcafbe1cff2e3f6b3b46c849db163192a3814"
 
 
 class TestDefaultSuite:
@@ -300,3 +313,109 @@ class TestIndividualChecks:
     def test_small_carrier(self):
         assert check_galois_axioms(1).verdict == "pass"
         assert check_transformation_semigroups(1).verdict == "pass"
+
+
+class TestPairSideCheck:
+    @staticmethod
+    def _pin_grid():
+        # every k=2 single pair of arity <= 2 at s <= 2 with m its arity;
+        # every family of at most two pairs of arity <= 2 at k = 0 and 1, at
+        # s <= 2 and every m from the largest seed arity to 2; 8 seeded k=3
+        # unary pairs at s = 1
+        cases = [([p], s, a, 2) for a in range(3) for p in all_pairs(C2, a) for s in range(3)]
+        for k in (0, 1):
+            pairs = [p for a in range(3) for p in all_pairs(Carrier(k), a)]
+            families = [[]] + [[p] for p in pairs] + list(map(list, itertools.combinations(pairs, 2)))
+            cases += [(Q, s, m, k) for Q in families
+                      for m in range(max([0] + [p.arity for p in Q]), 3) for s in range(3)]
+        unary = list(all_pairs(Carrier(3), 1))
+        return cases + [([p], 1, 1, 3) for p in random.Random(37).sample(unary, 8)]
+
+    def test_reports_pinned(self):
+        # verdict, counterexample and details of every report on the grid
+        cases = self._pin_grid()
+        digest = hashlib.sha256()
+        for Q, s, m, k in cases:
+            r = check_pair_side_characterisation(Q, s, m, k)
+            digest.update(json.dumps([r.verdict, r.counterexample, r.details],
+                                     sort_keys=True).encode())
+        assert (len(cases), digest.hexdigest()) == (PAIR_SIDE_PIN_CASES, PAIR_SIDE_PIN)
+
+    @staticmethod
+    def _tamper(monkeypatch, change):
+        # change the s-local closure that the generated side hands over, a
+        # set of packed pairs rho | rho' << k^m
+        real = harness.sloc_pairs_packed
+
+        def tampered(witnesses, s, m, k):
+            return change(real(witnesses, s, m, k), k ** m)
+
+        monkeypatch.setattr(harness, "sloc_pairs_packed", tampered)
+
+    def test_dropped_pair_is_generation_incomplete(self, monkeypatch):
+        # the generated side loses its least pair in `PairFamily` order;
+        # the reports are those of the check that compared `PairFamily`s
+        self._tamper(monkeypatch, lambda got, size: got - {
+            min(got, key=lambda x: (x & (1 << size) - 1, x >> size))})
+        for Q, s, m, pair, cap in (([LEQ_PAIR], 1, 2, "pair/2:rho=9,rho'=9", 4),
+                                   ([STRICT01], 1, 1, "pair/1:rho=2,rho'=2", 3),
+                                   ([NAND_TO_NEQ], 2, 2, "pair/2:rho=0,rho'=0", 5),
+                                   ([LEQ_TO_EQ], 2, 2, "pair/2:rho=9,rho'=9", 5)):
+            r = check_pair_side_characterisation(Q, s, m, 2)
+            assert (r.verdict, r.counterexample, r.details) == (
+                "fail", {"kind": "generation_incomplete", "pair": pair, "missing": 1},
+                {"intermediate_cap": cap}), (Q, s)
+
+    def test_added_pair_is_a_logic_error(self, monkeypatch):
+        # the generated side gains (A^m, empty), which no polymorphism of
+        # arity >= 1 preserves
+        self._tamper(monkeypatch, lambda got, size: got | {(1 << size) - 1})
+        for Q, s, m, pair, cap in (([LEQ_PAIR], 1, 2, "pair/2:rho=f,rho'=0", 4),
+                                   ([STRICT01], 1, 1, "pair/1:rho=3,rho'=0", 3),
+                                   ([LEQ_TO_EQ], 2, 2, "pair/2:rho=f,rho'=0", 5)):
+            r = check_pair_side_characterisation(Q, s, m, 2)
+            assert (r.verdict, r.counterexample, r.details) == (
+                "fail", {"kind": "logic_error", "pair": pair}, {"intermediate_cap": cap}), (Q, s)
+
+    def test_counterexample_is_first_in_family_order(self, monkeypatch):
+        # with (A^2, empty) packed as 0xf and ({01}, {01}) as 0x22 added, the
+        # first by (rho, rho') is the second one; with nothing generated,
+        # every invariant pair is missing
+        self._tamper(monkeypatch, lambda got, size: got | {0xf, 0x22})
+        for Q, s, cap in (([LEQ_PAIR], 1, 4), ([LEQ_TO_EQ], 2, 5)):
+            r = check_pair_side_characterisation(Q, s, 2, 2)
+            assert (r.counterexample, r.details) == (
+                {"kind": "logic_error", "pair": "pair/2:rho=2,rho'=2"},
+                {"intermediate_cap": cap}), Q
+        self._tamper(monkeypatch, lambda got, size: set())
+        for Q, s, missing in (([LEQ_PAIR], 1, 4), ([LEQ_TO_EQ], 2, 9)):
+            r = check_pair_side_characterisation(Q, s, 2, 2)
+            assert r.counterexample == {"kind": "generation_incomplete",
+                                        "pair": "pair/2:rho=9,rho'=9", "missing": missing}, Q
+
+    def test_passing_check_builds_no_pair_object(self, monkeypatch):
+        # both sides are compared as packed pairs: once its inputs exist, a
+        # passing check builds no RelationPair and no PairFamily
+        built = []
+        init = core.PairFamily.__init__
+
+        def counted(self, members=()):
+            built.append("PairFamily")
+            init(self, members)
+
+        monkeypatch.setattr(core.PairFamily, "__init__", counted)
+        monkeypatch.setattr(core.RelationPair, "__post_init__",
+                            lambda self: built.append("RelationPair"))
+        for Q, s, m in (([LEQ_TO_EQ], 2, 2), ([LEQ_PAIR], 1, 2), ([STRICT01], 2, 1)):
+            assert check_pair_side_characterisation(Q, s, m, 2).verdict == "pass"
+        assert built == []
+
+    def test_seed_above_the_target_arity_enters(self):
+        # the 4-ary pair ({0000}, empty) at target arity 0: the stable rule
+        # counts its increments from cap 3, so the seed enters at the first,
+        # and stops at 6; counting from cap 0 it stopped at 2 without the
+        # seed and missed two pairs
+        Q = [RelationPair(2, 4, Relation(2, 4, 1), Relation.empty(2, 4))]
+        for s in (0, 1):
+            r = check_pair_side_characterisation(Q, s, 0, 2)
+            assert (r.verdict, r.details) == ("pass", {"size": 3, "intermediate_cap": 6}), s

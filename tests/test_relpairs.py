@@ -225,15 +225,41 @@ class TestRpClone:
             assert preserves(AND, p)
 
     def test_flag_of_each_stopping_rule(self):
-        # slice sizes 1, 2, 3, 3 at caps 0-3: the stable rule finds the
-        # slices at caps 1 and 3 apart and gives up at cap 3, while the last
-        # increment, from cap 2 to 3, left the slice unchanged
+        # slice sizes 1, 2, 3, 3, 3 at caps 0-4, the seeds entering at caps
+        # 1 and 2: the fixed rule's last increment changed the slice at cap
+        # 2 and left it at cap 3; the stable rule counts from cap 1, one
+        # below the largest seed arity, finds caps 1 and 3 apart and stops
+        # at cap 4 with the slice unchanged since cap 2
         Q = [pair_of(2, 1, [], []), pair_of(2, 2, [(0, 0), (1, 0)], [])]
-        assert [c[:1] for c in _Closure(Q, 2, 3).counts] == [(1,), (2,), (3,), (3,)]
-        stable, fixed = rpclone_generate_stable(Q, 0), rpclone_generate(Q, 0, 3)
-        assert (stable.intermediate_cap, stable.slice_changed_at_last_cap) == (3, True)
-        assert (fixed.intermediate_cap, fixed.slice_changed_at_last_cap) == (3, False)
-        assert stable.pairs == fixed.pairs
+        assert [c[:1] for c in _Closure(Q, 2, 4).counts] == [(1,), (2,), (3,), (3,), (3,)]
+        stable = rpclone_generate_stable(Q, 0)
+        assert (stable.intermediate_cap, stable.slice_changed_at_last_cap) == (4, False)
+        for c, changed in ((2, True), (3, False)):
+            fixed = rpclone_generate(Q, 0, c)
+            assert (fixed.intermediate_cap, fixed.slice_changed_at_last_cap) == (c, changed)
+            assert fixed.pairs == stable.pairs
+
+    def test_seed_above_the_target_arity_enters(self):
+        # the 4-ary pair ({0000}, empty) at target arity 0: slice sizes 1,
+        # 1, 1, 1, 2, 2, 2 at caps 0-6, the pair (A^0, empty) appearing once
+        # the seed enters at cap 4; both rules reach that cap by default
+        Q = [pair_of(2, 4, [(0, 0, 0, 0)], [])]
+        assert [c[0] for c in _Closure(Q, 2, 6).counts] == [1, 1, 1, 1, 2, 2, 2]
+        want = PairFamily([pair_of(2, 0, [()], []), full_pair(0, 2)])
+        fixed, stable = rpclone_generate(Q, 0), rpclone_generate_stable(Q, 0)
+        assert (fixed.pairs, fixed.intermediate_cap, fixed.slice_changed_at_last_cap) == \
+            (want, 4, True)
+        assert (stable.pairs, stable.intermediate_cap, stable.slice_changed_at_last_cap) == \
+            (want, 6, False)
+
+    def test_cap_below_a_seed_arity_rejected(self):
+        # a seed above the intermediate cap would never enter the closure
+        Q = [pair_of(2, 4, [(0, 0, 0, 0)], [])]
+        for c in range(4):
+            with pytest.raises(DomainError, match="^intermediate cap must be >= the largest seed arity$"):
+                rpclone_generate(Q, 0, c)
+        with pytest.raises(DomainError, match="^intermediate cap must be >= target cap$"):
+            rpclone_generate(Q, 1, 0)
 
     def test_max_pairs_refusal(self, monkeypatch):
         monkeypatch.setattr(relpairs, "MAX_PAIRS", 5)

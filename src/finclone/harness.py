@@ -56,7 +56,6 @@ from .relpairs import (
     is_s_directed,
     loc_pairs,
     rpclone_generate_stable,
-    rpclone_stable_packed,
     sloc_pairs,
     sloc_pairs_packed,
     union_family,
@@ -258,10 +257,10 @@ def check_pair_side_characterisation(Q: Iterable[RelationPair], s: int, m: int, 
 
     Both sides are sets of m-ary pairs packed as rho | rho' << k^m: the
     pairs `invp_least_packed` spans on the least map, and the s-local
-    closure `sloc_pairs_packed` of the arity-m slice of the stable-rule
-    closure (`rpclone_stable_packed`).  A counterexample names the first
-    differing pair in `PairFamily` order, by (rho, rho'), formatted from
-    its masks."""
+    closure `sloc_pairs_packed` of the arity-m entry of the packed closure
+    that `rpclone_generate_stable` returns; its `pairs` are never read.  A
+    counterexample names the first differing pair in `PairFamily` order,
+    by (rho, rho'), formatted from its masks."""
     pairs = list(Q)
     params = {"k": k, "s": s, "m": m, "Q": [_pair_key(p) for p in pairs]}
 
@@ -280,9 +279,9 @@ def check_pair_side_characterisation(Q: Iterable[RelationPair], s: int, m: int, 
         if any(p.rho.mask == 0 for p in pairs):
             if least_invp(f_s, m, k) != least:
                 return "fail", {"variant": "single arity s with empty pair"}, {}
-        closure, _ = rpclone_stable_packed(pairs, m, k)
-        cap = len(closure) - 1
-        rhs = sloc_pairs_packed(closure[m], s, m, k)
+        gen = rpclone_generate_stable(pairs, m, k)
+        cap = gen.intermediate_cap
+        rhs = sloc_pairs_packed(gen.closure[m], s, m, k)
         if rhs == lhs:
             return "pass", None, {"size": len(lhs), "intermediate_cap": cap}
         size = k ** m

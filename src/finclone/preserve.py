@@ -232,15 +232,11 @@ def least_invp(F: Iterable[Operation], m: int, k: int) -> dict[int, int]:
 
 
 def invp(F: Iterable[Operation], m: int, k: int) -> PairFamily:
-    """All m-ary relation pairs preserved by every operation in F: the pairs
-    that `invp_least` spans on the map of `least_invp`."""
-    return invp_least(least_invp(F, m, k), m, k)
-
-
-def invp_least(least: dict[int, int], m: int, k: int) -> PairFamily:
-    """For each entry rho: F[rho] of a `least_invp` map, the m-ary pairs
-    (rho, rho') with F[rho] ⊆ rho' ⊆ rho: those of `invp_least_packed`,
-    with one `Relation` per first component, shared by its pairs."""
+    """All m-ary relation pairs preserved by every operation in F: for each
+    entry rho: F[rho] of the `least_invp` map, the pairs (rho, rho') with
+    F[rho] ⊆ rho' ⊆ rho that `invp_least_packed` spans, with one
+    `Relation` per first component, shared by its pairs."""
+    least = least_invp(F, m, k)
     size = k ** m
     firsts = {rho: Relation(k, m, rho) for rho in least}
     return PairFamily(RelationPair(k, m, firsts[x & (1 << size) - 1], Relation(k, m, x >> size))
@@ -248,7 +244,9 @@ def invp_least(least: dict[int, int], m: int, k: int) -> PairFamily:
 
 
 def invp_least_packed(least: dict[int, int], m: int, k: int) -> set[int]:
-    """The pairs of `invp_least`, each packed as one int rho | rho' << k^m."""
+    """For each entry rho: F[rho] of a `least_invp` map, the m-ary pairs
+    (rho, rho') with F[rho] ⊆ rho' ⊆ rho, each packed as one int
+    rho | rho' << k^m."""
     size = k ** m
     return {rho | (need | t) << size for rho, need in least.items()
             for t in submasks(rho & ~need)}

@@ -5,10 +5,10 @@ utilities.
 The closure engine `_Closure` works on packed pairs rho | rho' << k^m, not
 through superposition: an append repeats each bit k times, a drop ORs each
 bit into the k-aligned one below it and keeps every k-th bit, and the
-transposition masks are its one per-arity table.  `rpclone_stable_packed`
-and `sloc_pairs_packed` are the packed engines under
-`rpclone_generate_stable` and `sloc_pairs`, which build `RelationPair`s
-only from their results.  The tests build the definition-level closure
+transposition masks are its one per-arity table.  Both stopping rules
+return it in an `RpCloneResult`, whose `pairs` are built only when read,
+and `sloc_pairs_packed` is the packed engine under `sloc_pairs`.  The
+tests build the definition-level closure
 oracle from the elementary specialisations of `general_superposition`
 (permutation, identification, projection, fictitious coordinates,
 intersection and the from-nothing pairs).
@@ -18,7 +18,7 @@ from __future__ import annotations
 
 import itertools
 from collections import deque
-from dataclasses import dataclass
+from dataclasses import dataclass, field
 from typing import Iterable, Sequence
 
 from .core import (
@@ -103,13 +103,26 @@ def general_superposition(spec: SuperpositionSpec, pairs: Sequence[RelationPair]
 
 @dataclass(frozen=True)
 class RpCloneResult:
-    """Closure outcome restricted to the target arity window, with the
-    intermediate arity cap used and whether the slice changed over the last
-    cap increment (`rpclone_generate`) or two (`rpclone_generate_stable`)."""
+    """A stopping rule's closure with its target arity, and whether the slice
+    at arity <= target_cap changed over the last cap increment
+    (`rpclone_generate`) or two (`rpclone_generate_stable`).  Entry m of
+    `closure` is the set of its m-ary pairs rho | rho' << k^m, and its
+    length is one more than the intermediate cap; `pairs` builds the
+    slice's `PairFamily` each time it is read."""
 
-    pairs: PairFamily
-    intermediate_cap: int
+    closure: _Closure = field(repr=False)
+    target_cap: int
     slice_changed_at_last_cap: bool
+
+    @property
+    def intermediate_cap(self) -> int:
+        return len(self.closure) - 1
+
+    @property
+    def pairs(self) -> PairFamily:
+        return PairFamily(RelationPair.from_packed(self.closure.k, m, x)
+                          for m, packed in enumerate(self.closure[:self.target_cap + 1])
+                          for x in packed)
 
 
 # the closure refuses once it holds more pairs than this, over all arities
@@ -303,13 +316,6 @@ def _seeds(Q: Iterable[RelationPair], target_cap: int,
     return seed, k, max([target_cap, *(p.arity for p in seed)])
 
 
-def _slice(closure: _Closure, target_cap: int, changed: bool) -> RpCloneResult:
-    """The closure's pairs of arity <= target_cap at its last cap."""
-    pairs = PairFamily(RelationPair.from_packed(closure.k, m, x)
-                       for m, packed in enumerate(closure[:target_cap + 1]) for x in packed)
-    return RpCloneResult(pairs, len(closure) - 1, changed)
-
-
 def rpclone_generate(Q: Iterable[RelationPair], target_cap: int,
                      intermediate_cap: int | None = None, k: int | None = None) -> RpCloneResult:
     """Close Q under coordinate permutation, identification, dropping a
@@ -335,24 +341,15 @@ def rpclone_generate(Q: Iterable[RelationPair], target_cap: int,
     closure = _Closure(seed, k, c)
     # the closure only grows with the cap, so equal slice sizes mean equal slices
     sizes = [counts[:target_cap + 1] for counts in closure.counts]
-    return _slice(closure, target_cap, c == target_cap or sizes[c - 1] != sizes[c])
+    return RpCloneResult(closure, target_cap, c == target_cap or sizes[c - 1] != sizes[c])
 
 
 def rpclone_generate_stable(
     Q: Iterable[RelationPair], target_cap: int, k: int | None = None
 ) -> RpCloneResult:
-    """The closure of Q at the stable rule's cap, restricted to arity <=
-    target_cap: the pairs of `rpclone_stable_packed`."""
-    closure, changed = rpclone_stable_packed(Q, target_cap, k)
-    return _slice(closure, target_cap, changed)
-
-
-def rpclone_stable_packed(
-    Q: Iterable[RelationPair], target_cap: int, k: int | None = None
-) -> tuple[_Closure, bool]:
-    """The stable rule on packed pairs: the closure, whose entry m is the set
-    of its m-ary pairs rho | rho' << k^m and whose length is one more than
-    the intermediate cap, and the flag.
+    """The closure of Q at the stable rule's cap, in an `RpCloneResult` that
+    holds it packed; its `pairs`, those of arity <= target_cap, are built
+    when read.
 
     From b = max(target_cap, a - 1), a the largest seed arity, the cap is
     raised to b + 2 and at most b + 3, stopping at the first cap c whose
@@ -370,7 +367,7 @@ def rpclone_stable_packed(
         sizes = [counts[:target_cap + 1] for counts in closure.counts]
         if sizes[c - 2] == sizes[c]:
             break
-    return closure, sizes[c - 2] != sizes[c]
+    return RpCloneResult(closure, target_cap, sizes[c - 2] != sizes[c])
 
 
 def sloc_pairs(Q: Iterable[RelationPair], s: int, m: int, k: int) -> PairFamily:

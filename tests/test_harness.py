@@ -5,11 +5,12 @@ import random
 
 import pytest
 
-from finclone import core, harness, preserve
+from finclone import core, harness, preserve, relpairs
 from finclone.core import (
     Carrier,
     DomainError,
     Operation,
+    PairFamily,
     Relation,
     RelationPair,
     all_operations,
@@ -41,6 +42,10 @@ EQ = Relation.from_tuples(C2, 2, [(0, 0), (1, 1)])
 LEQ_TO_EQ = RelationPair.of(LEQ, EQ)
 STRICT01 = RelationPair.of(Relation.from_tuples(C2, 1, [(0,), (1,)]),
                            Relation.from_tuples(C2, 1, [(1,)]))
+# binary pairs (rho, rho') with masks (9, 1), (15, 10) and (15, 4), whose
+# 2-local closure holds both 2-directed and other subfamilies
+SPREAD_PAIRS = [RelationPair(2, 2, Relation(2, 2, rho), Relation(2, 2, rho_p))
+                for rho, rho_p in ((9, 1), (15, 10), (15, 4))]
 NAND_TO_NEQ = RelationPair.of(Relation.from_tuples(C2, 2, [(0, 0), (0, 1), (1, 0)]),
                               Relation.from_tuples(C2, 2, [(0, 1), (1, 0)]))
 
@@ -140,16 +145,25 @@ class TestRefusal:
 
     def test_negative_locality_is_an_input_error_on_both_sides(self, monkeypatch):
         # both sides refuse s < 0 before they build any least map, and the
-        # pair side before it runs the rpclone closure
-        built = []
-        monkeypatch.setattr(harness, "least_invp", lambda *args: built.append(args))
-        monkeypatch.setattr(harness, "rpclone_generate_stable",
-                            lambda *args: built.append(args))
+        # pair side before it runs the rpclone closure; at a valid s the
+        # check grows one closure, through `rpclone_generate_stable`
+        calls = []
+
+        def counted(name, real):
+            return lambda *args: calls.append(name) or real(*args)
+
+        init = relpairs._Closure.__init__
+        monkeypatch.setattr(relpairs._Closure, "__init__",
+                            lambda self, *args: calls.append("closure") or init(self, *args))
+        for name in ("least_invp", "rpclone_generate_stable"):
+            monkeypatch.setattr(harness, name, counted(name, getattr(harness, name)))
         with pytest.raises(DomainError, match="locality parameter must be >= 0"):
             check_op_side_characterisation([AND], -1, 1, 2)
         with pytest.raises(DomainError, match="locality parameter must be >= 0"):
             check_pair_side_characterisation([LEQ_PAIR], -1, 2, 2)
-        assert built == []
+        assert calls == []
+        assert check_pair_side_characterisation([LEQ_PAIR], 1, 2, 2).verdict == "pass"
+        assert (calls.count("rpclone_generate_stable"), calls.count("closure")) == (1, 1)
 
 
 class TestNegativeControl:
@@ -195,6 +209,74 @@ class TestNegativeControl:
         assert r.verdict == "fail"
         assert "gamma" in r.counterexample and "minimum" in r.counterexample
 
+    def test_tampered_pair_side_windows_are_caught(self, monkeypatch):
+        # the pair-side check asks `least_invp` for the window <= s, then
+        # for arities {0, s}, then (with an empty pair) for arity s alone;
+        # the least map of one window call loses its last entry
+        empty1 = RelationPair.of(Relation.empty(2, 1), Relation.empty(2, 1))
+        real = harness.least_invp
+        for call, Q, variant in ((2, [LEQ_PAIR], "arities {0,s}"),
+                                 (3, [empty1, LEQ_PAIR], "single arity s with empty pair")):
+            calls = []
+
+            def tampered(F, m, k):
+                calls.append(1)
+                least = real(F, m, k)
+                if len(calls) == call:
+                    least.popitem()
+                return least
+
+            monkeypatch.setattr(harness, "least_invp", tampered)
+            r = check_pair_side_characterisation(Q, 1, 1, 2)
+            assert (r.verdict, r.counterexample, r.details) == ("fail", {"variant": variant}, {})
+            monkeypatch.undo()
+            assert check_pair_side_characterisation(Q, 1, 1, 2).verdict == "pass"
+
+    def test_tampered_relation_clone_is_caught(self, monkeypatch):
+        # the generated relational clone of leq at arity 2 holds the
+        # identical pairs of {00,11}, leq, geq and A^2, packed 0x99, 0xbb,
+        # 0xdd and 0xff; without leq its 2-local closure misses leq, and
+        # with the empty relation (0x00) it gains one that the nullary
+        # polymorphisms do not preserve
+        real = harness.rpclone_generate_stable
+        for change, counterexample, details in (
+                (lambda got: got.discard(0xbb), {"kind": "generation_incomplete"},
+                 {"intermediate_cap": 4}),
+                (lambda got: got.add(0x00), {"kind": "logic_error"}, {})):
+            def tampered(Q, target_cap, k=None):
+                gen = real(Q, target_cap, k)
+                change(gen.closure[target_cap])
+                return gen
+
+            monkeypatch.setattr(harness, "rpclone_generate_stable", tampered)
+            r = check_classical([AND], [LEQ], 2, 2)
+            assert (r.verdict, r.counterexample, r.details) == (
+                "fail", {**counterexample, "equality": "sLOC relclone vs inv pol"}, details)
+            monkeypatch.undo()
+            assert check_classical([AND], [LEQ], 2, 2).verdict == "pass"
+
+    def test_tampered_relaxation_closure_is_caught(self, monkeypatch):
+        real = harness.enc
+        monkeypatch.setattr(harness, "enc", lambda Q: PairFamily(list(real(Q))[1:]))
+        unary = list(all_pairs(C2, 1))
+        r = check_finite_collapse(unary, 1, 2)
+        assert (r.verdict, r.counterexample) == ("fail", {"enc": 8, "loc": 9, "sloc": 9})
+        monkeypatch.undo()
+        assert check_finite_collapse(unary, 1, 2).verdict == "pass"
+
+    def test_tampered_union_is_caught(self, monkeypatch):
+        # every union becomes (A^2, empty), which no witness covers; the
+        # first s-directed sample is the one reported
+        outside = RelationPair(2, 2, Relation(2, 2, 0xf), Relation.empty(2, 2))
+        monkeypatch.setattr(harness, "union_family", lambda T: outside)
+        r = check_directed_unions(SPREAD_PAIRS, 2, 2, 2, seed=0)
+        assert (r.verdict, r.counterexample) == ("fail", {
+            "T": ["pair/2:rho=f,rho'=4", "pair/2:rho=5,rho'=4", "pair/2:rho=c,rho'=c",
+                  "pair/2:rho=f,rho'=c"],
+            "union": "pair/2:rho=f,rho'=0"})
+        monkeypatch.undo()
+        assert check_directed_unions(SPREAD_PAIRS, 2, 2, 2, seed=0).verdict == "pass"
+
 
 class TestDeterminism:
     def test_seeded_check_is_reproducible(self):
@@ -203,6 +285,12 @@ class TestDeterminism:
         assert a.verdict == b.verdict == "pass"
         assert a.details == b.details
         assert a.params == b.params
+
+    def test_directed_unions_skip_and_test_unions(self):
+        # a 36-member closure: of 50 samples, 8 are not 2-directed and are
+        # skipped, and the unions of the other 42 are tested
+        r = check_directed_unions(SPREAD_PAIRS, 2, 2, 2, seed=0)
+        assert (r.verdict, r.details) == ("pass", {"closure_size": 36, "checked": 42})
 
     def test_other_seeds_also_pass(self):
         for seed in (0, 1, 2, 3):

@@ -2,16 +2,19 @@
 top-level definition is referenced (a public one by the library or by the
 package's exports), the package exports exactly what its `__init__`
 imports, no process-global cache is added, no function takes the
-complexity cap as a parameter, and no module reaches into another's
-private names."""
+complexity cap as a parameter, no module reaches into another's private
+names, and every library name the benchmark tracer hooks still exists."""
 
 import ast
+import importlib
+import inspect
 from collections import Counter
 from pathlib import Path
 
 import pytest
 
 SRC = Path(__file__).resolve().parent.parent / "src" / "finclone"
+TRACING = SRC.parent.parent / "perfbench" / "tracing.py"
 MODULES = sorted(p for p in SRC.glob("*.py") if p.name != "__init__.py")
 
 
@@ -217,3 +220,44 @@ def test_private_import_detector_flags_each_form():
 def test_no_private_imports():
     sources = {p.name: p.read_text() for p in sorted(SRC.glob("*.py"))}
     assert private_imports(sources) == []
+
+
+def tracer_hooks(source: str) -> tuple[list[tuple[str, str, str]], set[tuple[str, str]]]:
+    """The (layer, module, attribute) entries of SPAN_HOOKS and LEAF_HOOKS in
+    the tracer's source, and the (layer, parameter) pairs that the handler
+    `_after` maps each layer to reads through `_bound`."""
+    tree = ast.parse(source)
+    hooks = [hook for node in tree.body if isinstance(node, ast.Assign)
+             and getattr(node.targets[0], "id", None) in ("SPAN_HOOKS", "LEAF_HOOKS")
+             for hook in ast.literal_eval(node.value)]
+    bound = {node.name: {call.args[-1].value for call in ast.walk(node)
+                         if isinstance(call, ast.Call) and getattr(call.func, "id", None) == "_bound"}
+             for node in ast.walk(tree) if isinstance(node, ast.FunctionDef)}
+    after = next(node.value for node in ast.walk(tree) if isinstance(node, ast.Assign)
+                 and getattr(node.targets[0], "attr", None) == "_after")
+    return hooks, {(layer.value, name) for layer, handler in zip(after.keys, after.values)
+                   for name in bound[handler.attr]}
+
+
+def test_tracer_hook_reader_reads_each_form():
+    source = ("HOOKS = ((\"x\", \"m\", \"x\"),)\nSPAN_HOOKS = (  # note\n    (\"a.f\", \"m\", \"f\"),\n)\n"
+              "LEAF_HOOKS = ((\"a.g\", \"m\", \"g\"),)\n\nclass T:\n    def __init__(self):\n"
+              "        self._after = {\"a.f\": self._after_f}\n\n"
+              "    def _after_f(self, fn, args, kwargs):\n"
+              "        return _bound(fn, args, kwargs, \"k\"), _bound(fn, args, kwargs, \"n\")\n")
+    assert tracer_hooks(source) == ([("a.f", "m", "f"), ("a.g", "m", "g")],
+                                    {("a.f", "k"), ("a.f", "n")})
+
+
+def test_tracer_hooks_name_live_library_functions():
+    # the tracer reports a metric "absent" when its hook is gone, so a
+    # rename here would silently empty a traced row; read, never import, it
+    hooks, bound = tracer_hooks(TRACING.read_text())
+    functions = {layer: getattr(importlib.import_module(module), attr, None)
+                 for layer, module, attr in hooks}
+    assert [layer for layer, fn in functions.items() if fn is None] == []
+    assert hasattr(functions["preserve.op_image_mask"], "cache_info")
+    assert bound >= {("preserve.polp", "k"), ("preserve.polp", "n"),
+                     ("relpairs.rpclone_generate_stable", "target_cap")}
+    for layer, name in bound:
+        assert name in inspect.signature(functions[layer]).parameters, (layer, name)

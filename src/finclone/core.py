@@ -13,9 +13,11 @@ tuple is packed as `bytes` with one lane of 1, 2, 4 or 8 bytes per entry
 scaled by its place in the table index.  The sum of the columns holds every
 row of the matrix as a table index, one per lane, and no lane carries into
 the next.  With one-byte lanes the image of all rows under a value table is
-one `bytes.translate`.  On it sits the one image engine of both Galois
-maps, `matrix_images`: the distinct tuples that a value table gives on the
-matrices over a relation given as its bit mask.
+one `bytes.translate`.  `row_images` takes several value tables of one
+arity at once and lays out each row once for all of them.  On it sits the
+one image engine of both Galois maps, `matrix_images`: the distinct tuples
+that a value table gives on the matrices over a relation given as its bit
+mask.
 
 Engines charge their cost estimates to `check_cap`, which refuses one above
 the complexity cap of the innermost `capped` scope; no engine takes a cap.
@@ -163,7 +165,11 @@ class Carrier:
 @dataclass(frozen=True, order=True)
 class Operation:
     """A finitary operation on {0,...,k-1}: arity n plus a dense value table
-    of length k^n in encoding order.  n = 0 is a nullary constant."""
+    of length k^n in encoding order.  n = 0 is a nullary constant.
+
+    The hash, that of the fields as a tuple, is taken once at construction:
+    the image cache of `preserve.op_image_mask` hashes its operation on every
+    hit."""
 
     k: int
     arity: int
@@ -180,6 +186,10 @@ class Operation:
         for v in self.table:
             if not 0 <= v < self.k:
                 raise DomainError(f"table value {v} outside carrier of size {self.k}")
+        object.__setattr__(self, "_hash", hash((self.k, self.arity, self.table)))
+
+    def __hash__(self) -> int:
+        return self._hash
 
     @property
     def carrier(self) -> Carrier:
@@ -367,20 +377,36 @@ def row_sums(pools: Sequence[Sequence[int]]) -> Iterator[int]:
     return (row + y for row in row_sums(front) for y in last)
 
 
-def row_images(table: LaneTable, pools: Sequence[Sequence[int]], width: int) -> Iterator[bytes]:
-    """The image under `table` of every row sum of `pools` over `width`
-    lanes, packed like the lanes: lane r is the table value at lane r of the
-    sum."""
-    lane, values = table
+def row_images(tables: Sequence[LaneTable], pools: Sequence[Sequence[int]],
+               width: int) -> Iterator[bytes]:
+    """The images under each of `tables`, which share one lane width, of
+    every row sum of `pools` over `width` lanes, packed like the lanes: lane
+    r of an image is the table value at lane r of the sum.
+
+    The images come row by row, in `row_sums` order, and within a row table
+    by table.  Each row is laid out as lane bytes once and read through
+    every table: with one-byte lanes by one `bytes.translate` per table,
+    with wider lanes lane by lane through a `memoryview`.  One row is held
+    at a time.
+    """
+    lane = tables[0].lane
     size = width * lane
     # the last pool is summed here, so each row costs one step of one generator
     *front, last = pools or ((0,),)
-    rows = row_sums(front)
     if lane == 1:
-        return ((row + y).to_bytes(size, _LANE_ORDER).translate(values) for row in rows for y in last)
-    fmt, get = _LANE_FORMATS[lane], values.__getitem__
-    return (b"".join(map(get, memoryview((row + y).to_bytes(size, _LANE_ORDER)).cast(fmt)))
-            for row in rows for y in last)
+        values = [v for _, v in tables]
+        for row in row_sums(front):
+            for y in last:
+                key = (row + y).to_bytes(size, _LANE_ORDER)
+                for v in values:
+                    yield key.translate(v)
+    else:
+        fmt, gets = _LANE_FORMATS[lane], [v.__getitem__ for _, v in tables]
+        for row in row_sums(front):
+            for y in last:
+                key = memoryview((row + y).to_bytes(size, _LANE_ORDER)).cast(fmt)
+                for get in gets:
+                    yield b"".join(map(get, key))
 
 
 def matrix_images(values: Sequence[int], k: int, m: int, rho: int,
@@ -401,7 +427,7 @@ def matrix_images(values: Sequence[int], k: int, m: int, rho: int,
     lane = lane_bytes(max(k, len(values)))
     members = lane_ints(pack(carrier.decode(i, m), lane) for i in bit_indices(rho))
     pools = [[x * k ** (n - 1 - j) for x in members] for j in range(n)]
-    images = set(row_images(LaneTable.of(values, lane), pools, m))
+    images = set(row_images([LaneTable.of(values, lane)], pools, m))
     return tuple(unpack(t, lane) for t in images)
 
 

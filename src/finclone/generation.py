@@ -16,7 +16,9 @@ run: every matrix over A^K occurs, so S is completed in closed form by
 (image of f on A)^K for each generator f.  Rows are evaluated by the
 byte-lane engine of `core`, not through `Operation.__call__`: a derived
 tuple is one `bytes` key, a row one int sum and one table lookup per lane.
-Each round is charged to the complexity cap before it runs.
+The generators are grouped by arity, and the generators of one arity share
+each row pass: every row is laid out once and read through all of their
+tables.  Each round is charged to the complexity cap before it runs.
 """
 
 from __future__ import annotations
@@ -116,8 +118,11 @@ def gamma_fixpoint(F: Iterable[Operation], ksize: int, B: Iterable[Sequence[int]
     Rows run on the byte-lane engine of `core`: a member is packed as
     `bytes`, one lane per index of K, each lane wide enough for every table
     index.  As an argument at position j it is one int pre-scaled by
-    k^(a-1-j), so a row sum is one int addition and its image one
-    `row_images` step; R and S stay `bytes` until they are returned.
+    k^(a-1-j), so a row sum is one int addition; R and S stay `bytes` until
+    they are returned.  The generators are grouped by arity once, and each
+    round makes one `row_images` call per arity a and first-new position j,
+    which lays out each row once and reads it through the tables of all
+    generators of arity a.
     Before each round the complexity cap in force (`core.capped`) is
     charged the round's rows, |R|^a - |old R|^a for each generator of
     arity a, summed over the rounds so far.
@@ -148,10 +153,16 @@ def gamma_fixpoint(F: Iterable[Operation], ksize: int, B: Iterable[Sequence[int]
             if not 0 <= x < k:
                 raise DomainError(f"seed entry {x} outside carrier of size {k}")
         R.add(pack(t, lane))
-    tables = [LaneTable.of(f.table, lane) for f in gens]
+    by_arity: dict[int, list[LaneTable]] = {}
+    for f in gens:
+        by_arity.setdefault(f.arity, []).append(LaneTable.of(f.table, lane))
     # scaled[w] holds w * t for every member t of R in the order of arrival:
     # the first `old` entries are the members from before the last round
-    scaled = {k ** j: [] for f in gens for j in range(f.arity)}
+    scaled = {k ** j: [] for a in by_arity for j in range(a)}
+    # each arity's tables with its columns, the argument at position j
+    # scaled by k^(a-1-j)
+    groups = [(tables, [scaled[k ** (a - 1 - j)] for j in range(a)])
+              for a, tables in by_arity.items()]
     fresh = R
     consts = {pack((f.table[0],) * ksize, lane) for f in ops if f.arity == 0}
     new_s = set(consts)
@@ -164,12 +175,10 @@ def gamma_fixpoint(F: Iterable[Operation], ksize: int, B: Iterable[Sequence[int]
         members = lane_ints(fresh)
         for w, column in scaled.items():
             column.extend(map(w.__mul__, members))
-        for f, table in zip(gens, tables):
-            a = f.arity
-            columns = [scaled[k ** (a - 1 - i)] for i in range(a)]
-            for j in range(a):
+        for tables, columns in groups:
+            for j in range(len(columns)):
                 pools = [c[:old] for c in columns[:j]] + [columns[j][old:]] + columns[j + 1:]
-                new_s.update(row_images(table, pools, ksize))
+                new_s.update(row_images(tables, pools, ksize))
         S |= new_s
         if new_s <= R:
             break
@@ -182,8 +191,8 @@ def gamma_fixpoint(F: Iterable[Operation], ksize: int, B: Iterable[Sequence[int]
         S |= consts
         for image in {frozenset(f.table) for f in gens}:
             S.update(pack(t, lane) for t in itertools.product(sorted(image), repeat=ksize))
-    return GammaResult(frozenset(unpack(t, lane) for t in R),
-                       frozenset(unpack(t, lane) for t in S), steps)
+    lanes = itertools.repeat(lane)
+    return GammaResult(frozenset(map(unpack, R, lanes)), frozenset(map(unpack, S, lanes)), steps)
 
 
 def semiclone_tables(F: Iterable[Operation], n: int, k: int) -> frozenset[tuple[int, ...]]:

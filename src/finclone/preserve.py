@@ -38,6 +38,7 @@ from functools import lru_cache
 from typing import Iterable
 
 from .core import (
+    CapExceeded,
     Carrier,
     DomainError,
     OpFamily,
@@ -52,6 +53,11 @@ from .core import (
     or_zeta,
     submasks,
 )
+
+
+# least_invp refuses subset lanes of more bytes than this in all: N = k^m
+# up to 16 fits (2^16 lanes of 2 bytes), N = 27 does not (2^27 of 4)
+MAX_LANE_BYTES = 2 ** 24
 
 
 @lru_cache(maxsize=None)
@@ -163,34 +169,43 @@ def _search(k: int, size: int, constraints: dict[tuple[int, ...], int]) -> list[
     its images encoded base k.  The empty scope reads no entry: its one image
     is 0, so it holds for all tables or for none.  Entries are assigned
     depth-first in index order, values ascending, and a scope is checked once
-    its largest index is set.
+    its largest index is set.  The search is one loop, not a recursion: the
+    partial table is its stack, entry i holding the value tried at depth i,
+    and once all k values at depth i are tried the loop backs up to depth
+    i - 1 and tries the next value there.
     """
     if not constraints.get((), 1) & 1:
         return []
+    if not size:
+        return [()]
     checks: list[list[tuple[tuple[int, ...], int]]] = [[] for _ in range(size)]
     for idxs, ok in constraints.items():
         if idxs:
             checks[max(idxs)].append((idxs, ok))
     out: list[tuple[int, ...]] = []
     table = [0] * size
-
-    def extend(i: int) -> None:
-        if i == size:
-            out.append(tuple(table))
-            return
-        for x in range(k):
+    i, x, last = 0, 0, size - 1
+    while True:
+        if x < k:
             table[i] = x
             for idxs, ok in checks[i]:
                 v = 0
                 for j in idxs:
                     v = v * k + table[j]
                 if not ok >> v & 1:
+                    x += 1
                     break
             else:
-                extend(i + 1)
-
-    extend(0)
-    return out
+                if i < last:
+                    i, x = i + 1, 0
+                else:
+                    out.append(tuple(table))
+                    x += 1
+        elif i:
+            i -= 1
+            x = table[i] + 1
+        else:
+            return out
 
 
 def least_invp(F: Iterable[Operation], m: int, k: int) -> dict[int, int]:
@@ -208,8 +223,10 @@ def least_invp(F: Iterable[Operation], m: int, k: int) -> dict[int, int]:
     subset 0 lowest.  The OR-zeta (subset-sum) transform `core.or_zeta`
     then spreads them to every rho in N steps, one per element i of A^m:
     each lane of a subset without i is ORed into the lane of that subset
-    with i.  The cap charges the 3^N candidate pairs, and N > 64, whose
-    lanes would need more than 8 bytes, is refused.
+    with i.  The cap charges the 3^N candidate pairs; N > 64, whose lanes
+    would need more than 8 bytes, is refused, and so are lanes of more than
+    MAX_LANE_BYTES in all, before any is built.  The subsets of each size
+    are listed once per call, when the first operation needs them.
     """
     if m < 0:
         raise DomainError("arity must be >= 0")
@@ -220,12 +237,17 @@ def least_invp(F: Iterable[Operation], m: int, k: int) -> dict[int, int]:
         if f.k != k:
             raise DomainError("carrier mismatch in operation family")
     lane = lane_bytes(1 << size, "invp subset lanes")
+    if lane << size > MAX_LANE_BYTES:
+        raise CapExceeded("invp subset lane bytes", lane << size, MAX_LANE_BYTES)
     bits = 8 * lane
     singles = [1 << i for i in range(size)]
+    subsets: dict[int, list[int]] = {}  # the subsets of A^m of size r, listed once
     least = 0
     for f in ops:
         for r in range(min(f.arity, 1), min(f.arity, size) + 1):
-            for M in map(sum, itertools.combinations(singles, r)):
+            if r not in subsets:
+                subsets[r] = list(map(sum, itertools.combinations(singles, r)))
+            for M in subsets[r]:
                 least |= op_image_mask(f, m, M) << bits * M
     lanes = int_lanes(or_zeta(least, bits, size), lane, 1 << size)
     return {rho: need for rho, need in enumerate(lanes) if not need & ~rho}

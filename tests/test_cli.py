@@ -290,6 +290,19 @@ class TestExitCodes:
         assert err == (f"refused: invp subset lanes: estimated cost {2 ** 128} "
                        f"exceeds cap {2 ** 64}\n")
 
+    def test_lane_bytes_past_the_bound_refuse(self, capsys, tmp_path):
+        # inv at arity 6 on k=2: the 3^64 estimate fits under 10^31 and the
+        # 2^64 subsets fit 8-byte lanes, but not in MAX_LANE_BYTES
+        problem = tmp_path / "problem.txt"
+        problem.write_text(PROBLEM)
+        start = time.perf_counter()
+        code, out, err = run(capsys, "inv", "--problem", str(problem), "--ops", "and",
+                             "--arity", "6", "--caps", str(10 ** 31))
+        assert time.perf_counter() - start < 1
+        assert (code, out) == (2, "")
+        assert err == (f"refused: invp subset lane bytes: estimated cost {8 << 64} "
+                       f"exceeds cap {2 ** 24}\n")
+
     def test_semigroups_count_before_they_list(self, capsys):
         # 7^7 unary operations would take seconds to list; 2^(7^7) is refused
         start = time.perf_counter()

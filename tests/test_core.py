@@ -1,4 +1,6 @@
+import dataclasses
 import itertools
+import pickle
 import sys
 import time
 from operator import add
@@ -39,6 +41,7 @@ from finclone.core import (
     row_images,
     unpack,
 )
+from finclone.preserve import op_image_mask
 
 
 def rel(k, arity, tuples):
@@ -271,6 +274,31 @@ class TestCompose:
         assert left == right
 
 
+class TestOperationHash:
+    """The hash an `Operation` takes once at construction."""
+
+    def test_equal_operations_share_one_image_entry(self):
+        f, g = Operation(3, 2, tuple(range(3)) * 3), Operation(3, 2, tuple(range(3)) * 3)
+        assert f == g and f is not g and hash(f) == hash(g)
+        assert hash(f) == hash((f.k, f.arity, f.table))
+        op_image_mask(f, 2, 0b101)
+        before = op_image_mask.cache_info()
+        op_image_mask(g, 2, 0b101)
+        after = op_image_mask.cache_info()
+        assert (after.hits, after.currsize) == (before.hits + 1, before.currsize)
+
+    def test_pickle_keeps_equality_and_hash(self):
+        f = Operation(2, 2, (0, 1, 1, 0))
+        back = pickle.loads(pickle.dumps(f))
+        assert back == f and hash(back) == hash(f) and {back, f} == {f}
+
+    def test_fields_repr_and_dict_are_unchanged(self):
+        f = Operation(2, 1, (1, 0))
+        assert [x.name for x in dataclasses.fields(Operation)] == ["k", "arity", "table"]
+        assert repr(f) == "Operation(k=2, arity=1, table=(1, 0))"
+        assert dataclasses.asdict(f) == {"k": 2, "arity": 1, "table": (1, 0)}
+
+
 def row_sums_by_tuples(pools, width):
     """The oracle for `row_sums`: entrywise sums of one tuple from each pool,
     over the product of the pools; with no pools the all-zero tuple."""
@@ -286,10 +314,13 @@ def row_sums_by_tuples(pools, width):
             yield tuple(map(add, row, y))
 
 
-def row_images_by_tuples(table, pools, width):
+def row_images_by_tuples(tables, pools, width):
     """The oracle for `row_images`: the table value at every entry of every
-    row sum, one tuple at a time."""
-    return (tuple(map(table.__getitem__, row)) for row in row_sums_by_tuples(pools, width))
+    row sum, one tuple at a time, in the engine's order: row by row, and
+    within a row table by table."""
+    for row in row_sums_by_tuples(pools, width):
+        for table in tables:
+            yield tuple(map(table.__getitem__, row))
 
 
 class TestLaneEngine:
@@ -297,17 +328,18 @@ class TestLaneEngine:
     same rows, in the same order, on every lane width that holds the table."""
 
     @staticmethod
-    def check(k, table, pools, width, lane):
+    def check(k, tables, pools, width, lane):
         a = len(pools)
         scaled = [[tuple(x * k ** (a - 1 - j) for x in t) for t in pool]
                   for j, pool in enumerate(pools)]
         lanes = [[x * k ** (a - 1 - j) for x in lane_ints(pack(t, lane) for t in pool)]
                  for j, pool in enumerate(pools)]
         identity = LaneTable.of(range(k ** a), lane)
-        sums = [unpack(t, lane) for t in row_images(identity, lanes, width)]
+        sums = [unpack(t, lane) for t in row_images([identity], lanes, width)]
         assert sums == list(row_sums_by_tuples(scaled, width))
-        images = [unpack(t, lane) for t in row_images(LaneTable.of(table, lane), lanes, width)]
-        assert images == list(row_images_by_tuples(table, scaled, width))
+        laid_out = [LaneTable.of(table, lane) for table in tables]
+        images = [unpack(t, lane) for t in row_images(laid_out, lanes, width)]
+        assert images == list(row_images_by_tuples(tables, scaled, width))
 
     @settings(max_examples=300, deadline=None)
     @given(st.data())
@@ -322,7 +354,7 @@ class TestLaneEngine:
         member, most = st.tuples(*[value] * width), 4 if k or not width else 0
         pools = [data.draw(st.lists(member, max_size=most), label=f"pool {j}") for j in range(a)]
         lanes = [b for b in (1, 2, 4, 8) if b >= lane_bytes(max(k, k ** a))]
-        self.check(k, table, pools, width, data.draw(st.sampled_from(lanes), label="lane"))
+        self.check(k, [table], pools, width, data.draw(st.sampled_from(lanes), label="lane"))
 
     def test_tables_beyond_one_byte_lanes(self):
         # 2^9, 3^6 and 4^5 table entries need two-byte lanes, and so do the
@@ -332,14 +364,38 @@ class TestLaneEngine:
             table = [i * 7 % k for i in range(k ** a)]
             members = list(itertools.islice(Carrier(k).tuples(3), 3))
             for pools in ([members] * a, [members[:1]] * (a - 1) + [[]]):
-                self.check(k, table, pools, 3, 2)
+                self.check(k, [table], pools, 3, 2)
 
     def test_no_pools_and_empty_pools(self):
         for lane in (1, 2):
-            self.check(3, [2], [], 4, lane)
-            self.check(3, [2], [], 0, lane)
-            self.check(2, [0, 1, 1, 0], [[(0, 1)], []], 2, lane)
-            self.check(2, [0, 1, 1, 0], [[], [(0, 1)]], 2, lane)
+            self.check(3, [[2]], [], 4, lane)
+            self.check(3, [[2]], [], 0, lane)
+            self.check(2, [[0, 1, 1, 0]], [[(0, 1)], []], 2, lane)
+            self.check(2, [[0, 1, 1, 0]], [[], [(0, 1)]], 2, lane)
+
+    @settings(max_examples=200, deadline=None)
+    @given(st.data())
+    def test_several_tables_share_the_rows(self, data):
+        # 2 or 3 tables of one arity read the same rows, on one-byte and
+        # two-byte lanes, empty pools included
+        k = data.draw(st.integers(1, 3), label="k")
+        a = data.draw(st.integers(0, 3), label="arity")
+        width = data.draw(st.integers(0, 4), label="width")
+        value = st.integers(0, k - 1)
+        table = st.lists(value, min_size=k ** a, max_size=k ** a)
+        tables = data.draw(st.lists(table, min_size=2, max_size=3), label="tables")
+        member = st.tuples(*[value] * width)
+        pools = [data.draw(st.lists(member, max_size=3), label=f"pool {j}") for j in range(a)]
+        self.check(k, tables, pools, width, data.draw(st.sampled_from((1, 2)), label="lane"))
+
+    def test_several_tables_on_no_pools_and_empty_pools(self):
+        tables = [[0, 1, 1, 0], [1, 1, 1, 0], [0, 0, 0, 1]]
+        for lane in (1, 2):
+            self.check(3, [[2], [0], [1]], [], 4, lane)
+            self.check(3, [[2], [1]], [], 0, lane)
+            self.check(2, tables, [[(0, 1), (1, 1)], []], 2, lane)
+            self.check(2, tables[:2], [[], [(0, 1)]], 2, lane)
+            self.check(2, tables, [[(0, 1), (1, 0)], [(0, 0), (1, 1), (0, 1)]], 2, lane)
 
     def test_lane_widths(self):
         assert [lane_bytes(n) for n in (0, 1, 256, 257, 2 ** 16, 2 ** 16 + 1, 2 ** 32 + 1,

@@ -325,9 +325,9 @@ class TestSemiNaiveGamma:
         # R is all of A^K the naive loop's last round is not run
         calls, row_images = [], generation.row_images
 
-        def counted(table, pools, width):
+        def counted(tables, pools, width):
             calls.append(len(pools))
-            return row_images(table, pools, width)
+            return row_images(tables, pools, width)
 
         seed = [(0, 0, 1, 1), (0, 1, 0, 1)]
         monkeypatch.setattr(generation, "row_images", counted)
@@ -336,6 +336,30 @@ class TestSemiNaiveGamma:
         assert len(g.R) == 16 and g.steps >= 1
         assert len(calls) == 2 * g.steps
         assert g == gamma_by_definition([NAND], 4, seed, 2)
+
+    def test_generators_of_one_arity_share_each_row_pass(self, monkeypatch):
+        # AND, OR and NAND are all binary: each round makes one row-engine
+        # call per first-new position, 2, and each call reads all three
+        # tables; the rounds are counted by their charges to the cap
+        calls, rounds = [], []
+        row_images, check_cap = generation.row_images, generation.check_cap
+
+        def counted(tables, pools, width):
+            calls.append(len(tables))
+            return row_images(tables, pools, width)
+
+        def charged(what, *args):
+            if what == "gamma row evaluations":
+                rounds.append(what)
+            return check_cap(what, *args)
+
+        seed = [(0, 0, 1, 1), (0, 1, 0, 1)]
+        monkeypatch.setattr(generation, "row_images", counted)
+        monkeypatch.setattr(generation, "check_cap", charged)
+        g = gamma_fixpoint([AND, OR, NAND], 4, seed, 2)
+        monkeypatch.undo()
+        assert len(rounds) >= 1 and calls == [3] * (2 * len(rounds))
+        assert g == gamma_by_definition([AND, OR, NAND], 4, seed, 2)
 
     def test_rows_are_charged_to_the_cap(self):
         webb = Operation(3, 2, tuple((max(t) + 1) % 3 for t in Carrier(3).tuples(2)))

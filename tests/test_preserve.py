@@ -2,6 +2,7 @@ import itertools
 import math
 import random
 import time
+import tracemalloc
 
 import pytest
 from hypothesis import given, settings
@@ -26,6 +27,8 @@ from finclone.core import (
     submasks,
 )
 from finclone.preserve import (
+    MAX_LANE_BYTES,
+    _search,
     inv,
     invp,
     least_invp,
@@ -291,6 +294,43 @@ class TestPolpSearch:
         assert op_image_mask.cache_info().currsize == before
 
 
+def search_by_filter(k, size, constraints):
+    """The oracle for `_search`: every table of `size` entries, ascending,
+    kept when each scope reads an allowed image."""
+    def holds(table):
+        return all(ok >> Carrier(k).encode([table[j] for j in idxs]) & 1
+                   for idxs, ok in constraints.items())
+    return [t for t in itertools.product(range(k), repeat=size) if holds(t)]
+
+
+class TestSearchLoop:
+    """The one search loop against a filter over every table."""
+
+    @settings(max_examples=400, deadline=None)
+    @given(st.data())
+    def test_random_constraints_match_the_filter(self, data):
+        k = data.draw(st.integers(0, 3), label="k")
+        size = data.draw(st.integers(0, 5), label="size")
+        index = st.integers(0, size - 1) if size else st.nothing()
+        scope = st.lists(index, max_size=3 if size else 0).map(tuple)
+        count = data.draw(st.integers(0, 6), label="scopes")
+        constraints = {}
+        for _ in range(count):
+            idxs = data.draw(scope, label="scope")
+            constraints[idxs] = data.draw(st.integers(0, (1 << k ** len(idxs)) - 1), label="ok")
+        # the empty scope, allowed or forbidden, or absent
+        empty = data.draw(st.sampled_from((None, 0, 1)), label="empty scope")
+        if empty is not None:
+            constraints[()] = empty
+        assert _search(k, size, constraints) == search_by_filter(k, size, constraints)
+
+    def test_edge_sizes_and_carriers(self):
+        for k in range(4):
+            for size in range(4):
+                for constraints in ({}, {(): 0}, {(): 1}):
+                    assert _search(k, size, constraints) == search_by_filter(k, size, constraints)
+
+
 class TestImageEngine:
     """`op_image_mask` on the matrix-row engine against its definition."""
 
@@ -502,6 +542,24 @@ class TestLeastPairEngine:
             least_invp([AND], 7, 2)
         assert (refused.value.what, refused.value.cost, refused.value.cap) == (
             "invp subset lanes", 2 ** 128, 2 ** 64)
+
+    def test_lanes_past_the_byte_bound_refuse(self):
+        # k=2, m=6: 3^64 candidate pairs fit under 10^31 and the 2^64
+        # subsets fit 8-byte lanes, but the lanes would take 2^67 bytes;
+        # refused at once, before anything is built
+        tracemalloc.start()
+        start = time.perf_counter()
+        try:
+            with capped(10 ** 31), pytest.raises(CapExceeded) as refused:
+                least_invp([AND], 6, 2)
+            peak = tracemalloc.get_traced_memory()[1]
+        finally:
+            tracemalloc.stop()
+        assert time.perf_counter() - start < 1 and peak < 2 ** 20
+        assert (refused.value.what, refused.value.cost, refused.value.cap) == (
+            "invp subset lane bytes", 8 << 64, MAX_LANE_BYTES)
+        # the largest layout a carrier and arity give below the bound: N = 16
+        assert lane_bytes(1 << 16) << 16 <= MAX_LANE_BYTES < lane_bytes(1 << 27) << 27
 
     def test_images_only_on_small_supports(self):
         # one binary operation at k=2, m=3: the non-empty subsets of A^3 of

@@ -13,7 +13,7 @@ import json
 import sys
 from dataclasses import dataclass, field
 from pathlib import Path
-from typing import NamedTuple
+from typing import Callable, NamedTuple
 
 from .core import (
     DEFAULT_CAP,
@@ -209,10 +209,11 @@ def _named(problem: Problem, kind: str, names: list[str]):
 
 
 class Output(NamedTuple):
-    """What a command prints: text lines, the JSON object, the exit code."""
+    """What a command prints: its text lines and its JSON object, each built
+    only when `run_command` prints it, and the exit code."""
 
-    lines: list[str]
-    obj: dict
+    lines: Callable[[], list[str]]
+    obj: Callable[[], dict]
     code: int = 0
 
 
@@ -222,15 +223,17 @@ def _output(result) -> Output:
     if isinstance(result, Output):
         return result
     if isinstance(result, OpFamily):
-        return Output([format_op(f) for f in result], {"ops": [op_to_obj(f) for f in result]})
+        return Output(lambda: [format_op(f) for f in result],
+                      lambda: {"ops": [op_to_obj(f) for f in result]})
     if isinstance(result, PairFamily):
-        return Output([format_pair(p) for p in result],
-                      {"pairs": [pair_to_obj(p) for p in result]})
-    return Output([format_rel(r) for r in result], {"rels": [rel_to_obj(r) for r in result]})
+        return Output(lambda: [format_pair(p) for p in result],
+                      lambda: {"pairs": [pair_to_obj(p) for p in result]})
+    return Output(lambda: [format_rel(r) for r in result],
+                  lambda: {"rels": [rel_to_obj(r) for r in result]})
 
 
 def _truth(key: str, value: bool) -> Output:
-    return Output(["true" if value else "false"], {key: value})
+    return Output(lambda: ["true" if value else "false"], lambda: {key: value})
 
 
 def _require(cond: bool, message: str) -> None:
@@ -260,9 +263,9 @@ def _gamma(args, problem, k) -> Output:
     result = gamma_fixpoint(ops, args.ksize, seed, k)
     r_sorted = [format_tuple(t) for t in sorted(result.R)]
     s_sorted = [format_tuple(t) for t in sorted(result.S)]
-    lines = (["R:"] + ["  " + t for t in r_sorted] + ["S:"] + ["  " + t for t in s_sorted]
-             + [f"steps: {result.steps}"])
-    return Output(lines, {"R": r_sorted, "S": s_sorted, "steps": result.steps})
+    return Output(lambda: (["R:"] + ["  " + t for t in r_sorted] + ["S:"]
+                           + ["  " + t for t in s_sorted] + [f"steps: {result.steps}"]),
+                  lambda: {"R": r_sorted, "S": s_sorted, "steps": result.steps})
 
 
 def _superpose(args, problem, k) -> Output:
@@ -274,7 +277,7 @@ def _superpose(args, problem, k) -> Output:
     except (json.JSONDecodeError, KeyError, TypeError) as e:
         raise DomainError(f"invalid superposition spec: {e}")
     result = general_superposition(spec, _named(problem, "pairs", args.pairs), k)
-    return Output([format_pair(result)], pair_to_obj(result))
+    return Output(lambda: [format_pair(result)], lambda: pair_to_obj(result))
 
 
 def _rpclone(args, problem, k) -> Output:
@@ -282,12 +285,11 @@ def _rpclone(args, problem, k) -> Output:
                               args.intermediate_cap, k)
     changed = result.slice_changed_at_last_cap
     pairs = _output(result.pairs)
-    lines = pairs.lines + [
+    return Output(lambda: pairs.lines() + [
         f"intermediate-cap: {result.intermediate_cap}",
         f"slice-changed-at-last-cap: {'true' if changed else 'false'}",
-    ]
-    return Output(lines, {**pairs.obj, "intermediate_cap": result.intermediate_cap,
-                          "slice_changed_at_last_cap": changed})
+    ], lambda: {**pairs.obj(), "intermediate_cap": result.intermediate_cap,
+                "slice_changed_at_last_cap": changed})
 
 
 def _check(args, problem, k) -> Output:
@@ -295,14 +297,18 @@ def _check(args, problem, k) -> Output:
     _require(args.name == "all" or args.name in dict(harness.CHECKS),
              f"unknown check '{args.name}'")
     reports = harness.run_checks(args.name, k if k is not None else 2, args.seed)
-    lines = []
-    for r in reports:
-        lines.append(f"{r.name}: {r.verdict} ({r.runtime_ms} ms)")
-        if r.verdict == "fail":
-            lines.append(f"  counterexample: {json.dumps(r.counterexample, sort_keys=True)}")
+
+    def lines() -> list[str]:
+        out = []
+        for r in reports:
+            out.append(f"{r.name}: {r.verdict} ({r.runtime_ms} ms)")
+            if r.verdict == "fail":
+                out.append(f"  counterexample: {json.dumps(r.counterexample, sort_keys=True)}")
+        return out
+
     verdicts = {r.verdict for r in reports}
     code = 1 if "fail" in verdicts else 2 if "refused" in verdicts else 0
-    return Output(lines, {"reports": [r.to_dict() for r in reports]}, code)
+    return Output(lines, lambda: {"reports": [r.to_dict() for r in reports]}, code)
 
 
 # command -> (required arguments, run(args, problem, k)); argparse lists
@@ -381,9 +387,9 @@ def run_command(args) -> int:
     with capped(args.caps):
         out = _output(run(args, problem, problem.carrier.k if problem else args.k))
     if args.json:
-        print(json.dumps(out.obj, indent=2, sort_keys=True))
+        print(json.dumps(out.obj(), indent=2, sort_keys=True))
     else:
-        for line in out.lines:
+        for line in out.lines():
             print(line)
     return out.code
 

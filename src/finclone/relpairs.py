@@ -3,15 +3,15 @@ clones, the pair-side interpolation closures sLOC/LOC, and directed-family
 utilities.
 
 The closure engine `_Closure` works on packed pairs rho | rho' << k^m, not
-through superposition: an append repeats each bit k times, a drop ORs each
-bit into the k-aligned one below it and keeps every k-th bit, and the
-transposition masks are its one per-arity table.  Both stopping rules
-return it in an `RpCloneResult`, whose `pairs` are built only when read,
-and `sloc_pairs_packed` is the packed engine under `sloc_pairs`.  The
-tests build the definition-level closure
-oracle from the elementary specialisations of `general_superposition`
-(permutation, identification, projection, fictitious coordinates,
-intersection and the from-nothing pairs).
+through superposition: its moves act on the k blocks that the first
+coordinate splits each component into, and the transposition masks are
+its per-arity table.  Both stopping rules return it in an
+`RpCloneResult`, whose `pairs` are built only when read, and
+`sloc_pairs_packed` is the packed engine under `sloc_pairs`.  The tests
+build the definition-level closure oracle from the elementary
+specialisations of `general_superposition` (permutation, identification,
+projection, fictitious coordinates, intersection and the from-nothing
+pairs).
 """
 
 from __future__ import annotations
@@ -129,44 +129,27 @@ class RpCloneResult:
 MAX_PAIRS = 200_000
 
 
-def _arity_maps(m: int, k: int) -> list[list[list[tuple[int, int]]]]:
-    """The transpositions (j i), j < i, at arity m as the masked swaps that
-    `_transpose` applies to packed pairs rho | rho' << k^m, one list per i."""
+def _arity_maps(m: int, k: int) -> tuple[list, list[list[tuple[int, int]]]]:
+    """The transpositions at arity m as masked swaps on packed pairs
+    rho | rho' << k^m, each (mask, shift) swapping the bits under mask with
+    those shift places above: the orbit layers and the fronts.  Layer i
+    holds (j i), j < i, as one step per value difference d = 1..k-1, each
+    step listing its swap for every j, split into the first step and the
+    later ones (both empty at k <= 1); fronts[i] lists the swaps of (0 i)."""
     tuples = list(Carrier(k).tuples(m))
 
-    def transposition(i: int, j: int) -> list[tuple[int, int]]:
+    def swap(i: int, j: int, d: int) -> tuple[int, int]:
         # swapping coordinates j < i moves each tuple with t_i - t_j = d > 0
-        # up by d * (k^(m-1-j) - k^(m-1-i)) places: one masked swap per d
-        low = [sum(1 << n for n, t in enumerate(tuples) if t[i] - t[j] == d)
-               for d in range(1, k)]
-        return [(mask | mask << k ** m, d * (k ** (m - 1 - j) - k ** (m - 1 - i)))
-                for d, mask in enumerate(low, 1)]
+        # up by d * (k^(m-1-j) - k^(m-1-i)) places
+        mask = sum(1 << n for n, t in enumerate(tuples) if t[i] - t[j] == d)
+        return mask | mask << k ** m, d * (k ** (m - 1 - j) - k ** (m - 1 - i))
 
-    return [[transposition(i, j) for j in range(i)] for i in range(1, m)]
-
-
-def _transpose(x: int, swaps: list[tuple[int, int]]) -> int:
-    """Swap the bits under each mask with those shift places above them."""
-    for mask, shift in swaps:
-        t = (x >> shift ^ x) & mask
-        x ^= t | t << shift
-    return x
-
-
-def _append(x: int, k: int) -> int:
-    """Append a fictitious last coordinate: each bit becomes k copies (none at k = 0)."""
-    return int(format(x, "b").replace("0", "0" * k).replace("1", "1" * k) or "0", 2)
-
-
-def _drop_last(x: int, k: int) -> int:
-    """Drop the last coordinate of a packed pair: bit i * k + a goes to bit i,
-    by ORing each bit into the k-aligned one below and keeping every k-th."""
-    if not x:  # the only pair of arity >= 1 at k = 0
-        return 0
-    y = x
-    for a in range(1, k):
-        y |= x >> a
-    return int(format(y, "b")[::-k][::-1], 2)
+    layers, fronts = [], [[]]
+    for i in range(1, m):
+        steps = [[swap(i, j, d) for j in range(i)] for d in range(1, k)]
+        layers.append((steps[0], steps[1:]) if steps else ([], []))
+        fronts.append([step[0] for step in steps])
+    return layers, fronts
 
 
 class _Closure(list):
@@ -185,11 +168,12 @@ class _Closure(list):
     orbit costs one transposition per member.  Only representatives are
     transformed and intersected:
 
-    - A move (identify two coordinates, drop one, append a fictitious one)
+    - A move (identify two coordinates, drop one, add a fictitious one)
       conjugated by a permutation pi is another move followed by a
       permutation: identifying i, j of pi(r) identifies pi(i), pi(j) of r,
-      dropping d drops pi(d), and appending extends pi by the new last
-      coordinate.  So move(pi(r)) lies in the orbit of some move'(r).
+      dropping d drops pi(d), and adding a fictitious coordinate extends pi
+      by fixing the new one.  So move(pi(r)) lies in the orbit of some
+      move'(r).
       Identifying i and j is no move of its own: it is the intersection
       with the (i, j) diagonal, then dropping j.
     - pi(a & b) = pi(a) & pi(b), so for x = pi(r) every x & y is the image
@@ -198,11 +182,12 @@ class _Closure(list):
 
     Not every pair needs to meet every other.  An orbit is move-born when it
     entered as a seed, as one of the two from-nothing generators below, by
-    a drop, or by the append of a move-born orbit, and meet-born when it
-    came out of an intersection; born[m] is the union of the move-born
-    orbits processed at arity m.  A move-born representative meets every
-    orbit processed before it and its own; a meet-born one meets born[m]
-    only.  This still closes the family under intersection:
+    a drop, or by the extension of a move-born orbit (a fictitious
+    coordinate added), and meet-born when it came out of an intersection;
+    born[m] is the union of the move-born orbits processed at arity m.  A
+    move-born representative meets every orbit processed before it and its
+    own; a meet-born one meets born[m] only.  This still closes the family
+    under intersection:
 
     - (i) every member is an intersection of move-born members: a meet-born
       orbit is the orbit of a & b for members a, b, and pi maps an
@@ -214,31 +199,41 @@ class _Closure(list):
 
     This is the generating-set fact for closure systems (Ganter and Wille,
     Formal Concept Analysis, 1999).  Every representative is dropped, but
-    only move-born ones are appended to: append(a & b) = append(a) &
-    append(b), so by (i) the append of a meet-born member is a meet of
-    appends of move-born members, which (iii) reaches.  Drops do not
-    distribute over intersection.
+    only move-born ones are extended: ext(a & b) = ext(a) & ext(b), so by
+    (i) the extension of a meet-born member is a meet of extensions of
+    move-born members, which (iii) reaches.  Drops do not distribute over
+    intersection.
 
     The from-nothing pairs need only two generators: the arity-0 full pair
-    and the binary diagonal.  Appending fictitious coordinates gives the
-    full pair and, up to permutation, every diagonal at each higher arity.
-    The closure is monotone in the cap, so cap c + 1 starts from cap c: it
-    adds the arity-(c+1) seed pairs (and the diagonal at cap 2), appends a
-    fictitious coordinate to the move-born arity-c representatives, and
-    runs on.
-    Moves are bit arithmetic (`_append`, `_drop_last`); dropping d < m - 1
-    swaps d and m - 1 first, so the result lies in the orbit of the drop of d.
-    maps[m], the transpositions as masked swaps, is the one per-arity table.
-    Closure size is counted as orbits enter, so the MAX_PAIRS refusal comes
-    as soon as the closure exceeds it.  Checked against the definition-level
-    closure in tests/test_relpairs.py::TestClosureEngine."""
+    and the binary diagonal.  Adding fictitious coordinates gives the full
+    pair and, up to permutation, every diagonal at each higher arity.  The
+    closure is monotone in the cap, so cap c + 1 starts from cap c: it adds
+    the arity-(c+1) seed pairs (and the diagonal at cap 2), extends the
+    move-born arity-c representatives, and runs on.
+
+    The moves are integer arithmetic on the first coordinate.  A tuple index
+    is read base k with coordinate 0 most significant, so each component of
+    an arity-m pair is k contiguous blocks of k^(m-1) bits, block j holding
+    the tuples that start with j.  A fictitious first coordinate copies each
+    component into every block, one multiplication (`_fictitious`); dropping
+    coordinate 0 ORs the blocks into the lowest, and coordinate i >= 1 is
+    swapped with 0 first (`_drops`).  Each result is the definition's move
+    followed by a permutation, so it lies in the same orbit.  maps[m] (the
+    transpositions as masked swaps) and blocks[m] are built once per arity
+    and closure; the swaps run inline.  Closure size is counted as orbits
+    enter, so the MAX_PAIRS refusal comes as soon as the closure exceeds it.
+    Checked against the definition-level closure in
+    tests/test_relpairs.py::TestClosureEngine."""
 
     def __init__(self, seed: Iterable[RelationPair], k: int, top: int):
         check_cap("rpclone tuple space", k ** top)
         super().__init__()
         self.seed = [(p.arity, p.packed()) for p in seed]
         self.k = k
-        self.maps: list[list[list[list[tuple[int, int]]]]] = []
+        self.maps: list[list[tuple[list, list]]] = []
+        # per arity m >= 1: k^m, the block size k^(m-1) and its mask, the
+        # shifts of blocks 1..k-1, the repunit and the fronts
+        self.blocks: list[tuple[int, int, int, list[int], int, list]] = []
         self.reps: list[list[int]] = []
         self.done: list[set[int]] = []
         self.born: list[set[int]] = []
@@ -248,14 +243,44 @@ class _Closure(list):
         for _ in range(top + 1):
             self.grow()
 
+    def _fictitious(self, m: int, r: int) -> int:
+        """The arity-m pair r with a fictitious coordinate added in front:
+        each component times the repunit sum_{j<k} 2^(j k^m) is k copies of
+        it, one per block of arity m + 1 (0 at k = 0).  No product carries,
+        as each copy is k^m bits wide."""
+        n, b, low, _, repunit, _ = self.blocks[m + 1]
+        return (r & low) * repunit | (r >> b) * repunit << n
+
+    def _drops(self, m: int, r: int) -> list[int]:
+        """The drops of coordinates 0..m-1 of r, each in the orbit of the
+        projection that leaves out that coordinate: coordinate i >= 1 is
+        swapped to the front first, and the front coordinate is dropped by
+        ORing the k blocks of each component into the lowest one."""
+        n, b, low, shifts, _, fronts = self.blocks[m]
+        drops = []
+        for swaps in fronts:
+            x = r
+            for mask, shift in swaps:
+                t = (x >> shift ^ x) & mask
+                x ^= t | t << shift
+            y = x
+            for shift in shifts:
+                y |= x >> shift
+            drops.append(y & low | (y >> n & low) << b)
+        return drops
+
     def _admit(self, m: int, x: int, moved: bool = True) -> None:
-        members = self[m]
-        if x in members:
-            return
+        """Enter x, not yet a member, with its orbit."""
         orbit = {x}
-        for layer in self.maps[m]:
-            orbit.update([_transpose(y, swaps) for y in orbit for swaps in layer])
-        members |= orbit
+        for first, later in self.maps[m]:
+            # member y's image under (j i) is entry y * i + j; one step per d
+            images = [y ^ ((t := (y >> shift ^ y) & mask) | t << shift)
+                      for y in orbit for mask, shift in first]
+            for step in later:
+                images = [y ^ ((t := (y >> shift ^ y) & mask) | t << shift)
+                          for y, (mask, shift) in zip(images, itertools.cycle(step))]
+            orbit.update(images)
+        self[m] |= orbit
         rep = min(orbit)
         self.reps[m].append(rep)
         self.todo.append((m, rep, orbit, moved))
@@ -266,7 +291,11 @@ class _Closure(list):
     def grow(self) -> None:
         k, c = self.k, len(self)
         check_cap("rpclone tuple space", k ** c)
-        self.maps.append(_arity_maps(c, k))
+        layers, fronts = _arity_maps(c, k)
+        self.maps.append(layers)
+        b = k ** (c - 1) if c else 0
+        self.blocks.append((k * b, b, (1 << b) - 1, [j * b for j in range(1, k)],
+                            sum(1 << j * b for j in range(k)), fronts))
         self.append(set())
         self.reps.append([])
         self.done.append(set())
@@ -277,24 +306,33 @@ class _Closure(list):
             diag = sum(1 << a * (k + 1) for a in range(k))
             self._admit(2, diag | diag << k * k)
         for m, x in self.seed:
-            if m == c:
+            if m == c and x not in self[c]:
                 self._admit(c, x)
         if c:
             for r in filter(self.born[c - 1].__contains__, self.reps[c - 1]):
-                self._admit(c, _append(r, k))
-        while self.todo:
-            m, r, orbit, moved = self.todo.popleft()
-            for swaps in self.maps[m][-1] if m > 1 else ():
-                self._admit(m - 1, _drop_last(_transpose(r, swaps), k))
+                x = self._fictitious(c - 1, r)
+                if x not in self[c]:
+                    self._admit(c, x)
+        todo, done, born = self.todo, self.done, self.born
+        while todo:
+            m, r, orbit, moved = todo.popleft()
             if m:
-                self._admit(m - 1, _drop_last(r, k))
+                below = self[m - 1]
+                for x in self._drops(m, r):
+                    if x not in below:
+                        self._admit(m - 1, x)
             if m < c and moved:
-                self._admit(m + 1, _append(r, k))
-            self.done[m] |= orbit
+                x = self._fictitious(m, r)
+                if x not in self[m + 1]:
+                    self._admit(m + 1, x)
+            done[m] |= orbit
             if moved:
-                self.born[m] |= orbit
-            for x in set(map(r.__and__, self.done[m] if moved else self.born[m])) - self[m]:
-                self._admit(m, x, False)
+                born[m] |= orbit
+            members = self[m]
+            # an orbit entered in this loop may hold a later meet
+            for x in {r & y for y in (done[m] if moved else born[m])} - members:
+                if x not in members:
+                    self._admit(m, x, False)
         self.counts.append(tuple(map(len, self)))
 
 

@@ -252,6 +252,23 @@ class TestRpClone:
         assert (stable.pairs, stable.intermediate_cap, stable.slice_changed_at_last_cap) == \
             (want, 6, False)
 
+    def test_stable_rule_gives_up_at_b_plus_3(self, monkeypatch):
+        # no real input is known to reach the give-up branch, so a closure
+        # whose slice at arity <= target grows at every cap stands in: its
+        # arity-0 count reads the number of caps built
+        class Growing(_Closure):
+            def grow(self):
+                super().grow()
+                self.counts[-1] = (len(self.counts), *self.counts[-1][1:])
+
+        monkeypatch.setattr(relpairs, "_Closure", Growing)
+        unary = pair_of(2, 1, [(0,), (1,)], [(1,)])
+        for Q, target, b in (([LEQ_PAIR], 0, 1), ([LEQ_PAIR], 2, 2), ([unary], 1, 1)):
+            res = rpclone_generate_stable(Q, target)
+            assert type(res.closure) is Growing
+            assert res.intermediate_cap == b + 3, (Q, target)
+            assert res.slice_changed_at_last_cap is True, (Q, target)
+
     def test_cap_below_a_seed_arity_rejected(self):
         # a seed above the intermediate cap would never enter the closure
         Q = [pair_of(2, 4, [(0, 0, 0, 0)], [])]
@@ -462,6 +479,22 @@ class TestElementaryOps:
             assert project_onto(p, [0]) in fam1
 
 
+def transpositions(m, k):
+    """(i, j, swaps) for each transposition (j i), j < i, at arity m, its
+    swaps gathered from the closure engine's orbit layers."""
+    for i, (first, later) in enumerate(relpairs._arity_maps(m, k)[0], 1):
+        for j in range(i):
+            yield i, j, [first[j], *(step[j] for step in later)] if first else []
+
+
+def transpose(x, swaps):
+    """Swap the bits under each mask with those shift places above them."""
+    for mask, shift in swaps:
+        t = (x >> shift ^ x) & mask
+        x ^= t | t << shift
+    return x
+
+
 def closure_by_definition(seed, c, k):
     """The closure at intermediate cap c straight from its definition: apply
     every permutation, identification, projection, fictitious extension and
@@ -564,9 +597,8 @@ class TestClosureEngine:
             closure = _Closure(seed, 2, c)
             for m, (members, born) in enumerate(zip(closure, closure.born)):
                 assert born <= members, (seed, c, m)
-                for layer in closure.maps[m]:
-                    for swaps in layer:
-                        assert {relpairs._transpose(x, swaps) for x in born} == born
+                for _, _, swaps in transpositions(m, 2):
+                    assert {transpose(x, swaps) for x in born} == born
                 for r in closure.reps[m]:
                     above = [g for g in born if not r & ~g]
                     assert above and functools.reduce(int.__and__, above) == r, \
@@ -594,64 +626,69 @@ class TestClosureEngine:
     @settings(max_examples=200, deadline=None)
     @given(st.data())
     def test_append_distributes_over_meets(self, data):
-        # append(a & b) == append(a) & append(b), the step that lets the
-        # engine skip appending meet-born representatives
+        # ext(a & b) == ext(a) & ext(b) for the fictitious first coordinate,
+        # the step that lets the engine skip extending meet-born
+        # representatives
         k = data.draw(st.integers(0, 3), label="k")
         m = data.draw(st.integers(0, 3), label="m")
         w = k ** m
         a, b = (data.draw(st.integers(0, (1 << 2 * w) - 1), label=name) for name in "ab")
-        assert relpairs._append(a & b, k) == \
-            relpairs._append(a, k) & relpairs._append(b, k)
+        closure = _Closure([], k, m + 1)
+        assert closure._fictitious(m, a & b) == \
+            closure._fictitious(m, a) & closure._fictitious(m, b)
 
     def test_drop_does_not_distribute_over_meets(self):
-        # dropping coordinate 1 of {(0, 0)} and {(0, 1)} gives {(0,)} twice,
+        # dropping coordinate 0 of {(0, 0)} and {(1, 0)} gives {(0,)} twice,
         # but their meet is empty: drops of meet-born representatives stay
-        a, b = (pair_of(2, 2, [t], [t]) for t in ((0, 0), (0, 1)))
+        a, b = (pair_of(2, 2, [t], [t]) for t in ((0, 0), (1, 0)))
         a, b = (p.rho.mask | p.rho_prime.mask << 4 for p in (a, b))
-        assert relpairs._drop_last(a & b, 2) == 0
-        assert relpairs._drop_last(a, 2) & relpairs._drop_last(b, 2) == 0b101
+        closure = _Closure([], 2, 2)
+        assert closure._drops(2, a & b)[0] == 0
+        assert closure._drops(2, a)[0] & closure._drops(2, b)[0] == 0b101
 
     def test_transpositions_match_permute(self):
-        # each masked-swap transposition against the superposition-level one
+        # each masked-swap transposition against the superposition-level
+        # one, and the fronts against (0 i)
         rng = random.Random(3)
         for k, m in ((2, 4), (3, 3)):
             w = k ** m
+            fronts = relpairs._arity_maps(m, k)[1]
+            assert [swaps for i, j, swaps in transpositions(m, k) if j == 0] == fronts[1:]
             for _ in range(20):
                 rho = rng.getrandbits(w)
                 p = RelationPair(k, m, Relation(k, m, rho), Relation(k, m, rho & rng.getrandbits(w)))
                 x = p.rho.mask | p.rho_prime.mask << w
-                for i, layer in enumerate(relpairs._arity_maps(m, k), 1):
-                    for j, swaps in enumerate(layer):
-                        pi = list(range(m))
-                        pi[i], pi[j] = j, i
-                        q = permute(p, pi)
-                        assert relpairs._transpose(x, swaps) == \
-                            q.rho.mask | q.rho_prime.mask << w, (p, i, j)
+                for i, j, swaps in transpositions(m, k):
+                    pi = list(range(m))
+                    pi[i], pi[j] = j, i
+                    q = permute(p, pi)
+                    assert transpose(x, swaps) == \
+                        q.rho.mask | q.rho_prime.mask << w, (p, i, j)
 
     @pytest.mark.parametrize("m", range(4))
     @pytest.mark.parametrize("k", range(4))
     @settings(max_examples=25, deadline=None)
     @given(st.data())
     def test_moves_match_definition(self, k, m, data):
-        # the packed append against `add_fictitious` at the new last
-        # position, and each drop as the engine makes it (swap d and m - 1,
-        # drop m - 1) against `project_onto` the coordinates that leaves
+        # the fictitious move against `add_fictitious` at the new first
+        # position, and each drop as the engine makes it (swap 0 and i,
+        # drop 0) against `project_onto` the coordinates that leaves
         w = k ** m
         rho = data.draw(st.integers(0, (1 << w) - 1), label="rho")
         rho_p = rho & data.draw(st.integers(0, (1 << w) - 1), label="rho'")
         p = RelationPair(k, m, Relation(k, m, rho), Relation(k, m, rho_p))
         x = rho | rho_p << w
-        q = add_fictitious(p, [m])
-        assert relpairs._append(x, k) == q.rho.mask | q.rho_prime.mask << k * w
-        layer = relpairs._arity_maps(m, k)[-1] if m > 1 else []
-        for d in range(m):
-            y = relpairs._transpose(x, layer[d]) if d < m - 1 else x
-            coords = list(range(m - 1))
-            if d < m - 1:
-                coords[d] = m - 1
+        closure = _Closure([], k, m + 1)
+        q = add_fictitious(p, [0])
+        assert closure._fictitious(m, x) == q.rho.mask | q.rho_prime.mask << k * w
+        drops = closure._drops(m, x) if m else []
+        assert len(drops) == m
+        for i, y in enumerate(drops):
+            coords = list(range(1, m))
+            if i:
+                coords[i - 1] = 0
             q = project_onto(p, coords)
-            assert relpairs._drop_last(y, k) == \
-                q.rho.mask | q.rho_prime.mask << k ** (m - 1), d
+            assert y == q.rho.mask | q.rho_prime.mask << k ** (m - 1), i
 
     def test_one_representative_per_orbit(self):
         # the representatives are the orbit minima under every coordinate

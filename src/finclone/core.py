@@ -421,9 +421,10 @@ def matrix_images(values: Sequence[int], k: int, m: int, rho: int,
 
     The members of rho are packed on lanes that hold every table index and
     every value below k, and column pool j of `row_images` holds them scaled
-    by k^(n-1-j).
+    by k^(n-1-j).  The cap is charged the |rho|^n matrices first.
     """
     carrier = Carrier(k)
+    check_cap("matrix enumeration", 1, rho.bit_count(), n)
     lane = lane_bytes(max(k, len(values)))
     members = lane_ints(pack(carrier.decode(i, m), lane) for i in bit_indices(rho))
     pools = [[x * k ** (n - 1 - j) for x in members] for j in range(n)]
@@ -633,9 +634,11 @@ class PairFamily(_Family):
 
 
 def relaxations_of(p: RelationPair) -> PairFamily:
-    """All (sigma, sigma') with rho' <= sigma' <= sigma <= rho, same arity."""
+    """All (sigma, sigma') with rho' <= sigma' <= sigma <= rho, same arity:
+    3^|rho - rho'| of them, charged to the cap before they are listed."""
     k, m = p.k, p.arity
     lo, hi = p.rho_prime.mask, p.rho.mask
+    check_cap("enc relaxation enumeration", 1, 3, (hi & ~lo).bit_count())
     # sigma = lo | s ranges over supersets of lo within hi, sigma' = lo | t
     # over those within sigma
     return PairFamily(
@@ -646,8 +649,12 @@ def relaxations_of(p: RelationPair) -> PairFamily:
 
 
 def enc(Q: Iterable[RelationPair]) -> PairFamily:
-    """Closure of a family under relaxation (extensive, monotone, idempotent)."""
+    """Closure of a family under relaxation (extensive, monotone, idempotent).
+    The relaxations of all members, sum 3^|rho - rho'|, are charged first."""
+    pairs = list(Q)
+    check_cap("enc relaxation enumeration",
+              sum(3 ** (p.rho.mask & ~p.rho_prime.mask).bit_count() for p in pairs))
     out: set[RelationPair] = set()
-    for p in Q:
+    for p in pairs:
         out.update(relaxations_of(p))
     return PairFamily(out)

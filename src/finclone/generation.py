@@ -200,12 +200,13 @@ def semiclone_tables(F: Iterable[Operation], n: int, k: int) -> frozenset[tuple[
 
     This is the S-component of the fixpoint over K = A^n seeded with the
     projection tables; an n-ary operation is exactly its tuple of values.  At
-    n = 0 the seed is empty and S holds the derivable constants.
+    n = 0 the seed is empty and S holds the derivable constants.  The seed
+    is listed only once the fixpoint has charged its tuple space.
     """
     if n < 0:
         raise DomainError("arity must be >= 0")
     carrier = Carrier(k)
-    seed = [tuple(t[i] for t in carrier.tuples(n)) for i in range(n)]
+    seed = (tuple(t[i] for t in carrier.tuples(n)) for i in range(n))
     return gamma_fixpoint(F, carrier.num_tuples(n), seed, k).S
 
 

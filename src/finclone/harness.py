@@ -13,6 +13,7 @@ import time
 from dataclasses import asdict, dataclass, field
 from typing import Callable, Iterable
 
+from . import core
 from .core import (
     Carrier,
     CapExceeded,
@@ -24,7 +25,6 @@ from .core import (
     RelationPair,
     all_operations,
     all_pairs,
-    check_cap,
     compose,
     enc,
     identity_op,
@@ -47,7 +47,6 @@ from .preserve import (
     pol,
     polp,
     polp_least,
-    polp_upto,
     preserving,
     sloc_ops,
     sloc_tables,
@@ -106,13 +105,14 @@ def check_galois_axioms(k: int = 2) -> Report:
     def body():
         carrier = Carrier(k)
         invp_w = lambda F: PairFamily(p for m in range(3) for p in invp(F, m, k))
-        polp_w = lambda Q: polp_upto(Q, 2, k)
+        polp_w = lambda Q: OpFamily(f for n in range(3) for f in polp(Q, n, k))
         op_arities = range(1, 3)
         pair_arities = range(2)
         # counted before they are listed: k^(k^n) operations, 3^(k^m) pairs
         op_count = sum(k ** (k ** n) for n in op_arities)
         pair_count = sum(3 ** (k ** m) for m in pair_arities)
-        check_cap("galois two-element unions", math.comb(op_count, 2) + math.comb(pair_count, 2))
+        core.check_cap("galois two-element unions",
+                       math.comb(op_count, 2) + math.comb(pair_count, 2))
         ops = [f for n in op_arities for f in all_operations(carrier, n)]
         pairs = [p for m in pair_arities for p in all_pairs(carrier, m)]
         # extensivity and idempotence over singletons
@@ -187,7 +187,7 @@ def check_least_invariant_pair(F: Iterable[Operation], B: Iterable[tuple[int, ..
 
     def body():
         # the brute force tries each rho' inside each rho: 3^(k^k) pairs
-        check_cap("least-pair brute force", 1, 3, k ** k)
+        core.check_cap("least-pair brute force", 1, 3, k ** k)
         result = gamma_fixpoint(ops, k, seed, k)
         space = list(itertools.product(range(k), repeat=k))
         bound = k ** k
@@ -267,17 +267,15 @@ def check_pair_side_characterisation(Q: Iterable[RelationPair], s: int, m: int, 
     def body():
         if s < 0:
             raise DomainError("locality parameter must be >= 0")
-        F_all = polp_upto(pairs, s, k)
-        least = least_invp(F_all, m, k)
+        pols = [polp(pairs, n, k) for n in range(s + 1)]
+        least = least_invp(itertools.chain(*pols), m, k)
         lhs = invp_least_packed(least, m, k)
         # window variants checked purely on the brute-force side, by their
         # least second components, which determine invp
-        f_s = F_all.part(s)
-        f_0s = F_all.part(0).union(f_s)
-        if least_invp(f_0s, m, k) != least:
+        if least_invp(pols[0].union(pols[s]), m, k) != least:
             return "fail", {"variant": "arities {0,s}"}, {}
         if any(p.rho.mask == 0 for p in pairs):
-            if least_invp(f_s, m, k) != least:
+            if least_invp(pols[s], m, k) != least:
                 return "fail", {"variant": "single arity s with empty pair"}, {}
         gen = rpclone_generate_stable(pairs, m, k)
         cap = gen.intermediate_cap
@@ -406,7 +404,7 @@ def check_transformation_semigroups(k: int = 2) -> Report:
 
     def body():
         carrier = Carrier(k)
-        check_cap("semigroup subset enumeration", 1, 2, k ** k)
+        core.check_cap("semigroup subset enumeration", 1, 2, k ** k)
         unary = list(all_operations(carrier, 1))
         ident = identity_op(carrier)
         for bits in range(1 << len(unary)):
@@ -524,7 +522,9 @@ def check_classical(F: Iterable[Operation], Q1: Iterable[Relation], s: int, k: i
             m = max(r.arity for r in rels)
             identical = [RelationPair.identical(r) for r in rels]
             gen = rpclone_generate_stable(identical, m, k)
-            relclone_m = [p.rho for p in gen.pairs if p.arity == m and p.is_identical()]
+            size = k ** m
+            relclone_m = [Relation(k, m, x >> size) for x in gen.closure[m]
+                          if x >> size == x & (1 << size) - 1]
             rhs_rels = _sloc_rels(relclone_m, s, m, k)
             f_all = [f for n2 in range(s + 1) for f in pol(rels, n2, k)]
             lhs_rels = inv(f_all, m, k)

@@ -274,15 +274,6 @@ def invp_least_packed(least: dict[int, int], m: int, k: int) -> set[int]:
             for t in submasks(rho & ~need)}
 
 
-def polp_upto(Q: Iterable[RelationPair], max_arity: int, k: int) -> OpFamily:
-    """All polymorphisms of Q of arity <= max_arity."""
-    pairs = list(Q)
-    out: list[Operation] = []
-    for n in range(max_arity + 1):
-        out.extend(polp(pairs, n, k))
-    return OpFamily(out)
-
-
 def pol(Q1: Iterable[Relation], n: int, k: int) -> OpFamily:
     """Classical polymorphisms: operations preserving each relation as the
     identical pair (rho, rho)."""

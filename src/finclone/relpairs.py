@@ -4,9 +4,9 @@ utilities.
 
 The closure engine `_Closure` works on packed pairs rho | rho' << k^m, not
 through superposition: its moves act on the k blocks that the first
-coordinate splits each component into, and the transposition masks are
-its per-arity table.  Both stopping rules return it in an
-`RpCloneResult`, whose `pairs` are built only when read, and
+coordinate splits each component into, and the transposition masks and
+block constants are its one table per arity.  Both stopping rules return
+it in an `RpCloneResult`, whose `pairs` are built only when read, and
 `sloc_pairs_packed` is the packed engine under `sloc_pairs`.  The tests
 build the definition-level closure oracle from the elementary
 specialisations of `general_superposition` (permutation, identification,
@@ -129,13 +129,16 @@ class RpCloneResult:
 MAX_PAIRS = 200_000
 
 
-def _arity_maps(m: int, k: int) -> tuple[list, list[list[tuple[int, int]]]]:
-    """The transpositions at arity m as masked swaps on packed pairs
-    rho | rho' << k^m, each (mask, shift) swapping the bits under mask with
-    those shift places above: the orbit layers and the fronts.  Layer i
-    holds (j i), j < i, as one step per value difference d = 1..k-1, each
-    step listing its swap for every j, split into the first step and the
-    later ones (both empty at k <= 1); fronts[i] lists the swaps of (0 i)."""
+def _arity_maps(m: int, k: int) -> tuple:
+    """The closure's table at arity m: the transpositions as masked swaps on
+    packed pairs rho | rho' << k^m, each (mask, shift) swapping the bits
+    under mask with those shift places above, in the orbit layers and the
+    fronts; then k^m, the block size B = k^(m-1) (0 at m = 0) and its mask,
+    the shifts jB of blocks j = 1..k-1, and the repunit sum_{j<k} 2^(jB).
+    Layer i holds (j i), j < i, as one step per value difference
+    d = 1..k-1, each step listing its swap for every j, split into the first
+    step and the later ones (both empty at k <= 1); fronts[i] lists the
+    swaps of (0 i)."""
     tuples = list(Carrier(k).tuples(m))
 
     def swap(i: int, j: int, d: int) -> tuple[int, int]:
@@ -149,7 +152,9 @@ def _arity_maps(m: int, k: int) -> tuple[list, list[list[tuple[int, int]]]]:
         steps = [[swap(i, j, d) for j in range(i)] for d in range(1, k)]
         layers.append((steps[0], steps[1:]) if steps else ([], []))
         fronts.append([step[0] for step in steps])
-    return layers, fronts
+    b = k ** (m - 1) if m else 0
+    return (layers, fronts, k ** m, b, (1 << b) - 1, [j * b for j in range(1, k)],
+            sum(1 << j * b for j in range(k)))
 
 
 class _Closure(list):
@@ -181,8 +186,8 @@ class _Closure(list):
       orbits meets, up to pi, every member of that union.
 
     Not every pair needs to meet every other.  An orbit is move-born when it
-    entered as a seed, as one of the two from-nothing generators below, by
-    a drop, or by the extension of a move-born orbit (a fictitious
+    entered as a seed, the two from-nothing generators below included, by a
+    drop, or by the extension of a move-born orbit (a fictitious
     coordinate added), and meet-born when it came out of an intersection;
     born[m] is the union of the move-born orbits processed at arity m.  A
     move-born representative meets every orbit processed before it and its
@@ -204,12 +209,12 @@ class _Closure(list):
     move-born members, which (iii) reaches.  Drops do not distribute over
     intersection.
 
-    The from-nothing pairs need only two generators: the arity-0 full pair
-    and the binary diagonal.  Adding fictitious coordinates gives the full
-    pair and, up to permutation, every diagonal at each higher arity.  The
-    closure is monotone in the cap, so cap c + 1 starts from cap c: it adds
-    the arity-(c+1) seed pairs (and the diagonal at cap 2), extends the
-    move-born arity-c representatives, and runs on.
+    The from-nothing pairs need only two generators, which are the first
+    two seeds: the arity-0 full pair and the binary diagonal.  Adding
+    fictitious coordinates gives the full pair and, up to permutation,
+    every diagonal at each higher arity.  The closure is monotone in the
+    cap, so cap c + 1 starts from cap c: it adds the arity-(c+1) seeds,
+    extends the move-born arity-c representatives, and runs on.
 
     The moves are integer arithmetic on the first coordinate.  A tuple index
     is read base k with coordinate 0 most significant, so each component of
@@ -218,9 +223,9 @@ class _Closure(list):
     component into every block, one multiplication (`_fictitious`); dropping
     coordinate 0 ORs the blocks into the lowest, and coordinate i >= 1 is
     swapped with 0 first (`_drops`).  Each result is the definition's move
-    followed by a permutation, so it lies in the same orbit.  maps[m] (the
-    transpositions as masked swaps) and blocks[m] are built once per arity
-    and closure; the swaps run inline.  Closure size is counted as orbits
+    followed by a permutation, so it lies in the same orbit.  maps[m], the
+    `_arity_maps` table of the swaps and blocks, is built once per arity and
+    closure; the swaps run inline.  Closure size is counted as orbits
     enter, so the MAX_PAIRS refusal comes as soon as the closure exceeds it.
     Checked against the definition-level closure in
     tests/test_relpairs.py::TestClosureEngine."""
@@ -228,12 +233,10 @@ class _Closure(list):
     def __init__(self, seed: Iterable[RelationPair], k: int, top: int):
         check_cap("rpclone tuple space", k ** top)
         super().__init__()
-        self.seed = [(p.arity, p.packed()) for p in seed]
+        diag = sum(1 << a * (k + 1) for a in range(k))
+        self.seed = [(0, 0b11), (2, diag | diag << k * k), *((p.arity, p.packed()) for p in seed)]
         self.k = k
-        self.maps: list[list[tuple[list, list]]] = []
-        # per arity m >= 1: k^m, the block size k^(m-1) and its mask, the
-        # shifts of blocks 1..k-1, the repunit and the fronts
-        self.blocks: list[tuple[int, int, int, list[int], int, list]] = []
+        self.maps: list[tuple] = []
         self.reps: list[list[int]] = []
         self.done: list[set[int]] = []
         self.born: list[set[int]] = []
@@ -248,7 +251,7 @@ class _Closure(list):
         each component times the repunit sum_{j<k} 2^(j k^m) is k copies of
         it, one per block of arity m + 1 (0 at k = 0).  No product carries,
         as each copy is k^m bits wide."""
-        n, b, low, _, repunit, _ = self.blocks[m + 1]
+        _, _, n, b, low, _, repunit = self.maps[m + 1]
         return (r & low) * repunit | (r >> b) * repunit << n
 
     def _drops(self, m: int, r: int) -> list[int]:
@@ -256,7 +259,7 @@ class _Closure(list):
         projection that leaves out that coordinate: coordinate i >= 1 is
         swapped to the front first, and the front coordinate is dropped by
         ORing the k blocks of each component into the lowest one."""
-        n, b, low, shifts, _, fronts = self.blocks[m]
+        _, fronts, n, b, low, shifts, _ = self.maps[m]
         drops = []
         for swaps in fronts:
             x = r
@@ -272,7 +275,7 @@ class _Closure(list):
     def _admit(self, m: int, x: int, moved: bool = True) -> None:
         """Enter x, not yet a member, with its orbit."""
         orbit = {x}
-        for first, later in self.maps[m]:
+        for first, later in self.maps[m][0]:
             # member y's image under (j i) is entry y * i + j; one step per d
             images = [y ^ ((t := (y >> shift ^ y) & mask) | t << shift)
                       for y in orbit for mask, shift in first]
@@ -291,20 +294,11 @@ class _Closure(list):
     def grow(self) -> None:
         k, c = self.k, len(self)
         check_cap("rpclone tuple space", k ** c)
-        layers, fronts = _arity_maps(c, k)
-        self.maps.append(layers)
-        b = k ** (c - 1) if c else 0
-        self.blocks.append((k * b, b, (1 << b) - 1, [j * b for j in range(1, k)],
-                            sum(1 << j * b for j in range(k)), fronts))
+        self.maps.append(_arity_maps(c, k))
         self.append(set())
         self.reps.append([])
         self.done.append(set())
         self.born.append(set())
-        if c == 0:
-            self._admit(0, 0b11)
-        if c == 2:
-            diag = sum(1 << a * (k + 1) for a in range(k))
-            self._admit(2, diag | diag << k * k)
         for m, x in self.seed:
             if m == c and x not in self[c]:
                 self._admit(c, x)

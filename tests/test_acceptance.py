@@ -32,7 +32,7 @@ from finclone.harness import (
     check_projection_decidability,
     check_transformation_semigroups,
 )
-from finclone.preserve import inv, invp, pol, polp, polp_upto, sloc_ops
+from finclone.preserve import inv, invp, pol, polp, sloc_ops
 from finclone.relpairs import is_s_directed, loc_pairs, sloc_pairs, union_family
 
 K = 2

@@ -1,4 +1,5 @@
 import io
+import itertools
 import json
 import math
 import time
@@ -228,7 +229,8 @@ class TestExitCodes:
         assert code == 2
 
     # galois at k=4 counts its 4^4 + 4^16 operations and 3 + 3^4 pairs
-    # before it lists them
+    # before it lists them, and finite-collapse the sum_rho 4^|rho| = 5^k
+    # relaxations of the unary pairs
     @pytest.mark.parametrize("name,what,cost,k", [
         pytest.param("galois", "galois two-element unions", 194232630, 3,
                      id="galois-galois two-element unions-194232630"),
@@ -239,6 +241,10 @@ class TestExitCodes:
                      id="galois-k4"),
         pytest.param("least-pair", "least-pair brute force", 3 ** 27, 3,
                      id="least-pair-least-pair brute force-7625597484987"),
+        pytest.param("finite-collapse", "enc relaxation enumeration", 5 ** 9, 9,
+                     id="finite-collapse-k9"),
+        pytest.param("finite-collapse", "enc relaxation enumeration", 5 ** 10, 10,
+                     id="finite-collapse-k10"),
     ])
     def test_k3_check_refuses_before_running(self, capsys, name, what, cost, k):
         start = time.perf_counter()
@@ -324,6 +330,40 @@ class TestExitCodes:
         assert time.perf_counter() - start < 5
         assert (code, out) == (2, "")
         assert err == "refused: gamma row evaluations: estimated cost 2259009 exceeds cap 1048576\n"
+
+    # each of these listed its work before charging it: the 3^16
+    # relaxations of one 4-ary pair, 20 projection tables of 2^20 entries
+    # each, and the 8^9 (or 8^7) matrices over the full ternary relation
+    @pytest.mark.parametrize("argv,err", [
+        pytest.param(["enc", "--pairs", "p"], "enc relaxation enumeration: estimated cost "
+                     "43046721 exceeds cap 1048576", id="enc"),
+        pytest.param(["gen-semiclone", "--ops", "and", "--arity", "20"], "gamma tuple space: "
+                     "estimated cost >= 2^1048576 exceeds cap 1048576", id="gen-semiclone"),
+        pytest.param(["gen-clone", "--ops", "and", "--arity", "20"], "gamma tuple space: "
+                     "estimated cost >= 2^1048576 exceeds cap 1048576", id="gen-clone"),
+        pytest.param(["preserves", "--ops", "two9", "--pairs", "full3"], "matrix enumeration: "
+                     "estimated cost 134217728 exceeds cap 1048576", id="preserves-9-ary"),
+        pytest.param(["preserves", "--ops", "two7", "--pairs", "full3"], "matrix enumeration: "
+                     "estimated cost 2097152 exceeds cap 1048576", id="preserves-7-ary"),
+    ])
+    def test_work_is_charged_before_it_is_listed(self, capsys, tmp_path, argv, err):
+        tuples = lambda m: ", ".join(map("".join, itertools.product("01", repeat=m)))
+        two = lambda n: "".join(str(int(sum(t) >= 2))
+                                for t in itertools.product((0, 1), repeat=n))
+        problem = tmp_path / "problem.txt"
+        problem.write_text(f"domain 2\nop and/2 = 0001\nop two7/7 = {two(7)}\n"
+                           f"op two9/9 = {two(9)}\nrel full4/4 = {{{tuples(4)}}}\n"
+                           f"rel none4/4 = {{}}\nrel full3r/3 = {{{tuples(3)}}}\n"
+                           f"pair p = (full4, none4)\npair full3 = (full3r, full3r)\n")
+        start = time.perf_counter()
+        code, out, got = run(capsys, *argv[:1], "--problem", str(problem), *argv[1:])
+        assert time.perf_counter() - start < 2
+        assert (code, out, got) == (2, "", f"refused: {err}\n")
+        if argv[1] == "two7":
+            # the charge is exactly the 2^21 matrices
+            code, out, _ = run(capsys, *argv[:1], "--problem", str(problem), *argv[1:],
+                               "--caps", str(2 ** 21))
+            assert (code, out) == (0, "true\n")
 
     def test_parse_error_exit_code(self, capsys, tmp_path):
         bad = tmp_path / "bad.txt"

@@ -3,7 +3,8 @@ top-level definition is referenced (a public one by the library or by the
 package's exports), the package exports exactly what its `__init__`
 imports, no process-global cache is added, no function takes the
 complexity cap as a parameter, no module reaches into another's private
-names, and every library name the benchmark tracer hooks still exists."""
+names, every library name the benchmark tracer hooks still exists, and
+every `check_*` name in `harness` is one of its own checks."""
 
 import ast
 import importlib
@@ -261,3 +262,11 @@ def test_tracer_hooks_name_live_library_functions():
                      ("relpairs.rpclone_generate_stable", "target_cap")}
     for layer, name in bound:
         assert name in inspect.signature(functions[layer]).parameters, (layer, name)
+
+
+def test_harness_check_names_are_checks():
+    # the tracer times every `check_*` attribute of harness as a harness
+    # check, so a function imported under such a name would be timed as one
+    harness = importlib.import_module("finclone.harness")
+    assert [name for name, value in vars(harness).items() if name.startswith("check_")
+            and getattr(value, "__module__", None) != harness.__name__] == []

@@ -38,7 +38,6 @@ from finclone.preserve import (
     pol,
     polp,
     polp_least,
-    polp_upto,
     preserves,
     preserving,
     sloc_ops,
@@ -708,22 +707,27 @@ def _invp_upto2(F):
     return PairFamily(p for m in range(3) for p in invp(F, m, 2))
 
 
+def _polp_upto2(Q):
+    """The k=2 polymorphisms of arity <= 2, one `polp` per arity."""
+    return OpFamily(f for n in range(3) for f in polp(Q, n, 2))
+
+
 class TestGaloisWindows:
     def test_extensivity_both_sides(self):
         F = [AND]
         q = _invp_upto2(F)
-        assert AND in polp_upto(q, 2, 2)
+        assert AND in _polp_upto2(q)
         Q = [LEQ_PAIR]
-        g = polp_upto(Q, 2, 2)
+        g = _polp_upto2(Q)
         assert LEQ_PAIR in _invp_upto2(g)
 
     def test_triple_composition(self):
         Q = [LEQ_PAIR]
-        g = polp_upto(Q, 2, 2)
-        assert polp_upto(_invp_upto2(g), 2, 2) == g
+        g = _polp_upto2(Q)
+        assert _polp_upto2(_invp_upto2(g)) == g
         F = [NOT]
         q = _invp_upto2(F)
-        assert _invp_upto2(polp_upto(q, 2, 2)) == q
+        assert _invp_upto2(_polp_upto2(q)) == q
 
 
 class TestDegenerateCarriers:

@@ -165,11 +165,7 @@ class Carrier:
 @dataclass(frozen=True, order=True)
 class Operation:
     """A finitary operation on {0,...,k-1}: arity n plus a dense value table
-    of length k^n in encoding order.  n = 0 is a nullary constant.
-
-    The hash, that of the fields as a tuple, is taken once at construction:
-    the image cache of `preserve.op_image_mask` hashes its operation on every
-    hit."""
+    of length k^n in encoding order.  n = 0 is a nullary constant."""
 
     k: int
     arity: int
@@ -186,10 +182,6 @@ class Operation:
         for v in self.table:
             if not 0 <= v < self.k:
                 raise DomainError(f"table value {v} outside carrier of size {self.k}")
-        object.__setattr__(self, "_hash", hash((self.k, self.arity, self.table)))
-
-    def __hash__(self) -> int:
-        return self._hash
 
     @property
     def carrier(self) -> Carrier:

@@ -3,16 +3,12 @@ their classical specialisations, and the operation-side interpolation
 closures.
 
 The pair side rests on one engine, `least_invp`: (rho, rho') is invariant
-under F iff F[rho] ⊆ rho' ⊆ rho, where F[rho] is the union of the images of
-the members of F on rho.  A matrix over rho with n columns has at most n
-distinct columns, so F[rho] is the union of the images on the non-empty
-subsets of rho of size <= n (on the empty set when n = 0).  Those images
-are held in one int, a lane of `lane_bytes(2^N)` bytes for each of the 2^N
-subsets of A^m (N = k^m), and an OR-zeta transform of N big-int steps gives
-F[rho] for every rho at once.  `invp` and `inv` read that map, `invp` by
-way of `invp_least_packed`, which spans it into packed pairs
-rho | rho' << N; `polp` groups its pairs into the same map for
-`polp_least`.
+under F iff F[rho] ⊆ rho' ⊆ rho, where F[rho] = ∪_{f∈F} f[rho].  So F's
+least map is the OR of its members' maps, which `op_image_mask(f, m)`
+caches, f[rho] for each of the 2^N subsets rho of A^m (N = k^m).  `invp`
+and `inv` read that map, `invp` by way of `invp_least_packed`, which spans
+it into packed pairs rho | rho' << N; `polp` groups its pairs into the
+same map for `polp_least`.
 
 The operation side works on value tables: `polp_least` and `sloc_tables`
 hand their constraints, a map {scope: allowed images}, to the one
@@ -23,11 +19,13 @@ the constraints of a least map, which it builds as `polp_least` does
 `polp`, `pol` and `sloc_ops` build their `OpFamily` from those tables; the
 op-side check compares the tables themselves.  Both sides rest on one image
 engine, `core.matrix_images`, on relations given as bit masks:
-`op_image_mask` is the images of the n-column matrices over a relation
+`image_mask` is the images of the n-column matrices over one relation
 under the operation's table, and `_scopes` the scopes those matrices read,
 their images under the identity table.
-Complexity caps refuse rather than truncate.  The enumerating oracles of
-`invp`, `polp`, `sloc_ops` and `op_image_mask` live in the tests.
+Complexity caps refuse rather than truncate, each charge taken before any
+cache lookup, so no answer depends on what ran before in the process.  The
+enumerating oracles of `invp`, `polp`, `sloc_ops` and `image_mask` live in
+the tests.
 """
 
 from __future__ import annotations
@@ -60,10 +58,10 @@ from .core import (
 MAX_LANE_BYTES = 2 ** 24
 
 
-@lru_cache(maxsize=None)
-def op_image_mask(f: Operation, m: int, rho: int) -> int:
+def image_mask(f: Operation, m: int, rho: int) -> int:
     """Bit mask of { f applied row-wise to an n-column matrix over the m-ary
-    relation with mask rho }: the images of f's table under `matrix_images`.
+    relation with mask rho }: the images of f's table under `matrix_images`,
+    which charges the |rho|^n matrices on every call.
 
     With n = 0 this is the constant tuple (f(),...,f()); with rho empty and
     n > 0 it is empty.
@@ -72,12 +70,35 @@ def op_image_mask(f: Operation, m: int, rho: int) -> int:
     return sum(1 << carrier.encode(t) for t in matrix_images(f.table, f.k, m, rho, f.arity))
 
 
+@lru_cache(maxsize=None)
+def op_image_mask(f: Operation, m: int) -> int:
+    """f's least map at arity m, N = k^m: one int with a lane of
+    `lane_bytes(2^N)` bytes for each subset rho of A^m, subset 0 lowest,
+    lane rho holding f[rho], the mask of `image_mask(f, m, rho)`.
+
+    A matrix with n columns has at most n distinct ones, so f[rho] is the
+    union of the images on the subsets M of rho with |M| <= n, M empty only
+    for a nullary f.  Each is taken once, in the lane of M, and the OR-zeta
+    transform `core.or_zeta` spreads them to every rho in N steps.  One
+    entry per (operation, arity), 128 KiB at N = 16.  A hit takes no charge
+    and the layout is not bounded here: `least_invp` does both first.
+    """
+    size = f.k ** m
+    bits = 8 * lane_bytes(1 << size)
+    singles = [1 << i for i in range(size)]
+    least = 0
+    for r in range(min(f.arity, 1), min(f.arity, size) + 1):
+        for M in map(sum, itertools.combinations(singles, r)):
+            least |= image_mask(f, m, M) << bits * M
+    return or_zeta(least, bits, size)
+
+
 def preserves(f: Operation, p: RelationPair) -> bool:
     """True iff every row-wise application of f to columns from p.rho lands
     in p.rho_prime."""
     if f.k != p.k:
         raise DomainError("carrier mismatch between operation and pair")
-    return op_image_mask(f, p.arity, p.rho.mask) & ~p.rho_prime.mask == 0
+    return image_mask(f, p.arity, p.rho.mask) & ~p.rho_prime.mask == 0
 
 
 @lru_cache(maxsize=4096)
@@ -152,12 +173,15 @@ def _allowed(least: dict[tuple[int, int], int], n: int, k: int) -> dict[tuple[in
     """The constraints that the entries (arity, rho): rho' of `least` put on
     n-ary value tables: each scope, a tuple of the m table indices that a
     matrix over rho reads, may only map to the images in the bit mask of
-    the intersection of the rho' of every m-ary rho it is read from."""
+    the intersection of the rho' of every m-ary rho it is read from.  An
+    entry with rho' all of A^m puts none; the cap is charged the largest
+    |rho|^n matrices of the others before any `_scopes` lookup."""
+    tight = [(m, rho, ok) for (m, rho), ok in least.items() if ok != (1 << k ** m) - 1]
+    check_cap("matrix enumeration", 1, max((rho.bit_count() for _, rho, _ in tight), default=0), n)
     allowed: dict[tuple[int, ...], int] = {}
-    for (m, rho), ok in least.items():
-        if ok != (1 << k ** m) - 1:
-            for scope in _scopes(k, m, rho, n):
-                allowed[scope] = allowed.get(scope, ok) & ok
+    for m, rho, ok in tight:
+        for scope in _scopes(k, m, rho, n):
+            allowed[scope] = allowed.get(scope, ok) & ok
     return allowed
 
 
@@ -210,23 +234,15 @@ def _search(k: int, size: int, constraints: dict[tuple[int, ...], int]) -> list[
 
 def least_invp(F: Iterable[Operation], m: int, k: int) -> dict[int, int]:
     """{rho: F[rho]} for every m-ary rho with F[rho] ⊆ rho, as bit masks in
-    ascending rho, where F[rho] is the union of the images of the members of
-    F on rho.  These rho are the first components of the pairs invariant
-    under F, and F[rho] is the least second component each admits.
+    ascending rho: the first components of the pairs invariant under F,
+    each with the least second component it admits.
 
-    A matrix over rho with n columns has at most n distinct columns, so
-    F[rho] is the union of `op_image_mask(f, m, M)` over the subsets M of rho
-    with |M| <= arity(f); the columns of a matrix with at least one column
-    form a non-empty set, so M is empty only for a nullary f.  Each such
-    image is taken once, in the lane of M of one int that holds a lane of
-    `lane_bytes(2^N)` bytes for each of the 2^N subsets of A^m, N = k^m,
-    subset 0 lowest.  The OR-zeta (subset-sum) transform `core.or_zeta`
-    then spreads them to every rho in N steps, one per element i of A^m:
-    each lane of a subset without i is ORed into the lane of that subset
-    with i.  The cap charges the 3^N candidate pairs; N > 64, whose lanes
-    would need more than 8 bytes, is refused, and so are lanes of more than
-    MAX_LANE_BYTES in all, before any is built.  The subsets of each size
-    are listed once per call, when the first operation needs them.
+    F's least map is the OR of its members' maps `op_image_mask(f, m)`,
+    exact since the OR-zeta transform commutes with OR.  The cap charges
+    the 3^N candidate pairs (N = k^m); lanes of more than 8 bytes (N > 64)
+    or of more than MAX_LANE_BYTES in all are refused; then the cap charges
+    the largest min(n, N)^n matrices of a member of arity n, before any map
+    is looked up.
     """
     if m < 0:
         raise DomainError("arity must be >= 0")
@@ -239,17 +255,12 @@ def least_invp(F: Iterable[Operation], m: int, k: int) -> dict[int, int]:
     lane = lane_bytes(1 << size, "invp subset lanes")
     if lane << size > MAX_LANE_BYTES:
         raise CapExceeded("invp subset lane bytes", lane << size, MAX_LANE_BYTES)
-    bits = 8 * lane
-    singles = [1 << i for i in range(size)]
-    subsets: dict[int, list[int]] = {}  # the subsets of A^m of size r, listed once
+    n = max((f.arity for f in ops), default=0)
+    check_cap("matrix enumeration", 1, min(n, size), n)
     least = 0
     for f in ops:
-        for r in range(min(f.arity, 1), min(f.arity, size) + 1):
-            if r not in subsets:
-                subsets[r] = list(map(sum, itertools.combinations(singles, r)))
-            for M in subsets[r]:
-                least |= op_image_mask(f, m, M) << bits * M
-    lanes = int_lanes(or_zeta(least, bits, size), lane, 1 << size)
+        least |= op_image_mask(f, m)
+    lanes = int_lanes(least, lane, 1 << size)
     return {rho: need for rho, need in enumerate(lanes) if not need & ~rho}
 
 

@@ -372,6 +372,43 @@ class TestExitCodes:
         assert code == 3
         assert "line 4, column 1" in err
 
+    # each parse error is an input error that names its line and column
+    @pytest.mark.parametrize("text,where,message", [
+        ("domain 2\ndomain 3\n", (2, 1), "duplicate 'domain' line"),
+        ("domain two\n", (1, 1), "invalid carrier size 'two'"),
+        ("  domain -1\n", (1, 3), "carrier size must be >= 0"),
+        ("domain 2\n  op f/1 01\n", (2, 3), "expected '=' in declaration"),
+        ("domain 2\nop f = 01\n", (2, 1), "expected '<name>/<arity>', got 'f'"),
+        ("domain 2\nrel r/x = {}\n", (2, 1), "invalid arity 'x'"),
+        ("domain 2\nrel r/-1 = {}\n", (2, 1), "arity must be >= 0"),
+        ("domain 2\nop f!/1 = 01\n", (2, 1), "invalid name 'f!'"),
+        ("domain 2\n\nop f/1 = 02\n", (3, 1), "table value outside carrier"),
+        ("domain 2\nrel r/1 = 0\n", (2, 1), "relation value must be '{ ... }'"),
+        ("domain 2\nrel r/1 = {0}\n pair p = r, r\n", (3, 2),
+         "pair value must be '(<rel>, <rel>)'"),
+        ("domain 2\nrel r/1 = {0}\npair p = (r)\n", (3, 1),
+         "pair value must name exactly two relations"),
+        ("domain 2\nrel r/1 = {0}\npair p = (r, s)\n", (3, 1), "unknown relation 's'"),
+        ("# no carrier\n", (1, 1), "missing 'domain <k>' line"),
+    ], ids=["duplicate-domain", "carrier-size", "negative-carrier", "no-equals",
+            "no-slash", "arity", "negative-arity", "name", "table-value", "braces",
+            "parentheses", "two-relations", "unknown-relation", "no-domain"])
+    def test_each_parse_error(self, capsys, tmp_path, text, where, message):
+        bad = tmp_path / "bad.txt"
+        bad.write_text(text)
+        code, out, err = run(capsys, "enc", "--problem", str(bad))
+        assert (code, out) == (3, "")
+        assert err == f"input error: line {where[0]}, column {where[1]}: {message}\n"
+
+    def test_failed_check_prints_its_counterexample(self, capsys, monkeypatch):
+        witness = {"law": "extensivity", "op": "op/1:10"}
+        monkeypatch.setattr(harness, "check_galois_axioms",
+                            lambda k: harness.Report("galois-axioms", {"k": k}, "fail", witness))
+        code, out, _ = run(capsys, "check", "galois")
+        assert code == 1
+        assert out == ("galois-axioms: fail (0 ms)\n"
+                       '  counterexample: {"law": "extensivity", "op": "op/1:10"}\n')
+
     def test_missing_file(self, capsys):
         code, _, err = run(capsys, "enc", "--problem", "/no/such/file", "--pairs", "p")
         assert code == 3

@@ -3,12 +3,15 @@ import math
 import random
 import time
 import tracemalloc
+from functools import partial
 
 import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
+from finclone import preserve
 from finclone.core import (
+    DEFAULT_CAP,
     CapExceeded,
     Carrier,
     DomainError,
@@ -23,12 +26,14 @@ from finclone.core import (
     capped,
     check_cap,
     enc,
+    int_lanes,
     lane_bytes,
     submasks,
 )
 from finclone.preserve import (
     MAX_LANE_BYTES,
     _search,
+    image_mask,
     inv,
     invp,
     least_invp,
@@ -45,8 +50,8 @@ from finclone.preserve import (
 )
 
 
-def op_image_mask_by_definition(f, rho):
-    """The oracle for `op_image_mask`: every n-column matrix over rho, its
+def image_mask_by_definition(f, rho):
+    """The oracle for `image_mask`: every n-column matrix over rho, its
     rows fed to f through `Operation.__call__`."""
     if f.k != rho.k:
         raise DomainError("carrier mismatch between operation and relation")
@@ -77,7 +82,7 @@ def polp_enumerate(Q, n, k):
         tightest[p.rho] = p.rho_prime.mask if prev is None else prev & p.rho_prime.mask
     out = []
     for f in all_operations(carrier, n):
-        if all(op_image_mask(f, rho.arity, rho.mask) & ~allowed == 0
+        if all(image_mask(f, rho.arity, rho.mask) & ~allowed == 0
                for rho, allowed in tightest.items()):
             out.append(f)
     return OpFamily(out)
@@ -99,7 +104,7 @@ def invp_enumerate(F, m, k):
         # the union of images is the least admissible rho'
         need = 0
         for f in ops:
-            need |= op_image_mask(f, m, rho.mask)
+            need |= image_mask(f, m, rho.mask)
             if need & ~rho.mask:
                 break
         if need & ~rho.mask:
@@ -204,6 +209,37 @@ class TestPreserves:
                 assert not preserves(f, p)
 
 
+# the 7-ary at-least-two operation and the full ternary relation's pair
+TWO7 = Operation(2, 7, tuple(int(sum(t) >= 2) for t in C2.tuples(7)))
+FULL3 = RelationPair.identical(Relation.full(2, 3))
+
+
+class TestChargesBeforeCaches:
+    """A refusal does not depend on what ran before in the process: each
+    sequence is refused, answered under a larger cap, then refused again
+    with the same charge."""
+
+    @pytest.mark.parametrize("query,cap,what,cost", [
+        pytest.param(lambda: preserves(TWO7, FULL3), DEFAULT_CAP, "matrix enumeration",
+                     2 ** 21, id="preserves-8^7"),
+        # a 4-ary relation of 11 tuples: scopes of the 11^2 binary matrices
+        pytest.param(lambda: pol([Relation(2, 4, (1 << 11) - 1)], 2, 2), 100,
+                     "matrix enumeration", 121, id="pol-11^2"),
+        pytest.param(lambda: inv([TWO7], 1, 2), 100, "matrix enumeration", 128,
+                     id="inv-2^7"),
+    ])
+    def test_refused_answered_refused(self, query, cap, what, cost):
+        refusals = []
+        for limit in (cap, cost, cap):
+            with capped(limit):
+                try:
+                    answer = query()
+                except CapExceeded as e:
+                    refusals.append((limit, e.what, e.cost, e.cap))
+        assert refusals == [(cap, what, cost, cap)] * 2
+        assert answer
+
+
 class TestPolp:
     def test_no_constraints_gives_all(self):
         assert polp([], 1, 2) == OpFamily(all_operations(C2, 1))
@@ -274,7 +310,7 @@ class TestPolpSearch:
     def test_k3_seeded_binary_pairs(self):
         # one enumeration of the 19,683 binary tables per relation costs
         # seconds, so the second relation is checked jointly with the first:
-        # its op_image_mask entries are then only computed for survivors
+        # its images are then only computed for survivors
         rng = random.Random(7)
         tuples = list(Carrier(3).tuples(2))
         pairs = []
@@ -331,14 +367,15 @@ class TestSearchLoop:
 
 
 class TestImageEngine:
-    """`op_image_mask` on the matrix-row engine against its definition."""
+    """`image_mask` on the matrix-row engine against its definition, and the
+    least maps of `op_image_mask` against it lane by lane."""
 
     def test_k2_every_operation_and_relation(self):
         ops = [f for n in range(3) for f in all_operations(C2, n)]
         rels = [r for m in range(4) for r in all_relations(C2, m)]
         for f in ops:
             for rho in rels:
-                assert op_image_mask(f, rho.arity, rho.mask) == op_image_mask_by_definition(f, rho), (f, rho)
+                assert image_mask(f, rho.arity, rho.mask) == image_mask_by_definition(f, rho), (f, rho)
 
     def test_k3_seeded_cases(self):
         rng = random.Random(11)
@@ -347,7 +384,7 @@ class TestImageEngine:
             n, m = rng.randint(0, 3), rng.randint(0, 2)
             f = Operation(3, n, tuple(rng.randrange(3) for _ in range(3 ** n)))
             rho = Relation(3, m, rng.randrange(1 << c3.num_tuples(m)))
-            assert op_image_mask(f, rho.arity, rho.mask) == op_image_mask_by_definition(f, rho), (f, rho)
+            assert image_mask(f, rho.arity, rho.mask) == image_mask_by_definition(f, rho), (f, rho)
 
     def test_tables_beyond_one_byte_lanes(self):
         # 2^9 and 3^6 table entries: rows ride on two-byte lanes; relations
@@ -359,15 +396,26 @@ class TestImageEngine:
             for m in (0, 1, 2):
                 for rho in all_relations(f.carrier, m):
                     if len(rho) <= 3:
-                        got = op_image_mask(f, rho.arity, rho.mask)
-                        assert got == op_image_mask_by_definition(f, rho), (f, rho)
+                        got = image_mask(f, rho.arity, rho.mask)
+                        assert got == image_mask_by_definition(f, rho), (f, rho)
+
+    def test_least_maps_lane_by_lane(self):
+        # lane rho of f's least map at arity m is f's images on rho, for
+        # every rho of A^m
+        for k in range(3):
+            carrier = Carrier(k)
+            for f in (f for n in range(3) for f in all_operations(carrier, n)):
+                for m in range(3):
+                    rels = list(all_relations(carrier, m))
+                    lanes = int_lanes(op_image_mask(f, m), lane_bytes(2 ** k ** m), len(rels))
+                    assert lanes == tuple(map(partial(image_mask_by_definition, f), rels)), (f, m)
 
     def test_carrier_mismatch(self):
-        # op_image_mask takes a mask, so `preserves` checks the carrier
+        # image_mask takes a mask, so `preserves` checks the carrier
         with pytest.raises(DomainError, match="carrier mismatch between operation and pair"):
             preserves(ID, RelationPair.identical(Relation.full(3, 1)))
         with pytest.raises(DomainError, match="carrier mismatch between operation and relation"):
-            op_image_mask_by_definition(ID, Relation.full(3, 1))
+            image_mask_by_definition(ID, Relation.full(3, 1))
 
 
 def assert_sloc_matches_oracle(families, arities, k, sizes=range(6)):
@@ -458,7 +506,7 @@ def assert_invp_matches_oracle(families, arities, k):
 
 
 class TestLeastPairEngine:
-    """`least_invp` (support subsets and one OR-zeta transform) against the
+    """`least_invp` (the OR of its members' least maps) against the
     enumeration it replaced, and the op-side search on its map against
     `polp` on the pair families."""
 
@@ -493,7 +541,7 @@ class TestLeastPairEngine:
         for rho in rhos:
             need = 0
             for f in F:
-                need |= op_image_mask(f, m, rho)
+                need |= image_mask(f, m, rho)
             if not need & ~rho:
                 out[rho] = need
         return out
@@ -560,12 +608,19 @@ class TestLeastPairEngine:
         # the largest layout a carrier and arity give below the bound: N = 16
         assert lane_bytes(1 << 16) << 16 <= MAX_LANE_BYTES < lane_bytes(1 << 27) << 27
 
-    def test_images_only_on_small_supports(self):
-        # one binary operation at k=2, m=3: the non-empty subsets of A^3 of
-        # size <= 2, 8 + 28, where enumerating every rho takes all 256
+    def test_images_only_on_small_supports(self, monkeypatch):
+        # one binary operation at k=2, m=3: images on the non-empty subsets
+        # of A^3 of size <= 2, 8 + 28, where enumerating every rho takes all
+        # 256; they fill one cache entry, the operation's least map
         op_image_mask.cache_clear()
+        supports = []
+        real = preserve.image_mask
+        monkeypatch.setattr(preserve, "image_mask",
+                            lambda f, m, rho: supports.append(rho) or real(f, m, rho))
         invp([AND], 3, 2)
-        assert op_image_mask.cache_info().currsize == 36
+        assert len(supports) == len(set(supports)) == 36
+        assert max(rho.bit_count() for rho in supports) == 2
+        assert op_image_mask.cache_info().currsize == 1
 
     def test_op_side_search_on_the_least_map(self):
         # polp_least returns the tables of polp over the same pairs, in the

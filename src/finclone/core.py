@@ -208,8 +208,12 @@ def projection(n: int, i: int, carrier: Carrier) -> Operation:
         raise DomainError("no nullary projections exist")
     if not 0 <= i < n:
         raise DomainError(f"projection coordinate {i} out of range for arity {n}")
-    table = tuple(t[i] for t in carrier.tuples(n))
-    return Operation(carrier.k, n, table)
+    return Operation(carrier.k, n, projection_table(n, i, carrier))
+
+
+def projection_table(n: int, i: int, carrier: Carrier) -> tuple[int, ...]:
+    """The value table of the n-ary projection onto coordinate i."""
+    return tuple(t[i] for t in carrier.tuples(n))
 
 
 def identity_op(carrier: Carrier) -> Operation:

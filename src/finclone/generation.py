@@ -6,11 +6,12 @@ The generation engine is a single fixpoint: starting from a seed set B of
 K-indexed value tuples, each round applies every generator row-wise to tuples
 already derived.  n-ary parts of generated structures come out of the same
 engine with K = A^n and the projection tables as seed, as the value tables
-of `semiclone_tables`, which `semiclone_nary_part` turns into operations; a
-transformation semigroup is the unary part.  Rounds are semi-naive (Bancilhon &
-Ramakrishnan, 1986): a round applies a generator only to argument tuples
-holding a tuple derived in the previous round, since the images of older
-tuples are already in R; the results and round counts are those of the naive
+of `semiclone_tables` and, with the projection tables added, of
+`clone_tables`, which `semiclone_nary_part` and `clone_nary_part` turn into
+operations; a transformation semigroup is the unary part.  Rounds are
+semi-naive (Bancilhon & Ramakrishnan, 1986): a round applies a generator
+only to argument tuples holding a tuple derived in the previous round,
+since the images of older tuples are already in R; the results and round counts are those of the naive
 loop, which the tests keep as the oracle.  Once R is all of A^K no round is
 run: every matrix over A^K occurs, so S is completed in closed form by
 (image of f on A)^K for each generator f.  Rows are evaluated by the
@@ -39,7 +40,7 @@ from .core import (
     lane_ints,
     pack,
     polymer,
-    projection,
+    projection_table,
     row_images,
     unpack,
 )
@@ -206,7 +207,7 @@ def semiclone_tables(F: Iterable[Operation], n: int, k: int) -> frozenset[tuple[
     if n < 0:
         raise DomainError("arity must be >= 0")
     carrier = Carrier(k)
-    seed = (tuple(t[i] for t in carrier.tuples(n)) for i in range(n))
+    seed = (projection_table(n, i, carrier) for i in range(n))
     return gamma_fixpoint(F, carrier.num_tuples(n), seed, k).S
 
 
@@ -216,11 +217,17 @@ def semiclone_nary_part(F: Iterable[Operation], n: int, k: int) -> OpFamily:
     return OpFamily(Operation(k, n, t) for t in semiclone_tables(F, n, k))
 
 
-def clone_nary_part(F: Iterable[Operation], n: int, k: int) -> OpFamily:
-    """The n-ary part of the clone generated by F: the semiclone part plus
-    the n-ary projections."""
+def clone_tables(F: Iterable[Operation], n: int, k: int) -> frozenset[tuple[int, ...]]:
+    """The value tables of the n-ary part of the clone generated by F: those
+    of `semiclone_tables` plus the n projection tables."""
     carrier = Carrier(k)
-    return semiclone_nary_part(F, n, k).union(projection(n, i, carrier) for i in range(n))
+    return semiclone_tables(F, n, k).union(projection_table(n, i, carrier) for i in range(n))
+
+
+def clone_nary_part(F: Iterable[Operation], n: int, k: int) -> OpFamily:
+    """The n-ary part of the clone generated by F: the operations of
+    `clone_tables`."""
+    return OpFamily(Operation(k, n, t) for t in clone_tables(F, n, k))
 
 
 def semigroup_generate(G: Iterable[Operation]) -> OpFamily:

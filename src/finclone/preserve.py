@@ -7,8 +7,8 @@ under F iff F[rho] ⊆ rho' ⊆ rho, where F[rho] = ∪_{f∈F} f[rho].  So F's
 least map is the OR of its members' maps, which `op_image_mask(f, m)`
 caches, f[rho] for each of the 2^N subsets rho of A^m (N = k^m).  `invp`
 and `inv` read that map, `invp` by way of `invp_least_packed`, which spans
-it into packed pairs rho | rho' << N; `polp` groups its pairs into the
-same map for `polp_least`.
+it into packed pairs rho | rho' << N, and of `invp_pairs`, which sorts
+them; `polp` groups its pairs into the same map for `polp_least`.
 
 The operation side works on value tables: `polp_least` and `sloc_tables`
 hand their constraints, a map {scope: allowed images}, to the one
@@ -16,8 +16,10 @@ constraint search over table entries (`_search`), which returns the tables
 as tuples in ascending order; `preserving` filters given tables through
 the constraints of a least map, which it builds as `polp_least` does
 (`_allowed`).
-`polp`, `pol` and `sloc_ops` build their `OpFamily` from those tables; the
-op-side check compares the tables themselves.  Both sides rest on one image
+`polp`, `pol` and `sloc_ops` build their `OpFamily` from those tables
+(`polp_tables` for the first two); the op-side check compares the tables
+themselves.  The CLI prints the rows of `polp_tables`, `invp_pairs` and
+`least_invp` without building a family.  Both sides rest on one image
 engine, `core.matrix_images`, on relations given as bit masks:
 `image_mask` is the images of the n-column matrices over one relation
 under the operation's table, and `_scopes` the scopes those matrices read,
@@ -111,13 +113,20 @@ def _scopes(k: int, m: int, rho: int, n: int) -> tuple[tuple[int, ...], ...]:
 
 
 def polp(Q: Iterable[RelationPair], n: int, k: int) -> OpFamily:
-    """All n-ary operations preserving every pair in Q.
+    """All n-ary operations preserving every pair in Q: the operations of
+    `polp_tables`."""
+    return OpFamily(Operation(k, n, t) for t in polp_tables(Q, n, k))
+
+
+def polp_tables(Q: Iterable[RelationPair], n: int, k: int) -> list[tuple[int, ...]]:
+    """The value tables, ascending, of the n-ary operations preserving every
+    pair in Q.
 
     For a fixed rho only the tightest rho' matters, so `least_of` groups the
     pairs into the map {(arity, rho): intersection of their rho'} that
     `polp_least` searches on.
     """
-    return OpFamily(Operation(k, n, t) for t in polp_least(least_of(Q, k), n, k))
+    return polp_least(least_of(Q, k), n, k)
 
 
 def least_of(Q: Iterable[RelationPair], k: int) -> dict[tuple[int, int], int]:
@@ -265,15 +274,26 @@ def least_invp(F: Iterable[Operation], m: int, k: int) -> dict[int, int]:
 
 
 def invp(F: Iterable[Operation], m: int, k: int) -> PairFamily:
-    """All m-ary relation pairs preserved by every operation in F: for each
-    entry rho: F[rho] of the `least_invp` map, the pairs (rho, rho') with
-    F[rho] ⊆ rho' ⊆ rho that `invp_least_packed` spans, with one
-    `Relation` per first component, shared by its pairs."""
+    """All m-ary relation pairs preserved by every operation in F: the pairs
+    of `invp_pairs`, with one `Relation` per first component, shared by its
+    pairs."""
+    pairs = invp_pairs(F, m, k)
+    firsts = {rho: Relation(k, m, rho) for rho in {rho for rho, _ in pairs}}
+    return PairFamily(RelationPair(k, m, firsts[rho], Relation(k, m, rho_prime))
+                      for rho, rho_prime in pairs)
+
+
+def invp_pairs(F: Iterable[Operation], m: int, k: int) -> list[tuple[int, int]]:
+    """The m-ary relation pairs (rho, rho') preserved by every operation in
+    F, as bit masks in a `PairFamily`'s order, by rho and then rho': for
+    each entry rho: F[rho] of the `least_invp` map, the pairs with
+    F[rho] ⊆ rho' ⊆ rho that `invp_least_packed` spans."""
     least = least_invp(F, m, k)
     size = k ** m
-    firsts = {rho: Relation(k, m, rho) for rho in least}
-    return PairFamily(RelationPair(k, m, firsts[x & (1 << size) - 1], Relation(k, m, x >> size))
-                      for x in invp_least_packed(least, m, k))
+    low = (1 << size) - 1
+    # each packed pair rho | rho' << size, its halves swapped to sort by rho
+    keys = sorted((x & low) << size | x >> size for x in invp_least_packed(least, m, k))
+    return [(y >> size, y & low) for y in keys]
 
 
 def invp_least_packed(least: dict[int, int], m: int, k: int) -> set[int]:

@@ -2,12 +2,19 @@ import io
 import itertools
 import json
 import math
+import os
+import subprocess
+import sys
 import time
+from pathlib import Path
 
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
 
-from finclone import harness
+from finclone import cli, core, harness
 from finclone.cli import main, parse_problem, ProblemError
+from finclone.core import OpFamily, Operation, PairFamily, Relation, RelationPair
 
 PROBLEM = """\
 # ordered two-element carrier
@@ -440,3 +447,202 @@ class TestExitCodes:
         with pytest.raises(KeyError):
             main(["check", "galois"])
         assert "unknown check" not in capsys.readouterr().err
+
+
+# -- family printers ----------------------------------------------------------
+
+# The oracle: each member as an object dumped by `json.dumps`, and its text
+# line, which the printers must reproduce byte for byte.
+def format_tuple(t: tuple[int, ...]) -> str:
+    return "eps" if not t else "".join(str(x) for x in t)
+
+
+def format_op(f: Operation) -> str:
+    return f"op/{f.arity} = " + "".join(str(v) for v in f.table)
+
+
+def format_rel(r: Relation) -> str:
+    return f"rel/{r.arity} = {{" + ",".join(format_tuple(t) for t in r.tuples()) + "}"
+
+
+def format_pair(p: RelationPair) -> str:
+    return f"pair/{p.arity} = (" + format_rel(p.rho) + ", " + format_rel(p.rho_prime) + ")"
+
+
+def op_to_obj(f: Operation) -> dict:
+    return {"arity": f.arity, "table": "".join(str(v) for v in f.table)}
+
+
+def rel_to_obj(r: Relation) -> dict:
+    return {"arity": r.arity, "tuples": [format_tuple(t) for t in r.tuples()]}
+
+
+def pair_to_obj(p: RelationPair) -> dict:
+    return {"arity": p.arity, "rho": rel_to_obj(p.rho), "rho_prime": rel_to_obj(p.rho_prime)}
+
+
+def _dumps(obj) -> str:
+    return json.dumps(obj, indent=2, sort_keys=True)
+
+
+# k <= 3 and arities 0-3, mixed within a family; at k = 0 no nullary
+# operation exists, and every relation of positive arity is empty
+carriers = st.integers(0, 3)
+arities = st.integers(0, 3)
+
+
+@st.composite
+def op_families(draw):
+    k = draw(carriers)
+    ns = draw(st.lists(arities.filter(lambda n: k or n), max_size=6))
+    values = st.integers(0, max(k - 1, 0))
+    return k, OpFamily(Operation(k, n, tuple(draw(st.lists(
+        values, min_size=k ** n, max_size=k ** n)))) for n in ns)
+
+
+@st.composite
+def relation_lists(draw):
+    k = draw(carriers)
+    return k, [Relation(k, m, draw(st.integers(0, (1 << k ** m) - 1)))
+               for m in draw(st.lists(arities, max_size=6))]
+
+
+@st.composite
+def pair_families(draw):
+    k, rels = draw(relation_lists())
+    return k, PairFamily(RelationPair.of(r, Relation(k, r.arity, r.mask & draw(st.integers(
+        0, (1 << k ** r.arity) - 1)))) for r in rels)
+
+
+class TestPrinters:
+    """Each printer gives the lines and the JSON text that the oracle prints
+    for the same members, in the order given."""
+
+    @settings(max_examples=200, deadline=None)
+    @given(op_families())
+    def test_ops(self, family):
+        k, ops = family
+        listing = cli.ops_listing(k, ((f.arity, f.table) for f in ops))
+        assert listing.lines() == [format_op(f) for f in ops]
+        assert cli._output(listing).json() == _dumps({"ops": [op_to_obj(f) for f in ops]})
+
+    @settings(max_examples=200, deadline=None)
+    @given(relation_lists())
+    def test_rels(self, family):
+        k, rels = family
+        listing = cli.rels_listing(k, ((r.arity, r.mask) for r in rels))
+        assert listing.lines() == [format_rel(r) for r in rels]
+        assert cli._output(listing).json() == _dumps({"rels": [rel_to_obj(r) for r in rels]})
+
+    @settings(max_examples=200, deadline=None)
+    @given(pair_families())
+    def test_pairs(self, family):
+        k, pairs = family
+        listing = cli.pairs_listing(k, ((p.arity, p.rho.mask, p.rho_prime.mask) for p in pairs))
+        assert listing.lines() == [format_pair(p) for p in pairs]
+        assert cli._output(listing).json() == _dumps({"pairs": [pair_to_obj(p) for p in pairs]})
+
+    def test_tables_past_ten_values_print_each_value(self):
+        ops = OpFamily([Operation(11, 1, tuple(range(10, -1, -1)))])
+        listing = cli.ops_listing(11, ((f.arity, f.table) for f in ops))
+        assert listing.lines() == [format_op(f) for f in ops] == ["op/1 = 109876543210"]
+        assert cli._output(listing).json() == _dumps({"ops": [op_to_obj(f) for f in ops]})
+
+
+class TestSparseRelations:
+    """A relation prints from its set bits: a sparse relation of high arity
+    names its own tuples, not all k^m tuples of its arity."""
+
+    def test_only_set_bits_are_named(self):
+        rels = cli._Relations(3)
+        assert rels.tuples(16, 1 | 1 << 3 ** 16 - 1) == ["0" * 16, "2" * 16]
+        assert len(rels.names[16]) == 2
+
+    @pytest.mark.parametrize("fmt", ["text", "json"])
+    def test_enc_of_a_sparse_pair_of_arity_16(self, capsys, tmp_path, fmt):
+        problem = tmp_path / "sparse.txt"
+        problem.write_text("domain 3\nrel r/16 = {0000000000000000}\npair p = (r, r)\n")
+        argv = ["enc", "--pairs", "p", "--problem", str(problem)]
+        code, out, err = run(capsys, *argv, *(["--json"] if fmt == "json" else []))
+        assert (code, err) == (0, "")
+        rel = {"arity": 16, "tuples": ["0" * 16]}
+        if fmt == "json":
+            assert json.loads(out) == {"pairs": [{"arity": 16, "rho": rel, "rho_prime": rel}]}
+        else:
+            assert out == f"pair/16 = (rel/16 = {{{'0' * 16}}}, rel/16 = {{{'0' * 16}}})\n"
+
+
+K3_PROBLEM = """\
+domain 3
+op f/2 = 012120201
+rel r/2 = {00, 01, 11, 22}
+rel rp/2 = {00, 11, 22}
+pair q = (r, rp)
+"""
+
+
+class TestFamilyCommandsBuildNoFamily:
+    """The commands that print from value tables and masks build no
+    `OpFamily` or `PairFamily`: a guard on their speed that needs no timer."""
+
+    @pytest.fixture
+    def family_count(self, monkeypatch):
+        calls = []
+        init = core._Family.__init__
+
+        def counting(self, *args):
+            calls.append(type(self).__name__)
+            init(self, *args)
+
+        monkeypatch.setattr(core._Family, "__init__", counting)
+        return calls
+
+    @pytest.mark.parametrize("argv", [
+        ["pol", "--rels", "r", "--arity", "2"],
+        ["polp", "--pairs", "q", "--arity", "2"],
+        ["invp", "--ops", "f", "--arity", "2"],
+        ["inv", "--ops", "f", "--arity", "2"],
+        ["gen-clone", "--ops", "f", "--arity", "2"],
+        ["gen-semiclone", "--ops", "f", "--arity", "2"],
+    ], ids=lambda argv: argv[0])
+    def test_k3_json(self, capsys, tmp_path, family_count, argv):
+        problem = tmp_path / "k3.txt"
+        problem.write_text(K3_PROBLEM)
+        code, out, err = run(capsys, *argv, "--problem", str(problem), "--json")
+        assert (code, err) == (0, "") and json.loads(out)
+        assert family_count == []
+
+    def test_counter_sees_a_family(self, capsys, tmp_path, family_count):
+        problem = tmp_path / "k3.txt"
+        problem.write_text(K3_PROBLEM)
+        code, _, _ = run(capsys, "enc", "--pairs", "q", "--problem", str(problem), "--json")
+        assert code == 0 and family_count
+
+
+class TestArguments:
+    def test_consecutive_calls_share_no_list_default(self, capsys, problem_file):
+        # --ops given, then omitted: the second call reads no operation
+        assert all(not isinstance(action.default, list) for action in cli.PARSER._actions)
+        code, given, _ = run(capsys, "invp", "--problem", problem_file,
+                             "--ops", "one", "--arity", "0")
+        assert code == 0 and given.splitlines() == ["pair/0 = (rel/0 = {eps}, rel/0 = {eps})"]
+        code, omitted, _ = run(capsys, "invp", "--problem", problem_file, "--arity", "0")
+        assert code == 0 and omitted.splitlines() == [
+            "pair/0 = (rel/0 = {}, rel/0 = {})",
+            "pair/0 = (rel/0 = {eps}, rel/0 = {})",
+            "pair/0 = (rel/0 = {eps}, rel/0 = {eps})"]
+
+    def test_closed_stdout_is_not_an_input_error(self, problem_file):
+        # the read end is closed before the command starts, so its first
+        # write fails with EPIPE
+        read, write = os.pipe()
+        os.close(read)
+        src = str(Path(cli.__file__).resolve().parent.parent)
+        env = dict(os.environ, PYTHONPATH=src + os.pathsep + os.environ.get("PYTHONPATH", ""))
+        try:
+            proc = subprocess.run([sys.executable, "-m", "finclone.cli", "inv", "--problem",
+                                   problem_file, "--ops", "and", "--arity", "1"],
+                                  stdout=write, stderr=subprocess.PIPE, env=env, timeout=60)
+        finally:
+            os.close(write)
+        assert (proc.returncode, proc.stderr) == (141, b"")

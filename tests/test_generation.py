@@ -22,6 +22,7 @@ from finclone.core import (
 from finclone.generation import (
     GammaResult,
     clone_nary_part,
+    clone_tables,
     decide_projections,
     gamma_fixpoint,
     iterative_op,
@@ -430,6 +431,8 @@ class TestGeneratedParts:
                 sp = semiclone_nary_part(F, n, 2)
                 cp = clone_nary_part(F, n, 2)
                 assert cp == sp.union(projection(n, i, C2) for i in range(n))
+                assert clone_tables(F, n, 2) == {f.table for f in sp}.union(
+                    projection(n, i, C2).table for i in range(n))
 
     def test_nullary_part(self):
         assert semiclone_nary_part([Operation(2, 0, (0,)), NOT], 0, 2) == OpFamily(

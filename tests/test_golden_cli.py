@@ -8,7 +8,9 @@ both sides.  The files were recorded from the CLI before `gamma_fixpoint`
 became a semi-naive engine (the generation commands) and before the command
 and check tables replaced the CLI's if-chain (every other command), and the
 cases on the wide problems, whose tables need more than one-byte lanes, before
-the matrix-row engine moved to byte lanes; a refactor must leave them
+the matrix-row engine moved to byte lanes, and the cases on the `k2n` problem
+(empty families, nullary relations and pairs) before the CLI printed
+families from value tables and masks; a refactor must leave them
 unchanged.  The error paths pin exit code and stderr.
 """
 
@@ -57,6 +59,20 @@ rel zero/1 = {0}
 pair leqp = (leq, leq)
 pair leqeq = (leq, eq)
 pair lowzero = (low, zero)
+""",
+    # nullary relations and pairs, and families that come out empty
+    "k2n": """\
+domain 2
+op one/0 = 1
+op not/1 = 10
+op and/2 = 0001
+rel e/0 = {eps}
+rel z/0 = {}
+rel leq/2 = {00, 01, 11}
+rel eq/2 = {00, 11}
+pair ez = (e, z)
+pair ee = (e, e)
+pair leqeq = (leq, eq)
 """,
     # two9: at least two of nine arguments are 1; w6: min(max(x0..x2),
     # max(x3..x5)) + x0 mod 3
@@ -138,6 +154,20 @@ CASES = [
     ("rpclone-k2-strict-1", "k2", ["rpclone", "--pairs", "strict", "--max-arity", "1"]),
     ("rpclone-k2-leqeq-2", "k2", ["rpclone", "--pairs", "leqeq", "--max-arity", "2"]),
     ("rpclone-k3-lowzero-1", "k3", ["rpclone", "--pairs", "lowzero", "--max-arity", "1"]),
+    ("polp-k2n-ez-0", "k2n", ["polp", "--pairs", "ez", "--arity", "0"]),
+    ("polp-k2n-ee-0", "k2n", ["polp", "--pairs", "ee", "--arity", "0"]),
+    ("pol-k2n-z-0", "k2n", ["pol", "--rels", "z", "--arity", "0"]),
+    ("sloc-pairs-k2n-leqeq-1-3", "k2n",
+     ["sloc-pairs", "--pairs", "leqeq", "--s", "1", "--arity", "3"]),
+    ("inv-k2n-not-0", "k2n", ["inv", "--ops", "not", "--arity", "0"]),
+    ("inv-k2n-one-0", "k2n", ["inv", "--ops", "one", "--arity", "0"]),
+    ("invp-k2n-none-0", "k2n", ["invp", "--arity", "0"]),
+    ("invp-k2n-one-0", "k2n", ["invp", "--ops", "one", "--arity", "0"]),
+    ("enc-k2n-none", "k2n", ["enc"]),
+    ("gen-semiclone-k2n-and-0", "k2n", ["gen-semiclone", "--ops", "and", "--arity", "0"]),
+    ("gen-clone-k2n-one-not-0", "k2n", ["gen-clone", "--ops", "one", "not", "--arity", "0"]),
+    ("gen-semigroup-k2n-none", "k2n", ["gen-semigroup"]),
+    ("rpclone-k2n-ez-1", "k2n", ["rpclone", "--pairs", "ez", "--max-arity", "1"]),
 ] + [(f"check-k2-{name}", None, ["check", name]) for name in CHECK_NAMES] + [
     (f"check-k{k}-{name}", None, ["check", name, "--k", str(k)])
     for k, name in [(0, "galois"), (0, "op-side"), (0, "pair-side"), (1, "galois"),
@@ -214,6 +244,15 @@ ERRORS = [
     ("k2", ["pol", "--rels", "leq", "--arity", "-1"], 3, "input error: arity must be >= 0\n"),
     ("k2", ["invp", "--ops", "and", "--arity", "-1"], 3, "input error: arity must be >= 0\n"),
     ("k2", ["inv", "--ops", "and", "--arity", "-1"], 3, "input error: arity must be >= 0\n"),
+    (None, ["enc", "--problem", "/nonexistent/problem.txt"], 3,
+     "input error: [Errno 2] No such file or directory: '/nonexistent/problem.txt'\n"),
+    # refused before the file is read
+    (None, ["check", "op-side", "--k", "3", "--problem", "/nonexistent/problem.txt"], 3,
+     "input error: check takes no problem file (--problem)\n"),
+    ("k2", ["polp", "--pairs", "leqp", "--arity", "1", "--k", "3"], 3,
+     "input error: --k only applies to check; a problem file gives the carrier\n"),
+    (None, ["enc", "--k", "2"], 3,
+     "input error: --k only applies to check; a problem file gives the carrier\n"),
 ]
 
 

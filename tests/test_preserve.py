@@ -36,6 +36,7 @@ from finclone.preserve import (
     image_mask,
     inv,
     invp,
+    invp_pairs,
     least_invp,
     least_of,
     loc_ops,
@@ -43,6 +44,7 @@ from finclone.preserve import (
     pol,
     polp,
     polp_least,
+    polp_tables,
     preserves,
     preserving,
     sloc_ops,
@@ -280,6 +282,7 @@ def assert_search_matches_oracle(families, arities, k):
             # the tables in the family's order: strictly ascending
             tables = [f.table for f in want]
             assert polp_least(least_of(Q, k), n, k) == tables, (Q, n)
+            assert polp_tables(Q, n, k) == tables, (Q, n)
             every = itertools.product(range(k), repeat=k ** n)
             assert preserving(every, least_of(Q, k), n, k) == tables, (Q, n)
 
@@ -502,7 +505,11 @@ class TestInvp:
 def assert_invp_matches_oracle(families, arities, k):
     for F in families:
         for m in arities:
-            assert invp(F, m, k) == invp_enumerate(F, m, k), (F, m)
+            want = invp_enumerate(F, m, k)
+            assert invp(F, m, k) == want, (F, m)
+            # the masks in the family's order, by rho and then rho'
+            pairs = [(p.rho.mask, p.rho_prime.mask) for p in want]
+            assert invp_pairs(F, m, k) == pairs, (F, m)
 
 
 class TestLeastPairEngine:

@@ -30,7 +30,7 @@ import sys
 from contextlib import contextmanager
 from contextvars import ContextVar
 from dataclasses import dataclass
-from typing import Iterable, Iterator, NamedTuple, Sequence
+from typing import Callable, Iterable, Iterator, NamedTuple, Sequence
 
 
 class DomainError(ValueError):
@@ -73,8 +73,13 @@ def capped(limit: int) -> Iterator[None]:
 
 
 def _at_least(bits: int) -> str:
-    """How CapExceeded shows a number of `bits + 1` bits."""
-    return f">= 2^{bits}"
+    """How CapExceeded shows a number of `bits + 1` bits: ">= 2^N" with
+    N = bits, or ">= 2^(2^M)" when N has more digits than `str` converts
+    and has M + 1 bits."""
+    try:
+        return f">= 2^{bits}"
+    except ValueError:
+        return f">= 2^(2^{bits.bit_length() - 1})"
 
 
 def _printable(n: int | str) -> int | str:
@@ -92,27 +97,38 @@ def check_cap(what: str, cost: int, base: int = 1, exponent: int = 0) -> None:
 
     The magnitude is compared first: an estimate whose bit length is sure
     to exceed both the cap's and four bits for each decimal digit that `str`
-    converts is refused as ">= 2^N" from its leading bits, so a huge power
-    is never built.
+    converts is refused as ">= 2^N", N its exact floor(log2) from
+    `_log2_floor` (">= 2^(2^M)" when N is too long to print), so a huge
+    power is never built.
     """
     cap = _CAP.get()
     if exponent and base > 1 and cost > 0:
         bits = cost.bit_length() - 1 + exponent * (base.bit_length() - 1)
         if bits > cap.bit_length() and bits > 4 * sys.get_int_max_str_digits() > 0:
-            raise CapExceeded(what, _at_least(_log2_floor(cost, base, exponent)), cap)
+            raise CapExceeded(what, _log2_floor(cost, base, exponent, _at_least), cap)
     cost *= base ** exponent
     if cost > cap:
         raise CapExceeded(what, cost, cap)
 
 
-def _log2_floor(cost: int, base: int, exponent: int) -> int:
-    """floor(log2(cost * base ** exponent)) for cost, base >= 1, from the
-    product's leading 128 bits rounded down and rounded up; built in full
-    only when the two bounds straddle a power of two."""
+def _log2_floor(cost: int, base: int, exponent: int, shown: Callable = lambda n: n):
+    """`shown` of floor(log2(cost * base ** exponent)) for cost, base >= 1,
+    exact at any size without building the power.
+
+    The base's factor 2^j adds j * exponent.  Its odd part is raised by
+    squaring on mantissas, once rounded down and once up.  Each squaring
+    doubles their error, so the mantissas grow from 64 bits to
+    exponent.bit_length() + 64 and then double, until `shown` of the two
+    bounds agrees, as it does once the error is below the product's
+    distance to a power of two.  `check_cap` shows the floor by `_at_least`,
+    so a floor too long to print needs only its bit length.
+    """
+    j = (base & -base).bit_length() - 1
+    odd, width = base >> j, 64
 
     def bound(up: bool) -> int:
         def keep(x: int, shift: int) -> tuple[int, int]:
-            drop = max(x.bit_length() - 128, 0)
+            drop = max(x.bit_length() - width, 0)
             top = x >> drop
             return top + (up and top << drop != x), shift + drop
 
@@ -120,12 +136,13 @@ def _log2_floor(cost: int, base: int, exponent: int) -> int:
         for bit in bin(exponent)[2:]:
             x, shift = keep(x * x, 2 * shift)
             if bit == "1":
-                x, shift = keep(x * base, shift)
+                x, shift = keep(x * odd, shift)
         x, shift = keep(x * cost, shift)
         return x.bit_length() - 1 + shift
 
-    low, high = bound(False), bound(True)
-    return low if low == high else (cost * base ** exponent).bit_length() - 1
+    while (low := shown(bound(False) + j * exponent)) != shown(bound(True) + j * exponent):
+        width = max(2 * width, exponent.bit_length() + 64)
+    return low
 
 
 @dataclass(frozen=True, order=True)
@@ -631,17 +648,8 @@ class PairFamily(_Family):
 
 def relaxations_of(p: RelationPair) -> PairFamily:
     """All (sigma, sigma') with rho' <= sigma' <= sigma <= rho, same arity:
-    3^|rho - rho'| of them, charged to the cap before they are listed."""
-    k, m = p.k, p.arity
-    lo, hi = p.rho_prime.mask, p.rho.mask
-    check_cap("enc relaxation enumeration", 1, 3, (hi & ~lo).bit_count())
-    # sigma = lo | s ranges over supersets of lo within hi, sigma' = lo | t
-    # over those within sigma
-    return PairFamily(
-        RelationPair(k, m, Relation(k, m, lo | s), Relation(k, m, lo | t))
-        for s in submasks(hi & ~lo)
-        for t in submasks(s)
-    )
+    `enc([p])`, the 3^|rho - rho'| of them charged before they are listed."""
+    return enc([p])
 
 
 def enc(Q: Iterable[RelationPair]) -> PairFamily:
@@ -650,7 +658,9 @@ def enc(Q: Iterable[RelationPair]) -> PairFamily:
     pairs = list(Q)
     check_cap("enc relaxation enumeration",
               sum(3 ** (p.rho.mask & ~p.rho_prime.mask).bit_count() for p in pairs))
-    out: set[RelationPair] = set()
-    for p in pairs:
-        out.update(relaxations_of(p))
-    return PairFamily(out)
+    # sigma = rho' | s ranges over the supersets of rho' within rho, sigma'
+    # = rho' | t over those within sigma
+    return PairFamily(
+        RelationPair(p.k, p.arity, Relation(p.k, p.arity, p.rho_prime.mask | s),
+                     Relation(p.k, p.arity, p.rho_prime.mask | t))
+        for p in pairs for s in submasks(p.rho.mask & ~p.rho_prime.mask) for t in submasks(s))

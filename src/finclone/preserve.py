@@ -5,22 +5,22 @@ closures.
 The pair side rests on one engine, `least_invp`: (rho, rho') is invariant
 under F iff F[rho] ⊆ rho' ⊆ rho, where F[rho] = ∪_{f∈F} f[rho].  So F's
 least map is the OR of its members' maps, which `op_image_mask(f, m)`
-caches, f[rho] for each of the 2^N subsets rho of A^m (N = k^m).  `invp`
-and `inv` read that map, `invp` by way of `invp_least_packed`, which spans
-it into packed pairs rho | rho' << N, and of `invp_pairs`, which sorts
-them; `polp` groups its pairs into the same map for `polp_least`.
+caches, f[rho] for each of the 2^N subsets rho of A^m (N = k^m).  `inv`
+reads that map, `invp_pairs` spans it in `PairFamily` order for `invp`,
+and `invp_least_packed` into packed pairs for the pair-side check.
 
-The operation side works on value tables: `polp_least` and `sloc_tables`
-hand their constraints, a map {scope: allowed images}, to the one
-constraint search over table entries (`_search`), which returns the tables
-as tuples in ascending order; `preserving` filters given tables through
-the constraints of a least map, which it builds as `polp_least` does
-(`_allowed`).
+The operation side works on value tables, and pair constraints reach it as
+(arity, rho, rho') mask rows: `polp_rows` and `sloc_tables` hand their
+constraints, a map {scope: allowed images}, to the one constraint search
+over table entries (`_search`), which returns the tables as tuples in
+ascending order; `preserving` filters given tables through the constraints
+of its rows, which it builds as `polp_rows` does (`_allowed`).
 `polp`, `pol` and `sloc_ops` build their `OpFamily` from those tables
-(`polp_tables` for the first two); the op-side check compares the tables
-themselves.  The CLI prints the rows of `polp_tables`, `invp_pairs` and
-`least_invp` without building a family.  Both sides rest on one image
-engine, `core.matrix_images`, on relations given as bit masks:
+(`polp_tables`, the rows of Q, for the first two); the op-side check
+passes its `least_invp` maps as rows.  The CLI prints the rows of
+`polp_tables`, `invp_pairs` and `least_invp` without building a family.
+Both sides rest on one image engine, `core.matrix_images`, on relations
+given as bit masks:
 `image_mask` is the images of the n-column matrices over one relation
 under the operation's table, and `_scopes` the scopes those matrices read,
 their images under the identity table.
@@ -120,32 +120,19 @@ def polp(Q: Iterable[RelationPair], n: int, k: int) -> OpFamily:
 
 def polp_tables(Q: Iterable[RelationPair], n: int, k: int) -> list[tuple[int, ...]]:
     """The value tables, ascending, of the n-ary operations preserving every
-    pair in Q.
-
-    For a fixed rho only the tightest rho' matters, so `least_of` groups the
-    pairs into the map {(arity, rho): intersection of their rho'} that
-    `polp_least` searches on.
-    """
-    return polp_least(least_of(Q, k), n, k)
-
-
-def least_of(Q: Iterable[RelationPair], k: int) -> dict[tuple[int, int], int]:
-    """{(arity, rho): the intersection of the rho' of the members of Q with
-    first component rho}, the relations given as bit masks.  For Q = invp(F, m)
-    this is {(m, rho): F[rho]}, the map of `least_invp`."""
-    least: dict[tuple[int, int], int] = {}
+    pair in Q: `polp_rows` on the pairs' (arity, rho, rho') mask rows."""
+    rows = []
     for p in Q:
         if p.k != k:
             raise DomainError("carrier mismatch in pair family")
-        key = (p.arity, p.rho.mask)
-        least[key] = least.get(key, p.rho_prime.mask) & p.rho_prime.mask
-    return least
+        rows.append((p.arity, p.rho.mask, p.rho_prime.mask))
+    return polp_rows(rows, n, k)
 
 
-def polp_least(least: dict[tuple[int, int], int], n: int, k: int) -> list[tuple[int, ...]]:
+def polp_rows(rows: Iterable[tuple[int, int, int]], n: int, k: int) -> list[tuple[int, ...]]:
     """The value tables, ascending, of the n-ary operations preserving the
-    pair (rho, rho') of every entry (arity, rho): rho' of `least`, the
-    relations given as bit masks.
+    pair (rho, rho') of every row (arity, rho, rho'), the relations given as
+    bit masks.
 
     A constraint search over the k^n table entries (`_search`) on the scopes
     of `_allowed`.  The cap still bounds the k^(k^n) tables.
@@ -154,17 +141,17 @@ def polp_least(least: dict[tuple[int, int], int], n: int, k: int) -> list[tuple[
         raise DomainError("arity must be >= 0")
     carrier = Carrier(k)
     check_cap("polp table enumeration", 1, k, carrier.num_tuples(n))
-    return _search(k, carrier.num_tuples(n), _allowed(least, n, k))
+    return _search(k, carrier.num_tuples(n), _allowed(rows, n, k))
 
 
-def preserving(tables: Iterable[tuple[int, ...]], least: dict[tuple[int, int], int],
+def preserving(tables: Iterable[tuple[int, ...]], rows: Iterable[tuple[int, int, int]],
                n: int, k: int) -> list[tuple[int, ...]]:
     """The n-ary value tables among `tables`, in their order, that preserve
-    the pair of every entry of `least`: the tables of `polp_least` that
-    `tables` holds, found by a filter instead of a search."""
+    the pair of every row: the tables of `polp_rows` that `tables` holds,
+    found by a filter instead of a search."""
     if n < 0:
         raise DomainError("arity must be >= 0")
-    scopes = list(_allowed(least, n, k).items())
+    scopes = list(_allowed(rows, n, k).items())
     out = []
     for table in tables:
         for idxs, ok in scopes:
@@ -178,14 +165,15 @@ def preserving(tables: Iterable[tuple[int, ...]], least: dict[tuple[int, int], i
     return out
 
 
-def _allowed(least: dict[tuple[int, int], int], n: int, k: int) -> dict[tuple[int, ...], int]:
-    """The constraints that the entries (arity, rho): rho' of `least` put on
-    n-ary value tables: each scope, a tuple of the m table indices that a
-    matrix over rho reads, may only map to the images in the bit mask of
-    the intersection of the rho' of every m-ary rho it is read from.  An
-    entry with rho' all of A^m puts none; the cap is charged the largest
-    |rho|^n matrices of the others before any `_scopes` lookup."""
-    tight = [(m, rho, ok) for (m, rho), ok in least.items() if ok != (1 << k ** m) - 1]
+def _allowed(rows: Iterable[tuple[int, int, int]], n: int, k: int) -> dict[tuple[int, ...], int]:
+    """The constraints that the rows (arity, rho, rho') put on n-ary value
+    tables: each scope, a tuple of the m table indices that a matrix over
+    rho reads, may only map to the images in the bit mask of the
+    intersection of the rho' of every m-ary row it is read from, so for a
+    fixed rho only the tightest rho' matters.  A row with rho' all of A^m
+    puts none; the cap is charged the largest |rho|^n matrices of the others
+    before any `_scopes` lookup."""
+    tight = [(m, rho, ok) for m, rho, ok in rows if ok != (1 << k ** m) - 1]
     check_cap("matrix enumeration", 1, max((rho.bit_count() for _, rho, _ in tight), default=0), n)
     allowed: dict[tuple[int, ...], int] = {}
     for m, rho, ok in tight:
@@ -286,14 +274,10 @@ def invp(F: Iterable[Operation], m: int, k: int) -> PairFamily:
 def invp_pairs(F: Iterable[Operation], m: int, k: int) -> list[tuple[int, int]]:
     """The m-ary relation pairs (rho, rho') preserved by every operation in
     F, as bit masks in a `PairFamily`'s order, by rho and then rho': for
-    each entry rho: F[rho] of the `least_invp` map, the pairs with
-    F[rho] ⊆ rho' ⊆ rho that `invp_least_packed` spans."""
-    least = least_invp(F, m, k)
-    size = k ** m
-    low = (1 << size) - 1
-    # each packed pair rho | rho' << size, its halves swapped to sort by rho
-    keys = sorted((x & low) << size | x >> size for x in invp_least_packed(least, m, k))
-    return [(y >> size, y & low) for y in keys]
+    each rho of the ascending `least_invp` map, rho' = F[rho] | t for the
+    submasks t of rho minus F[rho], ascending."""
+    return [(rho, need | t) for rho, need in least_invp(F, m, k).items()
+            for t in reversed(list(submasks(rho & ~need)))]
 
 
 def invp_least_packed(least: dict[int, int], m: int, k: int) -> set[int]:

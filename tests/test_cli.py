@@ -252,6 +252,18 @@ class TestExitCodes:
                      id="finite-collapse-k9"),
         pytest.param("finite-collapse", "enc relaxation enumeration", 5 ** 10, 10,
                      id="finite-collapse-k10"),
+        # charged before the 3^14 unary pairs are listed or k^(k^2) is
+        # built; 3^(30^30) is shown by its exact floor, and 2^(2000^2000) by
+        # the bit length of a floor too long to print
+        pytest.param("finite-collapse", "enc relaxation enumeration", 5 ** 14, 14,
+                     id="finite-collapse-k14"),
+        pytest.param("galois", "galois two-element unions", ">= 2^19931567", 1000,
+                     id="galois-k1000"),
+        pytest.param("least-pair", "least-pair brute force",
+                     ">= 2^326329723601044778279064428220315427222562989", 30,
+                     id="least-pair-k30"),
+        pytest.param("semigroups", "semigroup subset enumeration", ">= 2^(2^21931)", 2000,
+                     id="semigroups-k2000"),
     ])
     def test_k3_check_refuses_before_running(self, capsys, name, what, cost, k):
         start = time.perf_counter()
@@ -269,6 +281,8 @@ class TestExitCodes:
                      "polp table enumeration: estimated cost >= 2^32768", id="polp-k2-15"),
         pytest.param("2", ["polp", "--pairs", "leqp", "--arity", "16"],
                      "polp table enumeration: estimated cost >= 2^65536", id="polp-k2-16"),
+        pytest.param("3", ["polp", "--arity", "90"], "polp table enumeration: estimated "
+                     "cost >= 2^13833494963079445784451379215846353308842584", id="polp-k3-90"),
     ])
     def test_huge_estimates_refuse_at_once(self, capsys, tmp_path, domain, argv, text):
         problem = tmp_path / "problem.txt"

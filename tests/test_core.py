@@ -1,4 +1,5 @@
 import dataclasses
+import decimal
 import itertools
 import pickle
 import sys
@@ -141,6 +142,39 @@ class TestCapScope:
         for exponent in (3 ** 15, 3 ** 20, 10 ** 10):
             with pytest.raises(CapExceeded, match=r"^probe: estimated cost >= 2\^\d+ exceeds"):
                 check_cap("probe", 3 ** 15, 3, exponent)
+        assert time.perf_counter() - start < 1
+
+    def test_floor_is_exact_past_the_magnitude_test(self):
+        # powers long enough that check_cap refuses them unbuilt, against
+        # the built power
+        for base, exponent in itertools.product(
+                (3, 5, 7), (17201, 54321, 3 ** 11, 524287, 10 ** 6)):
+            for cost in (1, 10 ** 50):
+                assert _log2_floor(cost, base, exponent) == \
+                    (cost * base ** exponent).bit_length() - 1, (cost, base, exponent)
+
+    def test_floor_of_a_power_too_large_to_build(self):
+        # the estimates of `check least-pair --k 30`, 3^(30^30), and of
+        # `polp --arity 90` at k=3, 3^(3^90), against 100-digit logarithms;
+        # a base 2^j * 3 adds j times the exponent
+        ctx = decimal.Context(prec=100)
+        log2_3 = ctx.divide(ctx.ln(3), ctx.ln(2))
+        for exponent in (30 ** 30, 3 ** 90, 10 ** 40 + 1):
+            want = int(ctx.multiply(exponent, log2_3))
+            for j in (0, 1, 5):
+                assert _log2_floor(1, 3 << j, exponent) == want + j * exponent
+        assert _log2_floor(1, 2, 2000 ** 2000) == 2000 ** 2000
+
+    def test_a_floor_too_long_to_print_is_shown_by_its_bit_length(self):
+        # 2^(2000^2000), the estimate of `check semigroups --k 2000`: its
+        # floor has 6,603 digits, more than `str` converts
+        start = time.perf_counter()
+        with pytest.raises(CapExceeded) as refused:
+            check_cap("probe", 1, 2, 2000 ** 2000)
+        assert refused.value.cost == f">= 2^(2^{(2000 ** 2000).bit_length() - 1})"
+        with pytest.raises(CapExceeded) as refused:
+            check_cap("probe", 1, 3, 2000 ** 2000)
+        assert refused.value.cost == ">= 2^(2^21932)"
         assert time.perf_counter() - start < 1
 
 

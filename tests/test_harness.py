@@ -189,8 +189,8 @@ class TestNegativeControl:
         # so only the single-arity variant can see them.  The unary part of
         # the semiclone of AND is the identity, and the least of the extra
         # tables is the constant 0.
-        monkeypatch.setattr(harness, "polp_least",
-                            lambda least, n, k: list(itertools.product(range(k), repeat=k ** n)))
+        monkeypatch.setattr(harness, "polp_rows",
+                            lambda rows, n, k: list(itertools.product(range(k), repeat=k ** n)))
         r = check_op_side_characterisation([AND], 2, 1, 2)
         assert r.verdict == "fail"
         assert r.counterexample == {"variant": "single-arity", "op": "op/1:00"}

@@ -38,12 +38,11 @@ from finclone.preserve import (
     invp,
     invp_pairs,
     least_invp,
-    least_of,
     loc_ops,
     op_image_mask,
     pol,
     polp,
-    polp_least,
+    polp_rows,
     polp_tables,
     preserves,
     preserving,
@@ -281,10 +280,11 @@ def assert_search_matches_oracle(families, arities, k):
             assert polp(Q, n, k) == want, (Q, n)
             # the tables in the family's order: strictly ascending
             tables = [f.table for f in want]
-            assert polp_least(least_of(Q, k), n, k) == tables, (Q, n)
+            rows = [(p.arity, p.rho.mask, p.rho_prime.mask) for p in Q]
+            assert polp_rows(rows, n, k) == tables, (Q, n)
             assert polp_tables(Q, n, k) == tables, (Q, n)
             every = itertools.product(range(k), repeat=k ** n)
-            assert preserving(every, least_of(Q, k), n, k) == tables, (Q, n)
+            assert preserving(every, rows, n, k) == tables, (Q, n)
 
 
 class TestPolpSearch:
@@ -630,21 +630,21 @@ class TestLeastPairEngine:
         assert op_image_mask.cache_info().currsize == 1
 
     def test_op_side_search_on_the_least_map(self):
-        # polp_least returns the tables of polp over the same pairs, in the
+        # polp_rows returns the tables of polp over the same pairs, in the
         # family's order; preserving filters the arity-s tables down to them
         ops = [f for n in (1, 2) for f in all_operations(C2, n)]
         for F in families_upto_two(ops)[1:]:
             pairs = [list(invp(F, m, 2)) for m in range(4)]
             for s in range(4):
-                least = {(m, rho): need for m in range(s + 1)
-                         for rho, need in least_invp(F, m, 2).items()}
-                arity_s = {key: need for key, need in least.items() if key[0] == s}
-                lower = {key: need for key, need in least.items() if key[0] < s}
+                least = [(m, rho, need) for m in range(s + 1)
+                         for rho, need in least_invp(F, m, 2).items()]
+                arity_s = [row for row in least if row[0] == s]
+                lower = [row for row in least if row[0] < s]
                 for n in (1, 2):
                     upto = itertools.chain.from_iterable(pairs[:s + 1])
                     want = [f.table for f in polp(upto, n, 2)]
-                    assert polp_least(least, n, 2) == want, (F, s, n)
-                    single = polp_least(arity_s, n, 2)
+                    assert polp_rows(least, n, 2) == want, (F, s, n)
+                    single = polp_rows(arity_s, n, 2)
                     assert single == [f.table for f in polp(pairs[s], n, 2)], (F, s, n)
                     assert preserving(single, lower, n, 2) == want, (F, s, n)
 

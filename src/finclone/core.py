@@ -342,6 +342,13 @@ def int_lanes(x: int, lane: int, width: int) -> tuple[int, ...]:
     return lanes if _LANE_ORDER == "little" else lanes[::-1]
 
 
+def lanes_int(lanes: Sequence[int], lane: int) -> int:
+    """The int whose `int_lanes` of `lane` bytes are `lanes`."""
+    if _LANE_ORDER == "big":
+        lanes = lanes[::-1]
+    return int.from_bytes(pack(lanes, lane), _LANE_ORDER)
+
+
 def or_zeta(x: int, bits: int, n: int) -> int:
     """The OR-zeta (subset-sum) transform of x read as 2^n lanes of `bits`
     bits, lane S (lowest first) for the subset S of {0,...,n-1}: each lane
@@ -619,9 +626,6 @@ class _Family:
 
     def __repr__(self) -> str:
         return f"{type(self).__name__}({list(self.members)!r})"
-
-    def part(self, arity: int):
-        return type(self)(x for x in self.members if x.arity == arity)
 
     def union(self, other: Iterable):
         return type(self)(itertools.chain(self.members, other))

@@ -272,6 +272,21 @@ class TestExitCodes:
         details = json.loads(out)["reports"][0]["details"]
         assert code == 2 and details == {"what": what, "cost": cost, "cap": 2 ** 20}
 
+    def test_check_all_refuses_the_fixture_before_building_it(self, capsys):
+        # at k=2000 every entry that reads and_op is refused at its 2000^2
+        # table entries, before the table is built; the others as before
+        start = time.perf_counter()
+        code, out, _ = run(capsys, "check", "all", "--k", "2000", "--json")
+        assert time.perf_counter() - start < 3
+        reports = json.loads(out)["reports"]
+        assert code == 2 and len(reports) == 13
+        assert {r["verdict"] for r in reports} == {"refused"}
+        fixture = {"what": "suite fixture table", "cost": 2000 ** 2, "cap": 2 ** 20}
+        assert [r["name"] for r in reports if r["details"] == fixture] == [
+            "op-side-characterisation", "least-invariant-pair", "semiclone-laws",
+            "projection-decidability", "classical-pol-inv"]
+        assert all("F" not in r["params"] for r in reports if r["details"] == fixture)
+
     # estimates far past the cap are refused from their magnitude, before
     # 3^(3^9) or 2^(2^16) is built
     @pytest.mark.parametrize("domain,argv,text", [

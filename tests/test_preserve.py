@@ -32,6 +32,8 @@ from finclone.core import (
 )
 from finclone.preserve import (
     MAX_LANE_BYTES,
+    PLAIN_SEARCH_TABLES,
+    _forward_search,
     _search,
     image_mask,
     inv,
@@ -325,6 +327,19 @@ class TestPolpSearch:
         joint, first = polp(pairs, 2, 3), polp(pairs[:1], 2, 3)
         assert joint.issubset(first) and len(joint) < len(first)
 
+    def test_three_chain_ternary_frontier(self):
+        # the monotone ternary tables on the 3-chain are the nested pairs of
+        # down-sets of [3]^3, of which there are 980 (MacMahon's plane
+        # partitions in a 3x3x3 box): 211,250; the default cap refuses the
+        # 3^27 tables before the search
+        chain = Relation.from_tuples(Carrier(3), 2, [(a, b) for a in range(3) for b in range(a, 3)])
+        pairs = [RelationPair.identical(chain)]
+        with capped(10 ** 13):
+            assert len(polp_tables(pairs, 3, 3)) == 211250
+        with pytest.raises(CapExceeded) as refused:
+            polp_tables(pairs, 3, 3)
+        assert (refused.value.what, refused.value.cost) == ("polp table enumeration", 3 ** 27)
+
     def test_three_chain_order(self):
         chain = Relation.from_tuples(Carrier(3), 2, [(a, b) for a in range(3) for b in range(a, 3)])
         before = op_image_mask.cache_info().currsize
@@ -342,15 +357,28 @@ def search_by_filter(k, size, constraints):
 
 
 class TestSearchLoop:
-    """The one search loop against a filter over every table."""
+    """The search, on both sides of PLAIN_SEARCH_TABLES, and forward
+    checking on its own, against a filter over every table."""
+
+    @staticmethod
+    def assert_both_match_the_filter(k, size, constraints):
+        want = search_by_filter(k, size, constraints)
+        assert _search(k, size, constraints) == want
+        # _forward_search leaves the empty scope to _search
+        if size and constraints.get((), 1) & 1:
+            assert _forward_search(k, size, constraints) == want
 
     @settings(max_examples=400, deadline=None)
     @given(st.data())
     def test_random_constraints_match_the_filter(self, data):
+        # at k=3, up to 243 tables (size 5) go to the plain loop and 729 or
+        # 2187 (size 6 or 7) to forward checking
         k = data.draw(st.integers(0, 3), label="k")
-        size = data.draw(st.integers(0, 5), label="size")
+        size = data.draw(st.integers(0, 7), label="size")
         index = st.integers(0, size - 1) if size else st.nothing()
-        scope = st.lists(index, max_size=3 if size else 0).map(tuple)
+        # up to 4 entries, so that a scope such as (5, 2, 5) repeats its
+        # largest entry around a smaller one
+        scope = st.lists(index, max_size=4 if size else 0).map(tuple)
         count = data.draw(st.integers(0, 6), label="scopes")
         constraints = {}
         for _ in range(count):
@@ -360,7 +388,19 @@ class TestSearchLoop:
         empty = data.draw(st.sampled_from((None, 0, 1)), label="empty scope")
         if empty is not None:
             constraints[()] = empty
-        assert _search(k, size, constraints) == search_by_filter(k, size, constraints)
+        self.assert_both_match_the_filter(k, size, constraints)
+
+    def test_largest_entry_repeated_around_a_gap(self):
+        # each scope is checked at its next-largest entry d, 3 to 5 entries
+        # before its largest entry j: j repeated around d, j first or in the
+        # middle, and d itself repeated
+        rng = random.Random(11)
+        shapes = [(5, 2, 5), (6, 1), (6, 2, 6, 2), (4, 0, 4, 4), (3, 6, 0), (2, 2, 5)]
+        assert PLAIN_SEARCH_TABLES < 3 ** 7
+        for _ in range(30):
+            constraints = {idxs: rng.getrandbits(3 ** len(idxs)) | rng.getrandbits(3 ** len(idxs))
+                           for idxs in rng.sample(shapes, 3)}
+            self.assert_both_match_the_filter(3, 7, constraints)
 
     def test_edge_sizes_and_carriers(self):
         for k in range(4):
@@ -615,18 +655,24 @@ class TestLeastPairEngine:
         # the largest layout a carrier and arity give below the bound: N = 16
         assert lane_bytes(1 << 16) << 16 <= MAX_LANE_BYTES < lane_bytes(1 << 27) << 27
 
-    def test_images_only_on_small_supports(self, monkeypatch):
-        # one binary operation at k=2, m=3: images on the non-empty subsets
-        # of A^3 of size <= 2, 8 + 28, where enumerating every rho takes all
-        # 256; they fill one cache entry, the operation's least map
+    def test_one_row_pass_per_least_map(self, monkeypatch):
+        # one binary operation at k=2, m=3: one row_images pass over the
+        # 8^2 = 64 two-column matrices over A^3, and no image_mask call;
+        # they fill one cache entry, the operation's least map
         op_image_mask.cache_clear()
-        supports = []
-        real = preserve.image_mask
-        monkeypatch.setattr(preserve, "image_mask",
-                            lambda f, m, rho: supports.append(rho) or real(f, m, rho))
+        passes, supports = [], []
+        real = preserve.row_images
+
+        def counting(*args):
+            passes.append(0)
+            for image in real(*args):
+                passes[-1] += 1
+                yield image
+
+        monkeypatch.setattr(preserve, "row_images", counting)
+        monkeypatch.setattr(preserve, "image_mask", lambda *args: supports.append(args))
         invp([AND], 3, 2)
-        assert len(supports) == len(set(supports)) == 36
-        assert max(rho.bit_count() for rho in supports) == 2
+        assert passes == [64] and supports == []
         assert op_image_mask.cache_info().currsize == 1
 
     def test_op_side_search_on_the_least_map(self):

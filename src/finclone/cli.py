@@ -43,7 +43,6 @@ from .core import (
     CapExceeded,
     Carrier,
     DomainError,
-    OpFamily,
     Operation,
     PairFamily,
     Relation,
@@ -57,14 +56,15 @@ from .generation import (
     decide_projections,
     gamma_fixpoint,
     semiclone_tables,
-    semigroup_generate,
+    semigroup_tables,
 )
 from .preserve import (
+    arity_tables,
     invp_pairs,
     least_invp,
     polp_tables,
     preserves,
-    sloc_ops,
+    sloc_tables,
 )
 from .relpairs import (
     SuperpositionSpec,
@@ -318,10 +318,6 @@ def pairs_listing(k: int, rows: Iterable[tuple[int, int, int]]) -> Listing:
                  f'      "rho_prime": {rels.json(m, s, pad)}\n    }}' for m, r, s in rows])
 
 
-def _op_rows(family: OpFamily) -> Iterable[tuple[int, tuple[int, ...]]]:
-    return ((f.arity, f.table) for f in family)
-
-
 def _pair_rows(family: PairFamily) -> Iterable[tuple[int, int, int]]:
     return ((p.arity, p.rho.mask, p.rho_prime.mask) for p in family)
 
@@ -445,10 +441,10 @@ COMMANDS = {
         k, a.arity, sorted(semiclone_tables(_named(p, "ops", a.ops), a.arity, k)))),
     "gen-clone": (("arity",), lambda a, p, k: _tables(
         k, a.arity, sorted(clone_tables(_named(p, "ops", a.ops), a.arity, k)))),
-    "gen-semigroup": ((), lambda a, p, k: ops_listing(
-        k, _op_rows(semigroup_generate(_named(p, "ops", a.ops))))),
-    "sloc": (("arity", "s"), lambda a, p, k: ops_listing(
-        k, _op_rows(sloc_ops(_named(p, "ops", a.ops), a.s, a.arity, k)))),
+    "gen-semigroup": ((), lambda a, p, k: _tables(
+        k, 1, sorted(semigroup_tables(_named(p, "ops", a.ops), k)))),
+    "sloc": (("arity", "s"), lambda a, p, k: _tables(k, a.arity, sloc_tables(
+        arity_tables(_named(p, "ops", a.ops), a.arity, k), a.s, a.arity, k))),
     "sloc-pairs": (("arity", "s"), lambda a, p, k: pairs_listing(
         k, _pair_rows(sloc_pairs(_named(p, "pairs", a.pairs), a.s, a.arity, k)))),
     "enc": ((), lambda a, p, k: pairs_listing(k, _pair_rows(enc(_named(p, "pairs", a.pairs))))),

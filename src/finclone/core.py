@@ -25,6 +25,7 @@ the complexity cap of the innermost `capped` scope; no engine takes a cap.
 
 from __future__ import annotations
 
+import array
 import itertools
 import sys
 from contextlib import contextmanager
@@ -233,10 +234,6 @@ def projection_table(n: int, i: int, carrier: Carrier) -> tuple[int, ...]:
     return tuple(t[i] for t in carrier.tuples(n))
 
 
-def identity_op(carrier: Carrier) -> Operation:
-    return projection(1, 0, carrier)
-
-
 def is_projection(f: Operation) -> bool:
     if f.arity < 1:
         return False
@@ -253,9 +250,8 @@ def polymer(alpha: Sequence[int], f: Operation, m: int) -> Operation:
     for a in alpha:
         if not 0 <= a < m:
             raise DomainError(f"index map value {a} out of range for target arity {m}")
-    carrier = f.carrier
-    table = tuple(f(tuple(x[a] for a in alpha)) for x in carrier.tuples(m))
-    return Operation(f.k, m, table)
+    gs = [projection_table(m, a, f.carrier) for a in alpha]
+    return Operation(f.k, m, compose_tables(f.table, gs, f.k, m))
 
 
 def compose(f: Operation, gs: Sequence[Operation], target_arity: int | None = None) -> Operation:
@@ -265,21 +261,29 @@ def compose(f: Operation, gs: Sequence[Operation], target_arity: int | None = No
     """
     if len(gs) != f.arity:
         raise DomainError(f"need {f.arity} inner operations, got {len(gs)}")
-    if gs:
-        m = gs[0].arity
-        if any(g.arity != m for g in gs):
-            raise DomainError("inner operations must share a common arity")
-        if any(g.k != f.k for g in gs):
-            raise DomainError("carrier mismatch in composition")
-        if target_arity is not None and target_arity != m:
-            raise DomainError("target arity conflicts with inner operation arity")
-    else:
-        if target_arity is None:
-            raise DomainError("nullary composition requires an explicit target arity")
-        m = target_arity
-    carrier = f.carrier
-    table = tuple(f(tuple(g(x) for g in gs)) for x in carrier.tuples(m))
-    return Operation(f.k, m, table)
+    m = gs[0].arity if gs else target_arity
+    if m is None:
+        raise DomainError("nullary composition requires an explicit target arity")
+    if m < 0:
+        raise DomainError("target arity must be >= 0")
+    if any(g.arity != m for g in gs):
+        raise DomainError("inner operations must share a common arity")
+    if any(g.k != f.k for g in gs):
+        raise DomainError("carrier mismatch in composition")
+    if target_arity is not None and target_arity != m:
+        raise DomainError("target arity conflicts with inner operation arity")
+    return Operation(f.k, m, compose_tables(f.table, [g.table for g in gs], f.k, m))
+
+
+def compose_tables(f: Sequence[int], gs: Sequence[Sequence[int]], k: int,
+                   m: int) -> tuple[int, ...]:
+    """The value table of f o (g_0,...,g_{n-1}) at arity m on {0,...,k-1},
+    f and the m-ary gs given as value tables: entry x is f's value at the
+    index that the entries x of the gs encode, g_0 most significant."""
+    idxs = [0] * k ** m
+    for g in gs:
+        idxs = [i * k + v for i, v in zip(idxs, g)]
+    return tuple(map(f.__getitem__, idxs))
 
 
 def bit_indices(mask: int) -> Iterator[int]:
@@ -316,10 +320,11 @@ def lane_bytes(size: int, what: str = "byte-lane width") -> int:
 
 
 def pack(t: Sequence[int], lane: int) -> bytes:
-    """The tuple t as a lane string, `lane` bytes per entry, entry 0 first."""
+    """The tuple t as a lane string, `lane` bytes per entry, entry 0 first,
+    in the native order that `unpack` reads."""
     if lane == 1:
         return bytes(t)
-    return b"".join(x.to_bytes(lane, _LANE_ORDER) for x in t)
+    return array.array(_LANE_FORMATS[lane], t).tobytes()
 
 
 def unpack(data: bytes, lane: int) -> tuple[int, ...]:
@@ -468,23 +473,13 @@ class Relation:
             raise DomainError("relation mask has bits outside the tuple range")
 
     @classmethod
-    def from_indices(cls, k: int, arity: int, indices: Iterable[int]) -> Relation:
-        mask = 0
-        limit = k ** arity
-        for i in indices:
-            if not 0 <= i < limit:
-                raise DomainError(f"tuple index {i} out of range for arity {arity}")
-            mask |= 1 << i
-        return cls(k, arity, mask)
-
-    @classmethod
     def from_tuples(cls, carrier: Carrier, arity: int, tuples: Iterable[Sequence[int]]) -> Relation:
-        idxs = []
+        mask = 0
         for t in tuples:
             if len(t) != arity:
                 raise DomainError(f"tuple {tuple(t)} does not have arity {arity}")
-            idxs.append(carrier.encode(t))
-        return cls.from_indices(carrier.k, arity, idxs)
+            mask |= 1 << carrier.encode(t)
+        return cls(carrier.k, arity, mask)
 
     @classmethod
     def empty(cls, k: int, arity: int) -> Relation:
@@ -549,10 +544,6 @@ class RelationPair:
     @classmethod
     def identical(cls, rho: Relation) -> RelationPair:
         return cls(rho.k, rho.arity, rho, rho)
-
-    @property
-    def carrier(self) -> Carrier:
-        return Carrier(self.k)
 
     @classmethod
     def from_packed(cls, k: int, arity: int, x: int) -> RelationPair:
@@ -639,7 +630,6 @@ class OpFamily(_Family):
 
     __slots__ = ()
     _key = Operation.sort_key
-    ops = _Family.members
 
 
 class PairFamily(_Family):
@@ -647,7 +637,6 @@ class PairFamily(_Family):
 
     __slots__ = ()
     _key = RelationPair.sort_key
-    pairs = _Family.members
 
 
 def relaxations_of(p: RelationPair) -> PairFamily:

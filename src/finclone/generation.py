@@ -35,6 +35,7 @@ from .core import (
     OpFamily,
     Operation,
     check_cap,
+    compose_tables,
     is_projection,
     lane_bytes,
     lane_ints,
@@ -82,12 +83,10 @@ def star(f: Operation, g: Operation) -> Operation:
     constant at arity max(0, m - 1)."""
     if f.k != g.k:
         raise DomainError("carrier mismatch in star")
-    n, m = f.arity, g.arity
-    arity = max(0, n + m - 1)
-    if n == 0:
-        return Operation(f.k, arity, f.table * f.k ** arity)
-    table = tuple(f((g(x[:m]),) + x[m:]) for x in f.carrier.tuples(arity))
-    return Operation(f.k, arity, table)
+    arity = max(0, f.arity + g.arity - 1)
+    xs = [projection_table(arity, i, f.carrier) for i in range(arity)]
+    gs = [compose_tables(g.table, xs[:g.arity], f.k, arity), *xs[g.arity:]] if f.arity else []
+    return Operation(f.k, arity, compose_tables(f.table, gs, f.k, arity))
 
 
 @dataclass(frozen=True)
@@ -231,13 +230,21 @@ def clone_nary_part(F: Iterable[Operation], n: int, k: int) -> OpFamily:
 
 
 def semigroup_generate(G: Iterable[Operation]) -> OpFamily:
-    """Closure of a set of unary operations under composition: the unary
-    part of the semiclone they generate."""
+    """Closure of a set of unary operations under composition: the
+    operations of `semigroup_tables`."""
+    gens = list(G)
+    k = gens[0].k if gens else 0
+    return OpFamily(Operation(k, 1, t) for t in semigroup_tables(gens, k))
+
+
+def semigroup_tables(G: Iterable[Operation], k: int) -> frozenset[tuple[int, ...]]:
+    """The value tables of the closure of the unary operations G on
+    {0,...,k-1} under composition: their semiclone's unary part, if any G."""
     gens = list(G)
     for g in gens:
         if g.arity != 1:
             raise DomainError("semigroup generation takes unary operations only")
-    return semiclone_nary_part(gens, 1, gens[0].k) if gens else OpFamily()
+    return semiclone_tables(gens, 1, k) if gens else frozenset()
 
 
 def decide_projections(F: Iterable[Operation], k: int) -> bool:

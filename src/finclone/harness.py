@@ -2,6 +2,24 @@
 generation, and the local closure operators.  Every check returns a Report;
 failures carry a counterexample that the preservation primitives can
 re-validate independently.
+
+Each check reads the row functions under the library's families and
+compares frozensets of value tables or of (arity, rho, rho') masks, packed
+as rho | rho' << k^m for closures on pairs: galois `invp_pairs` and
+`polp_rows`; op-side `least_invp`, `polp_rows`, `preserving`,
+`semiclone_tables` and `sloc_tables`; least-pair `gamma_fixpoint`;
+finite-collapse `enc` and `sloc_pairs_packed`; pair-side `polp_tables`,
+`least_invp`, `invp_least_packed`, `rpclone_generate_stable` and
+`sloc_pairs_packed`; semiclone-laws `semiclone_tables`, `polp_rows` and
+`sloc_tables`; decide-proj `decide_projections` and `clone_tables`;
+semigroups `semigroup_tables`, `invp_pairs` and `polp_rows`;
+directed-unions `sloc_pairs_packed`, `is_s_directed` and `union_family`;
+classical `clone_tables`, `sloc_tables`, `least_invp`, `polp_rows`,
+`polp_tables`, `invp_pairs`, `rpclone_generate_stable` and
+`sloc_pairs_packed`.  Composition acts on value tables through
+`core.compose_tables`.  An `Operation` is built only as an engine's input
+(a generator, or the key of a least map) and to name a counterexample; the
+one family a passing check builds is `enc`'s, which finite-collapse tests.
 """
 
 from __future__ import annotations
@@ -18,43 +36,38 @@ from .core import (
     Carrier,
     CapExceeded,
     DomainError,
-    OpFamily,
     Operation,
-    PairFamily,
     Relation,
     RelationPair,
     all_operations,
     all_pairs,
-    compose,
+    bit_indices,
+    compose_tables,
     enc,
-    identity_op,
-    is_projection,
     projection,
+    projection_table,
+    submasks,
 )
 from .generation import (
-    clone_nary_part,
+    clone_tables,
     decide_projections,
     gamma_fixpoint,
-    semiclone_nary_part,
     semiclone_tables,
-    semigroup_generate,
+    semigroup_tables,
 )
 from .preserve import (
-    inv,
-    invp,
     invp_least_packed,
+    invp_pairs,
     least_invp,
-    pol,
-    polp,
     polp_rows,
+    polp_tables,
     preserving,
-    sloc_ops,
     sloc_tables,
 )
 from .relpairs import (
     is_s_directed,
+    packed_members,
     rpclone_generate_stable,
-    sloc_pairs,
     sloc_pairs_packed,
     union_family,
 )
@@ -104,16 +117,26 @@ def _listed(F: Iterable[Operation], params: dict) -> list[Operation]:
     return ops
 
 
+def _pair_masks(m: int, k: int) -> list[tuple[int, int, int]]:
+    """All m-ary pairs (m, rho, rho') as masks, in `all_pairs` order."""
+    return [(m, rho, t) for rho in range(1 << k ** m) for t in sorted(submasks(rho))]
+
+
+def _pair_order(m: int, k: int) -> Callable[[int], tuple[int, int]]:
+    """The sort key of m-ary pairs packed as rho | rho' << k^m that puts
+    them in `PairFamily` order, by (rho, rho')."""
+    return lambda x: (x & (1 << k ** m) - 1, x >> k ** m)
+
+
 def check_galois_axioms(k: int = 2) -> Report:
     """Antitonicity, extensivity and triple-composition idempotence of the
     maps between operation sets and pair families restricted to the window of
-    arities <= 2, exhaustively over singletons and their two-element unions."""
+    arities <= 2, exhaustively over singletons and their two-element unions.
+    An operation set holds the window's operations, each built once."""
     params = {"k": k, "op_arity_cap": 2, "pair_arity_cap": 2}
 
     def body():
         carrier = Carrier(k)
-        invp_w = lambda F: PairFamily(p for m in range(3) for p in invp(F, m, k))
-        polp_w = lambda Q: OpFamily(f for n in range(3) for f in polp(Q, n, k))
         op_arities = range(1, 3)
         pair_arities = range(2)
         # counted before they are listed: k^(k^n) operations, 3^(k^m) pairs.
@@ -126,11 +149,14 @@ def check_galois_axioms(k: int = 2) -> Report:
         pair_count = sum(3 ** (k ** m) for m in pair_arities)
         core.check_cap("galois two-element unions",
                        math.comb(op_count, 2) + math.comb(pair_count, 2))
-        ops = [f for n in op_arities for f in all_operations(carrier, n)]
-        pairs = [p for m in pair_arities for p in all_pairs(carrier, m)]
+        window = {(f.arity, f.table): f for n in range(3) for f in all_operations(carrier, n)}
+        ops = [f for f in window.values() if f.arity in op_arities]
+        pairs = [p for m in pair_arities for p in _pair_masks(m, k)]
+        invp_w = lambda F: frozenset((m, *pair) for m in range(3) for pair in invp_pairs(F, m, k))
+        polp_w = lambda Q: frozenset(window[n, t] for n in range(3) for t in polp_rows(Q, n, k))
         # each singleton's maps, taken once: the antitonicity loops reuse them
-        inv_of = {f: invp_w(OpFamily([f])) for f in ops}
-        pol_of = {p: polp_w(PairFamily([p])) for p in pairs}
+        inv_of = {f: invp_w([f]) for f in ops}
+        pol_of = {p: polp_w([p]) for p in pairs}
         # extensivity and idempotence over singletons
         for f in ops:
             q = inv_of[f]
@@ -143,18 +169,17 @@ def check_galois_axioms(k: int = 2) -> Report:
             g = pol_of[p]
             back = invp_w(g)
             if p not in back:
-                return "fail", {"law": "extensivity", "pair": _pair_key(p)}, {}
+                return "fail", {"law": "extensivity", "pair": _mask_key(*p)}, {}
             if polp_w(back) != g:
-                return "fail", {"law": "polp_invp_polp", "pair": _pair_key(p)}, {}
+                return "fail", {"law": "polp_invp_polp", "pair": _mask_key(*p)}, {}
         # antitonicity over two-element unions
         for f, g in itertools.combinations(ops, 2):
-            both = invp_w(OpFamily([f, g]))
-            if not both.issubset(inv_of[f]):
+            if not invp_w([f, g]) <= inv_of[f]:
                 return "fail", {"law": "invp_antitone", "ops": [_op_key(f), _op_key(g)]}, {}
         for p, q in itertools.combinations(pairs, 2):
-            both = polp_w(PairFamily([p, q]))
-            if not both.issubset(pol_of[p]):
-                return "fail", {"law": "polp_antitone", "pairs": [_pair_key(p), _pair_key(q)]}, {}
+            if not polp_w([p, q]) <= pol_of[p]:
+                return "fail", {"law": "polp_antitone",
+                                "pairs": [_mask_key(*p), _mask_key(*q)]}, {}
         return "pass", None, {"ops": len(ops), "pairs": len(pairs)}
 
     return _run("galois-axioms", params, body)
@@ -236,7 +261,7 @@ def check_least_invariant_pair(F: Iterable[Operation], B: Iterable[tuple[int, ..
 def check_finite_collapse(Q: Iterable[RelationPair], m: int, k: int) -> Report:
     """On a finite carrier the relaxation closure, the local closure, and the
     s-local closure at s = k^m coincide.  The local closure is the s-local
-    closure at s = k^m (`loc_pairs`), so one call gives both."""
+    closure at s = k^m, so one call gives both."""
     params = {"k": k, "m": m}
 
     def body():
@@ -245,8 +270,8 @@ def check_finite_collapse(Q: Iterable[RelationPair], m: int, k: int) -> Report:
         pairs = list(Q)
         params["Q"] = [_pair_key(p) for p in pairs]
         via_enc = enc(p for p in pairs if p.arity == m)
-        via_sloc = sloc_pairs(pairs, Carrier(k).num_tuples(m), m, k)
-        if via_enc != via_sloc:
+        via_sloc = sloc_pairs_packed(packed_members(pairs, m, k), Carrier(k).num_tuples(m), m, k)
+        if {p.packed() for p in via_enc} != via_sloc:
             return "fail", {
                 "enc": len(via_enc), "loc": len(via_sloc), "sloc": len(via_sloc),
             }, {}
@@ -275,12 +300,12 @@ def check_pair_side_characterisation(Q: Iterable[RelationPair], s: int, m: int, 
     def body():
         if s < 0:
             raise DomainError("locality parameter must be >= 0")
-        pols = [polp(pairs, n, k) for n in range(s + 1)]
+        pols = [[Operation(k, n, t) for t in polp_tables(pairs, n, k)] for n in range(s + 1)]
         least = least_invp(itertools.chain(*pols), m, k)
         lhs = invp_least_packed(least, m, k)
         # window variants checked purely on the brute-force side, by their
         # least second components, which determine invp
-        if least_invp(pols[0].union(pols[s]), m, k) != least:
+        if least_invp(pols[0] + pols[s], m, k) != least:
             return "fail", {"variant": "arities {0,s}"}, {}
         if any(p.rho.mask == 0 for p in pairs):
             if least_invp(pols[s], m, k) != least:
@@ -290,11 +315,8 @@ def check_pair_side_characterisation(Q: Iterable[RelationPair], s: int, m: int, 
         rhs = sloc_pairs_packed(gen.closure[m], s, m, k)
         if rhs == lhs:
             return "pass", None, {"size": len(lhs), "intermediate_cap": cap}
-        size = k ** m
-
-        def first(packed: set[int]) -> str:
-            return _mask_key(m, *min((x & (1 << size) - 1, x >> size) for x in packed))
-
+        order = _pair_order(m, k)
+        first = lambda packed: _mask_key(m, *min(map(order, packed)))
         extra = rhs - lhs
         if extra:
             return "fail", {"kind": "logic_error", "pair": first(extra)}, \
@@ -321,51 +343,44 @@ def check_semiclone_laws(F: Iterable[Operation], k: int) -> Report:
     def body():
         ops = _listed(F, params)
         carrier = Carrier(k)
-        triv = {n: OpFamily(projection(n, i, carrier) for i in range(n)) for n in window}
+        projs = {n: [projection(n, i, carrier) for i in range(n)] for n in window}
+        triv = {n: frozenset(e.table for e in projs[n]) for n in window}
         if k > 0:
-            for e in itertools.chain(*triv.values()):
+            for e in itertools.chain(*projs.values()):
                 for n in window:
-                    if semiclone_nary_part([e], n, k) != triv[n]:
+                    if semiclone_tables([e], n, k) != triv[n]:
                         return "fail", {"law": "projections generate trivials",
                                         "op": _op_key(e), "n": n}, {}
-        ident = identity_op(carrier) if k > 0 else None
+        parts = {}
         for n in window:
-            part = semiclone_nary_part(ops, n, k)
-            if ident is not None:
-                with_id = semiclone_nary_part(ops + [ident], n, k)
-                if with_id != part.union(triv[n]):
-                    return "fail", {"law": "adding identity adds trivials", "n": n}, {}
-            overlap = OpFamily(f for f in part if f in triv[n])
-            if len(overlap) not in (0, len(triv[n])):
+            parts[n] = part = semiclone_tables(ops, n, k)
+            # at k > 0 the identity is projs[1][0]
+            if k > 0 and semiclone_tables(ops + projs[1], n, k) != part | triv[n]:
+                return "fail", {"law": "adding identity adds trivials", "n": n}, {}
+            if len(part & triv[n]) not in (0, len(triv[n])):
                 return "fail", {"law": "trivial part all-or-nothing", "n": n}, {}
         # unary part closed under composition
-        unary = semiclone_nary_part(ops, 1, k)
+        unary = sorted(parts[1])
         for f in unary:
             for g in unary:
-                if compose(f, [g]) not in unary:
+                if compose_tables(f, [g], k, 1) not in parts[1]:
                     return "fail", {"law": "unary part composes",
-                                    "ops": [_op_key(f), _op_key(g)]}, {}
+                                    "ops": [_op_key(Operation(k, 1, h)) for h in (f, g)]}, {}
         # each unary pair with its polymorphisms on the window, read by both
         # laws below
-        sample = [(PairFamily([p]), {n: polp([p], n, k) for n in window})
-                  for p in all_pairs(carrier, 1)]
+        sample = [(p, {n: frozenset(polp_rows([p], n, k)) for n in window})
+                  for p in _pair_masks(1, k)]
         # polymorphism sets are clones iff the constraining pairs are identical
-        for Q, pols in sample:
-            is_clone = all(
-                projection(n, i, carrier) in pols[n]
-                for n in window for i in range(n)
-            )
-            expected = all(p.is_identical() for p in Q)
-            if is_clone != expected:
+        for (m, rho, rho_p), pols in sample:
+            if all(triv[n] <= pols[n] for n in window) != (rho == rho_p):
                 return "fail", {"law": "polp clone iff identical pairs",
-                                "Q": [_pair_key(p) for p in Q]}, {}
+                                "Q": [_mask_key(m, rho, rho_p)]}, {}
         # polymorphisms of bounded-arity pair families are s-locally fixed
-        for Q, pols in sample:
-            s = max(p.arity for p in Q)
+        for p, pols in sample:
             for n in window:
-                if sloc_ops(pols[n], s, n, k) != pols[n]:
+                if set(sloc_tables(pols[n], p[0], n, k)) != pols[n]:
                     return "fail", {"law": "polp s-locally closed",
-                                    "Q": [_pair_key(p) for p in Q], "n": n}, {}
+                                    "Q": [_mask_key(*p)], "n": n}, {}
         return "pass", None, {}
 
     return _run("semiclone-laws", params, body)
@@ -382,19 +397,11 @@ def check_projection_decidability(F: Iterable[Operation], k: int) -> Report:
         carrier = Carrier(k)
         verdict = decide_projections(ops, k)
         window = (1, 2)
-        parts = {n: OpFamily(f for f in clone_nary_part(ops, n, k)
-                             if not is_projection(f))
-                 for n in window}
-        triv = {n: [projection(n, i, carrier) for i in range(n)] for n in window}
-        closed = True
-        for n in window:
-            for f in parts[n]:
-                for m in window:
-                    inner_pool = list(parts[m]) + triv[m]
-                    for gs in itertools.product(inner_pool, repeat=f.arity):
-                        h = compose(f, list(gs))
-                        if is_projection(h) or h not in parts[m]:
-                            closed = False
+        triv = {n: {projection_table(n, i, carrier) for i in range(n)} for n in window}
+        parts = {n: clone_tables(ops, n, k) - triv[n] for n in window}
+        closed = all(compose_tables(f, gs, k, m) in parts[m]
+                     for n in window for f in parts[n] for m in window
+                     for gs in itertools.product([*parts[m], *triv[m]], repeat=n))
         if verdict != closed:
             return "fail", {"fixpoint": verdict, "direct_window_test": closed}, {}
         return "pass", None, {"is_semiclone_without_projections": verdict}
@@ -416,25 +423,24 @@ def check_transformation_semigroups(k: int = 2) -> Report:
         carrier = Carrier(k)
         core.check_cap("semigroup subset enumeration", 1, 2, k ** k)
         unary = list(all_operations(carrier, 1))
-        ident = identity_op(carrier)
+        ident = projection_table(1, 0, carrier)
         for bits in range(1 << len(unary)):
-            H = OpFamily(unary[i] for i in range(len(unary)) if bits >> i & 1)
-            if semigroup_generate(H) != H:
+            H = [unary[i] for i in range(len(unary)) if bits >> i & 1]
+            tables = frozenset(f.table for f in H)
+            if semigroup_tables(H, k) != tables:
                 continue
-            q = PairFamily(p for m in range(3) for p in invp(H, m, k))
-            recovered = polp(q, 1, k)
-            if recovered != H:
+            q = [(m, *pair) for m in range(3) for pair in invp_pairs(H, m, k)]
+            recovered = polp_rows(q, 1, k)
+            if set(recovered) != tables:
                 return "fail", {
                     "H": [_op_key(f) for f in H],
-                    "recovered": [_op_key(f) for f in recovered],
+                    "recovered": [_op_key(Operation(k, 1, t)) for t in recovered],
                 }, {}
-            if ident not in H:
-                strict = [p for p in q if not p.is_identical()]
-                if not strict:
-                    return "fail", {
-                        "H": [_op_key(f) for f in H],
-                        "reason": "proper semigroup without strict invariant pair",
-                    }, {}
+            if ident not in tables and all(rho == rho_p for _, rho, rho_p in q):
+                return "fail", {
+                    "H": [_op_key(f) for f in H],
+                    "reason": "proper semigroup without strict invariant pair",
+                }, {}
         return "pass", None, {}
 
     return _run("transformation-semigroups", params, body)
@@ -442,14 +448,15 @@ def check_transformation_semigroups(k: int = 2) -> Report:
 
 def check_directed_unions(Q: Iterable[RelationPair], s: int, m: int, k: int,
                           seed: int = 0, samples: int = 50) -> Report:
-    """Unions of s-directed subfamilies of an s-local closure stay inside it."""
+    """Unions of s-directed subfamilies of an s-local closure stay inside it;
+    the sampled members are built as pairs for `is_s_directed`."""
     pairs = list(Q)
     params = {"k": k, "s": s, "m": m, "seed": seed, "samples": samples,
               "Q": [_pair_key(p) for p in pairs]}
 
     def body():
-        closure = sloc_pairs(pairs, s, m, k)
-        members = list(closure)
+        closure = sloc_pairs_packed(packed_members(pairs, m, k), s, m, k)
+        members = [RelationPair.from_packed(k, m, x) for x in sorted(closure, key=_pair_order(m, k))]
         if not members:
             return "pass", None, {"closure_size": 0, "checked": 0}
         rng = random.Random(seed)
@@ -461,7 +468,7 @@ def check_directed_unions(Q: Iterable[RelationPair], s: int, m: int, k: int,
                 continue
             u = union_family(T)
             checked += 1
-            if u not in closure:
+            if u.packed() not in closure:
                 return "fail", {
                     "T": [_pair_key(p) for p in T],
                     "union": _pair_key(u),
@@ -471,23 +478,17 @@ def check_directed_unions(Q: Iterable[RelationPair], s: int, m: int, k: int,
     return _run("directed-unions", params, body)
 
 
-def _sloc_rels(rels: list[Relation], s: int, m: int, k: int) -> list[Relation]:
-    """Classical s-local closure for plain relations: every small subset must
-    be covered by a member relation lying inside the candidate."""
-    carrier = Carrier(k)
-    qm = [r.mask for r in rels if r.arity == m]
+def _sloc_rels(qm: list[int], s: int, m: int, k: int) -> list[int]:
+    """Classical s-local closure for plain m-ary relations given as masks:
+    the masks sigma, ascending, each of whose small subsets is covered by a
+    member relation lying inside sigma."""
     out = []
-    for sigma_mask in range(1 << carrier.num_tuples(m)):
-        members = [i for i in range(carrier.num_tuples(m)) if sigma_mask >> i & 1]
-        size = min(s, len(members))
-        ok = all(
-            any(B & ~rho == 0 and rho & ~sigma_mask == 0 for rho in qm)
-            for combo in itertools.combinations(members, size)
-            for B in [sum(1 << i for i in combo)]
-        )
-        if ok:
-            out.append(Relation(k, m, sigma_mask))
-    return sorted(out, key=Relation.sort_key)
+    for sigma in range(1 << Carrier(k).num_tuples(m)):
+        bits = [1 << i for i in bit_indices(sigma)]
+        if all(any(B & ~rho == 0 and rho & ~sigma == 0 for rho in qm)
+               for B in map(sum, itertools.combinations(bits, min(s, len(bits))))):
+            out.append(sigma)
+    return out
 
 
 def check_classical(F: Iterable[Operation], Q1: Iterable[Relation], s: int, k: int) -> Report:
@@ -504,27 +505,26 @@ def check_classical(F: Iterable[Operation], Q1: Iterable[Relation], s: int, k: i
         ops = _listed(F, params)
         carrier = Carrier(k)
         for n in (1, 2):
-            lhs = sloc_ops(clone_nary_part(ops, n, k), s, n, k)
-            if n == 1:  # once, after the sloc_ops that large k refuses first
-                invs = [inv(ops, m, k) for m in range(s + 1)]
-            rhs_upto = pol(itertools.chain(*invs), n, k)
-            rhs_single = pol(invs[s], n, k)
+            lhs = set(sloc_tables(clone_tables(ops, n, k), s, n, k))
+            if n == 1:  # once, after the sloc_tables that large k refuses first
+                invs = [[(m, rho, rho) for rho in least_invp(ops, m, k)] for m in range(s + 1)]
+            rhs_upto = set(polp_rows(itertools.chain(*invs), n, k))
+            rhs_single = set(polp_rows(invs[s], n, k))
             if not (lhs == rhs_upto == rhs_single):
                 return "fail", {"equality": "sloc clone vs pol inv", "n": n,
                                 "sizes": [len(lhs), len(rhs_upto), len(rhs_single)]}, {}
             # invariants of arity < 1 are redundant
-            if pol(itertools.chain(*invs[1:]), n, k) != rhs_upto:
+            if set(polp_rows(itertools.chain(*invs[1:]), n, k)) != rhs_upto:
                 return "fail", {"equality": "small-arity invariants redundant", "n": n}, {}
         if k > 0:
-            with_proj = ops + [identity_op(carrier)]
+            with_proj = ops + [projection(1, 0, carrier)]
             for m in range(3):
-                if any(not p.is_identical() for p in invp(with_proj, m, k)):
+                if any(rho != rho_p for rho, rho_p in invp_pairs(with_proj, m, k)):
                     return "fail", {"law": "projection forces identical pairs", "m": m}, {}
-        empty_rel = Relation.empty(k, 1)
+        # the empty unary relation, as the row (1, 0, 0)
         for n in range(3):
-            got = pol([empty_rel], n, k)
-            want = OpFamily() if n == 0 else OpFamily(all_operations(carrier, n))
-            if got != want:
+            got = set(polp_rows([(1, 0, 0)], n, k))
+            if got != (set(itertools.product(range(k), repeat=k ** n)) if n else set()):
                 return "fail", {"law": "empty relation excludes nullaries", "n": n}, {}
         # relation-side closure equality, via identical-pair generation
         if rels and s > 0:
@@ -532,23 +532,21 @@ def check_classical(F: Iterable[Operation], Q1: Iterable[Relation], s: int, k: i
             identical = [RelationPair.identical(r) for r in rels]
             gen = rpclone_generate_stable(identical, m, k)
             size = k ** m
-            relclone_m = [Relation(k, m, x >> size) for x in gen.closure[m]
-                          if x >> size == x & (1 << size) - 1]
+            relclone_m = [x >> size for x in gen.closure[m] if x >> size == x & (1 << size) - 1]
             rhs_rels = _sloc_rels(relclone_m, s, m, k)
-            f_all = [f for n2 in range(s + 1) for f in pol(rels, n2, k)]
-            lhs_rels = inv(f_all, m, k)
-            f_0s = list(pol(rels, 0, k)) + list(pol(rels, s, k))
-            if inv(f_0s, m, k) != lhs_rels:
+            pols = [[Operation(k, n2, t) for t in polp_tables(identical, n2, k)]
+                    for n2 in range(s + 1)]
+            lhs_rels = list(least_invp(itertools.chain(*pols), m, k))
+            if list(least_invp(pols[0] + pols[s], m, k)) != lhs_rels:
                 return "fail", {"equality": "inv pol {0,s} window"}, {}
             # bridge between the pair-level and relation-level local closures
-            pair_side = sloc_pairs(PairFamily(identical), s, m, k)
-            from_rels = PairFamily(
-                RelationPair.identical(sig) for sig in _sloc_rels(rels, s, m, k)
-            )
+            pair_side = sloc_pairs_packed(packed_members(identical, m, k), s, m, k)
+            from_rels = {sig | sig << size
+                         for sig in _sloc_rels([r.mask for r in rels if r.arity == m], s, m, k)}
             if pair_side != from_rels:
                 return "fail", {"equality": "pair vs relation local closure"}, {}
             if rhs_rels != lhs_rels:
-                if any(r not in lhs_rels for r in rhs_rels):
+                if not set(rhs_rels) <= set(lhs_rels):
                     return "fail", {"kind": "logic_error",
                                     "equality": "sLOC relclone vs inv pol"}, {}
                 return "fail", {"kind": "generation_incomplete",

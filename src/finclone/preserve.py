@@ -20,10 +20,10 @@ which checks a scope as soon as its next-largest entry is set and prunes
 the candidates of its largest.  `preserving` filters given tables through
 the constraints of its rows, which it builds as `polp_rows` does
 (`_allowed`).
-`polp`, `pol` and `sloc_ops` build their `OpFamily` from those tables
-(`polp_tables`, the rows of Q, for the first two); the op-side check
-passes its `least_invp` maps as rows.  The CLI prints the rows of
-`polp_tables`, `invp_pairs` and `least_invp` without building a family.
+`polp`, `pol`, `sloc_ops` and `loc_ops` build their `OpFamily` from those
+tables (`polp_tables`, the rows of Q, for the first two; `arity_tables`
+for the others); the op-side check passes its `least_invp` maps as rows.
+The CLI and the checks read the row functions without building a family.
 Both sides rest on one image engine, `core.row_images`, on relations
 given as bit masks:
 `image_mask` is the images of the n-column matrices over one relation
@@ -387,8 +387,8 @@ def least_invp(F: Iterable[Operation], m: int, k: int) -> dict[int, int]:
     exact since the OR-zeta transform commutes with OR.  The cap charges
     the 3^N candidate pairs (N = k^m); lanes of more than 8 bytes (N > 64)
     or of more than MAX_LANE_BYTES in all are refused; then the cap charges
-    the largest min(n, N)^n matrices of a member of arity n, before any map
-    is looked up.
+    the N^n matrices that the map of a member of the largest arity n reads,
+    before any map is looked up.
     """
     if m < 0:
         raise DomainError("arity must be >= 0")
@@ -402,7 +402,7 @@ def least_invp(F: Iterable[Operation], m: int, k: int) -> dict[int, int]:
     if lane << size > MAX_LANE_BYTES:
         raise CapExceeded("invp subset lane bytes", lane << size, MAX_LANE_BYTES)
     n = max((f.arity for f in ops), default=0)
-    check_cap("matrix enumeration", 1, min(n, size), n)
+    check_cap("matrix enumeration", 1, size, n)
     least = 0
     for f in ops:
         least |= op_image_mask(f, m)
@@ -440,8 +440,8 @@ def invp_least_packed(least: dict[int, int], m: int, k: int) -> set[int]:
 
 def pol(Q1: Iterable[Relation], n: int, k: int) -> OpFamily:
     """Classical polymorphisms: operations preserving each relation as the
-    identical pair (rho, rho)."""
-    return polp([RelationPair.identical(rho) for rho in Q1], n, k)
+    identical pair (rho, rho), the operations of `polp_tables` on those."""
+    return OpFamily(Operation(k, n, t) for t in polp_tables(map(RelationPair.identical, Q1), n, k))
 
 
 def inv(F: Iterable[Operation], m: int, k: int) -> list[Relation]:
@@ -452,13 +452,17 @@ def inv(F: Iterable[Operation], m: int, k: int) -> list[Relation]:
 
 def sloc_ops(F: Iterable[Operation], s: int, n: int, k: int) -> OpFamily:
     """Operations agreeing with some member of F^(n) on every subset of A^n
-    of size <= s: the operations of `sloc_tables` on the tables of F^(n)."""
+    of size <= s: the operations of `sloc_tables` on `arity_tables`."""
+    return OpFamily(Operation(k, n, t) for t in sloc_tables(arity_tables(F, n, k), s, n, k))
+
+
+def arity_tables(F: Iterable[Operation], n: int, k: int) -> list[tuple[int, ...]]:
+    """The value tables of F's n-ary members, every member's carrier checked."""
     ops = list(F)
     for f in ops:
         if f.k != k:
             raise DomainError("carrier mismatch in operation family")
-    tables = [f.table for f in ops if f.arity == n]
-    return OpFamily(Operation(k, n, t) for t in sloc_tables(tables, s, n, k))
+    return [f.table for f in ops if f.arity == n]
 
 
 def sloc_tables(tables: Iterable[tuple[int, ...]], s: int, n: int,
@@ -498,4 +502,5 @@ def sloc_tables(tables: Iterable[tuple[int, ...]], s: int, n: int,
 
 def loc_ops(F: Iterable[Operation], n: int, k: int) -> OpFamily:
     """Finite-carrier local closure: interpolation on the whole of A^n."""
-    return sloc_ops(F, Carrier(k).num_tuples(n), n, k)
+    s = Carrier(k).num_tuples(n)
+    return OpFamily(Operation(k, n, t) for t in sloc_tables(arity_tables(F, n, k), s, n, k))

@@ -19,7 +19,7 @@ from __future__ import annotations
 import itertools
 from collections import deque
 from dataclasses import dataclass, field
-from typing import Iterable, Sequence
+from typing import Iterable, Iterator, Sequence
 
 from .core import (
     CapExceeded,
@@ -407,16 +407,18 @@ def sloc_pairs(Q: Iterable[RelationPair], s: int, m: int, k: int) -> PairFamily:
     is covered by the first component of some m-ary member of Q whose second
     component lies inside sigma': the pairs of `sloc_pairs_packed` on the
     m-ary members of Q."""
-
-    def witnesses():
-        for p in Q:
-            if p.k != k:
-                raise DomainError("carrier mismatch in pair family")
-            if p.arity == m:
-                yield p.packed()
-
     return PairFamily(RelationPair.from_packed(k, m, x)
-                      for x in sloc_pairs_packed(witnesses(), s, m, k))
+                      for x in sloc_pairs_packed(packed_members(Q, m, k), s, m, k))
+
+
+def packed_members(Q: Iterable[RelationPair], m: int, k: int) -> Iterator[int]:
+    """The m-ary members of Q packed as rho | rho' << k^m, in Q's order;
+    a member on another carrier is an error once it is reached."""
+    for p in Q:
+        if p.k != k:
+            raise DomainError("carrier mismatch in pair family")
+        if p.arity == m:
+            yield p.packed()
 
 
 def sloc_pairs_packed(witnesses: Iterable[int], s: int, m: int, k: int) -> set[int]:

@@ -110,7 +110,7 @@ class TestCapScope:
 
     def test_magnitude_of_a_power_from_its_leading_bits(self):
         # 2^200 - 1 times a power of two straddles a power of two in its
-        # leading bits, so it is built to decide
+        # leading bits, so the mantissas widen until the two bounds agree
         for cost, base, exponent in itertools.product(
                 (1, 2, 3, 2 ** 200 - 1, 10 ** 50), (2, 3, 5, 7, 256, 1000),
                 (0, 1, 2, 127, 1000, 20000)):
@@ -469,6 +469,13 @@ class TestLaneEngine:
             for t in ((), (0,), (255, 0, 7), (1, 2, 3, 4, 5)):
                 data = pack(t, lane)
                 assert len(data) == len(t) * lane and unpack(data, lane) == t
+
+    def test_pack_matches_the_per_entry_layout(self):
+        # one array of native lanes, as `to_bytes` lays out each entry
+        for lane in (1, 2, 4, 8):
+            top = 256 ** lane - 1
+            for t in ((), (0,), (top,), (1, top, 0, 7), tuple(range(256))):
+                assert pack(t, lane) == b"".join(x.to_bytes(lane, sys.byteorder) for x in t)
 
 
 class TestRelationsAndPairs:

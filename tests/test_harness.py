@@ -264,6 +264,81 @@ class TestNegativeControl:
         monkeypatch.undo()
         assert check_finite_collapse(unary, 1, 2).verdict == "pass"
 
+    @staticmethod
+    def _tamper(monkeypatch, name, change):
+        # harness.<name> hands its check `change(result, *args)` instead
+        real = getattr(harness, name)
+        monkeypatch.setattr(harness, name, lambda *args: change(real(*args), *args))
+
+    @pytest.mark.parametrize("name,change,counterexample", [
+        # the semiclone of the identity loses it
+        ("semiclone_tables", lambda got, *_: got - {max(got)},
+         {"law": "projections generate trivials", "op": "op/1:01", "n": 1}),
+        # every semiclone gains the constant 1
+        ("semiclone_tables", lambda got, F, n, k: got | {(1,) * k ** n},
+         {"law": "projections generate trivials", "op": "op/1:01", "n": 1}),
+        # the identity no longer preserves ({0}, {0})
+        ("polp_rows", lambda got, *_: got[:-1],
+         {"law": "polp clone iff identical pairs", "Q": ["pair/1:rho=1,rho'=1"]}),
+        # the 1-local closure of the polymorphisms of (empty, empty) shrinks
+        ("sloc_tables", lambda got, *_: got[:-1],
+         {"law": "polp s-locally closed", "Q": ["pair/1:rho=0,rho'=0"], "n": 1}),
+    ])
+    def test_tampered_semiclone_laws_are_caught(self, monkeypatch, name, change, counterexample):
+        self._tamper(monkeypatch, name, change)
+        r = check_semiclone_laws([AND], 2)
+        assert (r.verdict, r.counterexample) == ("fail", counterexample)
+        monkeypatch.undo()
+        assert check_semiclone_laws([AND], 2).verdict == "pass"
+
+    @pytest.mark.parametrize("F,change,counterexample", [
+        # the binary clone of and loses and, so the window holds nothing to
+        # compose and reads closed, though and(x, x) is the identity
+        ([AND], lambda got, F, n, k: got - {AND.table},
+         {"fixpoint": False, "direct_window_test": True}),
+        # the unary clone of const0 gains not, and not o not is the identity
+        ([Operation(2, 1, (0, 0))], lambda got, F, n, k: got | {NOT.table} if n == 1 else got,
+         {"fixpoint": True, "direct_window_test": False}),
+    ])
+    def test_tampered_decide_proj_window_is_caught(self, monkeypatch, F, change, counterexample):
+        self._tamper(monkeypatch, "clone_tables", change)
+        r = check_projection_decidability(F, 2)
+        assert (r.verdict, r.counterexample) == ("fail", counterexample)
+        monkeypatch.undo()
+        assert check_projection_decidability(F, 2).verdict == "pass"
+
+    @pytest.mark.parametrize("name,change,counterexample", [
+        # the unary polymorphisms of const0's invariants lose const0
+        ("polp_rows", lambda got, *_: got[:-1], {"law": "extensivity", "op": "op/1:00"}),
+        # every invariant family gains (A^m, empty), which const0 breaks
+        ("invp_pairs", lambda got, F, m, k: got + [((1 << k ** m) - 1, 0)],
+         {"law": "extensivity", "op": "op/1:00"}),
+        # the invariants of pol({()}, {()}) lose that pair
+        ("invp_pairs", lambda got, *_: got[:-1],
+         {"law": "extensivity", "pair": "pair/0:rho=1,rho'=1"}),
+    ])
+    def test_tampered_galois_maps_are_caught(self, monkeypatch, name, change, counterexample):
+        self._tamper(monkeypatch, name, change)
+        r = check_galois_axioms(2)
+        assert (r.verdict, r.counterexample) == ("fail", counterexample)
+        monkeypatch.undo()
+        assert check_galois_axioms(2).verdict == "pass"
+
+    @pytest.mark.parametrize("name,change,counterexample", [
+        # const0 is not recovered from its invariant pairs
+        ("polp_rows", lambda got, *_: got[:-1], {"H": ["op/1:00"], "recovered": []}),
+        # {00, 01, 10} passes for closed once the closure loses 11
+        ("semigroup_tables", lambda got, *_: got - {max(got)} if got else got,
+         {"H": ["op/1:00", "op/1:01", "op/1:10"],
+          "recovered": ["op/1:00", "op/1:01", "op/1:10", "op/1:11"]}),
+    ])
+    def test_tampered_semigroup_recovery_is_caught(self, monkeypatch, name, change, counterexample):
+        self._tamper(monkeypatch, name, change)
+        r = check_transformation_semigroups(2)
+        assert (r.verdict, r.counterexample) == ("fail", counterexample)
+        monkeypatch.undo()
+        assert check_transformation_semigroups(2).verdict == "pass"
+
     def test_tampered_union_is_caught(self, monkeypatch):
         # every union becomes (A^2, empty), which no witness covers; the
         # first s-directed sample is the one reported
@@ -356,6 +431,30 @@ class TestIndividualChecks:
             for m in range(4):
                 preserve.least_invp(F, m, 2)
         assert built == []
+
+    @pytest.mark.parametrize("k", [2, 3])
+    def test_passing_checks_build_no_family(self, monkeypatch, k):
+        # the checks run on value tables and masks: of all passing entries
+        # only finite-collapse builds a family, the one `enc` returns
+        built, entries = [], []
+        for cls in (core.OpFamily, core.PairFamily):
+            monkeypatch.setattr(cls, "__init__", lambda self, members=(), init=cls.__init__:
+                                built.append(type(self).__name__) or init(self, members))
+
+        def counted(run):
+            def wrapped(inputs):
+                start = len(built)
+                r = run(inputs)
+                entries.append((r.name, r.verdict, built[start:]))
+                return r
+            return wrapped
+
+        monkeypatch.setattr(harness, "CHECKS", [(name, counted(run)) for name, run in CHECKS])
+        run_checks("all", k)
+        assert len(entries) == len(CHECKS)
+        assert [(name, families) for name, verdict, families in entries
+                if verdict == "pass" and families] == [("finite-collapse", ["PairFamily"])]
+        assert {verdict for _, verdict, _ in entries} == ({"pass"} if k == 2 else {"pass", "refused"})
 
     def test_least_pair_various_seeds(self):
         for B in ([], [(0, 0)], [(0, 1), (1, 0)]):

@@ -3,8 +3,9 @@ top-level definition is referenced (a public one by the library or by the
 package's exports), the package exports exactly what its `__init__`
 imports, no process-global cache is added, no function takes the
 complexity cap as a parameter, no module reaches into another's private
-names, every library name the benchmark tracer hooks still exists, and
-every `check_*` name in `harness` is one of its own checks."""
+names, every library name the benchmark tracer hooks still exists,
+every `check_*` name in `harness` is one of its own checks, and no library
+module imports or calls a family-building wrapper."""
 
 import ast
 import importlib
@@ -270,3 +271,45 @@ def test_harness_check_names_are_checks():
     harness = importlib.import_module("finclone.harness")
     assert [name for name, value in vars(harness).items() if name.startswith("check_")
             and getattr(value, "__module__", None) != harness.__name__] == []
+
+
+# the wrappers that build an `OpFamily` or `PairFamily` from a row function:
+# the public API and the tests' oracles, which the library itself neither
+# imports nor calls, so that every check runs on value tables and masks
+WRAPPERS = {"polp", "pol", "invp", "inv", "sloc_ops", "loc_ops",
+            "semiclone_nary_part", "clone_nary_part", "semigroup_generate"}
+
+
+def wrapper_uses(source: str) -> list[str]:
+    """Each `from ... import` of a WRAPPERS name and each call of one, by
+    its name or as a module attribute, in line order."""
+    found = []
+    for node in ast.walk(ast.parse(source)):
+        if isinstance(node, ast.ImportFrom):
+            found += [(node.lineno, f"import {alias.name}") for alias in node.names
+                      if alias.name in WRAPPERS]
+        elif isinstance(node, ast.Call):
+            name = getattr(node.func, "id", None) or getattr(node.func, "attr", None)
+            if name in WRAPPERS:
+                found.append((node.lineno, f"call {name}"))
+    return [f"line {line}: {what}" for line, what in sorted(found)]
+
+
+def test_wrapper_detector_flags_imports_and_calls():
+    source = ("from .preserve import polp, polp_tables\nfrom . import generation\n"
+              "from .preserve import sloc_ops as closure\n\n"
+              "def pol(Q):\n    return polp_tables(Q, 1, 2)\n\n"
+              "x = generation.clone_nary_part(F, 1, 2)\ny = closure(F, 1, 1, 2)\n"
+              "z = invp\nw = [inv(F, m, 2) for m in range(3)]\n")
+    assert wrapper_uses(source) == ["line 1: import polp", "line 3: import sloc_ops",
+                                    "line 8: call clone_nary_part", "line 11: call inv"]
+
+
+def test_checks_import_no_wrapper():
+    assert wrapper_uses((SRC / "harness.py").read_text()) == []
+
+
+def test_library_calls_no_wrapper():
+    # the package's `__init__` exports the wrappers; no module uses them
+    uses = {path.name: wrapper_uses(path.read_text()) for path in MODULES}
+    assert {name: found for name, found in uses.items() if found} == {}

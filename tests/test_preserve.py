@@ -655,6 +655,18 @@ class TestLeastPairEngine:
         # the largest layout a carrier and arity give below the bound: N = 16
         assert lane_bytes(1 << 16) << 16 <= MAX_LANE_BYTES < lane_bytes(1 << 27) << 27
 
+    def test_charges_the_matrices_its_maps_read(self):
+        # a 7-ary operation at k=3, m=2: its least map reads the 9^7 matrices
+        # whose columns are any tuples of A^2, so the default cap refuses it
+        # before the map is looked up; min(7, 9)^7 = 823,543 would have passed
+        f = Operation(3, 7, tuple(max(t) for t in Carrier(3).tuples(7)))
+        misses = op_image_mask.cache_info().misses
+        with pytest.raises(CapExceeded) as refused:
+            least_invp([f], 2, 3)
+        assert (refused.value.what, refused.value.cost, refused.value.cap) == (
+            "matrix enumeration", 9 ** 7, DEFAULT_CAP) == ("matrix enumeration", 4782969, 2 ** 20)
+        assert op_image_mask.cache_info().misses == misses
+
     def test_one_row_pass_per_least_map(self, monkeypatch):
         # one binary operation at k=2, m=3: one row_images pass over the
         # 8^2 = 64 two-column matrices over A^3, and no image_mask call;

@@ -3,20 +3,28 @@ operations, relations and relation pairs, run library computations or checks,
 and emit canonical text or JSON.
 
 Family results print in canonical order straight from rows, one printer
-per kind: operations as (arity, value table) (`ops_listing`), relations as
-(arity, mask) (`rels_listing`) and relation pairs as (arity, rho, rho')
-(`pairs_listing`).  `polp`, `pol`, `inv`, `invp`, `gen-semiclone` and
-`gen-clone` take their rows from the library functions that the family
+per kind: operations as runs (arity, value tables) (`ops_listing`),
+relations as (arity, mask) (`rels_listing`) and relation pairs as (arity,
+rho, rho') (`pairs_listing`).  `polp`, `pol`, `inv`, `invp`, `gen-semiclone`
+and `gen-clone` take their rows from the library functions that the family
 wrappers are built on (`polp_tables`, `least_invp`, `invp_pairs`,
 `semiclone_tables`, `clone_tables`), so they build no operation, relation,
 pair or family object; the other family commands read the rows off their
-family's members.  A relation's tuples are named from its set bits only.
-The JSON text is byte for byte what
+family's members.  The JSON text is byte for byte what
 `json.dumps(obj, indent=2, sort_keys=True)` prints for the objects
 {"ops": [{"arity", "table"}]}, {"rels": [{"arity", "tuples"}]} and
-{"pairs": [{"arity", "rho", "rho_prime"}]}, written from per-member
-templates; the report-shaped outputs of `check`, `gamma`, `preserves`,
-`decide-proj` and `superpose` go through `json.dumps` itself.
+{"pairs": [{"arity", "rho", "rho_prime"}]}; the report-shaped outputs of
+`check`, `gamma`, `preserves`, `decide-proj` and `superpose` go through
+`json.dumps` itself.
+
+A listing prints in chunks of up to `CHUNK` members, each chunk one join:
+the value tables of one arity are joined as bytes with the member template
+as separator, then translated to digits and decoded in one call each (below
+k = 10); a relation's text and JSON are made once per listing, from its set
+bits only, and every pair that holds it reuses them.  The whole family is
+computed, every charge taken, before `run_command` writes the first chunk,
+and it writes each chunk as it is made, so a listing holds its rows and one
+chunk of text, never its whole text.
 
 `check` runs on the carrier of `--k` and takes no problem file; every other
 command takes its carrier from the problem file and refuses `--k`.
@@ -36,7 +44,8 @@ import os
 import sys
 from dataclasses import dataclass, field
 from pathlib import Path
-from typing import Callable, Iterable, NamedTuple, Sequence
+from itertools import chain
+from typing import Callable, Iterable, Iterator, NamedTuple, Sequence
 
 from .core import (
     DEFAULT_CAP,
@@ -214,108 +223,164 @@ def _named(problem: Problem, kind: str, names: Sequence[str]):
 
 
 class Output(NamedTuple):
-    """What a command prints: its text lines and its JSON text, each built
-    only when `run_command` prints it, and the exit code."""
+    """What a command prints: its text and its JSON text, each as the pieces
+    that `run_command` writes, made only as it writes them, and the exit
+    code.  Either text ends in a newline."""
 
-    lines: Callable[[], list[str]]
-    json: Callable[[], str]
+    text: Callable[[], Iterable[str]]
+    json: Callable[[], Iterable[str]]
     code: int = 0
 
 
 class Listing(NamedTuple):
-    """A family printed member by member, in the order given: each member's
-    text line, and its JSON object as a member of the list under `key`."""
+    """A family printed member by member, in the order given: its text, and
+    the JSON list of its members as it prints under `key`, each as chunks."""
 
     key: str
-    lines: Callable[[], list[str]]
-    items: Callable[[], list[str]]
+    text: Callable[[], Iterator[str]]
+    json: Callable[[], Iterator[str]]
 
 
-# What `json.dumps(obj, indent=2, sort_keys=True)` prints for an object or a
-# list whose closing bracket is indented by `pad`, given the JSON text of
-# each value or member as it prints at that depth.
-def _json_object(fields: dict[str, str], pad: str = "") -> str:
-    inner = pad + "  "
-    return ("{\n" + ",\n".join(f'{inner}"{key}": {fields[key]}' for key in sorted(fields))
-            + "\n" + pad + "}")
+# Members per join: a listing holds one chunk of text, and the pieces joined
+# into it, at a time.
+CHUNK = 1024
 
 
-def _json_array(items: list[str], pad: str) -> str:
-    inner = pad + "  "
-    return "[\n" + ",\n".join(inner + x for x in items) + "\n" + pad + "]" if items else "[]"
+def _json_fields(fields: dict[str, Iterable[str]]) -> Iterator[str]:
+    """What `json.dumps(obj, indent=2, sort_keys=True)` prints for a
+    non-empty object, and a newline, given the JSON text of each value as it
+    prints at depth 1."""
+    lead = "{\n"
+    for key in sorted(fields):
+        yield f'{lead}  "{key}": '
+        yield from fields[key]
+        lead = ",\n"
+    yield "\n}\n"
+
+
+def _json_list(chunks: Iterable[str]) -> Iterator[str]:
+    """A list as it prints at depth 1, given its members' JSON text as
+    chunks, the members already separated."""
+    chunks = iter(chunks)
+    first = next(chunks, None)
+    if first is None:
+        yield "[]"
+        return
+    yield "[\n    "
+    yield first
+    yield from chunks
+    yield "\n  ]"
+
+
+class _Memo(dict):
+    """{key: make(key)}, each value made when it is first asked for."""
+
+    def __init__(self, make: Callable):
+        super().__init__()
+        self.make = make
+
+    def __missing__(self, key):
+        value = self[key] = self.make(key)
+        return value
 
 
 _DIGITS = bytes.maketrans(bytes(range(10)), b"0123456789")
 
 
-def ops_listing(k: int, rows: Iterable[tuple[int, Sequence[int]]]) -> Listing:
-    """Operations on {0,...,k-1} given as (arity, value table) rows.  A table
-    prints as its values' `str` joined; below k = 10 that is one
-    `bytes.translate`."""
-    if k <= 10:
-        rows = [(n, bytes(t).translate(_DIGITS).decode()) for n, t in rows]
-    else:
-        rows = [(n, "".join(map(str, t))) for n, t in rows]
+def _table_chunks(k: int, runs: list[tuple[int, Sequence[Sequence[int]]]],
+                  member: Callable[[int], tuple[str, str]], between: str) -> Iterator[str]:
+    """Runs (arity n, value tables) printed table by table, each table's
+    values between the pair `member(n)` = (head, tail) and `between` between
+    tables: the tables of a chunk are one join with the member template as
+    separator.  Below k = 10 a value is one byte that `_DIGITS` turns into
+    its digit; it leaves the templates as they are, since their bytes are
+    all 10 (the newline) or above."""
+    lead = ""
+    for n, tables in runs:
+        head, tail = member(n)
+        sep = tail + between + head
+        for i in range(0, len(tables), CHUNK):
+            chunk = tables[i:i + CHUNK]
+            if k <= 10:
+                body = sep.encode().join(map(bytes, chunk)).translate(_DIGITS).decode()
+            else:
+                body = sep.join(["".join(map(str, t)) for t in chunk])
+            yield lead + head
+            yield body
+            yield tail
+            lead = between
+
+
+def ops_listing(k: int, runs: Iterable[tuple[int, Sequence[Sequence[int]]]]) -> Listing:
+    """Operations on {0,...,k-1} given as runs (arity, value tables).  A
+    table prints as its values' `str` joined."""
+    runs = list(runs)
     return Listing(
-        "ops", lambda: [f"op/{n} = {s}" for n, s in rows],
-        lambda: [f'{{\n      "arity": {n},\n      "table": "{s}"\n    }}' for n, s in rows])
-
-
-class _TupleNames(dict):
-    """{index: `format_tuple` of the m-tuple over {0,...,k-1} it encodes},
-    each name made when it is first asked for, so that a sparse relation of
-    high arity names only its own tuples."""
-
-    def __init__(self, k: int, m: int):
-        super().__init__()
-        self.carrier, self.m = Carrier(k), m
-
-    def __missing__(self, index: int) -> str:
-        name = self[index] = format_tuple(self.carrier.decode(index, self.m))
-        return name
+        "ops", lambda: _table_chunks(k, runs, lambda n: (f"op/{n} = ", "\n"), ""),
+        lambda: _json_list(_table_chunks(
+            k, runs, lambda n: (f'{{\n      "arity": {n},\n      "table": "', '"\n    }'),
+            ",\n    ")))
 
 
 class _Relations:
-    """Text and JSON of relations on {0,...,k-1} given as (arity, mask); each
-    tuple's name is made once per arity."""
+    """Text and JSON of relations on {0,...,k-1} given as (arity, mask), each
+    made once: a tuple's name once per arity, from the set bits only, so that
+    a sparse relation of high arity names only its own tuples; a relation's
+    text `text[m, mask]` and its JSON object `json[m, mask]`, closing at
+    indent `pad`, once per mask."""
 
-    def __init__(self, k: int):
-        self.k = k
-        self.names: dict[int, _TupleNames] = {}
+    def __init__(self, k: int, pad: str = ""):
+        carrier = Carrier(k)
+        self.names = _Memo(lambda m: _Memo(lambda i: format_tuple(carrier.decode(i, m))))
+        self.text = _Memo(lambda key: f"rel/{key[0]} = {{{','.join(self.tuples(*key))}}}")
+        self.json = _Memo(lambda key: self._json(*key, pad))
 
     def tuples(self, m: int, mask: int) -> list[str]:
-        names = self.names.get(m)
-        if names is None:
-            names = self.names[m] = _TupleNames(self.k, m)
+        names = self.names[m]
         return [names[i] for i in bit_indices(mask)]
 
-    def text(self, m: int, mask: int) -> str:
-        return f"rel/{m} = {{{','.join(self.tuples(m, mask))}}}"
+    def _json(self, m: int, mask: int, pad: str) -> str:
+        inner = f'",\n{pad}    "'.join(self.tuples(m, mask))
+        tuples = f'[\n{pad}    "{inner}"\n{pad}  ]' if mask else "[]"
+        return f'{{\n{pad}  "arity": {m},\n{pad}  "tuples": {tuples}\n{pad}}}'
 
-    def json(self, m: int, mask: int, pad: str) -> str:
-        """The relation's JSON object, closing at indent `pad`."""
-        tuples = _json_array([f'"{t}"' for t in self.tuples(m, mask)], pad + "  ")
-        return _json_object({"arity": str(m), "tuples": tuples}, pad)
+
+def _joined(rows: list[tuple], parts: Callable[..., tuple[str, ...]],
+            between: str) -> Iterator[str]:
+    """`rows` printed in the order given, `between` between members: per
+    chunk of rows, one join of the pieces `parts(*row)` of every row."""
+    lead = ""
+    for i in range(0, len(rows), CHUNK):
+        pieces = []
+        for row in rows[i:i + CHUNK]:
+            pieces.append(lead)
+            pieces += parts(*row)
+            lead = between
+        yield "".join(pieces)
 
 
 def rels_listing(k: int, rows: Iterable[tuple[int, int]]) -> Listing:
     """Relations on {0,...,k-1} given as (arity, mask) rows."""
     rows = list(rows)
-    rels = _Relations(k)
-    return Listing("rels", lambda: [rels.text(m, x) for m, x in rows],
-                   lambda: [rels.json(m, x, "    ") for m, x in rows])
+    rels = _Relations(k, "    ")
+    return Listing("rels", lambda: _joined(rows, lambda m, x: (rels.text[m, x], "\n"), ""),
+                   lambda: _json_list(_joined(rows, lambda m, x: (rels.json[m, x],), ",\n    ")))
 
 
 def pairs_listing(k: int, rows: Iterable[tuple[int, int, int]]) -> Listing:
     """Relation pairs on {0,...,k-1} given as (arity, rho, rho') rows, the
     components as masks."""
     rows = list(rows)
-    rels = _Relations(k)
-    pad = " " * 6
+    rels = _Relations(k, " " * 6)
+    text, objects = rels.text, rels.json
+    heads = _Memo(lambda m: f"pair/{m} = (")
+    json_heads = _Memo(lambda m: f'{{\n      "arity": {m},\n      "rho": ')
     return Listing(
-        "pairs", lambda: [f"pair/{m} = ({rels.text(m, r)}, {rels.text(m, s)})" for m, r, s in rows],
-        lambda: [f'{{\n      "arity": {m},\n      "rho": {rels.json(m, r, pad)},\n'
-                 f'      "rho_prime": {rels.json(m, s, pad)}\n    }}' for m, r, s in rows])
+        "pairs", lambda: _joined(
+            rows, lambda m, r, s: (heads[m], text[m, r], ", ", text[m, s], ")\n"), ""),
+        lambda: _json_list(_joined(
+            rows, lambda m, r, s: (json_heads[m], objects[m, r], ',\n      "rho_prime": ',
+                                   objects[m, s], "\n    }"), ",\n    ")))
 
 
 def _pair_rows(family: PairFamily) -> Iterable[tuple[int, int, int]]:
@@ -326,13 +391,13 @@ def _output(result: Output | Listing) -> Output:
     """A command's own Output, or a family listing printed under its key."""
     if isinstance(result, Output):
         return result
-    return Output(result.lines,
-                  lambda: _json_object({result.key: _json_array(result.items(), "  ")}))
+    return Output(result.text, lambda: _json_fields({result.key: result.json()}))
 
 
 def _report(lines: Callable[[], list[str]], obj: Callable[[], dict], code: int = 0) -> Output:
     """A report-shaped output, its JSON printed by `json.dumps`."""
-    return Output(lines, lambda: json.dumps(obj(), indent=2, sort_keys=True), code)
+    return Output(lambda: [f"{line}\n" for line in lines()],
+                  lambda: [json.dumps(obj(), indent=2, sort_keys=True), "\n"], code)
 
 
 def _truth(key: str, value: bool) -> Output:
@@ -382,7 +447,7 @@ def _superpose(args, problem, k) -> Output:
     p = general_superposition(spec, _named(problem, "pairs", args.pairs), k)
     rels = _Relations(k)
     m, rho, rho_prime = p.arity, p.rho.mask, p.rho_prime.mask
-    return _report(lambda: [f"pair/{m} = ({rels.text(m, rho)}, {rels.text(m, rho_prime)})"],
+    return _report(lambda: [f"pair/{m} = ({rels.text[m, rho]}, {rels.text[m, rho_prime]})"],
                    lambda: {"arity": m, "rho": {"arity": m, "tuples": rels.tuples(m, rho)},
                             "rho_prime": {"arity": m, "tuples": rels.tuples(m, rho_prime)}})
 
@@ -392,17 +457,17 @@ def _rpclone(args, problem, k) -> Output:
                               args.intermediate_cap, k)
     changed = result.slice_changed_at_last_cap
     pairs = pairs_listing(k, _pair_rows(result.pairs))
-    return Output(lambda: pairs.lines() + [
-        f"intermediate-cap: {result.intermediate_cap}",
-        f"slice-changed-at-last-cap: {'true' if changed else 'false'}",
-    ], lambda: _json_object({"intermediate_cap": json.dumps(result.intermediate_cap),
-                             "pairs": _json_array(pairs.items(), "  "),
-                             "slice_changed_at_last_cap": json.dumps(changed)}))
+    return Output(lambda: chain(pairs.text(), [
+        f"intermediate-cap: {result.intermediate_cap}\n",
+        f"slice-changed-at-last-cap: {'true' if changed else 'false'}\n",
+    ]), lambda: _json_fields({"intermediate_cap": [json.dumps(result.intermediate_cap)],
+                              "pairs": pairs.json(),
+                              "slice_changed_at_last_cap": [json.dumps(changed)]}))
 
 
-def _tables(k: int, n: int, tables: Iterable[tuple[int, ...]]) -> Listing:
+def _tables(k: int, n: int, tables: Sequence[tuple[int, ...]]) -> Listing:
     """n-ary operations given as value tables, in the order given."""
-    return ops_listing(k, ((n, t) for t in tables))
+    return ops_listing(k, [(n, tables)])
 
 
 def _check(args, problem, k) -> Output:
@@ -521,7 +586,7 @@ def run_command(args) -> int:
              f"{flags} {'is' if len(required) == 1 else 'are'} required")
     with capped(args.caps):
         out = _output(run(args, problem, k))
-    sys.stdout.write(out.json() + "\n" if args.json else "".join(f"{line}\n" for line in out.lines()))
+    sys.stdout.writelines(out.json() if args.json else out.text())
     sys.stdout.flush()
     return out.code
 

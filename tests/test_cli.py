@@ -1,11 +1,14 @@
+import hashlib
 import io
 import itertools
 import json
 import math
 import os
+import random
 import subprocess
 import sys
 import time
+import tracemalloc
 from pathlib import Path
 
 import pytest
@@ -15,6 +18,7 @@ from hypothesis import strategies as st
 from finclone import cli, core, harness
 from finclone.cli import main, parse_problem, ProblemError
 from finclone.core import OpFamily, Operation, PairFamily, Relation, RelationPair
+from finclone.preserve import polp_tables
 
 PROBLEM = """\
 # ordered two-element carrier
@@ -543,6 +547,18 @@ def pair_families(draw):
         0, (1 << k ** r.arity) - 1)))) for r in rels)
 
 
+def _runs(ops) -> list:
+    """Operations as the printer's runs (arity, value tables)."""
+    return [(n, [f.table for f in run]) for n, run in itertools.groupby(ops, lambda f: f.arity)]
+
+
+def assert_prints(listing, lines: list[str], obj: dict) -> None:
+    """The listing prints the oracle's lines as its text, and its JSON as
+    `json.dumps` of the oracle's object."""
+    assert "".join(listing.text()) == "".join(f"{line}\n" for line in lines)
+    assert "".join(cli._output(listing).json()) == _dumps(obj) + "\n"
+
+
 class TestPrinters:
     """Each printer gives the lines and the JSON text that the oracle prints
     for the same members, in the order given."""
@@ -551,31 +567,151 @@ class TestPrinters:
     @given(op_families())
     def test_ops(self, family):
         k, ops = family
-        listing = cli.ops_listing(k, ((f.arity, f.table) for f in ops))
-        assert listing.lines() == [format_op(f) for f in ops]
-        assert cli._output(listing).json() == _dumps({"ops": [op_to_obj(f) for f in ops]})
+        assert_prints(cli.ops_listing(k, _runs(ops)), [format_op(f) for f in ops],
+                      {"ops": [op_to_obj(f) for f in ops]})
 
     @settings(max_examples=200, deadline=None)
     @given(relation_lists())
     def test_rels(self, family):
         k, rels = family
-        listing = cli.rels_listing(k, ((r.arity, r.mask) for r in rels))
-        assert listing.lines() == [format_rel(r) for r in rels]
-        assert cli._output(listing).json() == _dumps({"rels": [rel_to_obj(r) for r in rels]})
+        assert_prints(cli.rels_listing(k, ((r.arity, r.mask) for r in rels)),
+                      [format_rel(r) for r in rels], {"rels": [rel_to_obj(r) for r in rels]})
 
     @settings(max_examples=200, deadline=None)
     @given(pair_families())
     def test_pairs(self, family):
         k, pairs = family
-        listing = cli.pairs_listing(k, ((p.arity, p.rho.mask, p.rho_prime.mask) for p in pairs))
-        assert listing.lines() == [format_pair(p) for p in pairs]
-        assert cli._output(listing).json() == _dumps({"pairs": [pair_to_obj(p) for p in pairs]})
+        assert_prints(cli.pairs_listing(k, ((p.arity, p.rho.mask, p.rho_prime.mask) for p in pairs)),
+                      [format_pair(p) for p in pairs], {"pairs": [pair_to_obj(p) for p in pairs]})
 
     def test_tables_past_ten_values_print_each_value(self):
         ops = OpFamily([Operation(11, 1, tuple(range(10, -1, -1)))])
-        listing = cli.ops_listing(11, ((f.arity, f.table) for f in ops))
-        assert listing.lines() == [format_op(f) for f in ops] == ["op/1 = 109876543210"]
-        assert cli._output(listing).json() == _dumps({"ops": [op_to_obj(f) for f in ops]})
+        assert [format_op(f) for f in ops] == ["op/1 = 109876543210"]
+        assert_prints(cli.ops_listing(11, _runs(ops)), [format_op(f) for f in ops],
+                      {"ops": [op_to_obj(f) for f in ops]})
+
+
+class TestChunkSeams:
+    """Families longer than one chunk print as the oracle prints them, across
+    every seam between chunks and between runs of one arity."""
+
+    @staticmethod
+    def assert_ops(k: int, ops: list[Operation]) -> None:
+        assert_prints(cli.ops_listing(k, _runs(ops)), [format_op(f) for f in ops],
+                      {"ops": [op_to_obj(f) for f in ops]})
+
+    def test_polymorphisms_of_a_square(self):
+        square = Relation.from_tuples(core.Carrier(3), 2, [(0, 0), (0, 1), (1, 0), (1, 1)])
+        tables = polp_tables([RelationPair.identical(square)], 2, 3)
+        assert len(tables) == 3888 > cli.CHUNK
+        self.assert_ops(3, [Operation(3, 2, t) for t in tables])
+
+    def test_every_binary_table_at_k3(self):
+        ops = [Operation(3, 2, t) for t in itertools.product(range(3), repeat=9)]
+        assert len(ops) == 19683
+        self.assert_ops(3, ops)
+
+    def test_mixed_arities_across_a_seam(self):
+        binary = [Operation(3, 2, t) for t in itertools.product(range(3), repeat=9)]
+        unary = [Operation(3, 1, t) for t in itertools.product(range(3), repeat=3)]
+        ops = binary[:cli.CHUNK + 1] + unary[:2] + binary[:cli.CHUNK - 1] + unary
+        self.assert_ops(3, ops)
+
+    def test_tables_past_ten_values(self):
+        rng = random.Random(11)
+        ops = [Operation(11, 1, tuple(rng.randrange(11) for _ in range(11)))
+               for _ in range(2 * cli.CHUNK + 1)]
+        self.assert_ops(11, ops)
+
+    def test_pairs_sharing_a_rho_across_a_seam(self):
+        # rho = 511 is the last pair of the first chunk and the first of the
+        # second
+        rows = [(2, rho, rho_prime) for rho in (511, 510, 511)
+                for rho_prime in range(512) if rho_prime & ~rho == 0]
+        rows[10:10] = [(1, 7, 5), (0, 1, 0)]
+        assert rows[cli.CHUNK - 1][1] == rows[cli.CHUNK][1] == 511
+        pairs = [RelationPair.of(Relation(3, m, r), Relation(3, m, s)) for m, r, s in rows]
+        assert_prints(cli.pairs_listing(3, rows), [format_pair(p) for p in pairs],
+                      {"pairs": [pair_to_obj(p) for p in pairs]})
+        rels = [Relation(3, m, r) for m, r, _ in rows]
+        assert_prints(cli.rels_listing(3, ((m, r) for m, r, _ in rows)),
+                      [format_rel(r) for r in rels], {"rels": [rel_to_obj(r) for r in rels]})
+
+
+SQUARE_K3 = """\
+domain 3
+rel square/2 = {00, 01, 10, 11}
+rel full/2 = {00, 01, 02, 10, 11, 12, 20, 21, 22}
+"""
+
+
+class _Digest:
+    """A stdout that keeps only the length and the digest of what is
+    written to it."""
+
+    def __init__(self):
+        self.size, self.hash = 0, hashlib.sha256()
+
+    def write(self, piece: str) -> int:
+        self.size += len(piece)
+        self.hash.update(piece.encode())
+        return len(piece)
+
+    def writelines(self, pieces) -> None:
+        for piece in pieces:
+            self.write(piece)
+
+    def flush(self) -> None:
+        pass
+
+
+class TestStreaming:
+    """A family is computed, every charge taken, before its first byte is
+    written, and then printed a chunk at a time."""
+
+    @pytest.fixture
+    def square_file(self, tmp_path):
+        path = tmp_path / "square.txt"
+        path.write_text(SQUARE_K3)
+        return str(path)
+
+    @pytest.mark.parametrize("fmt", [[], ["--json"]], ids=["text", "json"])
+    def test_refused_listing_prints_nothing(self, capsys, square_file, fmt):
+        code, out, err = run(capsys, "pol", "--problem", square_file, "--rels", "square",
+                             "--arity", "2", "--caps", "100", *fmt)
+        assert (code, out) == (2, "") and err.startswith("refused: ")
+
+    @pytest.mark.parametrize("fmt", ["text", "json"])
+    def test_printing_holds_less_than_its_text(self, monkeypatch, square_file, fmt):
+        # the 19,683 tables themselves outweigh their text, so the peak is
+        # taken from the hand-over of the computed family to the printer
+        tables = list(itertools.product(range(3), repeat=9))
+        ops = [Operation(3, 2, t) for t in tables]
+        expected = ("".join(format_op(f) + "\n" for f in ops) if fmt == "text"
+                    else _dumps({"ops": [op_to_obj(f) for f in ops]}) + "\n")
+        held = []
+        output = cli._output
+
+        def handed_over(result):
+            out = output(result)
+            held.append(tracemalloc.get_traced_memory()[0])
+            tracemalloc.reset_peak()
+            return out
+
+        sink = _Digest()
+        monkeypatch.setattr(cli, "_output", handed_over)
+        monkeypatch.setattr(sys, "stdout", sink)
+        tracemalloc.start()
+        try:
+            code = main(["pol", "--problem", square_file, "--rels", "full", "--arity", "2",
+                         *(["--json"] if fmt == "json" else [])])
+            peak = tracemalloc.get_traced_memory()[1]
+        finally:
+            tracemalloc.stop()
+        assert code == 0
+        assert (sink.size, sink.hash.hexdigest()) == (
+            len(expected), hashlib.sha256(expected.encode()).hexdigest())
+        assert peak - held[0] < len(expected)
 
 
 class TestSparseRelations:
@@ -661,17 +797,21 @@ class TestArguments:
             "pair/0 = (rel/0 = {eps}, rel/0 = {})",
             "pair/0 = (rel/0 = {eps}, rel/0 = {eps})"]
 
-    def test_closed_stdout_is_not_an_input_error(self, problem_file):
+    def test_closed_stdout_is_not_an_input_error(self, problem_file, tmp_path):
         # the read end is closed before the command starts, so its first
-        # write fails with EPIPE
-        read, write = os.pipe()
-        os.close(read)
+        # write fails with EPIPE; the second command prints 3,888 tables,
+        # more than one chunk
+        square = tmp_path / "square.txt"
+        square.write_text(SQUARE_K3)
         src = str(Path(cli.__file__).resolve().parent.parent)
         env = dict(os.environ, PYTHONPATH=src + os.pathsep + os.environ.get("PYTHONPATH", ""))
-        try:
-            proc = subprocess.run([sys.executable, "-m", "finclone.cli", "inv", "--problem",
-                                   problem_file, "--ops", "and", "--arity", "1"],
-                                  stdout=write, stderr=subprocess.PIPE, env=env, timeout=60)
-        finally:
-            os.close(write)
-        assert (proc.returncode, proc.stderr) == (141, b"")
+        for argv in (["inv", "--problem", problem_file, "--ops", "and", "--arity", "1"],
+                     ["pol", "--problem", str(square), "--rels", "square", "--arity", "2"]):
+            read, write = os.pipe()
+            os.close(read)
+            try:
+                proc = subprocess.run([sys.executable, "-m", "finclone.cli", *argv],
+                                      stdout=write, stderr=subprocess.PIPE, env=env, timeout=60)
+            finally:
+                os.close(write)
+            assert (argv[0], proc.returncode, proc.stderr) == (argv[0], 141, b"")

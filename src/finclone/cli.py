@@ -135,6 +135,9 @@ def parse_problem(text: str) -> Problem:
                 raise ProblemError(lineno, col, f"invalid carrier size '{rest.strip()}'")
             if k < 0:
                 raise ProblemError(lineno, col, "carrier size must be >= 0")
+            if k > 10:
+                raise ProblemError(lineno, col, f"carrier size {k} above 10: the format "
+                                                "writes one digit per entry")
             carrier = Carrier(k)
             problem = Problem(carrier)
             continue
@@ -522,10 +525,18 @@ COMMANDS = {
 }
 
 
+class _Parser(argparse.ArgumentParser):
+    """An argument parser whose errors are input errors (exit 3), not
+    argparse's exit 2, which is the refusal code."""
+
+    def error(self, message: str):
+        raise DomainError(message)
+
+
 def build_parser() -> argparse.ArgumentParser:
     """The argument parser.  Its list defaults are tuples, so no call of
     `main` can change what a later call reads for an omitted option."""
-    parser = argparse.ArgumentParser(
+    parser = _Parser(
         prog="finclone",
         description="Computations with finitary operations and relation pairs "
                     "on small finite carriers.")
@@ -592,9 +603,8 @@ def run_command(args) -> int:
 
 
 def main(argv: list[str] | None = None) -> int:
-    args = PARSER.parse_args(argv)
     try:
-        return run_command(args)
+        return run_command(PARSER.parse_args(argv))
     except (ProblemError, DomainError) as e:
         print(f"input error: {e}", file=sys.stderr)
         return 3

@@ -14,11 +14,11 @@ The operation side works on value tables, and pair constraints reach it as
 (arity, rho, rho') mask rows: `polp_rows` and `sloc_tables` hand their
 constraints, a map {scope: allowed images}, to the one constraint search
 over table entries (`_search`), which returns the tables as tuples in
-ascending order: small table spaces by checking each scope once its
-largest entry is set, larger ones by forward checking (`_forward_search`),
-which checks a scope as soon as its next-largest entry is set and prunes
-the candidates of its largest.  `preserving` filters given tables through
-the constraints of its rows, which it builds as `polp_rows` does
+ascending order: small table spaces by a filter over every table
+(`_filter`), larger ones by forward checking (`_forward_search`), which
+checks a scope as soon as its next-largest entry is set and prunes the
+candidates of its largest.  `preserving` runs the same filter over given
+tables, on the constraints of its rows, which it builds as `polp_rows` does
 (`_allowed`).
 `polp`, `pol`, `sloc_ops` and `loc_ops` build their `OpFamily` from those
 tables (`polp_tables`, the rows of Q, for the first two; `arity_tables`
@@ -171,10 +171,18 @@ def preserving(tables: Iterable[tuple[int, ...]], rows: Iterable[tuple[int, int,
                n: int, k: int) -> list[tuple[int, ...]]:
     """The n-ary value tables among `tables`, in their order, that preserve
     the pair of every row: the tables of `polp_rows` that `tables` holds,
-    found by a filter instead of a search."""
+    found by `_filter` instead of a search."""
     if n < 0:
         raise DomainError("arity must be >= 0")
-    scopes = list(_allowed(rows, n, k).items())
+    return _filter(tables, _allowed(rows, n, k), k)
+
+
+def _filter(tables: Iterable[tuple[int, ...]], constraints: dict[tuple[int, ...], int],
+            k: int) -> list[tuple[int, ...]]:
+    """The tables, in their order, that map every scope of `constraints` to
+    one of its allowed images: the scope's entries read as one image
+    encoded base k, whose bit must be set in the scope's mask."""
+    scopes = list(constraints.items())
     out = []
     for table in tables:
         for idxs, ok in scopes:
@@ -205,9 +213,9 @@ def _allowed(rows: Iterable[tuple[int, int, int]], n: int, k: int) -> dict[tuple
     return allowed
 
 
-# The largest table space that `_search` searches with its own loop; see
-# its docstring for the measured crossover.
-PLAIN_SEARCH_TABLES = 256
+# The largest table space that `_search` filters; see its docstring for the
+# measured crossover.
+PLAIN_SEARCH_TABLES = 27
 
 
 def _search(k: int, size: int, constraints: dict[tuple[int, ...], int]) -> list[tuple[int, ...]]:
@@ -216,56 +224,26 @@ def _search(k: int, size: int, constraints: dict[tuple[int, ...], int]) -> list[
 
     A scope is a tuple of table indices, and its `allowed` a bit mask over
     its images encoded base k.  The empty scope reads no entry: its one image
-    is 0, so it holds for all tables or for none.  Entries are assigned
-    depth-first in index order, values ascending.  A table space of more
-    than PLAIN_SEARCH_TABLES tables goes to `_forward_search`; a smaller one
-    is searched here, checking a scope once its largest index is set.  This
-    loop is not a recursion: the partial table is its stack, entry i holding
-    the value tried at depth i, and once all k values at depth i are tried
-    the loop backs up to depth i - 1 and tries the next value there.
+    is 0, so it holds for all tables or for none, and it is settled first,
+    as `_forward_search` expects.  A table space of at most
+    PLAIN_SEARCH_TABLES tables is filtered: `_filter` reads the k^size
+    tables of `itertools.product`, which are already ascending.  A larger
+    one goes to `_forward_search`.
 
-    The crossover, measured on pol and polp of the k-chain, equality and 40
-    seeded relations and pairs per (k, n), on one x86-64 host under CPython
-    3.11: this loop is 1.6-3x faster at 4, 16 and 27 tables, since
-    `_forward_search` reads every scope before it tries an entry; the two
-    are within run-to-run noise at 256 (k=2, n=3 and k=4, n=1: 0.65-1.26x);
-    forward checking is 1.6-2.6x faster at 3,125, 19,683 and 46,656 tables
-    (k=5, n=1; k=3, n=2; k=6, n=1).
+    The crossover, measured with `polp_tables` on the k-chain, equality and
+    20 seeded binary pairs per (k, n), on one x86-64 host under CPython
+    3.11: the filter is 2-3x faster at 4, 16 and 27 tables, since forward
+    checking reads every scope before it tries an entry; forward checking
+    is 1.7x faster at 256 tables with k=2, n=3 and 1.9x with k=4, n=1.  On
+    `_search` itself with random scopes of two entries, the two are level at
+    27 tables and forward checking leads from 32 tables on (1.6-2.6x at
+    64-256).
     """
     if not constraints.get((), 1) & 1:
         return []
-    if not size:
-        return [()]
     if k ** size > PLAIN_SEARCH_TABLES:
         return _forward_search(k, size, constraints)
-    checks: list[list[tuple[tuple[int, ...], int]]] = [[] for _ in range(size)]
-    for idxs, ok in constraints.items():
-        if idxs:
-            checks[max(idxs)].append((idxs, ok))
-    out: list[tuple[int, ...]] = []
-    table = [0] * size
-    i, x, last = 0, 0, size - 1
-    while True:
-        if x < k:
-            table[i] = x
-            for idxs, ok in checks[i]:
-                v = 0
-                for j in idxs:
-                    v = v * k + table[j]
-                if not ok >> v & 1:
-                    x += 1
-                    break
-            else:
-                if i < last:
-                    i, x = i + 1, 0
-                else:
-                    out.append(tuple(table))
-                    x += 1
-        elif i:
-            i -= 1
-            x = table[i] + 1
-        else:
-            return out
+    return _filter(itertools.product(range(k), repeat=size), constraints, k)
 
 
 def _forward_search(k: int, size: int, constraints: dict[tuple[int, ...], int]) -> list[tuple[int, ...]]:

@@ -417,6 +417,7 @@ class TestExitCodes:
         ("domain 2\ndomain 3\n", (2, 1), "duplicate 'domain' line"),
         ("domain two\n", (1, 1), "invalid carrier size 'two'"),
         ("  domain -1\n", (1, 3), "carrier size must be >= 0"),
+        ("domain 11\n", (1, 1), "carrier size 11 above 10: the format writes one digit per entry"),
         ("domain 2\n  op f/1 01\n", (2, 3), "expected '=' in declaration"),
         ("domain 2\nop f = 01\n", (2, 1), "expected '<name>/<arity>', got 'f'"),
         ("domain 2\nrel r/x = {}\n", (2, 1), "invalid arity 'x'"),
@@ -430,7 +431,7 @@ class TestExitCodes:
          "pair value must name exactly two relations"),
         ("domain 2\nrel r/1 = {0}\npair p = (r, s)\n", (3, 1), "unknown relation 's'"),
         ("# no carrier\n", (1, 1), "missing 'domain <k>' line"),
-    ], ids=["duplicate-domain", "carrier-size", "negative-carrier", "no-equals",
+    ], ids=["duplicate-domain", "carrier-size", "negative-carrier", "carrier-past-ten", "no-equals",
             "no-slash", "arity", "negative-arity", "name", "table-value", "braces",
             "parentheses", "two-relations", "unknown-relation", "no-domain"])
     def test_each_parse_error(self, capsys, tmp_path, text, where, message):
@@ -796,6 +797,23 @@ class TestArguments:
             "pair/0 = (rel/0 = {}, rel/0 = {})",
             "pair/0 = (rel/0 = {eps}, rel/0 = {})",
             "pair/0 = (rel/0 = {eps}, rel/0 = {eps})"]
+
+    # argparse's own errors would exit 2, the refusal code
+    @pytest.mark.parametrize("argv,message", [
+        (["polp", "--arity", "x"], "argument --arity: invalid int value: 'x'"),
+        (["frob"], "argument command: invalid choice: 'frob'"),
+        (["polp", "--frob"], "unrecognized arguments: --frob"),
+    ], ids=["bad-value", "unknown-command", "unknown-option"])
+    def test_bad_argument_is_an_input_error(self, capsys, argv, message):
+        code, out, err = run(capsys, *argv)
+        assert (code, out) == (3, "")
+        assert err.startswith(f"input error: {message}") and err.count("\n") == 1
+
+    def test_help_exits_zero(self, capsys):
+        with pytest.raises(SystemExit) as done:
+            main(["--help"])
+        assert done.value.code == 0
+        assert capsys.readouterr().out.startswith("usage: finclone")
 
     def test_closed_stdout_is_not_an_input_error(self, problem_file, tmp_path):
         # the read end is closed before the command starts, so its first

@@ -371,8 +371,8 @@ class TestSearchLoop:
     @settings(max_examples=400, deadline=None)
     @given(st.data())
     def test_random_constraints_match_the_filter(self, data):
-        # at k=3, up to 243 tables (size 5) go to the plain loop and 729 or
-        # 2187 (size 6 or 7) to forward checking
+        # at k=3, up to 27 tables (size 3) are filtered and 81 to 2187
+        # (size 4 to 7) go to forward checking
         k = data.draw(st.integers(0, 3), label="k")
         size = data.draw(st.integers(0, 7), label="size")
         index = st.integers(0, size - 1) if size else st.nothing()
@@ -401,6 +401,22 @@ class TestSearchLoop:
             constraints = {idxs: rng.getrandbits(3 ** len(idxs)) | rng.getrandbits(3 ** len(idxs))
                            for idxs in rng.sample(shapes, 3)}
             self.assert_both_match_the_filter(3, 7, constraints)
+
+    # the filter at PLAIN_SEARCH_TABLES, forward checking just above it,
+    # and k=2 at 256 and 512 tables and k=4 at 256
+    @pytest.mark.parametrize("k,size", [(3, 3), (2, 5), (2, 8), (2, 9), (4, 4)])
+    def test_both_sides_of_the_threshold(self, k, size):
+        assert 3 ** 3 == PLAIN_SEARCH_TABLES < 2 ** 5
+        rng = random.Random(k * 10 + size)
+        for _ in range(10):
+            constraints = {}
+            for _ in range(size):
+                idxs = tuple(rng.randrange(size) for _ in range(rng.randint(1, 3)))
+                constraints[idxs] = rng.getrandbits(k ** len(idxs)) | rng.getrandbits(k ** len(idxs))
+            for empty in (None, 0, 1):
+                if empty is not None:
+                    constraints[()] = empty
+                self.assert_both_match_the_filter(k, size, constraints)
 
     def test_edge_sizes_and_carriers(self):
         for k in range(4):

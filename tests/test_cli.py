@@ -1,3 +1,4 @@
+import contextlib
 import hashlib
 import io
 import itertools
@@ -5,6 +6,7 @@ import json
 import math
 import os
 import random
+import re
 import subprocess
 import sys
 import time
@@ -431,9 +433,17 @@ class TestExitCodes:
          "pair value must name exactly two relations"),
         ("domain 2\nrel r/1 = {0}\npair p = (r, s)\n", (3, 1), "unknown relation 's'"),
         ("# no carrier\n", (1, 1), "missing 'domain <k>' line"),
+        # only the ASCII digits 0-9 are digits
+        ("domain \uff13\n", (1, 1), "invalid carrier size '\uff13'"),
+        ("domain 1_0\n", (1, 1), "invalid carrier size '1_0'"),
+        ("domain 3\nrel r/\u0661 = {}\n", (2, 1), "invalid arity '\u0661'"),
+        ("domain 3\nop f/1 = \u0660\u0661\u0662\n", (2, 1),
+         "operation table must be 3 digits, got '\u0660\u0661\u0662'"),
+        ("domain 3\nrel r/1 = {\u0662}\n", (2, 1), "tuple entry '\u0662' outside carrier of size 3"),
     ], ids=["duplicate-domain", "carrier-size", "negative-carrier", "carrier-past-ten", "no-equals",
             "no-slash", "arity", "negative-arity", "name", "table-value", "braces",
-            "parentheses", "two-relations", "unknown-relation", "no-domain"])
+            "parentheses", "two-relations", "unknown-relation", "no-domain", "non-ascii-carrier",
+            "underscored-carrier", "non-ascii-arity", "non-ascii-table", "non-ascii-entry"])
     def test_each_parse_error(self, capsys, tmp_path, text, where, message):
         bad = tmp_path / "bad.txt"
         bad.write_text(text)
@@ -459,7 +469,7 @@ class TestExitCodes:
                            "--pairs", "missing", "--arity", "1")
         assert code == 3 and "unknown pair" in err
 
-    @pytest.mark.parametrize("seed", ["0x", "0-1"])
+    @pytest.mark.parametrize("seed", ["0x", "0-1", "\u0661", "0\uff11"])
     def test_malformed_seed_tuple_is_input_error(self, capsys, problem_file, seed):
         code, out, err = run(capsys, "gamma", "--problem", problem_file, "--ops", "and",
                              "--ksize", "2", "--seed-tuples", seed)
@@ -785,6 +795,63 @@ class TestFamilyCommandsBuildNoFamily:
         assert code == 0 and family_count
 
 
+def _argparse_reads(argv: list[str]):
+    """The namespace argparse reads from `argv`, or None where it refuses
+    the argv or prints help."""
+    try:
+        with contextlib.redirect_stdout(io.StringIO()):
+            return cli.PARSER.parse_intermixed_args(argv)
+    except (core.DomainError, SystemExit):
+        return None
+
+
+# values an option or a positional may meet now and then: ints that Python's
+# `int` reads (" 3", Arabic-Indic 3, "1_0" among them) and words that it does
+# not, a negative number, a command and a check name
+_ODD_VALUES = ["0", " 3", "\u0663", "1_0", "x", "1.5", "", "-", "-1", "polp", "all"]
+# tokens that start with '-' and name no option
+_DASHED = ["-h", "--help", "--", "-1", "-x y", "--frob"]
+
+
+@st.composite
+def _argvs(draw):
+    """An argv of options drawn from the parser's own actions, with a command
+    and at most one more positional at any place among them.  Now and then
+    an option is written as `--opt=value` or abbreviated, has a value too
+    few or one too many or an odd value, the command is missing or another
+    word, a third positional comes, or a token starts with '-' and names no
+    option."""
+    def rarely() -> bool:
+        return draw(st.sampled_from([False] * 9 + [True]))
+
+    odd = st.one_of(st.sampled_from(_ODD_VALUES), st.text(max_size=3))
+    segments = []  # the tokens of each option, and whether a word after them is a value
+    for option, action in draw(st.lists(st.sampled_from(sorted(cli.PARSER.options.items())),
+                                        max_size=6)):
+        count = draw(st.integers(0, 3)) if action.nargs == "*" else int(action.nargs is None)
+        if rarely():
+            count = max(0, count + draw(st.sampled_from([-1, 1])))
+        usual = st.sampled_from(["0", "2", "17"] if action.type is int else ["q", "f", "-"])
+        values = [draw(odd if rarely() else usual) for _ in range(count)]
+        if rarely() and values:
+            tokens = [f"{option}={values[0]}", *values[1:]]
+        elif rarely() and len(option) > 3:
+            tokens = [option[:draw(st.integers(3, len(option) - 1))], *values]
+        else:
+            tokens = [option, *values]
+        segments.append((tokens, action.nargs == "*"))
+    words = [] if rarely() else [draw(odd if rarely() else st.sampled_from(list(cli.COMMANDS)))]
+    words += draw(st.lists(st.sampled_from(["all", "galois"]) | odd, max_size=2 if rarely() else 1))
+    if rarely():
+        words.append(draw(st.sampled_from(_DASHED)))
+    for word in words:
+        # mostly where it is a positional, not the value of a list option
+        places = [i for i in range(len(segments) + 1) if i == 0 or not segments[i - 1][1]]
+        place = draw(st.integers(0, len(segments)) if rarely() else st.sampled_from(places))
+        segments.insert(place, ([word], False))
+    return [token for tokens, _ in segments for token in tokens]
+
+
 class TestArguments:
     def test_consecutive_calls_share_no_list_default(self, capsys, problem_file):
         # --ops given, then omitted: the second call reads no operation
@@ -833,3 +900,64 @@ class TestArguments:
             finally:
                 os.close(write)
             assert (argv[0], proc.returncode, proc.stderr) == (argv[0], 141, b"")
+
+    @settings(max_examples=500, deadline=None)
+    @given(argv=_argvs())
+    def test_reader_agrees_with_argparse(self, argv):
+        # where the reader answers, argparse answers the same, lists as
+        # lists and omitted lists as their tuple defaults
+        read = cli.PARSER._read(argv)
+        if read is not None:
+            expected = _argparse_reads(argv)
+            assert expected is not None, "the reader took an argv that argparse refuses"
+            assert vars(read) == vars(expected)
+            assert ({key: type(v) for key, v in vars(read).items()}
+                    == {key: type(v) for key, v in vars(expected).items()})
+
+    def test_each_read_is_fresh(self):
+        argv = ["invp", "--ops", "f", "--arity", "1"]
+        first, second = cli.PARSER._read(argv), cli.PARSER._read(argv)
+        assert first.ops == second.ops == ["f"] and first.ops is not second.ops
+
+    def test_positionals_may_follow_options(self, capsys, problem_file):
+        # argparse's parse_args takes positionals from the first block only,
+        # so `check --k 1 galois` was an unrecognised argument
+        for orders in ([["check", "galois", "--k", "1"], ["check", "--k", "1", "galois"],
+                        ["--k", "1", "check", "galois"]],
+                       [["polp", "--problem", problem_file, "--pairs", "strict", "--arity", "1"],
+                        ["--problem", problem_file, "--pairs", "strict", "--arity", "1", "polp"]]):
+            outcomes = set()
+            for argv in orders:
+                code, out, err = run(capsys, *argv)
+                outcomes.add((code, re.sub(r"\(\d+ ms\)", "(N ms)", out), err))
+            assert len(outcomes) == 1 and outcomes.pop()[::2] == (0, "")
+
+    @pytest.mark.parametrize("argv", [
+        ["polp", "--pairs", "q", "--arity", "2"],
+        ["pol", "--rels", "r", "--arity", "2"],
+        ["invp", "--ops", "f", "--arity", "2"],
+        ["gen-clone", "--ops", "f", "--arity", "1"],
+    ], ids=lambda argv: argv[0])
+    def test_k3_cli_shapes_take_the_reader(self, capsys, monkeypatch, argparse_refuses, argv):
+        # the commands of the k3-cli benchmark give what they give when a
+        # fresh parser's argparse reads them
+        argv = argv + ["--problem", "-", "--json"]
+        monkeypatch.setattr(sys, "stdin", io.StringIO(K3_PROBLEM))
+        code = cli.run_command(cli.build_parser().parse_intermixed_args(argv))
+        expected = (code, *capsys.readouterr())
+        monkeypatch.setattr(sys, "stdin", io.StringIO(K3_PROBLEM))
+        assert (main(argv), *capsys.readouterr()) == expected and expected[0] == 0
+
+    @pytest.mark.parametrize("argv,reader", [
+        (["invp", "--ops", "not", "--arity", "1"], True),
+        (["invp", "--ops", "not", "--arity=1"], False),
+        (["invp", "--ops", "not", "--arity", "x"], False),
+    ], ids=["read-in-one-pass", "handed-to-argparse", "input-error"])
+    def test_console_script_reads_sys_argv(self, capsys, monkeypatch, request, problem_file,
+                                           argv, reader):
+        argv = [*argv, "--problem", problem_file]
+        expected = run(capsys, *argv)
+        if reader:
+            request.getfixturevalue("argparse_refuses")
+        monkeypatch.setattr(sys, "argv", ["finclone", *argv])
+        assert (main(), *capsys.readouterr()) == expected

@@ -11,7 +11,8 @@ cases on the wide problems, whose tables need more than one-byte lanes, before
 the matrix-row engine moved to byte lanes, and the cases on the `k2n` problem
 (empty families, nullary relations and pairs) before the CLI printed
 families from value tables and masks; a refactor must leave them
-unchanged.  The error paths pin exit code and stderr.
+unchanged.  The error paths pin exit code and stderr.  Every argv that runs
+its command is read by the CLI's one-pass reader, not by argparse.
 """
 
 import itertools
@@ -269,9 +270,7 @@ def _normalise(text: str) -> str:
     return re.sub(r'"runtime_ms": \d+', '"runtime_ms": N', text)
 
 
-@pytest.mark.parametrize("name,problem,command", CASES, ids=[c[0] for c in CASES])
-@pytest.mark.parametrize("suffix", [".txt", ".json"])
-def test_output_is_byte_identical(tmp_path, capsys, name, problem, command, suffix):
+def _assert_golden(tmp_path, capsys, name, problem, command, suffix):
     argv = _argv(tmp_path, problem, command) + (["--json"] if suffix == ".json" else [])
     code = main(argv)
     out = capsys.readouterr()
@@ -279,9 +278,36 @@ def test_output_is_byte_identical(tmp_path, capsys, name, problem, command, suff
     assert _normalise(out.out) == _normalise((GOLDEN / (name + suffix)).read_text())
 
 
-@pytest.mark.parametrize("problem,command,code,err", ERRORS,
-                         ids=[" ".join(c[1]) for c in ERRORS])
-def test_error_exit_code_and_stderr(tmp_path, capsys, problem, command, code, err):
+def _assert_error(tmp_path, capsys, problem, command, code, err):
     got = main(_argv(tmp_path, problem, command))
     out = capsys.readouterr()
     assert (got, out.out, out.err) == (code, "", err)
+
+
+@pytest.mark.parametrize("name,problem,command", CASES, ids=[c[0] for c in CASES])
+@pytest.mark.parametrize("suffix", [".txt", ".json"])
+def test_output_is_byte_identical(tmp_path, capsys, name, problem, command, suffix):
+    _assert_golden(tmp_path, capsys, name, problem, command, suffix)
+
+
+@pytest.mark.parametrize("problem,command,code,err", ERRORS,
+                         ids=[" ".join(c[1]) for c in ERRORS])
+def test_error_exit_code_and_stderr(tmp_path, capsys, problem, command, code, err):
+    _assert_error(tmp_path, capsys, problem, command, code, err)
+
+
+# every argv of the corpus that runs its command, to an answer or a refusal,
+# is read in one pass: argparse reads only what the reader hands over
+REFUSALS = [e for e in ERRORS if e[2] != 3]
+
+
+@pytest.mark.parametrize("name,problem,command", CASES, ids=[c[0] for c in CASES])
+def test_output_takes_the_reader(tmp_path, capsys, argparse_refuses, name, problem, command):
+    for suffix in (".txt", ".json"):
+        _assert_golden(tmp_path, capsys, name, problem, command, suffix)
+
+
+@pytest.mark.parametrize("problem,command,code,err", REFUSALS,
+                         ids=[" ".join(c[1]) for c in REFUSALS])
+def test_refusal_takes_the_reader(tmp_path, capsys, argparse_refuses, problem, command, code, err):
+    _assert_error(tmp_path, capsys, problem, command, code, err)

@@ -607,7 +607,9 @@ class _Parser(argparse.ArgumentParser):
 
 def build_parser() -> _Parser:
     """The argument parser.  Its list defaults are tuples, so no call of
-    `main` can change what a later call reads for an omitted option."""
+    `main` can change what a later call reads for an omitted option.  Its
+    usage text is formatted once, here, where `parse_intermixed_args` would
+    format it on every call."""
     parser = _Parser(
         prog="finclone",
         description="Computations with finitary operations and relation pairs "
@@ -637,6 +639,7 @@ def build_parser() -> _Parser:
         add("--ksize", type=int, default=None, help="index-set size for the gamma command"),
     ]
     parser.options = {action.option_strings[0]: action for action in options}
+    parser.usage = parser.format_usage()[7:]
     return parser
 
 

@@ -295,13 +295,13 @@ def bit_indices(mask: int) -> Iterator[int]:
 
 
 def submasks(mask: int) -> Iterator[int]:
-    """Every submask of a non-negative mask, descending from mask to 0."""
-    s = mask
+    """Every submask of a non-negative mask, ascending from 0 to mask."""
+    s = 0
     while True:
         yield s
-        if not s:
+        if s == mask:
             return
-        s = (s - 1) & mask
+        s = (s - mask) & mask
 
 
 # Lanes are laid out in native byte order, so `memoryview.cast` reads them.
@@ -545,17 +545,6 @@ class RelationPair:
     def identical(cls, rho: Relation) -> RelationPair:
         return cls(rho.k, rho.arity, rho, rho)
 
-    @classmethod
-    def from_packed(cls, k: int, arity: int, x: int) -> RelationPair:
-        """The pair that `packed` gives as x."""
-        size = k ** arity
-        return cls(k, arity, Relation(k, arity, x & (1 << size) - 1),
-                   Relation(k, arity, x >> size))
-
-    def packed(self) -> int:
-        """The pair as one int rho | rho' << k^arity."""
-        return self.rho.mask | self.rho_prime.mask << self.k ** self.arity
-
     def is_identical(self) -> bool:
         return self.rho.mask == self.rho_prime.mask
 
@@ -571,7 +560,7 @@ def all_relations(carrier: Carrier, arity: int) -> Iterator[Relation]:
 def all_pairs(carrier: Carrier, arity: int) -> Iterator[RelationPair]:
     """All 3^(k^arity) relation pairs of the given arity, canonical order."""
     for rho in all_relations(carrier, arity):
-        for s in reversed(list(submasks(rho.mask))):
+        for s in submasks(rho.mask):
             yield RelationPair(carrier.k, arity, rho, Relation(carrier.k, arity, s))
 
 

@@ -4,19 +4,20 @@ failures carry a counterexample that the preservation primitives can
 re-validate independently.
 
 Each check reads the row functions under the library's families and
-compares frozensets of value tables or of (arity, rho, rho') masks, packed
-as rho | rho' << k^m for closures on pairs: galois `invp_pairs` and
+compares frozensets of value tables or of pairs as (rho, rho') bit masks,
+with the arity in front where arities mix: galois `invp_pairs` and
 `polp_rows`; op-side `least_invp`, `polp_rows`, `preserving`,
 `semiclone_tables` and `sloc_tables`; least-pair `gamma_fixpoint`;
-finite-collapse `enc` and `sloc_pairs_packed`; pair-side `polp_tables`,
-`least_invp`, `invp_least_packed`, `rpclone_generate_stable` and
-`sloc_pairs_packed`; semiclone-laws `semiclone_tables`, `polp_rows` and
+finite-collapse `enc` and `sloc_pair_masks`; pair-side `polp_tables`,
+`least_invp`, `least_pairs`, `rpclone_generate_stable` and
+`sloc_pair_masks`; semiclone-laws `semiclone_tables`, `polp_rows` and
 `sloc_tables`; decide-proj `decide_projections` and `clone_tables`;
 semigroups `semigroup_tables`, `invp_pairs` and `polp_rows`;
-directed-unions `sloc_pairs_packed`, `is_s_directed` and `union_family`;
+directed-unions `sloc_pair_masks`, `is_s_directed` and `union_family`;
 classical `clone_tables`, `sloc_tables`, `least_invp`, `polp_rows`,
 `polp_tables`, `invp_pairs`, `rpclone_generate_stable` and
-`sloc_pairs_packed`.  Composition acts on value tables through
+`sloc_pair_masks`.  A generated closure is read through
+`RpCloneResult.masks`.  Composition acts on value tables through
 `core.compose_tables`.  An `Operation` is built only as an engine's input
 (a generator, or the key of a least map) and to name a counterexample; the
 one family a passing check builds is `enc`'s, which finite-collapse tests.
@@ -56,9 +57,9 @@ from .generation import (
     semigroup_tables,
 )
 from .preserve import (
-    invp_least_packed,
     invp_pairs,
     least_invp,
+    least_pairs,
     polp_rows,
     polp_tables,
     preserving,
@@ -66,9 +67,9 @@ from .preserve import (
 )
 from .relpairs import (
     is_s_directed,
-    packed_members,
+    pair_masks,
     rpclone_generate_stable,
-    sloc_pairs_packed,
+    sloc_pair_masks,
     union_family,
 )
 
@@ -117,15 +118,9 @@ def _listed(F: Iterable[Operation], params: dict) -> list[Operation]:
     return ops
 
 
-def _pair_masks(m: int, k: int) -> list[tuple[int, int, int]]:
-    """All m-ary pairs (m, rho, rho') as masks, in `all_pairs` order."""
-    return [(m, rho, t) for rho in range(1 << k ** m) for t in sorted(submasks(rho))]
-
-
-def _pair_order(m: int, k: int) -> Callable[[int], tuple[int, int]]:
-    """The sort key of m-ary pairs packed as rho | rho' << k^m that puts
-    them in `PairFamily` order, by (rho, rho')."""
-    return lambda x: (x & (1 << k ** m) - 1, x >> k ** m)
+def _pair_rows(m: int, k: int) -> list[tuple[int, int, int]]:
+    """All m-ary pairs as mask rows (m, rho, rho'), in `all_pairs` order."""
+    return [(m, rho, t) for rho in range(1 << k ** m) for t in submasks(rho)]
 
 
 def check_galois_axioms(k: int = 2) -> Report:
@@ -151,7 +146,7 @@ def check_galois_axioms(k: int = 2) -> Report:
                        math.comb(op_count, 2) + math.comb(pair_count, 2))
         window = {(f.arity, f.table): f for n in range(3) for f in all_operations(carrier, n)}
         ops = [f for f in window.values() if f.arity in op_arities]
-        pairs = [p for m in pair_arities for p in _pair_masks(m, k)]
+        pairs = [p for m in pair_arities for p in _pair_rows(m, k)]
         invp_w = lambda F: frozenset((m, *pair) for m in range(3) for pair in invp_pairs(F, m, k))
         polp_w = lambda Q: frozenset(window[n, t] for n in range(3) for t in polp_rows(Q, n, k))
         # each singleton's maps, taken once: the antitonicity loops reuse them
@@ -270,8 +265,8 @@ def check_finite_collapse(Q: Iterable[RelationPair], m: int, k: int) -> Report:
         pairs = list(Q)
         params["Q"] = [_pair_key(p) for p in pairs]
         via_enc = enc(p for p in pairs if p.arity == m)
-        via_sloc = sloc_pairs_packed(packed_members(pairs, m, k), Carrier(k).num_tuples(m), m, k)
-        if {p.packed() for p in via_enc} != via_sloc:
+        via_sloc = sloc_pair_masks(pair_masks(pairs, m, k), Carrier(k).num_tuples(m), m, k)
+        if set(pair_masks(via_enc, m, k)) != via_sloc:
             return "fail", {
                 "enc": len(via_enc), "loc": len(via_sloc), "sloc": len(via_sloc),
             }, {}
@@ -288,12 +283,12 @@ def check_pair_side_characterisation(Q: Iterable[RelationPair], s: int, m: int, 
     empty pair is present, single-arity-s polymorphism windows are also
     compared against the brute-force side.
 
-    Both sides are sets of m-ary pairs packed as rho | rho' << k^m: the
-    pairs `invp_least_packed` spans on the least map, and the s-local
-    closure `sloc_pairs_packed` of the arity-m entry of the packed closure
-    that `rpclone_generate_stable` returns; its `pairs` are never read.  A
+    Both sides are sets of m-ary pairs as (rho, rho') bit masks: the pairs
+    `least_pairs` spans on the least map, and the s-local closure
+    `sloc_pair_masks` of the arity-m `masks` of the closure that
+    `rpclone_generate_stable` returns; its `pairs` are never read.  A
     counterexample names the first differing pair in `PairFamily` order,
-    by (rho, rho'), formatted from its masks."""
+    the least (rho, rho'), formatted from its masks."""
     pairs = list(Q)
     params = {"k": k, "s": s, "m": m, "Q": [_pair_key(p) for p in pairs]}
 
@@ -302,7 +297,7 @@ def check_pair_side_characterisation(Q: Iterable[RelationPair], s: int, m: int, 
             raise DomainError("locality parameter must be >= 0")
         pols = [[Operation(k, n, t) for t in polp_tables(pairs, n, k)] for n in range(s + 1)]
         least = least_invp(itertools.chain(*pols), m, k)
-        lhs = invp_least_packed(least, m, k)
+        lhs = set(least_pairs(least))
         # window variants checked purely on the brute-force side, by their
         # least second components, which determine invp
         if least_invp(pols[0] + pols[s], m, k) != least:
@@ -312,11 +307,10 @@ def check_pair_side_characterisation(Q: Iterable[RelationPair], s: int, m: int, 
                 return "fail", {"variant": "single arity s with empty pair"}, {}
         gen = rpclone_generate_stable(pairs, m, k)
         cap = gen.intermediate_cap
-        rhs = sloc_pairs_packed(gen.closure[m], s, m, k)
+        rhs = sloc_pair_masks(gen.masks(m), s, m, k)
         if rhs == lhs:
             return "pass", None, {"size": len(lhs), "intermediate_cap": cap}
-        order = _pair_order(m, k)
-        first = lambda packed: _mask_key(m, *min(map(order, packed)))
+        first = lambda found: _mask_key(m, *min(found))
         extra = rhs - lhs
         if extra:
             return "fail", {"kind": "logic_error", "pair": first(extra)}, \
@@ -369,7 +363,7 @@ def check_semiclone_laws(F: Iterable[Operation], k: int) -> Report:
         # each unary pair with its polymorphisms on the window, read by both
         # laws below
         sample = [(p, {n: frozenset(polp_rows([p], n, k)) for n in window})
-                  for p in _pair_masks(1, k)]
+                  for p in _pair_rows(1, k)]
         # polymorphism sets are clones iff the constraining pairs are identical
         for (m, rho, rho_p), pols in sample:
             if all(triv[n] <= pols[n] for n in window) != (rho == rho_p):
@@ -455,8 +449,9 @@ def check_directed_unions(Q: Iterable[RelationPair], s: int, m: int, k: int,
               "Q": [_pair_key(p) for p in pairs]}
 
     def body():
-        closure = sloc_pairs_packed(packed_members(pairs, m, k), s, m, k)
-        members = [RelationPair.from_packed(k, m, x) for x in sorted(closure, key=_pair_order(m, k))]
+        closure = sloc_pair_masks(pair_masks(pairs, m, k), s, m, k)
+        members = [RelationPair(k, m, Relation(k, m, rho), Relation(k, m, rho_p))
+                   for rho, rho_p in sorted(closure)]
         if not members:
             return "pass", None, {"closure_size": 0, "checked": 0}
         rng = random.Random(seed)
@@ -468,7 +463,7 @@ def check_directed_unions(Q: Iterable[RelationPair], s: int, m: int, k: int,
                 continue
             u = union_family(T)
             checked += 1
-            if u.packed() not in closure:
+            if (u.rho.mask, u.rho_prime.mask) not in closure:
                 return "fail", {
                     "T": [_pair_key(p) for p in T],
                     "union": _pair_key(u),
@@ -531,8 +526,7 @@ def check_classical(F: Iterable[Operation], Q1: Iterable[Relation], s: int, k: i
             m = max(r.arity for r in rels)
             identical = [RelationPair.identical(r) for r in rels]
             gen = rpclone_generate_stable(identical, m, k)
-            size = k ** m
-            relclone_m = [x >> size for x in gen.closure[m] if x >> size == x & (1 << size) - 1]
+            relclone_m = [rho for rho, rho_p in gen.masks(m) if rho == rho_p]
             rhs_rels = _sloc_rels(relclone_m, s, m, k)
             pols = [[Operation(k, n2, t) for t in polp_tables(identical, n2, k)]
                     for n2 in range(s + 1)]
@@ -540,8 +534,8 @@ def check_classical(F: Iterable[Operation], Q1: Iterable[Relation], s: int, k: i
             if list(least_invp(pols[0] + pols[s], m, k)) != lhs_rels:
                 return "fail", {"equality": "inv pol {0,s} window"}, {}
             # bridge between the pair-level and relation-level local closures
-            pair_side = sloc_pairs_packed(packed_members(identical, m, k), s, m, k)
-            from_rels = {sig | sig << size
+            pair_side = sloc_pair_masks(pair_masks(identical, m, k), s, m, k)
+            from_rels = {(sig, sig)
                          for sig in _sloc_rels([r.mask for r in rels if r.arity == m], s, m, k)}
             if pair_side != from_rels:
                 return "fail", {"equality": "pair vs relation local closure"}, {}

@@ -7,8 +7,8 @@ under F iff F[rho] ⊆ rho' ⊆ rho, where F[rho] = ∪_{f∈F} f[rho].  So F's
 least map is the OR of its members' maps, which `op_image_mask(f, m)`
 caches, f[rho] for each of the 2^N subsets rho of A^m (N = k^m), built from
 one pass over the matrices whose columns are any tuples of A^m.  `inv`
-reads that map, `invp_pairs` spans it in `PairFamily` order for `invp`,
-and `invp_least_packed` into packed pairs for the pair-side check.
+reads that map, and `least_pairs` spans it into (rho, rho') masks in
+`PairFamily` order, for `invp_pairs` (so `invp`) and the pair-side check.
 
 The operation side works on value tables, and pair constraints reach it as
 (arity, rho, rho') mask rows: `polp_rows` and `sloc_tables` hand their
@@ -400,20 +400,17 @@ def invp(F: Iterable[Operation], m: int, k: int) -> PairFamily:
 
 def invp_pairs(F: Iterable[Operation], m: int, k: int) -> list[tuple[int, int]]:
     """The m-ary relation pairs (rho, rho') preserved by every operation in
-    F, as bit masks in a `PairFamily`'s order, by rho and then rho': for
-    each rho of the ascending `least_invp` map, rho' = F[rho] | t for the
-    submasks t of rho minus F[rho], ascending."""
-    return [(rho, need | t) for rho, need in least_invp(F, m, k).items()
-            for t in reversed(list(submasks(rho & ~need)))]
+    F, as bit masks in a `PairFamily`'s order: the `least_pairs` of the
+    `least_invp` map."""
+    return least_pairs(least_invp(F, m, k))
 
 
-def invp_least_packed(least: dict[int, int], m: int, k: int) -> set[int]:
-    """For each entry rho: F[rho] of a `least_invp` map, the m-ary pairs
-    (rho, rho') with F[rho] ⊆ rho' ⊆ rho, each packed as one int
-    rho | rho' << k^m."""
-    size = k ** m
-    return {rho | (need | t) << size for rho, need in least.items()
-            for t in submasks(rho & ~need)}
+def least_pairs(least: dict[int, int]) -> list[tuple[int, int]]:
+    """For each entry rho: F[rho] of a `least_invp` map, in the map's order,
+    the pairs (rho, rho') with F[rho] ⊆ rho' ⊆ rho as bit masks: rho' =
+    F[rho] | t for the submasks t of rho minus F[rho], ascending.  On the
+    ascending map that is a `PairFamily`'s order, by rho and then rho'."""
+    return [(rho, need | t) for rho, need in least.items() for t in submasks(rho & ~need)]
 
 
 def pol(Q1: Iterable[Relation], n: int, k: int) -> OpFamily:

@@ -6,8 +6,10 @@ The closure engine `_Closure` works on packed pairs rho | rho' << k^m, not
 through superposition: its moves act on the k blocks that the first
 coordinate splits each component into, and the transposition masks and
 block constants are its one table per arity.  Both stopping rules return
-it in an `RpCloneResult`, whose `pairs` are built only when read, and
-`sloc_pairs_packed` is the packed engine under `sloc_pairs`.  The tests
+it in an `RpCloneResult`, whose `masks(m)` is the one place that unpacks a
+slice, into the (rho, rho') bit masks that other modules read, and whose
+`pairs` are built only when read.  `sloc_pair_masks` is the engine under
+`sloc_pairs`, on masks.  The tests
 build the definition-level closure oracle from the elementary
 specialisations of `general_superposition` (permutation, identification,
 projection, fictitious coordinates, intersection and the from-nothing
@@ -107,8 +109,9 @@ class RpCloneResult:
     at arity <= target_cap changed over the last cap increment
     (`rpclone_generate`) or two (`rpclone_generate_stable`).  Entry m of
     `closure` is the set of its m-ary pairs rho | rho' << k^m, and its
-    length is one more than the intermediate cap; `pairs` builds the
-    slice's `PairFamily` each time it is read."""
+    length is one more than the intermediate cap; `masks(m)` unpacks entry
+    m, and `pairs` builds the slice's `PairFamily` from those each time it
+    is read."""
 
     closure: _Closure = field(repr=False)
     target_cap: int
@@ -118,11 +121,16 @@ class RpCloneResult:
     def intermediate_cap(self) -> int:
         return len(self.closure) - 1
 
+    def masks(self, m: int) -> list[tuple[int, int]]:
+        """The closure's m-ary pairs as (rho, rho') bit masks, unordered."""
+        size = self.closure.k ** m
+        return [(x & (1 << size) - 1, x >> size) for x in self.closure[m]]
+
     @property
     def pairs(self) -> PairFamily:
-        return PairFamily(RelationPair.from_packed(self.closure.k, m, x)
-                          for m, packed in enumerate(self.closure[:self.target_cap + 1])
-                          for x in packed)
+        k = self.closure.k
+        return PairFamily(RelationPair(k, m, Relation(k, m, rho), Relation(k, m, rho_p))
+                          for m in range(self.target_cap + 1) for rho, rho_p in self.masks(m))
 
 
 # the closure refuses once it holds more pairs than this, over all arities
@@ -234,7 +242,8 @@ class _Closure(list):
         check_cap("rpclone tuple space", k ** top)
         super().__init__()
         diag = sum(1 << a * (k + 1) for a in range(k))
-        self.seed = [(0, 0b11), (2, diag | diag << k * k), *((p.arity, p.packed()) for p in seed)]
+        self.seed = [(0, 0b11), (2, diag | diag << k * k),
+                     *((p.arity, p.rho.mask | p.rho_prime.mask << k ** p.arity) for p in seed)]
         self.k = k
         self.maps: list[tuple] = []
         self.reps: list[list[int]] = []
@@ -405,25 +414,26 @@ def rpclone_generate_stable(
 def sloc_pairs(Q: Iterable[RelationPair], s: int, m: int, k: int) -> PairFamily:
     """All m-ary (sigma, sigma') such that every subset of sigma of size <= s
     is covered by the first component of some m-ary member of Q whose second
-    component lies inside sigma': the pairs of `sloc_pairs_packed` on the
+    component lies inside sigma': the pairs of `sloc_pair_masks` on the
     m-ary members of Q."""
-    return PairFamily(RelationPair.from_packed(k, m, x)
-                      for x in sloc_pairs_packed(packed_members(Q, m, k), s, m, k))
+    return PairFamily(RelationPair(k, m, Relation(k, m, sigma), Relation(k, m, sub))
+                      for sigma, sub in sloc_pair_masks(pair_masks(Q, m, k), s, m, k))
 
 
-def packed_members(Q: Iterable[RelationPair], m: int, k: int) -> Iterator[int]:
-    """The m-ary members of Q packed as rho | rho' << k^m, in Q's order;
-    a member on another carrier is an error once it is reached."""
+def pair_masks(Q: Iterable[RelationPair], m: int, k: int) -> Iterator[tuple[int, int]]:
+    """The m-ary members of Q as (rho, rho') bit masks, in Q's order; a
+    member on another carrier is an error once it is reached."""
     for p in Q:
         if p.k != k:
             raise DomainError("carrier mismatch in pair family")
         if p.arity == m:
-            yield p.packed()
+            yield p.rho.mask, p.rho_prime.mask
 
 
-def sloc_pairs_packed(witnesses: Iterable[int], s: int, m: int, k: int) -> set[int]:
-    """The s-local closure of the m-ary witnesses (rho, rho'), all pairs
-    given and returned packed as rho | rho' << N with N = k^m.
+def sloc_pair_masks(witnesses: Iterable[tuple[int, int]], s: int, m: int,
+                    k: int) -> set[tuple[int, int]]:
+    """The s-local closure of the m-ary witnesses, all pairs given and
+    returned as (rho, rho') bit masks over the N = k^m tuples.
 
     A witness covering B covers every subset of B, so only the subsets B of
     sigma of size min(s, |sigma|) are tested.  The up-set of a covered set
@@ -444,8 +454,7 @@ def sloc_pairs_packed(witnesses: Iterable[int], s: int, m: int, k: int) -> set[i
     if m < 0:
         raise DomainError("arity must be >= 0")
     size = Carrier(k).num_tuples(m)
-    full = (1 << size) - 1
-    qm = [(x & full, x >> size) for x in witnesses]
+    qm = list(witnesses)
     check_cap("sloc_pairs candidate enumeration", 1, 3, size)
     ups: dict[int, int] = {}
     out = set()
@@ -461,7 +470,7 @@ def sloc_pairs_packed(witnesses: Iterable[int], s: int, m: int, k: int) -> set[i
                         seeds |= 1 << rho_p
                 ups[b] = or_zeta(seeds, 1, size)
             need &= ups[b]
-        out.update(sigma | sub << size for sub in submasks(sigma) if need >> sub & 1)
+        out.update((sigma, sub) for sub in submasks(sigma) if need >> sub & 1)
     return out
 
 

@@ -882,6 +882,24 @@ class TestArguments:
         assert done.value.code == 0
         assert capsys.readouterr().out.startswith("usage: finclone")
 
+    def test_fallback_formats_no_usage(self, capsys, monkeypatch, problem_file):
+        # the usage text is formatted when the parser is built, so an argv
+        # handed to argparse and the help read it without formatting it
+        with pytest.raises(SystemExit):
+            main(["--help"])
+        help_text = capsys.readouterr().out
+        argv = ["invp", "--ops", "not", "--arity=1", "--problem", problem_file]
+        expected = run(capsys, *argv)
+
+        def refuse():
+            raise RuntimeError("usage formatted")
+
+        monkeypatch.setattr(cli.PARSER, "format_usage", refuse)
+        assert run(capsys, *argv) == expected and expected[0] == 0
+        with pytest.raises(SystemExit) as done:
+            main(["--help"])
+        assert (done.value.code, capsys.readouterr().out) == (0, help_text)
+
     def test_closed_stdout_is_not_an_input_error(self, problem_file, tmp_path):
         # the read end is closed before the command starts, so its first
         # write fails with EPIPE; the second command prints 3,888 tables,

@@ -44,6 +44,10 @@ from finclone.core import (
 )
 from finclone.preserve import op_image_mask
 
+AND = Operation(2, 2, (0, 0, 0, 1))
+NOT = Operation(2, 1, (1, 0))
+CONST0 = Operation(2, 0, (0,))
+
 
 def rel(k, arity, tuples):
     return Relation.from_tuples(Carrier(k), arity, tuples)
@@ -488,14 +492,6 @@ class TestRelationsAndPairs:
         assert len(Relation.full(2, 0)) == 1
         assert len(Relation.empty(2, 0)) == 0
 
-    def test_packed_pair_round_trip(self):
-        for k in range(4):
-            for m in range(3 if k < 3 else 2):
-                for p in all_pairs(Carrier(k), m):
-                    x = p.packed()
-                    assert x == p.rho.mask | p.rho_prime.mask << k ** m
-                    assert RelationPair.from_packed(k, m, x) == p
-
     def test_pair_validates_inclusion(self):
         with pytest.raises(DomainError):
             RelationPair.of(rel(2, 1, [(0,)]), rel(2, 1, [(1,)]))
@@ -526,6 +522,63 @@ class TestRelationsAndPairs:
         p2 = RelationPair.identical(Relation.full(2, 2))
         with pytest.raises(DomainError):
             pair_leq(p1, p2)
+
+
+class TestValidation:
+    # each structural check of a constructor or an argument, with its message
+    @pytest.mark.parametrize("call,message", [
+        pytest.param(lambda: Operation(2, -1, ()), "operation arity must be >= 0",
+                     id="operation-arity"),
+        pytest.param(lambda: Operation(2, 2, (0, 1, 0)), "table length 3 != k^arity = 4",
+                     id="operation-table-length"),
+        pytest.param(lambda: Operation(2, 1, (0, 2)), "table value 2 outside carrier of size 2",
+                     id="operation-table-value"),
+        pytest.param(lambda: Relation(2, -1, 0), "relation arity must be >= 0",
+                     id="relation-arity"),
+        pytest.param(lambda: Relation(2, 1, 0b100),
+                     "relation mask has bits outside the tuple range", id="relation-mask-high"),
+        pytest.param(lambda: Relation(2, 1, -1),
+                     "relation mask has bits outside the tuple range", id="relation-mask-negative"),
+        pytest.param(lambda: Relation.from_tuples(Carrier(2), 2, [(0, 1), (1,)]),
+                     "tuple (1,) does not have arity 2", id="from-tuples-arity"),
+        pytest.param(lambda: RelationPair(2, 2, Relation.full(2, 1), Relation.empty(2, 2)),
+                     "pair components must match the pair arity", id="pair-arity"),
+        pytest.param(lambda: RelationPair(2, 1, Relation.full(2, 1), Relation.empty(3, 1)),
+                     "pair components must share the pair carrier", id="pair-carrier"),
+        pytest.param(lambda: Carrier(2).decode(4, 2), "index 4 out of range for arity 2, k=2",
+                     id="decode-high"),
+        pytest.param(lambda: Carrier(2).decode(-1, 2), "index -1 out of range for arity 2, k=2",
+                     id="decode-negative"),
+        pytest.param(lambda: compose(AND, [NOT]), "need 2 inner operations, got 1",
+                     id="compose-count"),
+        pytest.param(lambda: compose(CONST0, []),
+                     "nullary composition requires an explicit target arity",
+                     id="compose-nullary"),
+        pytest.param(lambda: compose(CONST0, [], target_arity=-1),
+                     "target arity must be >= 0", id="compose-negative-target"),
+        pytest.param(lambda: compose(AND, [NOT, AND]),
+                     "inner operations must share a common arity", id="compose-inner-arity"),
+        pytest.param(lambda: compose(NOT, [Operation(3, 1, (0, 1, 2))]),
+                     "carrier mismatch in composition", id="compose-carrier"),
+        pytest.param(lambda: compose(NOT, [NOT], target_arity=2),
+                     "target arity conflicts with inner operation arity", id="compose-target"),
+        pytest.param(lambda: polymer((0,), AND, 1), "index map has length 1, operation arity 2",
+                     id="polymer-length"),
+        pytest.param(lambda: polymer((0, 0), AND, -1), "target arity must be >= 0",
+                     id="polymer-negative-target"),
+        pytest.param(lambda: polymer((0, 2), AND, 2),
+                     "index map value 2 out of range for target arity 2", id="polymer-value"),
+        pytest.param(lambda: pair_qleq(RelationPair.identical(Relation.full(2, 1)),
+                                       RelationPair.identical(Relation.full(2, 2))),
+                     "pair comparison requires equal carrier and arity", id="qleq-arity"),
+        pytest.param(lambda: pair_qleq(RelationPair.identical(Relation.full(2, 1)),
+                                       RelationPair.identical(Relation.full(3, 1))),
+                     "pair comparison requires equal carrier and arity", id="qleq-carrier"),
+    ])
+    def test_each_check_raises_its_message(self, call, message):
+        with pytest.raises(DomainError) as raised:
+            call()
+        assert str(raised.value) == message
 
 
 class TestFamilies:

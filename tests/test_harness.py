@@ -255,6 +255,28 @@ class TestNegativeControl:
             monkeypatch.undo()
             assert check_classical([AND], [LEQ], 2, 2).verdict == "pass"
 
+    def test_tampered_classical_windows_are_caught(self, monkeypatch):
+        # negation among the unary polymorphisms, inside the window <= s
+        # but outside {0, s}, drops leq from inv pol; a pair-level local
+        # closure without its least pair differs from the relation-level one
+        real_polp, real_sloc = harness.polp_tables, harness.sloc_pair_masks
+
+        def with_negation(Q, n, k):
+            return real_polp(Q, n, k) + ([(1, 0)] if n == 1 else [])
+
+        def without_least(witnesses, s, m, k):
+            got = real_sloc(witnesses, s, m, k)
+            return got - {min(got)}
+
+        for name, tampered, equality in (
+                ("polp_tables", with_negation, "inv pol {0,s} window"),
+                ("sloc_pair_masks", without_least, "pair vs relation local closure")):
+            monkeypatch.setattr(harness, name, tampered)
+            r = check_classical([AND], [LEQ], 2, 2)
+            assert (r.verdict, r.counterexample, r.details) == ("fail", {"equality": equality}, {})
+            monkeypatch.undo()
+        assert check_classical([AND], [LEQ], 2, 2).verdict == "pass"
+
     def test_tampered_relaxation_closure_is_caught(self, monkeypatch):
         real = harness.enc
         monkeypatch.setattr(harness, "enc", lambda Q: PairFamily(list(real(Q))[1:]))
@@ -366,6 +388,14 @@ class TestDeterminism:
         # skipped, and the unions of the other 42 are tested
         r = check_directed_unions(SPREAD_PAIRS, 2, 2, 2, seed=0)
         assert (r.verdict, r.details) == ("pass", {"closure_size": 36, "checked": 42})
+
+    def test_directed_unions_of_an_empty_closure(self):
+        # with no witness no set is covered: the closure is empty and no
+        # family is sampled
+        for s in (0, 2):
+            r = check_directed_unions([], s, 2, 2)
+            assert (r.verdict, r.counterexample, r.details) == (
+                "pass", None, {"closure_size": 0, "checked": 0}), s
 
     def test_other_seeds_also_pass(self):
         for seed in (0, 1, 2, 3):
@@ -531,19 +561,18 @@ class TestPairSideCheck:
     @staticmethod
     def _tamper(monkeypatch, change):
         # change the s-local closure that the generated side hands over, a
-        # set of packed pairs rho | rho' << k^m
-        real = harness.sloc_pairs_packed
+        # set of (rho, rho') masks; `change` also gets the mask of A^m
+        real = harness.sloc_pair_masks
 
         def tampered(witnesses, s, m, k):
-            return change(real(witnesses, s, m, k), k ** m)
+            return change(real(witnesses, s, m, k), (1 << k ** m) - 1)
 
-        monkeypatch.setattr(harness, "sloc_pairs_packed", tampered)
+        monkeypatch.setattr(harness, "sloc_pair_masks", tampered)
 
     def test_dropped_pair_is_generation_incomplete(self, monkeypatch):
         # the generated side loses its least pair in `PairFamily` order;
         # the reports are those of the check that compared `PairFamily`s
-        self._tamper(monkeypatch, lambda got, size: got - {
-            min(got, key=lambda x: (x & (1 << size) - 1, x >> size))})
+        self._tamper(monkeypatch, lambda got, full: got - {min(got)})
         for Q, s, m, pair, cap in (([LEQ_PAIR], 1, 2, "pair/2:rho=9,rho'=9", 4),
                                    ([STRICT01], 1, 1, "pair/1:rho=2,rho'=2", 3),
                                    ([NAND_TO_NEQ], 2, 2, "pair/2:rho=0,rho'=0", 5),
@@ -556,7 +585,7 @@ class TestPairSideCheck:
     def test_added_pair_is_a_logic_error(self, monkeypatch):
         # the generated side gains (A^m, empty), which no polymorphism of
         # arity >= 1 preserves
-        self._tamper(monkeypatch, lambda got, size: got | {(1 << size) - 1})
+        self._tamper(monkeypatch, lambda got, full: got | {(full, 0)})
         for Q, s, m, pair, cap in (([LEQ_PAIR], 1, 2, "pair/2:rho=f,rho'=0", 4),
                                    ([STRICT01], 1, 1, "pair/1:rho=3,rho'=0", 3),
                                    ([LEQ_TO_EQ], 2, 2, "pair/2:rho=f,rho'=0", 5)):
@@ -565,24 +594,24 @@ class TestPairSideCheck:
                 "fail", {"kind": "logic_error", "pair": pair}, {"intermediate_cap": cap}), (Q, s)
 
     def test_counterexample_is_first_in_family_order(self, monkeypatch):
-        # with (A^2, empty) packed as 0xf and ({01}, {01}) as 0x22 added, the
-        # first by (rho, rho') is the second one; with nothing generated,
-        # every invariant pair is missing
-        self._tamper(monkeypatch, lambda got, size: got | {0xf, 0x22})
+        # with (A^2, empty), masks (0xf, 0x0), and ({01}, {01}), masks
+        # (0x2, 0x2), added, the first by (rho, rho') is the second one;
+        # with nothing generated, every invariant pair is missing
+        self._tamper(monkeypatch, lambda got, full: got | {(0xf, 0x0), (0x2, 0x2)})
         for Q, s, cap in (([LEQ_PAIR], 1, 4), ([LEQ_TO_EQ], 2, 5)):
             r = check_pair_side_characterisation(Q, s, 2, 2)
             assert (r.counterexample, r.details) == (
                 {"kind": "logic_error", "pair": "pair/2:rho=2,rho'=2"},
                 {"intermediate_cap": cap}), Q
-        self._tamper(monkeypatch, lambda got, size: set())
+        self._tamper(monkeypatch, lambda got, full: set())
         for Q, s, missing in (([LEQ_PAIR], 1, 4), ([LEQ_TO_EQ], 2, 9)):
             r = check_pair_side_characterisation(Q, s, 2, 2)
             assert r.counterexample == {"kind": "generation_incomplete",
                                         "pair": "pair/2:rho=9,rho'=9", "missing": missing}, Q
 
     def test_passing_check_builds_no_pair_object(self, monkeypatch):
-        # both sides are compared as packed pairs: once its inputs exist, a
-        # passing check builds no RelationPair and no PairFamily
+        # both sides are compared as (rho, rho') masks: once its inputs
+        # exist, a passing check builds no RelationPair and no PairFamily
         built = []
         init = core.PairFamily.__init__
 

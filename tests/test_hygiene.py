@@ -4,8 +4,9 @@ package's exports), the package exports exactly what its `__init__`
 imports, no process-global cache is added, no function takes the
 complexity cap as a parameter, no module reaches into another's private
 names, every library name the benchmark tracer hooks still exists,
-every `check_*` name in `harness` is one of its own checks, and no library
-module imports or calls a family-building wrapper."""
+every `check_*` name in `harness` is one of its own checks, no library
+module imports or calls a family-building wrapper, and no module but
+`relpairs` reads the packed pair layout."""
 
 import ast
 import importlib
@@ -313,3 +314,33 @@ def test_library_calls_no_wrapper():
     # the package's `__init__` exports the wrappers; no module uses them
     uses = {path.name: wrapper_uses(path.read_text()) for path in MODULES}
     assert {name: found for name, found in uses.items() if found} == {}
+
+
+# the pair-clone closure keeps pairs packed as rho | rho' << k^m; every other
+# module reads its pairs as (rho, rho') masks, through `RpCloneResult.masks`
+PACKED_ATTRIBUTES = {"closure", "packed", "from_packed"}
+
+
+def packed_reads(sources: dict[str, str]) -> list[str]:
+    """Each attribute named in PACKED_ATTRIBUTES that a module other than
+    relpairs.py reads, in line order."""
+    out = []
+    for module, source in sources.items():
+        if module != "relpairs.py":
+            reads = sorted((node.lineno, node.attr) for node in ast.walk(ast.parse(source))
+                           if isinstance(node, ast.Attribute) and node.attr in PACKED_ATTRIBUTES)
+            out += [f"{module}:{line}: .{attr}" for line, attr in reads]
+    return out
+
+
+def test_packed_detector_flags_reads_outside_relpairs():
+    source = ("x = sloc(gen.closure[m], s)\ny = {p.packed() for p in Q}\n"
+              "z = [RelationPair.from_packed(k, m, x) for x in y]\nw = gen.masks(m)\n"
+              "closure = packed = from_packed = 0\n")
+    assert packed_reads({"harness.py": source, "relpairs.py": source}) == [
+        "harness.py:1: .closure", "harness.py:2: .packed", "harness.py:3: .from_packed"]
+
+
+def test_packed_layout_stays_in_relpairs():
+    sources = {p.name: p.read_text() for p in sorted(SRC.glob("*.py"))}
+    assert packed_reads(sources) == []

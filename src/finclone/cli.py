@@ -60,12 +60,12 @@ from .core import (
     Carrier,
     DomainError,
     Operation,
-    PairFamily,
     Relation,
     RelationPair,
     bit_indices,
     capped,
     enc,
+    pair_rows,
 )
 from .generation import (
     clone_tables,
@@ -305,38 +305,34 @@ class _Memo(dict):
 _DIGITS = bytes.maketrans(bytes(range(10)), b"0123456789")
 
 
-def _table_chunks(k: int, runs: list[tuple[int, Sequence[Sequence[int]]]],
+def _table_chunks(runs: list[tuple[int, Sequence[Sequence[int]]]],
                   member: Callable[[int], tuple[str, str]], between: str) -> Iterator[str]:
     """Runs (arity n, value tables) printed table by table, each table's
     values between the pair `member(n)` = (head, tail) and `between` between
     tables: the tables of a chunk are one join with the member template as
-    separator.  Below k = 10 a value is one byte that `_DIGITS` turns into
-    its digit; it leaves the templates as they are, since their bytes are
-    all 10 (the newline) or above."""
+    separator.  Values are below 10, as on every problem file's carrier:
+    one byte each, which `_DIGITS` turns into its digit, leaving the
+    templates, whose bytes are all 10 (the newline) or above, as they are."""
     lead = ""
     for n, tables in runs:
         head, tail = member(n)
         sep = tail + between + head
         for i in range(0, len(tables), CHUNK):
             chunk = tables[i:i + CHUNK]
-            if k <= 10:
-                body = sep.encode().join(map(bytes, chunk)).translate(_DIGITS).decode()
-            else:
-                body = sep.join(["".join(map(str, t)) for t in chunk])
             yield lead + head
-            yield body
+            yield sep.encode().join(map(bytes, chunk)).translate(_DIGITS).decode()
             yield tail
             lead = between
 
 
 def ops_listing(k: int, runs: Iterable[tuple[int, Sequence[Sequence[int]]]]) -> Listing:
-    """Operations on {0,...,k-1} given as runs (arity, value tables).  A
-    table prints as its values' `str` joined."""
+    """Operations on {0,...,k-1}, k <= 10, given as runs (arity, value
+    tables).  A table prints as its values' `str` joined."""
     runs = list(runs)
     return Listing(
-        "ops", lambda: _table_chunks(k, runs, lambda n: (f"op/{n} = ", "\n"), ""),
+        "ops", lambda: _table_chunks(runs, lambda n: (f"op/{n} = ", "\n"), ""),
         lambda: _json_list(_table_chunks(
-            k, runs, lambda n: (f'{{\n      "arity": {n},\n      "table": "', '"\n    }'),
+            runs, lambda n: (f'{{\n      "arity": {n},\n      "table": "', '"\n    }'),
             ",\n    ")))
 
 
@@ -399,10 +395,6 @@ def pairs_listing(k: int, rows: Iterable[tuple[int, int, int]]) -> Listing:
         lambda: _json_list(_joined(
             rows, lambda m, r, s: (json_heads[m], objects[m, r], ',\n      "rho_prime": ',
                                    objects[m, s], "\n    }"), ",\n    ")))
-
-
-def _pair_rows(family: PairFamily) -> Iterable[tuple[int, int, int]]:
-    return ((p.arity, p.rho.mask, p.rho_prime.mask) for p in family)
 
 
 def _output(result: Output | Listing) -> Output:
@@ -473,7 +465,7 @@ def _rpclone(args, problem, k) -> Output:
     result = rpclone_generate(_named(problem, "pairs", args.pairs), args.max_arity,
                               args.intermediate_cap, k)
     changed = result.slice_changed_at_last_cap
-    pairs = pairs_listing(k, _pair_rows(result.pairs))
+    pairs = pairs_listing(k, pair_rows(result.pairs, k))
     return Output(lambda: chain(pairs.text(), [
         f"intermediate-cap: {result.intermediate_cap}\n",
         f"slice-changed-at-last-cap: {'true' if changed else 'false'}\n",
@@ -528,8 +520,8 @@ COMMANDS = {
     "sloc": (("arity", "s"), lambda a, p, k: _tables(k, a.arity, sloc_tables(
         arity_tables(_named(p, "ops", a.ops), a.arity, k), a.s, a.arity, k))),
     "sloc-pairs": (("arity", "s"), lambda a, p, k: pairs_listing(
-        k, _pair_rows(sloc_pairs(_named(p, "pairs", a.pairs), a.s, a.arity, k)))),
-    "enc": ((), lambda a, p, k: pairs_listing(k, _pair_rows(enc(_named(p, "pairs", a.pairs))))),
+        k, pair_rows(sloc_pairs(_named(p, "pairs", a.pairs), a.s, a.arity, k), k))),
+    "enc": ((), lambda a, p, k: pairs_listing(k, pair_rows(enc(_named(p, "pairs", a.pairs)), k))),
     "gamma": (("ksize",), _gamma),
     "superpose": (("spec",), _superpose),
     "rpclone": (("max_arity",), _rpclone),

@@ -14,10 +14,10 @@ scaled by its place in the table index.  The sum of the columns holds every
 row of the matrix as a table index, one per lane, and no lane carries into
 the next.  With one-byte lanes the image of all rows under a value table is
 one `bytes.translate`.  `row_images` takes several value tables of one
-arity at once and lays out each row once for all of them.  On it sits the
-one image engine of both Galois maps, `matrix_images`: the distinct tuples
-that a value table gives on the matrices over a relation given as its bit
-mask.
+arity at once and lays out each row once for all of them.  Both Galois maps
+read the n-column matrices over a relation given as its bit mask, laid out
+in one place, `column_pools`; `pair_rows` is the one place where relation
+pairs become the (arity, rho, rho') mask rows that the maps read.
 
 Engines charge their cost estimates to `check_cap`, which refuses one above
 the complexity cap of the innermost `capped` scope; no engine takes a cap.
@@ -434,27 +434,18 @@ def row_images(tables: Sequence[LaneTable], pools: Sequence[Sequence[int]],
                     yield b"".join(map(get, key))
 
 
-def matrix_images(values: Sequence[int], k: int, m: int, rho: int,
-                  n: int) -> tuple[tuple[int, ...], ...]:
-    """The distinct m-tuples that the value table `values` of an n-ary
-    operation on {0,...,k-1} gives on the n-column matrices over the m-ary
-    relation with mask `rho`: each matrix's columns are members of rho, and
-    each of its m rows is read as an index into `values`.  With n = 0 the one
-    image is the constant tuple, even when rho is empty; with rho empty and
-    n > 0 there is none.  Under the identity table `range(k ** n)` an image
-    is the tuple of table indices the matrix reads.
-
-    The members of rho are packed on lanes that hold every table index and
-    every value below k, and column pool j of `row_images` holds them scaled
-    by k^(n-1-j).  The cap is charged the |rho|^n matrices first.
-    """
+def column_pools(k: int, m: int, rho: int, n: int) -> tuple[int, list[bytes], list[list[int]]]:
+    """The n-column matrices over the m-ary relation with mask `rho` on
+    {0,...,k-1}, laid out for `row_sums`: the lane width that holds every
+    index of an n-ary value table and every value below k, the members of
+    rho packed on it, ascending, and the n pools, pool j the members as
+    `lane_ints` scaled by k^(n-1-j), so that a row sum is a matrix's scope.
+    Nothing is charged here: the callers charge their matrices first."""
     carrier = Carrier(k)
-    check_cap("matrix enumeration", 1, rho.bit_count(), n)
-    lane = lane_bytes(max(k, len(values)))
-    members = lane_ints(pack(carrier.decode(i, m), lane) for i in bit_indices(rho))
-    pools = [[x * k ** (n - 1 - j) for x in members] for j in range(n)]
-    images = set(row_images([LaneTable.of(values, lane)], pools, m))
-    return tuple(unpack(t, lane) for t in images)
+    lane = lane_bytes(max(k, k ** n))
+    members = [pack(carrier.decode(i, m), lane) for i in bit_indices(rho)]
+    ints = lane_ints(members)
+    return lane, members, [[x * k ** (n - 1 - j) for x in ints] for j in range(n)]
 
 
 @dataclass(frozen=True, order=True)
@@ -550,6 +541,16 @@ class RelationPair:
 
     def sort_key(self):
         return (self.arity, self.rho.mask, self.rho_prime.mask)
+
+
+def pair_rows(Q: Iterable[RelationPair], k: int) -> Iterator[tuple[int, int, int]]:
+    """The members of Q as (arity, rho, rho') rows, the relations as bit
+    masks, in Q's order; a member on another carrier is an error once it is
+    reached."""
+    for p in Q:
+        if p.k != k:
+            raise DomainError("carrier mismatch in pair family")
+        yield p.arity, p.rho.mask, p.rho_prime.mask
 
 
 def all_relations(carrier: Carrier, arity: int) -> Iterator[Relation]:

@@ -119,10 +119,11 @@ def gamma_fixpoint(F: Iterable[Operation], ksize: int, B: Iterable[Sequence[int]
     `bytes`, one lane per index of K, each lane wide enough for every table
     index.  As an argument at position j it is one int pre-scaled by
     k^(a-1-j), so a row sum is one int addition; R and S stay `bytes` until
-    they are returned.  The generators are grouped by arity once, and each
-    round makes one `row_images` call per arity a and first-new position j,
-    which lays out each row once and reads it through the tables of all
-    generators of arity a.
+    they are returned.  The pools change every semi-naive round, so they
+    are kept here, not taken from `core.column_pools`.  The generators are
+    grouped by arity once, and each round makes one `row_images` call per
+    arity a and first-new position j, which lays out each row once and
+    reads it through the tables of all generators of arity a.
     Before each round the complexity cap in force (`core.capped`) is
     charged the round's rows, |R|^a - |old R|^a for each generator of
     arity a, summed over the rounds so far.

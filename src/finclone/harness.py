@@ -241,8 +241,7 @@ def check_least_invariant_pair(F: Iterable[Operation], B: Iterable[tuple[int, ..
                              for f in ops for args in itertools.product(rho, repeat=f.arity))
             if need <= rho:
                 best = (rho, need) if best is None else (best[0] & rho, best[1] & need)
-        if best is None:
-            return "fail", {"reason": "no invariant pair found by brute force"}, {}
+        # best is never None: rho = A^k contains the seed and F[A^k] ⊆ A^k
         if (result.R, result.S) != best:
             return "fail", {
                 "gamma": [sorted(map(list, result.R)), sorted(map(list, result.S))],

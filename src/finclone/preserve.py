@@ -24,12 +24,12 @@ tables, on the constraints of its rows, which it builds as `polp_rows` does
 tables (`polp_tables`, the rows of Q, for the first two; `arity_tables`
 for the others); the op-side check passes its `least_invp` maps as rows.
 The CLI and the checks read the row functions without building a family.
-Both sides rest on one image engine, `core.row_images`, on relations
-given as bit masks:
-`image_mask` is the images of the n-column matrices over one relation
-under the operation's table (`core.matrix_images`), `_scopes` the scopes
-those matrices read, their images under the identity table, and
-`op_image_mask` the images of all matrices over A^m by column set.
+Both sides read the n-column matrices over relations given as bit masks,
+laid out by `core.column_pools`: `image_mask` is their images over one
+relation under the operation's table, one `core.row_images` pass, `_scopes`
+the scopes they read, the row sums themselves, and `op_image_mask` the
+images of all matrices over A^m by column set.  Pairs reach the op side as
+the rows of `core.pair_rows`.
 Complexity caps refuse rather than truncate, each charge taken before any
 cache lookup, so no answer depends on what ran before in the process.  The
 enumerating oracles of `invp`, `polp`, `sloc_ops` and `image_mask` live in
@@ -40,6 +40,7 @@ from __future__ import annotations
 
 import itertools
 import math
+import sys
 from functools import lru_cache
 from typing import Iterable
 
@@ -55,15 +56,16 @@ from .core import (
     RelationPair,
     bit_indices,
     check_cap,
+    column_pools,
     int_lanes,
     lane_bytes,
-    lane_ints,
     lanes_int,
-    matrix_images,
     or_zeta,
-    pack,
+    pair_rows,
     row_images,
+    row_sums,
     submasks,
+    unpack,
 )
 
 
@@ -74,14 +76,17 @@ MAX_LANE_BYTES = 2 ** 24
 
 def image_mask(f: Operation, m: int, rho: int) -> int:
     """Bit mask of { f applied row-wise to an n-column matrix over the m-ary
-    relation with mask rho }: the images of f's table under `matrix_images`,
-    which charges the |rho|^n matrices on every call.
+    relation with mask rho }: one `row_images` pass of f's table over the
+    `column_pools` of rho, its |rho|^n matrices charged first on every call.
 
     With n = 0 this is the constant tuple (f(),...,f()); with rho empty and
     n > 0 it is empty.
     """
+    check_cap("matrix enumeration", 1, rho.bit_count(), f.arity)
+    lane, _, pools = column_pools(f.k, m, rho, f.arity)
     carrier = f.carrier
-    return sum(1 << carrier.encode(t) for t in matrix_images(f.table, f.k, m, rho, f.arity))
+    images = set(row_images([LaneTable.of(f.table, lane)], pools, m))
+    return sum(1 << carrier.encode(unpack(t, lane)) for t in images)
 
 
 @lru_cache(maxsize=None)
@@ -99,18 +104,14 @@ def op_image_mask(f: Operation, m: int) -> int:
     layout is not bounded here: `least_invp` does both first.
     """
     k, n = f.k, f.arity
-    carrier = Carrier(k)
-    lane = lane_bytes(max(k, len(f.table)))
-    columns = [pack(t, lane) for t in carrier.tuples(m)]
+    size = k ** m
+    lane, columns, pools = column_pools(k, m, (1 << size) - 1, n)
     bit = {c: 1 << i for i, c in enumerate(columns)}
     singles = list(bit.values())
-    members = lane_ints(columns)
-    pools = [[x * k ** (n - 1 - j) for x in members] for j in range(n)]
     # the column sets in `row_sums` order, the last column fastest
     sets: Iterable[int] = (0,)
     for _ in range(n):
         sets = (s | b for s in sets for b in singles)
-    size = len(columns)
     lanes = [0] * (1 << size)
     for s, image in zip(sets, row_images([LaneTable.of(f.table, lane)], pools, m)):
         lanes[s] |= bit[image]
@@ -130,9 +131,11 @@ def preserves(f: Operation, p: RelationPair) -> bool:
 def _scopes(k: int, m: int, rho: int, n: int) -> tuple[tuple[int, ...], ...]:
     """The distinct scopes that n-column matrices over the m-ary relation
     with mask rho read, each the tuple of the m table indices a matrix
-    reads, which is its image under the identity table.  With n = 0 the one
-    scope is all zeros, even when rho is empty."""
-    return matrix_images(range(k ** n), k, m, rho, n)
+    reads: the row sums of its `column_pools`, read lane by lane as
+    `row_images` reads them.  With n = 0 the one scope is all zeros, even
+    when rho is empty.  `_allowed`, the one caller, charges first."""
+    lane, _, pools = column_pools(k, m, rho, n)
+    return tuple(unpack(x.to_bytes(m * lane, sys.byteorder), lane) for x in set(row_sums(pools)))
 
 
 def polp(Q: Iterable[RelationPair], n: int, k: int) -> OpFamily:
@@ -143,13 +146,8 @@ def polp(Q: Iterable[RelationPair], n: int, k: int) -> OpFamily:
 
 def polp_tables(Q: Iterable[RelationPair], n: int, k: int) -> list[tuple[int, ...]]:
     """The value tables, ascending, of the n-ary operations preserving every
-    pair in Q: `polp_rows` on the pairs' (arity, rho, rho') mask rows."""
-    rows = []
-    for p in Q:
-        if p.k != k:
-            raise DomainError("carrier mismatch in pair family")
-        rows.append((p.arity, p.rho.mask, p.rho_prime.mask))
-    return polp_rows(rows, n, k)
+    pair in Q: `polp_rows` on their `pair_rows`, listed before any charge."""
+    return polp_rows(list(pair_rows(Q, k)), n, k)
 
 
 def polp_rows(rows: Iterable[tuple[int, int, int]], n: int, k: int) -> list[tuple[int, ...]]:

@@ -33,6 +33,7 @@ from .core import (
     bit_indices,
     check_cap,
     or_zeta,
+    pair_rows,
     submasks,
 )
 
@@ -421,13 +422,9 @@ def sloc_pairs(Q: Iterable[RelationPair], s: int, m: int, k: int) -> PairFamily:
 
 
 def pair_masks(Q: Iterable[RelationPair], m: int, k: int) -> Iterator[tuple[int, int]]:
-    """The m-ary members of Q as (rho, rho') bit masks, in Q's order; a
-    member on another carrier is an error once it is reached."""
-    for p in Q:
-        if p.k != k:
-            raise DomainError("carrier mismatch in pair family")
-        if p.arity == m:
-            yield p.rho.mask, p.rho_prime.mask
+    """The m-ary members of Q as (rho, rho') bit masks, in Q's order, read
+    from its `pair_rows`, which check each member's carrier."""
+    return ((rho, rho_prime) for arity, rho, rho_prime in pair_rows(Q, k) if arity == m)
 
 
 def sloc_pair_masks(witnesses: Iterable[tuple[int, int]], s: int, m: int,

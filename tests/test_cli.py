@@ -5,7 +5,6 @@ import itertools
 import json
 import math
 import os
-import random
 import re
 import subprocess
 import sys
@@ -595,12 +594,6 @@ class TestPrinters:
         assert_prints(cli.pairs_listing(k, ((p.arity, p.rho.mask, p.rho_prime.mask) for p in pairs)),
                       [format_pair(p) for p in pairs], {"pairs": [pair_to_obj(p) for p in pairs]})
 
-    def test_tables_past_ten_values_print_each_value(self):
-        ops = OpFamily([Operation(11, 1, tuple(range(10, -1, -1)))])
-        assert [format_op(f) for f in ops] == ["op/1 = 109876543210"]
-        assert_prints(cli.ops_listing(11, _runs(ops)), [format_op(f) for f in ops],
-                      {"ops": [op_to_obj(f) for f in ops]})
-
 
 class TestChunkSeams:
     """Families longer than one chunk print as the oracle prints them, across
@@ -627,12 +620,6 @@ class TestChunkSeams:
         unary = [Operation(3, 1, t) for t in itertools.product(range(3), repeat=3)]
         ops = binary[:cli.CHUNK + 1] + unary[:2] + binary[:cli.CHUNK - 1] + unary
         self.assert_ops(3, ops)
-
-    def test_tables_past_ten_values(self):
-        rng = random.Random(11)
-        ops = [Operation(11, 1, tuple(rng.randrange(11) for _ in range(11)))
-               for _ in range(2 * cli.CHUNK + 1)]
-        self.assert_ops(11, ops)
 
     def test_pairs_sharing_a_rho_across_a_seam(self):
         # rho = 511 is the last pair of the first chunk and the first of the

@@ -26,6 +26,7 @@ from finclone.core import (
     all_pairs,
     capped,
     check_cap,
+    column_pools,
     compose,
     enc,
     int_lanes,
@@ -36,6 +37,7 @@ from finclone.core import (
     pack,
     pair_leq,
     pair_qleq,
+    pair_rows,
     polymer,
     projection,
     relaxations_of,
@@ -394,6 +396,22 @@ class TestLaneEngine:
         lanes = [b for b in (1, 2, 4, 8) if b >= lane_bytes(max(k, k ** a))]
         self.check(k, [table], pools, width, data.draw(st.sampled_from(lanes), label="lane"))
 
+    def test_column_pools_lay_out_the_matrices_over_a_relation(self):
+        # the members are rho's tuples, packed and ascending, and the row
+        # sums, read through the identity table, are the scopes of the
+        # n-column matrices over rho in `row_sums` order
+        for k, m, n in itertools.product(range(4), range(3), range(4)):
+            carrier, full = Carrier(k), (1 << k ** m) - 1
+            for rho in (0, full // 3, full):
+                lane, members, pools = column_pools(k, m, rho, n)
+                tuples = list(Relation(k, m, rho).tuples())
+                assert lane == lane_bytes(max(k, k ** n))
+                assert [unpack(x, lane) for x in members] == tuples
+                identity = LaneTable.of(range(k ** n), lane)
+                scopes = [unpack(t, lane) for t in row_images([identity], pools, m)]
+                assert scopes == [tuple(carrier.encode([c[r] for c in cols]) for r in range(m))
+                                  for cols in itertools.product(tuples, repeat=n)]
+
     def test_tables_beyond_one_byte_lanes(self):
         # 2^9, 3^6 and 4^5 table entries need two-byte lanes, and so do the
         # values of a carrier of 300
@@ -574,6 +592,9 @@ class TestValidation:
         pytest.param(lambda: pair_qleq(RelationPair.identical(Relation.full(2, 1)),
                                        RelationPair.identical(Relation.full(3, 1))),
                      "pair comparison requires equal carrier and arity", id="qleq-carrier"),
+        pytest.param(lambda: list(pair_rows([RelationPair.identical(Relation.full(2, 1)),
+                                             RelationPair.identical(Relation.full(3, 1))], 2)),
+                     "carrier mismatch in pair family", id="pair-rows-carrier"),
     ])
     def test_each_check_raises_its_message(self, call, message):
         with pytest.raises(DomainError) as raised:

@@ -1,3 +1,4 @@
+import dataclasses
 import hashlib
 import itertools
 import json
@@ -209,6 +210,16 @@ class TestNegativeControl:
         assert r.verdict == "fail"
         assert "gamma" in r.counterexample and "minimum" in r.counterexample
 
+    def test_tampered_round_count_is_caught(self, monkeypatch):
+        # k = 2 allows at most k^k = 4 rounds
+        self._tamper(monkeypatch, "gamma_fixpoint",
+                     lambda got, *_: dataclasses.replace(got, steps=5))
+        r = check_least_invariant_pair([AND], [(0, 1)], 2)
+        assert (r.verdict, r.counterexample) == (
+            "fail", {"reason": "round bound exceeded", "steps": 5})
+        monkeypatch.undo()
+        assert check_least_invariant_pair([AND], [(0, 1)], 2).verdict == "pass"
+
     def test_tampered_pair_side_windows_are_caught(self, monkeypatch):
         # the pair-side check asks `least_invp` for the window <= s, then
         # for arities {0, s}, then (with an empty pair) for arity s alone;
@@ -277,6 +288,41 @@ class TestNegativeControl:
             monkeypatch.undo()
         assert check_classical([AND], [LEQ], 2, 2).verdict == "pass"
 
+    @pytest.mark.parametrize("name,change,counterexample", [
+        # the 2-local closure of the unary clone of AND loses the identity
+        ("sloc_tables", lambda got, *_: got[:-1],
+         {"equality": "sloc clone vs pol inv", "n": 1, "sizes": [0, 1, 1]}),
+        # the invariants of AND and the identity gain (A^m, empty)
+        ("invp_pairs", lambda got, F, m, k: got + [((1 << k ** m) - 1, 0)],
+         {"law": "projection forces identical pairs", "m": 0}),
+        # the empty unary relation excludes the unary operations too
+        ("polp_rows", lambda got, rows, n, k: [] if rows == [(1, 0, 0)] else got,
+         {"law": "empty relation excludes nullaries", "n": 1}),
+    ])
+    def test_tampered_classical_laws_are_caught(self, monkeypatch, name, change, counterexample):
+        self._tamper(monkeypatch, name, change)
+        r = check_classical([AND], [LEQ], 2, 2)
+        assert (r.verdict, r.counterexample) == ("fail", counterexample)
+        monkeypatch.undo()
+        assert check_classical([AND], [LEQ], 2, 2).verdict == "pass"
+
+    def test_tampered_redundant_arities_are_caught(self, monkeypatch):
+        # the invariants of arities 1 and 2 alone lose a polymorphism; the
+        # rows arrive as a chain, so they are listed before the real call
+        real = harness.polp_rows
+
+        def tampered(rows, n, k):
+            rows = list(rows)
+            got = real(rows, n, k)
+            return got[:-1] if {m for m, _, _ in rows} == {1, 2} else got
+
+        monkeypatch.setattr(harness, "polp_rows", tampered)
+        r = check_classical([AND], [LEQ], 2, 2)
+        assert (r.verdict, r.counterexample) == (
+            "fail", {"equality": "small-arity invariants redundant", "n": 1})
+        monkeypatch.undo()
+        assert check_classical([AND], [LEQ], 2, 2).verdict == "pass"
+
     def test_tampered_relaxation_closure_is_caught(self, monkeypatch):
         real = harness.enc
         monkeypatch.setattr(harness, "enc", lambda Q: PairFamily(list(real(Q))[1:]))
@@ -305,6 +351,17 @@ class TestNegativeControl:
         # the 1-local closure of the polymorphisms of (empty, empty) shrinks
         ("sloc_tables", lambda got, *_: got[:-1],
          {"law": "polp s-locally closed", "Q": ["pair/1:rho=0,rho'=0"], "n": 1}),
+        # AND with the identity loses its largest table
+        ("semiclone_tables", lambda got, F, n, k: got - {max(got)} if len(F) > 1 else got,
+         {"law": "adding identity adds trivials", "n": 1}),
+        # the binary part of AND loses the projection x but keeps y
+        ("semiclone_tables",
+         lambda got, F, n, k: got - {(0, 0, 1, 1)} if n == 2 and F == [AND] else got,
+         {"law": "trivial part all-or-nothing", "n": 2}),
+        # the unary part gains const0 and not, and not o const0 is const1
+        ("semiclone_tables",
+         lambda got, F, n, k: got | {(0, 0), (1, 0)} if n == 1 and AND in F else got,
+         {"law": "unary part composes", "ops": ["op/1:10", "op/1:00"]}),
     ])
     def test_tampered_semiclone_laws_are_caught(self, monkeypatch, name, change, counterexample):
         self._tamper(monkeypatch, name, change)
@@ -338,6 +395,20 @@ class TestNegativeControl:
         # the invariants of pol({()}, {()}) lose that pair
         ("invp_pairs", lambda got, *_: got[:-1],
          {"law": "extensivity", "pair": "pair/0:rho=1,rho'=1"}),
+        # the invariants of a polymorphism set lose their last pair
+        ("invp_pairs", lambda got, F, m, k: got[:-1] if len(F) > 1 else got,
+         {"law": "invp_polp_invp", "op": "op/1:00"}),
+        # the nullary polymorphisms of an invariant family vanish
+        ("polp_rows", lambda got, Q, n, k: [] if n == 0 and len(Q) > 1 else got,
+         {"law": "polp_invp_polp", "pair": "pair/0:rho=1,rho'=1"}),
+        # the invariants of two operations gain (A^m, empty)
+        ("invp_pairs", lambda got, F, m, k:
+         got + [((1 << k ** m) - 1, 0)] if isinstance(F, list) and len(F) == 2 else got,
+         {"law": "invp_antitone", "ops": ["op/1:00", "op/1:01"]}),
+        # the polymorphisms of two pairs gain the constant 0
+        ("polp_rows", lambda got, Q, n, k:
+         got + [(0,)] if n == 0 and isinstance(Q, list) and len(Q) == 2 else got,
+         {"law": "polp_antitone", "pairs": ["pair/0:rho=0,rho'=0", "pair/0:rho=1,rho'=0"]}),
     ])
     def test_tampered_galois_maps_are_caught(self, monkeypatch, name, change, counterexample):
         self._tamper(monkeypatch, name, change)
@@ -353,6 +424,9 @@ class TestNegativeControl:
         ("semigroup_tables", lambda got, *_: got - {max(got)} if got else got,
          {"H": ["op/1:00", "op/1:01", "op/1:10"],
           "recovered": ["op/1:00", "op/1:01", "op/1:10", "op/1:11"]}),
+        # with not taken for the identity, {id} reads as a proper semigroup
+        ("projection_table", lambda got, *_: (1, 0),
+         {"H": ["op/1:01"], "reason": "proper semigroup without strict invariant pair"}),
     ])
     def test_tampered_semigroup_recovery_is_caught(self, monkeypatch, name, change, counterexample):
         self._tamper(monkeypatch, name, change)

@@ -5,8 +5,9 @@ imports, no process-global cache is added, no function takes the
 complexity cap as a parameter, no module reaches into another's private
 names, every library name the benchmark tracer hooks still exists,
 every `check_*` name in `harness` is one of its own checks, no library
-module imports or calls a family-building wrapper, and no module but
-`relpairs` reads the packed pair layout."""
+module imports or calls a family-building wrapper, no module but
+`relpairs` reads the packed pair layout, and no cached function charges
+the complexity cap."""
 
 import ast
 import importlib
@@ -144,6 +145,55 @@ def test_cache_detector_flags_each_form(tmp_path):
 def test_no_new_process_global_cache():
     sources = {p.name: p.read_text() for p in SRC.glob("*.py")}
     assert cached_functions(sources) - KNOWN_CACHES == set()
+
+
+def _called_names(node: ast.AST) -> set[str]:
+    return {getattr(call.func, "id", None) or getattr(call.func, "attr", None)
+            for call in ast.walk(node) if isinstance(call, ast.Call)}
+
+
+def charges_behind_caches(sources: dict[str, str]) -> list[str]:
+    """Each cached function (`cached_functions`) that calls `check_cap`,
+    directly or through functions that do, the call graph taken by name
+    over every function and method of `sources`: a charge behind a cache is
+    taken only on a miss, so a refusal would depend on what ran before."""
+    calls: dict[str, set[str]] = {}
+    for source in sources.values():
+        for node in ast.walk(ast.parse(source)):
+            if isinstance(node, (ast.FunctionDef, ast.AsyncFunctionDef)):
+                calls.setdefault(node.name, set()).update(_called_names(node))
+    charging, grown = {"check_cap"}, True
+    while grown:
+        grown = False
+        for name, called in calls.items():
+            if name not in charging and called & charging:
+                charging.add(name)
+                grown = True
+    return sorted(name for name in cached_functions(sources)
+                  if name.split(": ")[1] in charging)
+
+
+def test_charge_detector_follows_calls_by_name():
+    source = ("from functools import lru_cache\nfrom . import core\n\n"
+              "def _charged(n):\n    core.check_cap('x', n)\n\n"
+              "def _through(n):\n    return _charged(n)\n\n"
+              "@lru_cache\ndef direct(n):\n    check_cap('y', n)\n\n"
+              "@lru_cache(maxsize=8)\ndef deep(n):\n    return [_through(m) for m in range(n)]\n\n"
+              "@lru_cache\ndef free(n):\n    return lane_bytes(n)\n\n"
+              "def caller(n):\n    check_cap('z', n)\n    return free(n)\n")
+    lib = "def lane_bytes(size):\n    raise CapExceeded('w', size, 1)\n"
+    assert charges_behind_caches({"m.py": source, "core.py": lib}) == ["m.py: deep",
+                                                                        "m.py: direct"]
+    # a copy of the library with a cache over a charging row function is caught
+    sources = {p.name: p.read_text() for p in SRC.glob("*.py")}
+    sources["preserve.py"] += ("\n\n@lru_cache(maxsize=8)\ndef _memo(rows, n, k):\n"
+                               "    return polp_rows(rows, n, k)\n")
+    assert charges_behind_caches(sources) == ["preserve.py: _memo"]
+
+
+def test_no_charge_behind_a_cache():
+    sources = {p.name: p.read_text() for p in SRC.glob("*.py")}
+    assert charges_behind_caches(sources) == []
 
 
 # the complexity cap is scoped (`core.capped`), never passed down a call chain

@@ -327,7 +327,10 @@ def _table_chunks(runs: list[tuple[int, Sequence[Sequence[int]]]],
 
 def ops_listing(k: int, runs: Iterable[tuple[int, Sequence[Sequence[int]]]]) -> Listing:
     """Operations on {0,...,k-1}, k <= 10, given as runs (arity, value
-    tables).  A table prints as its values' `str` joined."""
+    tables).  A table prints as its values' `str` joined, one digit each, so
+    a larger k is an input error before anything prints."""
+    if k > 10:
+        raise DomainError(f"carrier size {k} above 10: a value table prints one digit per entry")
     runs = list(runs)
     return Listing(
         "ops", lambda: _table_chunks(runs, lambda n: (f"op/{n} = ", "\n"), ""),

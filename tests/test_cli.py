@@ -580,6 +580,11 @@ class TestPrinters:
         assert_prints(cli.ops_listing(k, _runs(ops)), [format_op(f) for f in ops],
                       {"ops": [op_to_obj(f) for f in ops]})
 
+    def test_ops_above_ten_values_refuse(self):
+        # a value of 10 or more has no digit: refused, not printed as "10"
+        with pytest.raises(core.DomainError, match="carrier size 11 above 10"):
+            cli.ops_listing(11, [(1, [tuple(range(10, -1, -1))])])
+
     @settings(max_examples=200, deadline=None)
     @given(relation_lists())
     def test_rels(self, family):

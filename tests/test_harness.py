@@ -198,6 +198,27 @@ class TestNegativeControl:
         monkeypatch.undo()
         assert check_op_side_characterisation([AND], 2, 1, 2).verdict == "pass"
 
+    def test_surplus_on_the_local_closure_side_is_caught(self, monkeypatch):
+        # the s-local closure gains the constant 0, which AND's invariants
+        # exclude: a surplus on the right side, which a subset test in place
+        # of the equality would let through
+        self._tamper(monkeypatch, "sloc_tables", lambda got, *_: got + [(0, 0)])
+        r = check_op_side_characterisation([AND], 2, 1, 2)
+        assert (r.verdict, r.counterexample) == (
+            "fail", {"op": "op/1:00", "in_lhs": False, "in_rhs": True})
+        monkeypatch.undo()
+        assert check_op_side_characterisation([AND], 2, 1, 2).verdict == "pass"
+
+    def test_unequal_sides_of_equal_size_are_caught(self, monkeypatch):
+        # the local closure swaps its largest pair for (empty, empty): the
+        # two sides differ but have the same size, which a comparison of
+        # sizes would miss
+        self._tamper(monkeypatch, "sloc_pair_masks", lambda got, *_: got - {max(got)} | {(0, 0)})
+        r = check_finite_collapse([STRICT01], 1, 2)
+        assert (r.verdict, r.counterexample) == ("fail", {"enc": 3, "loc": 3, "sloc": 3})
+        monkeypatch.undo()
+        assert check_finite_collapse([STRICT01], 1, 2).verdict == "pass"
+
     def test_tampered_generation_is_caught(self, monkeypatch):
         real = harness.gamma_fixpoint
 

@@ -6,7 +6,7 @@ re-validate independently.
 Each check reads the row functions under the library's families and
 compares frozensets of value tables or of pairs as (rho, rho') bit masks,
 with the arity in front where arities mix: galois `invp_pairs` and
-`polp_rows`; op-side `least_invp`, `polp_rows`, `preserving`,
+`polp_rows`; op-side `least_map`, `polp_least`, `preserving`,
 `semiclone_tables` and `sloc_tables`; least-pair `gamma_fixpoint`;
 finite-collapse `enc` and `sloc_pair_masks`; pair-side `polp_tables`,
 `least_invp`, `least_pairs`, `rpclone_generate_stable` and
@@ -59,7 +59,9 @@ from .generation import (
 from .preserve import (
     invp_pairs,
     least_invp,
+    least_map,
     least_pairs,
+    polp_least,
     polp_rows,
     polp_tables,
     preserving,
@@ -190,13 +192,13 @@ def check_op_side_characterisation(F: Iterable[Operation], s: int, n: int, k: in
         ops = _listed(F, params)
         if s < 0:
             raise DomainError("locality parameter must be >= 0")
-        # of the invariant pairs (rho, rho') polp needs only the least rho';
-        # one search finds the tables preserving the pairs of arity s, and
-        # the window <= s keeps those that also preserve the lower arities
-        rows = [[(m, rho, need) for rho, need in least_invp(ops, m, k).items()]
-                for m in range(s + 1)]
-        single = polp_rows(rows[s], n, k)
-        lhs = set(preserving(single, itertools.chain(*rows[:s]), n, k))
+        # of the invariant pairs polp needs only, for each matrix, the least
+        # one over its columns, read off the least maps; one search finds the
+        # tables preserving the pairs of arity s, and the window <= s keeps
+        # those that also preserve the lower arities
+        maps = [least_map(ops, m, k) for m in range(s + 1)]
+        single = polp_least(maps[s], s, n, k)
+        lhs = set(preserving(single, maps[:s], n, k))
         rhs = set(sloc_tables(semiclone_tables(ops, n, k), s, n, k))
         if lhs != rhs:
             t = min(lhs ^ rhs)

@@ -2,13 +2,14 @@
 their classical specialisations, and the operation-side interpolation
 closures.
 
-The pair side rests on one engine, `least_invp`: (rho, rho') is invariant
-under F iff F[rho] ⊆ rho' ⊆ rho, where F[rho] = ∪_{f∈F} f[rho].  So F's
-least map is the OR of its members' maps, which `op_image_mask(f, m)`
-caches, f[rho] for each of the 2^N subsets rho of A^m (N = k^m), built from
-one pass over the matrices whose columns are any tuples of A^m.  `inv`
-reads that map, and `least_pairs` spans it into (rho, rho') masks in
-`PairFamily` order, for `invp_pairs` (so `invp`) and the pair-side check.
+Both sides rest on one engine, `least_map`: (rho, rho') is invariant under
+F iff F[rho] ⊆ rho' ⊆ rho, where F[rho] = ∪_{f∈F} f[rho].  So F's least map
+is the OR of its members' maps, which `op_image_mask(f, m)` caches, f[rho]
+for each of the 2^N subsets rho of A^m (N = k^m), built from one pass over
+the matrices whose columns are any tuples of A^m.  `least_invp` keeps its
+lanes with F[rho] ⊆ rho, which `inv` reads, and `least_pairs` spans those
+into (rho, rho') masks in `PairFamily` order, for `invp_pairs` (so `invp`)
+and the pair-side check.
 
 The operation side works on value tables, and pair constraints reach it as
 (arity, rho, rho') mask rows: `polp_rows` and `sloc_tables` hand their
@@ -17,19 +18,21 @@ over table entries (`_search`), which returns the tables as tuples in
 ascending order: small table spaces by a filter over every table
 (`_filter`), larger ones by forward checking (`_forward_search`), which
 checks a scope as soon as its next-largest entry is set and prunes the
-candidates of its largest.  `preserving` runs the same filter over given
-tables, on the constraints of its rows, which it builds as `polp_rows` does
-(`_allowed`).
+candidates of its largest.  The op-side check reads least maps instead of
+rows: `_bounded` bounds each matrix over A^m by F[cl(C)], cl(C) the least
+invariant rho holding its column set C, and `polp_least` searches those
+bounds at one arity, while `preserving` runs the filter over given tables
+on the bounds of several.
 `polp`, `pol`, `sloc_ops` and `loc_ops` build their `OpFamily` from those
 tables (`polp_tables`, the rows of Q, for the first two; `arity_tables`
-for the others); the op-side check passes its `least_invp` maps as rows.
-The CLI and the checks read the row functions without building a family.
+for the others).  The CLI and the checks read the row functions without
+building a family.
 Both sides read the n-column matrices over relations given as bit masks,
 laid out by `core.column_pools`: `image_mask` is their images over one
 relation under the operation's table, one `core.row_images` pass, `_scopes`
-the scopes they read, the row sums themselves, and `op_image_mask` the
-images of all matrices over A^m by column set.  Pairs reach the op side as
-the rows of `core.pair_rows`.
+the scopes they read, the row sums themselves, grouped by column set, and
+`op_image_mask` the images of all matrices over A^m by column set.  Pairs
+reach the op side as the rows of `core.pair_rows`.
 Complexity caps refuse rather than truncate, each charge taken before any
 cache lookup, so no answer depends on what ran before in the process.  The
 enumerating oracles of `invp`, `polp`, `sloc_ops` and `image_mask` live in
@@ -42,7 +45,7 @@ import itertools
 import math
 import sys
 from functools import lru_cache
-from typing import Iterable
+from typing import Iterable, Sequence
 
 from .core import (
     CapExceeded,
@@ -69,7 +72,7 @@ from .core import (
 )
 
 
-# least_invp refuses subset lanes of more bytes than this in all: N = k^m
+# least_map refuses subset lanes of more bytes than this in all: N = k^m
 # up to 16 fits (2^16 lanes of 2 bytes), N = 27 does not (2^27 of 4)
 MAX_LANE_BYTES = 2 ** 24
 
@@ -101,17 +104,14 @@ def op_image_mask(f: Operation, m: int) -> int:
     the union of those lanes over the subsets of rho, which the OR-zeta
     transform `core.or_zeta` spreads to every rho in N steps.  One entry per
     (operation, arity), 128 KiB at N = 16.  A hit takes no charge and the
-    layout is not bounded here: `least_invp` does both first.
+    layout is not bounded here: `least_map` does both first.
     """
     k, n = f.k, f.arity
     size = k ** m
-    lane, columns, pools = column_pools(k, m, (1 << size) - 1, n)
+    full = (1 << size) - 1
+    lane, columns, pools = column_pools(k, m, full, n)
     bit = {c: 1 << i for i, c in enumerate(columns)}
-    singles = list(bit.values())
-    # the column sets in `row_sums` order, the last column fastest
-    sets: Iterable[int] = (0,)
-    for _ in range(n):
-        sets = (s | b for s in sets for b in singles)
+    sets = _column_sets(full, n)
     lanes = [0] * (1 << size)
     for s, image in zip(sets, row_images([LaneTable.of(f.table, lane)], pools, m)):
         lanes[s] |= bit[image]
@@ -127,15 +127,38 @@ def preserves(f: Operation, p: RelationPair) -> bool:
     return image_mask(f, p.arity, p.rho.mask) & ~p.rho_prime.mask == 0
 
 
+def _column_sets(rho: int, n: int) -> Iterable[int]:
+    """The column set, as a mask, of each n-column matrix over the relation
+    with mask rho, in `row_sums` order over its `column_pools`, the last
+    column fastest: the one empty set when n = 0."""
+    bits = [1 << i for i in bit_indices(rho)]
+    sets: Iterable[int] = (0,)
+    for _ in range(n):
+        sets = (s | b for s in sets for b in bits)
+    return sets
+
+
 @lru_cache(maxsize=4096)
-def _scopes(k: int, m: int, rho: int, n: int) -> tuple[tuple[int, ...], ...]:
+def _scopes(k: int, m: int, rho: int, n: int) -> tuple[tuple[int, tuple[tuple[int, ...], ...]], ...]:
     """The distinct scopes that n-column matrices over the m-ary relation
-    with mask rho read, each the tuple of the m table indices a matrix
-    reads: the row sums of its `column_pools`, read lane by lane as
-    `row_images` reads them.  With n = 0 the one scope is all zeros, even
-    when rho is empty.  `_allowed`, the one caller, charges first."""
+    with mask rho read, grouped by the column set C of their matrix, as
+    pairs (C, scopes) with C a submask of rho: each scope the tuple of the m
+    table indices a matrix reads, the row sums of its `column_pools`, read
+    lane by lane as `row_images` reads them.  With n = 0 the one scope is
+    all zeros, in the empty C, even when rho is empty.  The callers,
+    `_allowed` on each relation of its rows and `_bounded` on all of A^m,
+    charge first."""
     lane, _, pools = column_pools(k, m, rho, n)
-    return tuple(unpack(x.to_bytes(m * lane, sys.byteorder), lane) for x in set(row_sums(pools)))
+    size = m * lane
+    groups: dict[int, list[tuple[int, ...]]] = {}
+    for c, scope in zip(_column_sets(rho, n),
+                        [unpack(x.to_bytes(size, sys.byteorder), lane) for x in row_sums(pools)]):
+        group = groups.get(c)
+        if group is None:
+            groups[c] = [scope]
+        else:
+            group.append(scope)
+    return tuple((c, tuple(scopes)) for c, scopes in groups.items())
 
 
 def polp(Q: Iterable[RelationPair], n: int, k: int) -> OpFamily:
@@ -165,14 +188,33 @@ def polp_rows(rows: Iterable[tuple[int, int, int]], n: int, k: int) -> list[tupl
     return _search(k, carrier.num_tuples(n), _allowed(rows, n, k))
 
 
-def preserving(tables: Iterable[tuple[int, ...]], rows: Iterable[tuple[int, int, int]],
-               n: int, k: int) -> list[tuple[int, ...]]:
-    """The n-ary value tables among `tables`, in their order, that preserve
-    the pair of every row: the tables of `polp_rows` that `tables` holds,
-    found by `_filter` instead of a search."""
+def polp_least(least: Sequence[int], m: int, n: int, k: int) -> list[tuple[int, ...]]:
+    """The value tables, ascending, of the n-ary operations preserving every
+    m-ary pair invariant under F, given F's `least_map` at arity m: the
+    tables of `polp_rows` on the rows (m, rho, F[rho]) of `least_invp`.
+
+    A constraint search over the k^n table entries (`_search`) on the
+    scopes of `_bounded`.  The cap still bounds the k^(k^n) tables, charged
+    first."""
     if n < 0:
         raise DomainError("arity must be >= 0")
-    return _filter(tables, _allowed(rows, n, k), k)
+    size = Carrier(k).num_tuples(n)
+    check_cap("polp table enumeration", 1, k, size)
+    return _search(k, size, _bounded(least, m, n, k))
+
+
+def preserving(tables: Iterable[tuple[int, ...]], maps: Sequence[Sequence[int]],
+               n: int, k: int) -> list[tuple[int, ...]]:
+    """The n-ary value tables among `tables`, in their order, that preserve
+    every pair invariant under F of each arity m < len(maps), given F's
+    `least_map` at arity m as maps[m]: the tables of `polp_least` at every
+    such arity that `tables` holds, found by `_filter` instead of a search."""
+    if n < 0:
+        raise DomainError("arity must be >= 0")
+    constraints: dict[tuple[int, ...], int] = {}
+    for m, least in enumerate(maps):
+        constraints.update(_bounded(least, m, n, k))
+    return _filter(tables, constraints, k)
 
 
 def _filter(tables: Iterable[tuple[int, ...]], constraints: dict[tuple[int, ...], int],
@@ -206,9 +248,35 @@ def _allowed(rows: Iterable[tuple[int, int, int]], n: int, k: int) -> dict[tuple
     check_cap("matrix enumeration", 1, max((rho.bit_count() for _, rho, _ in tight), default=0), n)
     allowed: dict[tuple[int, ...], int] = {}
     for m, rho, ok in tight:
-        for scope in _scopes(k, m, rho, n):
-            allowed[scope] = allowed.get(scope, ok) & ok
+        for _, scopes in _scopes(k, m, rho, n):
+            for scope in scopes:
+                allowed[scope] = allowed.get(scope, ok) & ok
     return allowed
+
+
+def _bounded(least: Sequence[int], m: int, n: int, k: int) -> dict[tuple[int, ...], int]:
+    """The constraints that the m-ary pairs invariant under F put on n-ary
+    value tables, given F's `least_map` at arity m.
+
+    The first components rho with F[rho] ⊆ rho are closed under
+    intersection, so the columns C of an n-column matrix over A^m lie in a
+    least such rho, cl(C), the end of the chain r <- r | F[r] from C.  A
+    matrix lies over rho iff C ⊆ rho, and F is monotone, so of all the pairs
+    over rho ⊇ C the least one, (cl(C), F[cl(C)]), bounds its image
+    tightest: each scope of `_scopes` over A^m may only map to F[cl(C)],
+    which puts no constraint when it is all of A^m.  The chain runs once per
+    C, and the cap is charged the N^n matrices (N = k^m) before any `_scopes`
+    lookup."""
+    size = Carrier(k).num_tuples(m)
+    check_cap("matrix enumeration", 1, size, n)
+    full = (1 << size) - 1
+    bounds: dict[tuple[int, ...], int] = {}
+    for c, scopes in _scopes(k, m, full, n):
+        while least[c] & ~c:
+            c |= least[c]
+        if least[c] != full:
+            bounds.update(dict.fromkeys(scopes, least[c]))
+    return bounds
 
 
 # The largest table space that `_search` filters; see its docstring for the
@@ -354,17 +422,16 @@ def _regroup(ok: int, k: int, shape: tuple[bool, ...]) -> int:
     return out
 
 
-def least_invp(F: Iterable[Operation], m: int, k: int) -> dict[int, int]:
-    """{rho: F[rho]} for every m-ary rho with F[rho] ⊆ rho, as bit masks in
-    ascending rho: the first components of the pairs invariant under F,
-    each with the least second component it admits.
+def least_map(F: Iterable[Operation], m: int, k: int) -> tuple[int, ...]:
+    """F's least map at arity m: the 2^N lanes F[rho] = ∪_{f∈F} f[rho] as bit
+    masks, N = k^m, lane rho for each m-ary rho.
 
-    F's least map is the OR of its members' maps `op_image_mask(f, m)`,
-    exact since the OR-zeta transform commutes with OR.  The cap charges
-    the 3^N candidate pairs (N = k^m); lanes of more than 8 bytes (N > 64)
-    or of more than MAX_LANE_BYTES in all are refused; then the cap charges
-    the N^n matrices that the map of a member of the largest arity n reads,
-    before any map is looked up.
+    The OR of its members' maps `op_image_mask(f, m)`, exact since the
+    OR-zeta transform commutes with OR.  The cap charges the 3^N candidate
+    pairs, also where no pair is listed; lanes of more than 8 bytes
+    (N > 64) or of more than MAX_LANE_BYTES in all are refused; then the cap
+    charges the N^n matrices that the map of a member of the largest arity n
+    reads, before any map is looked up.
     """
     if m < 0:
         raise DomainError("arity must be >= 0")
@@ -382,8 +449,15 @@ def least_invp(F: Iterable[Operation], m: int, k: int) -> dict[int, int]:
     least = 0
     for f in ops:
         least |= op_image_mask(f, m)
-    lanes = int_lanes(least, lane, 1 << size)
-    return {rho: need for rho, need in enumerate(lanes) if not need & ~rho}
+    return int_lanes(least, lane, 1 << size)
+
+
+def least_invp(F: Iterable[Operation], m: int, k: int) -> dict[int, int]:
+    """{rho: F[rho]} for every m-ary rho with F[rho] ⊆ rho, as bit masks in
+    ascending rho: the first components of the pairs invariant under F,
+    each with the least second component it admits, read off `least_map`
+    with its charges."""
+    return {rho: need for rho, need in enumerate(least_map(F, m, k)) if not need & ~rho}
 
 
 def invp(F: Iterable[Operation], m: int, k: int) -> PairFamily:

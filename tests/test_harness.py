@@ -185,13 +185,13 @@ class TestNegativeControl:
         assert check_op_side_characterisation([AND], 2, 1, 2).verdict == "pass"
 
     def test_tampered_single_arity_search_is_caught(self, monkeypatch):
-        # an arity-s search that ignores its constraints returns every unary
+        # an arity-s search that ignores its least map returns every unary
         # table; the lower arities filter the extra ones out of the window,
         # so only the single-arity variant can see them.  The unary part of
         # the semiclone of AND is the identity, and the least of the extra
         # tables is the constant 0.
-        monkeypatch.setattr(harness, "polp_rows",
-                            lambda rows, n, k: list(itertools.product(range(k), repeat=k ** n)))
+        monkeypatch.setattr(harness, "polp_least",
+                            lambda least, m, n, k: list(itertools.product(range(k), repeat=k ** n)))
         r = check_op_side_characterisation([AND], 2, 1, 2)
         assert r.verdict == "fail"
         assert r.counterexample == {"variant": "single-arity", "op": "op/1:00"}

@@ -40,10 +40,12 @@ from finclone.preserve import (
     invp,
     invp_pairs,
     least_invp,
+    least_map,
     loc_ops,
     op_image_mask,
     pol,
     polp,
+    polp_least,
     polp_rows,
     polp_tables,
     preserves,
@@ -285,8 +287,6 @@ def assert_search_matches_oracle(families, arities, k):
             rows = [(p.arity, p.rho.mask, p.rho_prime.mask) for p in Q]
             assert polp_rows(rows, n, k) == tables, (Q, n)
             assert polp_tables(Q, n, k) == tables, (Q, n)
-            every = itertools.product(range(k), repeat=k ** n)
-            assert preserving(every, rows, n, k) == tables, (Q, n)
 
 
 class TestPolpSearch:
@@ -704,23 +704,63 @@ class TestLeastPairEngine:
         assert op_image_mask.cache_info().currsize == 1
 
     def test_op_side_search_on_the_least_map(self):
-        # polp_rows returns the tables of polp over the same pairs, in the
-        # family's order; preserving filters the arity-s tables down to them
+        # polp_least returns the tables of polp over the invariant pairs of
+        # arity s, in the family's order; preserving filters them down to
+        # the window <= s, which polp_rows finds from the rows
         ops = [f for n in (1, 2) for f in all_operations(C2, n)]
         for F in families_upto_two(ops)[1:]:
             pairs = [list(invp(F, m, 2)) for m in range(4)]
+            maps = [least_map(F, m, 2) for m in range(4)]
             for s in range(4):
                 least = [(m, rho, need) for m in range(s + 1)
                          for rho, need in least_invp(F, m, 2).items()]
-                arity_s = [row for row in least if row[0] == s]
-                lower = [row for row in least if row[0] < s]
                 for n in (1, 2):
                     upto = itertools.chain.from_iterable(pairs[:s + 1])
                     want = [f.table for f in polp(upto, n, 2)]
                     assert polp_rows(least, n, 2) == want, (F, s, n)
-                    single = polp_rows(arity_s, n, 2)
+                    single = polp_least(maps[s], s, n, 2)
                     assert single == [f.table for f in polp(pairs[s], n, 2)], (F, s, n)
-                    assert preserving(single, lower, n, 2) == want, (F, s, n)
+                    assert preserving(single, maps[:s], n, 2) == want, (F, s, n)
+
+
+def assert_least_search_matches_rows(families, window, arities, k):
+    """`polp_least` and `preserving` on the least maps against the route
+    over every invariant relation: `polp_rows` on the `least_invp` rows of
+    arity s, and those tables kept where `polp_rows` on the rows of the
+    arities < s holds them, for s in `window` and n in `arities`."""
+    for F in families:
+        maps = [least_map(F, m, k) for m in window]
+        rows = [[(m, rho, need) for rho, need in least_invp(F, m, k).items()] for m in window]
+        for s in window:
+            for n in arities:
+                single = polp_rows(rows[s], n, k)
+                assert polp_least(maps[s], s, n, k) == single, (F, s, n)
+                lower = set(polp_rows(itertools.chain(*rows[:s]), n, k))
+                assert preserving(single, maps[:s], n, k) == [t for t in single if t in lower], \
+                    (F, s, n)
+
+
+class TestOpSideLeastMaps:
+    """The op-side search reads each matrix's bound F[cl(C)] off the least
+    maps; the oracle lists every invariant relation as a row."""
+
+    def test_k2_families_upto_two(self):
+        ops = [f for n in range(3) for f in all_operations(C2, n)]
+        assert_least_search_matches_rows(families_upto_two(ops), range(4), range(3), 2)
+
+    @pytest.mark.parametrize("k", [0, 1])
+    def test_degenerate_carriers(self, k):
+        ops = [f for n in range(3) for f in all_operations(Carrier(k), n)]
+        assert_least_search_matches_rows(families_upto_two(ops), range(4), range(3), k)
+
+    def test_k3_seeded_families(self):
+        rng = random.Random(31)
+        families = []
+        for _ in range(12):
+            arities = [rng.randint(0, 2) for _ in range(rng.randint(1, 2))]
+            families.append([Operation(3, n, tuple(rng.randrange(3) for _ in range(3 ** n)))
+                             for n in arities])
+        assert_least_search_matches_rows(families, range(3), range(3), 3)
 
 
 class TestClassical:

@@ -139,15 +139,16 @@ def _column_sets(rho: int, n: int) -> Iterable[int]:
 
 
 @lru_cache(maxsize=4096)
-def _scopes(k: int, m: int, rho: int, n: int) -> tuple[tuple[int, tuple[tuple[int, ...], ...]], ...]:
+def _scopes(k: int, m: int, rho: int, n: int) -> tuple[tuple[int, tuple, tuple], ...]:
     """The distinct scopes that n-column matrices over the m-ary relation
     with mask rho read, grouped by the column set C of their matrix, as
-    pairs (C, scopes) with C a submask of rho: each scope the tuple of the m
-    table indices a matrix reads, the row sums of its `column_pools`, read
-    lane by lane as `row_images` reads them.  With n = 0 the one scope is
-    all zeros, in the empty C, even when rho is empty.  The callers,
-    `_allowed` on each relation of its rows and `_bounded` on all of A^m,
-    charge first."""
+    triples (C, scopes, ascending) with C a submask of rho: each scope the
+    tuple of the m table indices a matrix reads, the row sums of its
+    `column_pools`, read lane by lane as `row_images` reads them, and
+    `ascending` the scopes of the group whose entries do not decrease.
+    With n = 0 the one scope is all zeros, in the empty C, even when rho is
+    empty.  The callers, `_allowed` on each relation of its rows and
+    `_bounded` on all of A^m, charge first."""
     lane, _, pools = column_pools(k, m, rho, n)
     size = m * lane
     groups: dict[int, list[tuple[int, ...]]] = {}
@@ -158,7 +159,8 @@ def _scopes(k: int, m: int, rho: int, n: int) -> tuple[tuple[int, tuple[tuple[in
             groups[c] = [scope]
         else:
             group.append(scope)
-    return tuple((c, tuple(scopes)) for c, scopes in groups.items())
+    return tuple((c, tuple(scopes), tuple(x for x in scopes if x == tuple(sorted(x))))
+                 for c, scopes in groups.items())
 
 
 def polp(Q: Iterable[RelationPair], n: int, k: int) -> OpFamily:
@@ -248,7 +250,7 @@ def _allowed(rows: Iterable[tuple[int, int, int]], n: int, k: int) -> dict[tuple
     check_cap("matrix enumeration", 1, max((rho.bit_count() for _, rho, _ in tight), default=0), n)
     allowed: dict[tuple[int, ...], int] = {}
     for m, rho, ok in tight:
-        for _, scopes in _scopes(k, m, rho, n):
+        for _, scopes, _ in _scopes(k, m, rho, n):
             for scope in scopes:
                 allowed[scope] = allowed.get(scope, ok) & ok
     return allowed
@@ -263,19 +265,24 @@ def _bounded(least: Sequence[int], m: int, n: int, k: int) -> dict[tuple[int, ..
     least such rho, cl(C), the end of the chain r <- r | F[r] from C.  A
     matrix lies over rho iff C ⊆ rho, and F is monotone, so of all the pairs
     over rho ⊇ C the least one, (cl(C), F[cl(C)]), bounds its image
-    tightest: each scope of `_scopes` over A^m may only map to F[cl(C)],
-    which puts no constraint when it is all of A^m.  The chain runs once per
-    C, and the cap is charged the N^n matrices (N = k^m) before any `_scopes`
-    lookup."""
+    tightest: a scope of `_scopes` over A^m may only map to F[cl(C)], which
+    puts no constraint when it is all of A^m.  Permuting the rows of a
+    matrix permutes its scope, its C and, as F acts row by row, cl(C) and
+    F[cl(C)] alike, so the permuted scopes put one constraint: only the
+    ascending scope of each is kept, and the chain runs once per C that has
+    one.  The cap is charged the N^n matrices (N = k^m) before any
+    `_scopes` lookup."""
     size = Carrier(k).num_tuples(m)
     check_cap("matrix enumeration", 1, size, n)
     full = (1 << size) - 1
     bounds: dict[tuple[int, ...], int] = {}
-    for c, scopes in _scopes(k, m, full, n):
+    for c, _, ascending in _scopes(k, m, full, n):
+        if not ascending:
+            continue
         while least[c] & ~c:
             c |= least[c]
         if least[c] != full:
-            bounds.update(dict.fromkeys(scopes, least[c]))
+            bounds.update(dict.fromkeys(ascending, least[c]))
     return bounds
 
 

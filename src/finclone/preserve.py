@@ -139,28 +139,29 @@ def _column_sets(rho: int, n: int) -> Iterable[int]:
 
 
 @lru_cache(maxsize=4096)
-def _scopes(k: int, m: int, rho: int, n: int) -> tuple[tuple[int, tuple, tuple], ...]:
+def _scopes(k: int, m: int, rho: int, n: int) -> tuple[tuple[tuple[int, ...], ...],
+                                                      tuple[tuple[int, tuple], ...]]:
     """The distinct scopes that n-column matrices over the m-ary relation
-    with mask rho read, grouped by the column set C of their matrix, as
-    triples (C, scopes, ascending) with C a submask of rho: each scope the
-    tuple of the m table indices a matrix reads, the row sums of its
-    `column_pools`, read lane by lane as `row_images` reads them, and
-    `ascending` the scopes of the group whose entries do not decrease.
-    With n = 0 the one scope is all zeros, in the empty C, even when rho is
-    empty.  The callers, `_allowed` on each relation of its rows and
+    with mask rho read, each the tuple of the m table indices a matrix
+    reads: the row sums of its `column_pools`, read lane by lane as
+    `row_images` reads them.  With n = 0 the one scope is all zeros, in the
+    empty column set, even when rho is empty.  Returned twice: all of them,
+    in `row_sums` order, and those whose entries do not decrease, grouped by
+    the column set C of their matrix as pairs (C, scopes), C a submask of
+    rho.  The callers, `_allowed` on each relation of its rows and
     `_bounded` on all of A^m, charge first."""
     lane, _, pools = column_pools(k, m, rho, n)
     size = m * lane
+    scopes = tuple(unpack(x.to_bytes(size, sys.byteorder), lane) for x in row_sums(pools))
     groups: dict[int, list[tuple[int, ...]]] = {}
-    for c, scope in zip(_column_sets(rho, n),
-                        [unpack(x.to_bytes(size, sys.byteorder), lane) for x in row_sums(pools)]):
-        group = groups.get(c)
-        if group is None:
-            groups[c] = [scope]
-        else:
-            group.append(scope)
-    return tuple((c, tuple(scopes), tuple(x for x in scopes if x == tuple(sorted(x))))
-                 for c, scopes in groups.items())
+    for c, scope in zip(_column_sets(rho, n), scopes):
+        if scope == tuple(sorted(scope)):
+            group = groups.get(c)
+            if group is None:
+                groups[c] = [scope]
+            else:
+                group.append(scope)
+    return scopes, tuple((c, tuple(group)) for c, group in groups.items())
 
 
 def polp(Q: Iterable[RelationPair], n: int, k: int) -> OpFamily:
@@ -250,9 +251,8 @@ def _allowed(rows: Iterable[tuple[int, int, int]], n: int, k: int) -> dict[tuple
     check_cap("matrix enumeration", 1, max((rho.bit_count() for _, rho, _ in tight), default=0), n)
     allowed: dict[tuple[int, ...], int] = {}
     for m, rho, ok in tight:
-        for _, scopes, _ in _scopes(k, m, rho, n):
-            for scope in scopes:
-                allowed[scope] = allowed.get(scope, ok) & ok
+        for scope in _scopes(k, m, rho, n)[0]:
+            allowed[scope] = allowed.get(scope, ok) & ok
     return allowed
 
 
@@ -276,9 +276,7 @@ def _bounded(least: Sequence[int], m: int, n: int, k: int) -> dict[tuple[int, ..
     check_cap("matrix enumeration", 1, size, n)
     full = (1 << size) - 1
     bounds: dict[tuple[int, ...], int] = {}
-    for c, _, ascending in _scopes(k, m, full, n):
-        if not ascending:
-            continue
+    for c, ascending in _scopes(k, m, full, n)[1]:
         while least[c] & ~c:
             c |= least[c]
         if least[c] != full:

@@ -30,9 +30,10 @@ building a family.
 Both sides read the n-column matrices over relations given as bit masks,
 laid out by `core.column_pools`: `image_mask` is their images over one
 relation under the operation's table, one `core.row_images` pass, `_scopes`
-the scopes they read, the row sums themselves, grouped by column set, and
-`op_image_mask` the images of all matrices over A^m by column set.  Pairs
-reach the op side as the rows of `core.pair_rows`.
+the scopes they read, the row sums themselves (and the ascending ones by
+column set, for `_bounded`), and `op_image_mask` the images of all
+matrices over A^m by column set.  Pairs reach the op side as the rows of
+`core.pair_rows`.
 Complexity caps refuse rather than truncate, each charge taken before any
 cache lookup, so no answer depends on what ran before in the process.  The
 enumerating oracles of `invp`, `polp`, `sloc_ops` and `image_mask` live in
@@ -145,14 +146,17 @@ def _scopes(k: int, m: int, rho: int, n: int) -> tuple[tuple[tuple[int, ...], ..
     with mask rho read, each the tuple of the m table indices a matrix
     reads: the row sums of its `column_pools`, read lane by lane as
     `row_images` reads them.  With n = 0 the one scope is all zeros, in the
-    empty column set, even when rho is empty.  Returned twice: all of them,
-    in `row_sums` order, and those whose entries do not decrease, grouped by
-    the column set C of their matrix as pairs (C, scopes), C a submask of
-    rho.  The callers, `_allowed` on each relation of its rows and
-    `_bounded` on all of A^m, charge first."""
+    empty column set, even when rho is empty.  Returned as all of them, in
+    `row_sums` order, and, when rho is all of A^m, whose matrices stay over
+    rho when their rows are permuted, those whose entries do not decrease,
+    grouped by the column set C of their matrix as pairs (C, scopes).  The
+    callers, `_allowed` on each relation of its rows and `_bounded` on all
+    of A^m, charge first."""
     lane, _, pools = column_pools(k, m, rho, n)
     size = m * lane
     scopes = tuple(unpack(x.to_bytes(size, sys.byteorder), lane) for x in row_sums(pools))
+    if rho != (1 << k ** m) - 1:
+        return scopes, ()
     groups: dict[int, list[tuple[int, ...]]] = {}
     for c, scope in zip(_column_sets(rho, n), scopes):
         if scope == tuple(sorted(scope)):
